@@ -2,9 +2,9 @@
 
 An arrangement is a list of labeled, pairwise distinct irreducible-looking
 forms; one degree-1 component may be designated as the line at infinity.
-This module carries the first-homology model, detection of multiple points
-that span local pencils, and exponent subtori pulled back from a pencil
-base.
+This module carries block products of components, detection of multiple
+points that span local pencils, and exponent subtori pulled back from a
+pencil base.
 """
 
 from __future__ import annotations
@@ -22,14 +22,13 @@ from .exactalg import (
     integer_kernel_basis,
     lattice_key,
     saturate_lattice,
-    smith_normal_form,
 )
 from .polyform import (
     PolyParseError,
     ProjLine,
     ProjPoint,
     TernaryForm,
-    intersect_lines,
+    intersection_points,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -40,8 +39,6 @@ __all__ = [
     "CurveComponent",
     "Arrangement",
     "TorsionCharacter",
-    "H1Model",
-    "h1_model",
     "MultiplePoint",
     "local_pencil_points",
     "ExponentSubtorus",
@@ -182,6 +179,13 @@ class Arrangement:
     def is_line_arrangement(self) -> bool:
         return all(c.degree == 1 for c in self.components)
 
+    def block_form(self, block: Iterable[tuple[int, int]]) -> TernaryForm:
+        """Product of component forms over (index, multiplicity) pairs."""
+        form = TernaryForm.constant(1)
+        for j, m in block:
+            form = form * self.components[j].form.power(m)
+        return form
+
     def irreducibility_warnings(self) -> list[str]:
         """Linear factors found on degree >= 2 components, as warnings.
 
@@ -289,31 +293,6 @@ class TorsionCharacter:
 
 
 # ---------------------------------------------------------------------------
-# first homology
-
-
-@dataclass(frozen=True)
-class H1Model:
-    """H_1 of the complement: Z^r modulo the single degree relation.
-
-    ``change`` is unimodular with change * degrees = (pi0_order, 0, ..., 0),
-    so the new coordinates split H_1 into Z/pi0_order plus a free part.
-    """
-
-    degrees: tuple[int, ...]
-    rank: int
-    pi0_order: int
-    change: IntMatrix
-
-
-def h1_model(arr: Arrangement) -> H1Model:
-    d = IntMatrix([[deg] for deg in arr.degrees])
-    snf = smith_normal_form(d)
-    g = snf.D.entry(0, 0)
-    return H1Model(arr.degrees, arr.size - 1, g, snf.U)
-
-
-# ---------------------------------------------------------------------------
 # multiple points and local pencils
 
 
@@ -344,13 +323,8 @@ def local_pencil_points(
     Candidate points are pairwise intersections of the line components plus
     any caller-supplied points (needed when no two lines meet there).
     """
-    lines = {j: ProjLine(arr.components[j].form) for j in arr.line_indices()}
-    candidates: set[ProjPoint] = set(extra_points)
-    for i, j in itertools.combinations(sorted(lines), 2):
-        try:
-            candidates.add(intersect_lines(lines[i], lines[j]))
-        except ValueError:
-            continue
+    lines = [ProjLine(arr.components[j].form) for j in arr.line_indices()]
+    candidates = set(extra_points) | intersection_points(itertools.combinations(lines, 2))
     out: list[MultiplePoint] = []
     for pt in sorted(candidates, key=lambda p: p.sort_key()):
         incident = [
@@ -424,11 +398,6 @@ class ExponentSubtorus:
                 parts.append(name if e == 1 else f"{name}^{e}")
             out.append("*".join(parts) if parts else "1")
         return tuple(out)
-
-    def contains_character_direction(self, vector: Sequence[int]) -> bool:
-        cols = self.columns()
-        key_with = lattice_key(list(cols) + [tuple(vector)], self.size)
-        return key_with == lattice_key(cols, self.size)
 
 
 def pullback_subtorus(arr: Arrangement, classification: "PencilClassification") -> ExponentSubtorus:

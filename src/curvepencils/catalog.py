@@ -24,7 +24,7 @@ from .arrangement import (
     local_pencil_points,
     pullback_subtorus,
 )
-from .exactalg import QmodZ, UniPoly, fraction_rref, lattice_key, rational_roots, saturate_lattice
+from .exactalg import UniPoly, lattice_key, rational_roots, saturate_lattice
 from .pencil import (
     Pencil,
     PencilClassification,
@@ -34,7 +34,7 @@ from .pencil import (
     iter_block_pairs,
     pencil_search,
 )
-from .polyform import ProjLine, ProjPoint, TernaryForm, intersect_lines
+from .polyform import ProjLine, ProjPoint, TernaryForm, intersect_lines, intersection_points
 from .resonance import subspace_from_pencil
 from .torsion import (
     characters_of_Tf,
@@ -153,12 +153,7 @@ def _probe_lines(arr: Arrangement) -> list[tuple[TernaryForm, tuple[int, ...], t
     full degree), and the two probes meet away from the arrangement.
     """
     lines = [ProjLine(arr.components[j].form) for j in arr.line_indices()]
-    points: set[tuple[int, ...]] = set()
-    for l1, l2 in itertools.combinations(lines, 2):
-        try:
-            points.add(intersect_lines(l1, l2).sort_key())
-        except ValueError:
-            continue
+    points = intersection_points(itertools.combinations(lines, 2))
     x, y, z = (TernaryForm.variable(v) for v in "xyz")
 
     candidates = []
@@ -175,7 +170,7 @@ def _probe_lines(arr: Arrangement) -> list[tuple[TernaryForm, tuple[int, ...], t
         form = x.scale(a) + y.scale(b) + z.scale(c)
         if any(cp.form.proportional_to(form) for cp in arr.components):
             continue
-        if any(form.evaluate(p) == 0 for p in points):
+        if any(form.evaluate(p.coords) == 0 for p in points):
             continue
         if chosen:
             met = intersect_lines(ProjLine(form), ProjLine(chosen[0][0]))
@@ -198,25 +193,14 @@ def _probe_lines(arr: Arrangement) -> list[tuple[TernaryForm, tuple[int, ...], t
 def _integer_restrictions(
     arr: Arrangement, q0: Sequence[int], q1: Sequence[int]
 ) -> list[tuple[int, ...]]:
-    """Component forms on the probe as integer coefficient tuples in s."""
-    from .exactalg import lagrange_interpolate
+    """Component forms F(s*q0 + q1) as integer coefficient tuples in s.
 
+    Components are primitive integer forms and q0, q1 integer points, so
+    the coefficients are integers; lowest degree comes first.
+    """
     out = []
     for cp in arr.components:
-        d = cp.degree
-        samples = [
-            (
-                Fraction(s),
-                Fraction(cp.form.evaluate(tuple(s * a + b for a, b in zip(q0, q1)))),
-            )
-            for s in range(d + 1)
-        ]
-        poly = lagrange_interpolate(samples)
-        coeffs = [poly.coefficient(k) for k in range(d + 1)]
-        den = 1
-        for cf in coeffs:
-            den = den * cf.denominator // gcd(den, cf.denominator)
-        tup = tuple(int(cf * den) for cf in coeffs)
+        tup = tuple(int(c) for c in reversed(cp.form.restrict_span(q0, q1).coeffs))
         assert tup[-1] != 0, "parametrization point lies on a component"
         out.append(tup)
     return out
@@ -387,14 +371,7 @@ def _lines_concurrent(arr: Arrangement, support: Sequence[int]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# dedup and flags
-
-
-def _span_key(pencil: Pencil) -> tuple:
-    degree = pencil.degree
-    rows = [pencil.P.coefficient_vector(degree), pencil.Q.coefficient_vector(degree)]
-    rref, _ = fraction_rref([list(r) for r in rows])
-    return tuple(tuple(row) for row in rref)
+# flags
 
 
 def _character_in_subtorus(subtorus: ExponentSubtorus, character: TorsionCharacter) -> bool:
@@ -543,24 +520,6 @@ def _translated_records(
     return out
 
 
-def _block_form(arr: Arrangement, block: Sequence[tuple[int, int]]) -> TernaryForm:
-    form = TernaryForm.constant(1)
-    for j, m in block:
-        form = form * arr.components[j].form.power(m)
-    return form
-
-
-def _saturated_pair(arr: Arrangement, blocks) -> bool:
-    cols = []
-    for block in blocks:
-        col = [0] * arr.size
-        for j, m in block:
-            col[j] = m
-        cols.append(col)
-    sat = saturate_lattice(cols, arr.size)
-    return lattice_key(sat, arr.size) == lattice_key(cols, arr.size)
-
-
 def build_catalog(
     arr: Arrangement,
     max_multiplicity: int = 2,
@@ -577,7 +536,21 @@ def build_catalog(
     sweep finds translated components whose repeated fiber part meets a
     probe line rationally (every repeated line does); k = 2 rays that fail
     maximal isotropy are dropped when the cup structure exists.
+
+    The sweep walks the block pairs through these stages, in order: content
+    (both blocks primitive, so the two fibers span a saturated lattice),
+    concurrency (a support of lines through one point only gives pencils
+    composed with that point's pencil), the Wronskian prefilter on two probe
+    lines, span dedup against the searched and already swept pencils, and
+    exact classification.  Caps that would leave the global stage empty raise
+    `CatalogError`.
     """
+    if max_multiplicity < 1:
+        raise CatalogError(f"max_multiplicity (--max-mult) must be >= 1, got {max_multiplicity}")
+    if max_blocks < 3:
+        raise CatalogError(
+            f"max_blocks (--max-blocks) must be >= 3 for global components, got {max_blocks}"
+        )
     warnings: list[str] = []
 
     # --- Step 1: arrange for an infinity line ---
@@ -609,7 +582,7 @@ def build_catalog(
     globals_: list[ComponentRecord] = []
     searched_spans: set[tuple] = set()
     for res in results:
-        searched_spans.add(_span_key(res.pencil))
+        searched_spans.add(res.pencil.span_key())
         subtorus = pullback_subtorus(base_arr, res.classification)
         key = subtorus.saturated_key()
         if key in known_keys:
@@ -634,6 +607,10 @@ def build_catalog(
         for blk_a, blk_b in iter_block_pairs(work, max_multiplicity):
             if blk_a.degree == 1:
                 continue  # every fiber of a line pencil is reduced
+            # the two fibers span the homology cokernel, the lattice
+            # Z*a + Z*b on disjoint supports, iff both blocks are primitive
+            if blk_a.content != 1 or blk_b.content != 1:
+                continue
             support = sorted(blk_a.indices + blk_b.indices)
             if _lines_concurrent(work, support):
                 continue  # composed with the point pencil: not connected
@@ -651,15 +628,13 @@ def build_catalog(
                 if not confirmed:
                     continue
             try:
-                pencil = Pencil(_block_form(work, blocks[0]), _block_form(work, blocks[1]))
+                pencil = Pencil(work.block_form(blocks[0]), work.block_form(blocks[1]))
             except PencilError:
                 continue
-            span = _span_key(pencil)
+            span = pencil.span_key()
             if span in searched_spans or span in survivor_spans:
                 continue
             survivor_spans.add(span)
-            if not _saturated_pair(work, blocks):
-                continue  # the two fibers do not span the homology cokernel
             cl = classify(work, pencil)
             cl = detect_special_fibers(work, pencil, cl)
             candidates.append(cl)

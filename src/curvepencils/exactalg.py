@@ -18,8 +18,6 @@ __all__ = [
     "SmithDecomposition",
     "smith_normal_form",
     "integer_kernel_basis",
-    "integer_rank",
-    "integer_determinant",
     "hermite_column_form",
     "lattice_key",
     "saturate_lattice",
@@ -31,7 +29,6 @@ __all__ = [
     "RationalRoots",
     "rational_roots",
     "resultant",
-    "fraction_matrix_determinant",
     "fraction_rref",
     "fraction_kernel",
     "solve_fraction_system",
@@ -127,10 +124,6 @@ class IntMatrix:
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "IntMatrix":
-        return cls([[0] * ncols for _ in range(nrows)])
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]], nrows: int | None = None) -> "IntMatrix":
@@ -301,37 +294,6 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     return SmithDecomposition(Um, Dm, Vm)
 
 
-def integer_determinant(A: IntMatrix) -> int:
-    """Determinant by fraction-free Bareiss elimination."""
-    n = A.nrows
-    if n != A.ncols:
-        raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    M = [list(row) for row in A.rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k] != 0:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
-
-
-def integer_rank(A: IntMatrix) -> int:
-    return sum(1 for d in smith_normal_form(A).invariant_factors if d != 0)
-
-
 def integer_kernel_basis(A: IntMatrix) -> IntMatrix:
     """Basis of the integer kernel {x : A x = 0}, as matrix columns.
 
@@ -427,18 +389,6 @@ class FinAbelianGroup:
     @classmethod
     def trivial(cls) -> "FinAbelianGroup":
         return cls(())
-
-    @classmethod
-    def from_moduli(cls, moduli: Iterable[int]) -> "FinAbelianGroup":
-        """Structure of the direct sum of Z/m over the given moduli."""
-        ms = [int(m) for m in moduli if int(m) != 1]
-        if any(m < 1 for m in ms):
-            raise ValueError("moduli must be >= 1")
-        if not ms:
-            return cls.trivial()
-        diag = IntMatrix([[ms[i] if i == j else 0 for j in range(len(ms))] for i in range(len(ms))])
-        snf = smith_normal_form(diag)
-        return cls(d for d in snf.invariant_factors if d > 1)
 
     @classmethod
     def quotient_structure(cls, relations: IntMatrix) -> "FinAbelianGroup":
@@ -578,33 +528,6 @@ def solve_fraction_system(
     return tuple(sol)
 
 
-def fraction_matrix_determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant over Q by Gaussian elimination."""
-    n = len(rows)
-    M = [[Fraction(e) for e in row] for row in rows]
-    if any(len(row) != n for row in M):
-        raise ValueError("determinant needs a square matrix")
-    det = Fraction(1)
-    for k in range(n):
-        pivot_row = None
-        for i in range(k, n):
-            if M[i][k] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != k:
-            M[k], M[pivot_row] = M[pivot_row], M[k]
-            det = -det
-        det *= M[k][k]
-        inv = 1 / M[k][k]
-        for i in range(k + 1, n):
-            if M[i][k] != 0:
-                f = M[i][k] * inv
-                M[i] = [a - f * b for a, b in zip(M[i], M[k])]
-    return det
-
-
 # ---------------------------------------------------------------------------
 # univariate polynomials over Q
 
@@ -673,12 +596,6 @@ class UniPoly:
     def scale(self, c: Fraction | int) -> "UniPoly":
         c = Fraction(c)
         return UniPoly(a * c for a in self.coeffs)
-
-    def shift_up(self, k: int) -> "UniPoly":
-        """Multiply by t^k."""
-        if self.is_zero():
-            return self
-        return UniPoly((Fraction(0),) * k + self.coeffs)
 
     def evaluate(self, x: Fraction | int) -> Fraction:
         x = Fraction(x)

@@ -13,20 +13,21 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 from typing import Iterator, Sequence
 
-from .arrangement import Arrangement, ArrangementError
+from .arrangement import Arrangement
 from .exactalg import (
     UniPoly,
-    fraction_matrix_determinant,
+    fraction_rref,
     lagrange_interpolate,
     rational_roots,
+    resultant,
+    squarefree_multiplicity_profile,
 )
 from .polyform import (
-    BinaryForm,
     P1Point,
     PolyParseError,
     ProjLine,
@@ -35,7 +36,7 @@ from .polyform import (
     binary_multiplicity_profile,
     divisibility_multiplicity,
     exact_divide,
-    intersect_lines,
+    intersection_points,
     member_of_pencil_dividing,
 )
 
@@ -92,6 +93,11 @@ class Pencil:
         b0, b1 = b.coords
         return self.P.scale(b1) - self.Q.scale(b0)
 
+    def span_key(self) -> tuple:
+        """Canonical key of the plane spanned by the generators (their RREF)."""
+        rref, _ = fraction_rref([self.P.coefficient_vector(), self.Q.coefficient_vector()])
+        return tuple(tuple(row) for row in rref)
+
     @classmethod
     def from_json(cls, doc: dict, arr: Arrangement | None = None) -> "Pencil":
         if "P" in doc and "Q" in doc:
@@ -115,7 +121,7 @@ class Pencil:
                     ) from None
                 if len(members) != len(mults):
                     raise PencilError("members and multiplicities differ in length")
-                form = TernaryForm.constant(1)
+                pairs = []
                 for label, m in zip(members, mults):
                     try:
                         j = arr.index_of(label)
@@ -123,8 +129,8 @@ class Pencil:
                         raise PencilError(f"unknown component label {label!r}") from None
                     if int(m) < 1:
                         raise PencilError("multiplicities must be >= 1")
-                    form = form * arr.components[j].form.power(int(m))
-                forms.append(form)
+                    pairs.append((j, int(m)))
+                forms.append(arr.block_form(pairs))
             return cls(forms[0], forms[1])
         raise PencilError("pencil file needs either P/Q or blocks")
 
@@ -401,12 +407,13 @@ def detect_special_fibers(
 def _family_discriminant(
     pencil: Pencil, probes: ProbeSequence, retries: int
 ) -> UniPoly | None:
-    """Discriminant in c of the probe restriction of c*P - Q.
+    """Discriminant in c of the probe restriction g_c of c*P - Q.
 
-    Built as the Sylvester determinant of the restriction and its
-    t-derivative at formal degree D, sampled at enough values of c and
-    interpolated; vanishing identifies every fiber with a repeated or
-    degree-dropping restriction, a superset of the special parameters.
+    Each sample at a value of c is `_formal_discriminant` of g_c: the
+    resultant Res(g_c, g_c'), or zero where g_c drops below degree D.
+    Enough samples are interpolated in c; vanishing identifies every fiber
+    with a repeated or degree-dropping restriction, a superset of the
+    special parameters.
     """
     D = pencil.degree
     tries = 0
@@ -422,24 +429,11 @@ def _family_discriminant(
         # every fiber drops formal degree on this probe
         if p_coeffs[D] == 0 and q_coeffs[D] == 0:
             continue
-        size = 2 * D - 1
         degree_bound = 2 * D - 1
 
         def sample(c: Fraction) -> Fraction:
-            g = [c * p - q for p, q in zip(p_coeffs, q_coeffs)]
-            dg = [k * g[k] for k in range(1, D + 1)]
-            rows = []
-            for i in range(D - 1):
-                row = [Fraction(0)] * size
-                for k in range(D + 1):
-                    row[i + k] = g[D - k]
-                rows.append(row)
-            for i in range(D):
-                row = [Fraction(0)] * size
-                for k in range(D):
-                    row[i + k] = dg[D - 1 - k]
-                rows.append(row)
-            return fraction_matrix_determinant(rows)
+            g = UniPoly(c * p - q for p, q in zip(p_coeffs, q_coeffs))
+            return _formal_discriminant(g, D)
 
         points = [(Fraction(c), sample(Fraction(c))) for c in range(degree_bound + 1)]
         disc = lagrange_interpolate(points)
@@ -450,6 +444,18 @@ def _family_discriminant(
             continue  # every fiber degenerate on this probe; try another
         return disc
     return None
+
+
+def _formal_discriminant(g: UniPoly, D: int) -> Fraction:
+    """Sylvester determinant of g and g' at formal degrees D and D - 1.
+
+    This is Res(g, g') while g keeps degree D.  Below that degree the first
+    column of the formal Sylvester matrix holds only the vanishing leading
+    coefficients g_D and D*g_D, so the determinant is zero.
+    """
+    if g.degree < D:
+        return Fraction(0)
+    return resultant(g, g.derivative())
 
 
 def _stable_profile(
@@ -564,34 +570,36 @@ def fy_identities(arr: Arrangement, classification: PencilClassification) -> FYR
     )
 
 
+def _cross_fiber_points(
+    arr: Arrangement, classification: PencilClassification
+) -> list[ProjPoint]:
+    """Sorted meeting points of full-fiber lines that lie in different fibers."""
+    fibers = [
+        [ProjLine(arr.components[j].form) for j, _ in classification.fiber_members(b)]
+        for b in classification.base_points
+    ]
+    pairs = (
+        pair
+        for f1, f2 in itertools.combinations(fibers, 2)
+        for pair in itertools.product(f1, f2)
+    )
+    return sorted(intersection_points(pairs), key=lambda q: q.sort_key())
+
+
 def _fy_exact_points(
     arr: Arrangement, classification: PencilClassification
 ) -> tuple[list[tuple[ProjPoint, int]], bool]:
-    B = classification.base_points
-    lines: dict[int, ProjLine] = {}
-    fiber_lines: dict[P1Point, list[tuple[ProjLine, int]]] = {}
-    for b in B:
-        entries = []
-        for j, m in classification.fiber_members(b):
-            line = lines.setdefault(j, ProjLine(arr.components[j].form))
-            entries.append((line, m))
-        fiber_lines[b] = entries
-    points: set[ProjPoint] = set()
-    for b1, b2 in itertools.combinations(B, 2):
-        for (l1, _), (l2, _) in itertools.product(fiber_lines[b1], fiber_lines[b2]):
-            try:
-                points.add(intersect_lines(l1, l2))
-            except ValueError:
-                continue
     table: list[tuple[ProjPoint, int]] = []
     constant = True
-    for p in sorted(points, key=lambda q: q.sort_key()):
-        mults = []
-        for b in B:
-            m_at = sum(
-                m for line, m in fiber_lines[b] if line.form.evaluate(p.coords) == 0
+    for p in _cross_fiber_points(arr, classification):
+        mults = [
+            sum(
+                m
+                for j, m in classification.fiber_members(b)
+                if arr.components[j].form.evaluate(p.coords) == 0
             )
-            mults.append(m_at)
+            for b in classification.base_points
+        ]
         if len(set(mults)) != 1:
             constant = False
         table.append((p, mults[0] * mults[1]))
@@ -701,8 +709,6 @@ def _projected_resultant_profile(
     """
     if f1.coefficient((0, 0, D)) == 0 or f2.coefficient((0, 0, D)) == 0:
         return None
-    from .exactalg import resultant as uni_resultant
-
     bound = D * D
 
     def z_poly(form: TernaryForm, t: Fraction) -> UniPoly:
@@ -714,7 +720,7 @@ def _projected_resultant_profile(
     samples = []
     for i in range(bound + 2):
         t = Fraction(i)
-        r = uni_resultant(z_poly(f1, t), z_poly(f2, t))
+        r = resultant(z_poly(f1, t), z_poly(f2, t))
         samples.append((t, r))
     poly = lagrange_interpolate(samples[: bound + 1])
     if poly.evaluate(samples[bound + 1][0]) != samples[bound + 1][1]:
@@ -722,9 +728,7 @@ def _projected_resultant_profile(
     if poly.is_zero():
         return None
     drop = bound - poly.degree
-    entries = (
-        list(_profile_of_unipoly(poly)) if poly.degree >= 1 else []
-    )
+    entries = list(squarefree_multiplicity_profile(poly)) if poly.degree >= 1 else []
     if drop:
         entries.append((drop, 1))
     # A root in the dropped direction shows up as a separate entry; merge by
@@ -733,12 +737,6 @@ def _projected_resultant_profile(
     for mult, deg in entries:
         merged[mult] = merged.get(mult, 0) + deg
     return tuple(sorted(merged.items()))
-
-
-def _profile_of_unipoly(poly: UniPoly) -> tuple[tuple[int, int], ...]:
-    from .exactalg import squarefree_multiplicity_profile
-
-    return squarefree_multiplicity_profile(poly)
 
 
 # ---------------------------------------------------------------------------
@@ -790,20 +788,9 @@ def self_intersection(
                 "auto clusters need every fiber member to be a line; "
                 "supply the blow-up cluster multiplicities"
             )
-        lines = {j: ProjLine(arr.components[j].form) for j, _ in type1}
-        by_fiber: dict[P1Point, list[int]] = {}
-        for j, p in type1:
-            by_fiber.setdefault(p.point, []).append(j)
-        pts: set[ProjPoint] = set()
-        for b1, b2 in itertools.combinations(sorted(by_fiber, key=lambda p: p.sort_key()), 2):
-            for i in by_fiber[b1]:
-                for j in by_fiber[b2]:
-                    try:
-                        pts.add(intersect_lines(lines[i], lines[j]))
-                    except ValueError:
-                        continue
+        # the type-1 members are exactly the members of the full fibers
         cluster_list = []
-        for p in sorted(pts, key=lambda q: q.sort_key()):
+        for p in _cross_fiber_points(arr, classification):
             mult = sum(
                 1 for j, _ in type1 if arr.components[j].form.evaluate(p.coords) == 0
             )
@@ -835,6 +822,7 @@ class _Block:
     indices: tuple[int, ...]
     mults: tuple[int, ...]
     degree: int
+    content: int  # gcd of the multiplicities
 
 
 class _SearchTables:
@@ -883,9 +871,7 @@ class _SearchTables:
         key = (block.mask, block.mults)
         form = self._forms.get(key)
         if form is None:
-            form = TernaryForm.constant(1)
-            for idx, m in zip(block.indices, block.mults):
-                form = form * self.arr.components[idx].form.power(m)
+            form = self.arr.block_form(zip(block.indices, block.mults))
             self._forms[key] = form
         return form
 
@@ -900,17 +886,9 @@ def _enumerate_blocks(arr: Arrangement, max_multiplicity: int) -> dict[int, list
         members = tuple(j for j in indices if mask >> j & 1)
         for mults in itertools.product(range(1, max_multiplicity + 1), repeat=len(members)):
             degree = sum(degrees[j] * m for j, m in zip(members, mults))
-            by_degree.setdefault(degree, []).append(_Block(mask, members, mults, degree))
+            block = _Block(mask, members, mults, degree, gcd(*mults))
+            by_degree.setdefault(degree, []).append(block)
     return by_degree
-
-
-def _span_key(v1: Sequence[Fraction], v2: Sequence[Fraction]) -> tuple:
-    """Canonical key of the plane spanned by two coefficient vectors."""
-    from .exactalg import fraction_rref
-
-    rref, pivots = fraction_rref([list(v1), list(v2)])
-    assert len(pivots) == 2, "generators collapsed to a single line"
-    return tuple(tuple(row) for row in rref[:2])
 
 
 def iter_block_pairs(
@@ -925,12 +903,7 @@ def iter_block_pairs(
     for degree in sorted(by_degree):
         blocks = by_degree[degree]
         for a, b in itertools.combinations(blocks, 2):
-            if a.mask & b.mask:
-                continue
-            content = 0
-            for m in a.mults + b.mults:
-                content = gcd(content, m)
-            if content != 1:
+            if a.mask & b.mask or gcd(a.content, b.content) != 1:
                 continue
             yield a, b
 
@@ -962,19 +935,14 @@ def _partition_saturated(
 
 
 def _classify_pair(
-    arr: Arrangement, tables: _SearchTables, a: _Block, b: _Block
-) -> PencilClassification | None:
+    arr: Arrangement, tables: _SearchTables, pencil: Pencil, a: _Block, b: _Block
+) -> PencilClassification:
     """Exact classification of the pencil spanned by two block products.
 
     Vote-based screening keeps the exact calls to the components that can
     actually divide a fiber; disagreeing votes certify horizontality.
     """
-    P = tables.block_form(a)
-    Q = tables.block_form(b)
-    try:
-        pencil = Pencil(P, Q)
-    except PencilError:
-        return None
+    P, Q = pencil.P, pencil.Q
     placements: list[ComponentPlacement | None] = [None] * arr.size
     hits: list[tuple[int, P1Point, int]] = []
     for j, m in zip(a.indices, a.mults):
@@ -1064,18 +1032,13 @@ def pencil_search(
                 if not (union >> j & 1)
             ):
                 continue
-        fa = tables.block_form(a)
-        fb = tables.block_form(b)
         # disjoint supports of irreducibles are never proportional
-        key = _span_key(
-            fa.coefficient_vector(a.degree), fb.coefficient_vector(b.degree)
-        )
+        pencil = Pencil(tables.block_form(a), tables.block_form(b))
+        key = pencil.span_key()
         if key in seen:
             continue
         seen.add(key)
-        classification = _classify_pair(arr, tables, a, b)
-        if classification is None:
-            continue
+        classification = _classify_pair(arr, tables, pencil, a, b)
         k = classification.k
         if not (min_blocks <= k <= max_blocks):
             continue
@@ -1092,16 +1055,6 @@ def pencil_search(
             continue
         results.append(SearchResult(classification.pencil, classification, partition))
     results.sort(
-        key=lambda res: (
-            res.k,
-            tuple(
-                str(v)
-                for row in _span_key(
-                    res.pencil.P.coefficient_vector(),
-                    res.pencil.Q.coefficient_vector(),
-                )
-                for v in row
-            ),
-        )
+        key=lambda res: (res.k, tuple(str(v) for row in res.pencil.span_key() for v in row))
     )
     return results

@@ -25,10 +25,10 @@ __all__ = [
     "ProjLine",
     "line_through",
     "intersect_lines",
+    "intersection_points",
     "exact_divide",
     "divisibility_multiplicity",
     "member_of_pencil_dividing",
-    "rational_points_on_line",
     "binary_multiplicity_profile",
 ]
 
@@ -249,7 +249,10 @@ class TernaryForm:
 
     def restrict(self, line: "ProjLine") -> "BinaryForm":
         """Restriction to the line, in the parameters of its base points."""
-        p, q = line.span
+        return self.restrict_span(*line.span)
+
+    def restrict_span(self, p: Sequence[int], q: Sequence[int]) -> "BinaryForm":
+        """The binary form F(s*p + t*q) in the parameters (s, t)."""
         if self.is_zero():
             return BinaryForm(())
         d = self.degree
@@ -521,8 +524,15 @@ def intersect_lines(l1: ProjLine, l2: ProjLine) -> ProjPoint:
     return ProjPoint(v)
 
 
-def rational_points_on_line(form: TernaryForm, count: int) -> list[ProjPoint]:
-    return list(ProjLine(form).rational_points(count))
+def intersection_points(pairs: Iterable[tuple[ProjLine, ProjLine]]) -> set[ProjPoint]:
+    """Meeting points of the given line pairs; coincident pairs are skipped."""
+    points: set[ProjPoint] = set()
+    for l1, l2 in pairs:
+        try:
+            points.add(intersect_lines(l1, l2))
+        except ValueError:
+            continue
+    return points
 
 
 # ---------------------------------------------------------------------------

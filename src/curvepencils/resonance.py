@@ -28,7 +28,6 @@ __all__ = [
     "IsotropyFlags",
     "IsotropicSubspace",
     "RayMap",
-    "cup_product",
     "is_maximal_isotropic",
     "subspace_from_pencil",
     "pencil_from_subspace",
@@ -159,19 +158,13 @@ class CupStructure:
         return tuple(coords)
 
     def wedge_class(self, v: ResidueVector, w: ResidueVector) -> tuple[Fraction, ...]:
+        """Class of v wedge w in degree two, in reduced coordinates."""
         x, y = self._affine_part(v), self._affine_part(w)
         coords = [x[i] * y[j] - x[j] * y[i] for i, j in self.pairs]
         return self._reduce(coords)
 
     def rank_two_dimension(self) -> int:
         return len(self.pairs) - len(self._relation_pivots)
-
-
-def cup_product(
-    cs: CupStructure, v: ResidueVector, w: ResidueVector
-) -> tuple[Fraction, ...]:
-    """Class of v wedge w in degree two, in reduced coordinates."""
-    return cs.wedge_class(v, w)
 
 
 def is_maximal_isotropic(cs: CupStructure, subspace: IsotropicSubspace) -> IsotropyFlags:
@@ -296,10 +289,7 @@ def pencil_from_subspace(arr: Arrangement, subspace: IsotropicSubspace) -> Penci
     forms: list[TernaryForm] = []
     for (members, _ratios), mults, block_degree in zip(blocks, block_mults, block_degrees):
         scale = degree // block_degree
-        form = TernaryForm.constant(1)
-        for j, m in zip(members, mults):
-            form = form * arr.components[j].form.power(m * scale)
-        forms.append(form)
+        forms.append(arr.block_form((j, m * scale) for j, m in zip(members, mults)))
     try:
         pencil = Pencil(forms[0], forms[1])
     except PencilError as exc:
@@ -356,17 +346,15 @@ def ray_to_map(
     first = next(v for v in exponents if v)
     if first < 0:
         exponents = [-v for v in exponents]
-    numerator = TernaryForm.constant(1)
-    denominator = TernaryForm.constant(1)
     up, down = [], []
     for j, m in enumerate(exponents):
         label = arr.components[j].label
         if m > 0:
-            numerator = numerator * arr.components[j].form.power(m)
             up.append(label if m == 1 else f"{label}^{m}")
         elif m < 0:
-            denominator = denominator * arr.components[j].form.power(-m)
             down.append(label if m == -1 else f"{label}^{-m}")
+    numerator = arr.block_form((j, m) for j, m in enumerate(exponents) if m > 0)
+    denominator = arr.block_form((j, -m) for j, m in enumerate(exponents) if m < 0)
     description = " * ".join(up) + " / (" + " * ".join(down) + ")"
     return RayMap(
         exponents=tuple(exponents),

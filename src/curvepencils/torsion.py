@@ -133,14 +133,6 @@ class ThetaData:
     def infinity_side(self) -> P1Point:
         return self.base_points[-1]
 
-    def chart_note(self) -> str:
-        """Record of the coordinate change on the target line."""
-        return (
-            f"target chart moves base point {self.infinity_side} to infinity; "
-            f"the remaining base points are {', '.join(str(b) for b in self.base_points[:-1])}"
-            if len(self.base_points) > 1
-            else f"target chart moves base point {self.infinity_side} to infinity"
-        )
 
 
 def theta(
@@ -236,20 +228,6 @@ class TfGroup:
                 for k in range(d)
             }
         return frozenset(out)
-
-    def class_of_kernel_vector(self, vector: Sequence[int]) -> tuple[int, ...]:
-        """Generator coordinates of the image of a kernel element."""
-        rows = [[Fraction(e) for e in row] for row in self.theta.kernel_basis.rows]
-        sol = solve_fraction_system(rows, [Fraction(e) for e in vector])
-        if sol is None or any(c.denominator != 1 for c in sol):
-            raise TorsionError("vector is not in the kernel lattice")
-        coeffs = [int(c) for c in sol]
-        factors = self.group.invariant_factors
-        out = [0] * len(factors)
-        for c, cls in zip(coeffs, self.basis_classes):
-            for i, e in enumerate(cls):
-                out[i] = (out[i] + c * e) % factors[i]
-        return tuple(out)
 
 
 def _trivial_tf(data: ThetaData, method: str) -> TfGroup:

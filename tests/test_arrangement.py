@@ -1,4 +1,4 @@
-"""Arrangement structure, homology model, multiple points, subtori."""
+"""Arrangement structure, block products, multiple points, subtori."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from curvepencils.arrangement import (
     CurveComponent,
     ExponentSubtorus,
     TorsionCharacter,
-    h1_model,
     local_pencil_points,
 )
 from curvepencils.exactalg import lattice_key, saturate_lattice
@@ -67,29 +66,6 @@ def test_json_errors():
         Arrangement.from_json(
             {"components": [{"label": "a", "poly": "x"}], "extra_points": [[1, 2]]}
         )
-
-
-def test_h1_model_line_arrangement():
-    arr = deleted_b3()
-    model = h1_model(arr)
-    assert model.rank == 7
-    assert model.pi0_order == 1
-    image = model.change.mul_vector([1] * 8)
-    assert image[0] == 1 and all(v == 0 for v in image[1:])
-
-
-def test_h1_model_even_degrees():
-    arr = Arrangement(
-        [
-            CurveComponent("a", F("x^2 - y*z")),
-            CurveComponent("b", F("y^2 - x*z")),
-        ]
-    )
-    model = h1_model(arr)
-    assert model.rank == 1
-    assert model.pi0_order == 2
-    image = model.change.mul_vector([2, 2])
-    assert image[0] == 2 and image[1] == 0
 
 
 def test_local_pencil_points_deleted_b3():
@@ -167,9 +143,6 @@ def test_subtorus_monomials_and_zero_rows():
         "t", "t^-1", "t^-1", "t", "t^2", "1", "t^-2", "1"
     )
     assert sub.zero_rows() == (5, 7)
-    assert sub.contains_character_direction((1, -1, -1, 1, 2, 0, -2, 0))
-    assert sub.contains_character_direction((-2, 2, 2, -2, -4, 0, 4, 0))
-    assert not sub.contains_character_direction((1, 0, 0, 0, 0, 0, 0, 0))
 
 
 def test_subtorus_perp_lattice():

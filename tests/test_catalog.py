@@ -2,9 +2,22 @@
 
 from __future__ import annotations
 
-from arrfixtures import ex2
-from curvepencils.catalog import _character_in_subtorus, build_catalog
+import json
+from pathlib import Path
+
+import pytest
+
+from arrfixtures import deleted_b3, ex2, exfin3
+from curvepencils.catalog import (
+    CatalogError,
+    _character_in_subtorus,
+    _integer_restrictions,
+    _probe_lines,
+    build_catalog,
+)
 from curvepencils.exactalg import lattice_key
+
+GOLDEN = Path(__file__).parent / "golden"
 
 W_FLAG = "certified (m'(c) = 1 for all c in C(f))"
 NO_CUP = "candidate (no cup-product structure on this arrangement)"
@@ -181,6 +194,42 @@ def test_exfin3_translated_candidates(exfin3_catalog):
     )
     assert mixed.flags == ("coordinate component", "translated coordinate component", NO_CUP)
     assert mixed.witness == "L5"
+
+
+# -- golden catalog documents -------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "golden,catalog",
+    [
+        ("catalog_deletedB3.json", "db3_catalog"),
+        ("catalog_a2.json", "a2_catalog"),
+        ("catalog_exfin3.json", "exfin3_catalog"),
+    ],
+)
+def test_catalog_json_matches_golden(request, golden, catalog):
+    doc = request.getfixturevalue(catalog).to_json()
+    assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == (GOLDEN / golden).read_text()
+
+
+# -- sweep helpers and caps -----------------------------------------------------------
+
+
+def test_probe_restrictions_agree_with_evaluation():
+    for arr in (deleted_b3(), exfin3()):
+        for _, q0, q1 in _probe_lines(arr):
+            for cp, coeffs in zip(arr.components, _integer_restrictions(arr, q0, q1)):
+                assert len(coeffs) == cp.degree + 1
+                for s in range(cp.degree + 2):
+                    point = tuple(s * a + b for a, b in zip(q0, q1))
+                    assert sum(c * s**k for k, c in enumerate(coeffs)) == cp.form.evaluate(point)
+
+
+def test_caps_that_empty_the_global_stage_are_rejected():
+    with pytest.raises(CatalogError, match="max_multiplicity"):
+        build_catalog(ex2(), max_multiplicity=0)
+    with pytest.raises(CatalogError, match="max_blocks"):
+        build_catalog(ex2(), max_blocks=2)
 
 
 # -- invariants across every catalog ------------------------------------------------

@@ -208,6 +208,17 @@ def test_common_factor_pencil(capsys, tmp_path):
     assert err == "error: computation: degenerate pencil: common factor 'T1' in both generators\n"
 
 
+@pytest.mark.parametrize(
+    "flag,value,parameter",
+    [("--max-blocks", "2", "max_blocks"), ("--max-mult", "0", "max_multiplicity")],
+)
+def test_catalog_caps_that_empty_the_global_stage(capsys, flag, value, parameter):
+    code, out, err = run(capsys, "catalog", FIXTURES / "ceva2.json", flag, value)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: computation: ") and parameter in err
+
+
 # ---------------------------------------------------------------------------
 # conditional results (exit 5)
 

@@ -15,12 +15,9 @@ from curvepencils.exactalg import (
     QmodZ,
     UniPoly,
     fraction_kernel,
-    fraction_matrix_determinant,
     fraction_rref,
     hermite_column_form,
-    integer_determinant,
     integer_kernel_basis,
-    integer_rank,
     lagrange_interpolate,
     lattice_key,
     product_relation_lattice,
@@ -85,8 +82,8 @@ def test_smith_properties_random():
         A = random_matrix(rng, m, n)
         U, D, V = smith_normal_form(A)
         assert U.mul(A).mul(V) == D
-        assert abs(integer_determinant(U)) == 1
-        assert abs(integer_determinant(V)) == 1
+        assert abs(sympy.Matrix(U.to_lists()).det()) == 1
+        assert abs(sympy.Matrix(V.to_lists()).det()) == 1
         diag = [D.entry(i, i) for i in range(min(m, n))]
         for i in range(m):
             for j in range(n):
@@ -140,7 +137,7 @@ def test_kernel_properties_random():
         K = integer_kernel_basis(A)
         if K.ncols:
             assert A.mul(K).is_zero()
-        assert K.ncols == n - integer_rank(A)
+        assert K.ncols == n - sympy.Matrix(A.to_lists()).rank()
         # canonical: recomputing from a shuffled spanning set gives the same basis
         cols = K.columns()
         if len(cols) >= 2:
@@ -178,17 +175,24 @@ def test_saturation():
 # finite abelian groups
 
 
+def direct_sum(moduli):
+    """The direct sum of Z/m over the moduli, as a quotient of Z^n."""
+    n = len(moduli)
+    diag = IntMatrix([[moduli[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    return FinAbelianGroup.quotient_structure(diag)
+
+
 def test_fin_abelian_group_basics():
     assert FinAbelianGroup.trivial().is_trivial()
     assert str(FinAbelianGroup.trivial()) == "trivial"
-    g = FinAbelianGroup.from_moduli([2, 3])
+    g = direct_sum([2, 3])
     assert g.invariant_factors == (6,)
-    g = FinAbelianGroup.from_moduli([2, 2, 2])
+    g = direct_sum([2, 2, 2])
     assert g.invariant_factors == (2, 2, 2)
     assert g.order == 8
     assert g.exponent == 2
     assert str(g) == "Z/2 x Z/2 x Z/2"
-    g = FinAbelianGroup.from_moduli([4, 6])
+    g = direct_sum([4, 6])
     assert g.invariant_factors == (2, 12)
     with pytest.raises(ValueError):
         FinAbelianGroup([3, 2])
@@ -263,16 +267,6 @@ def test_solve_fraction_system():
     assert solve_fraction_system(rows, [Fraction(4), Fraction(6)]) == (2, 2)
     rows = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]]
     assert solve_fraction_system(rows, [Fraction(1), Fraction(2)]) is None
-
-
-def test_fraction_determinant_matches_sympy():
-    rng = random.Random(3)
-    for trial in range(30):
-        n = rng.randint(1, 5)
-        rows = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
-        ours = fraction_matrix_determinant(rows)
-        theirs = sympy.Matrix([[sympy.Rational(e.numerator, e.denominator) for e in r] for r in rows]).det()
-        assert ours == Fraction(int(theirs.p), int(theirs.q))
 
 
 # ---------------------------------------------------------------------------

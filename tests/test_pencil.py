@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import random
+from fractions import Fraction
+
 import pytest
+import sympy
 
 from arrfixtures import (
     F,
@@ -27,11 +31,13 @@ from arrfixtures import (
     triangle,
 )
 from curvepencils.arrangement import pullback_subtorus
+from curvepencils.exactalg import UniPoly
 from curvepencils.pencil import (
     BlowupCluster,
     Pencil,
     PencilError,
     ProbeSequence,
+    _formal_discriminant,
     classify,
     detect_special_fibers,
     fy_identities,
@@ -39,7 +45,7 @@ from curvepencils.pencil import (
     self_intersection,
     validate_pencil,
 )
-from curvepencils.polyform import P1Point
+from curvepencils.polyform import P1Point, ProjLine, TernaryForm
 
 
 def P1(b0, b1) -> P1Point:
@@ -331,6 +337,55 @@ def test_self_intersection_with_clusters():
     )
     assert report.value == -11
     assert report.curve_degree == 5
+
+
+# -- discriminant samples ------------------------------------------------------------
+
+
+def sylvester_determinant(g, D):
+    """sympy's determinant of the Sylvester matrix of g, g' at formal degree D."""
+    rational = [sympy.Rational(c.numerator, c.denominator) for c in g]
+    high = list(reversed(rational))
+    dhigh = [k * rational[k] for k in range(D, 0, -1)]
+    rows = [[0] * i + high + [0] * (D - 2 - i) for i in range(D - 1)]
+    rows += [[0] * i + dhigh + [0] * (D - 1 - i) for i in range(D)]
+    return sympy.Matrix(rows).det()
+
+
+def test_discriminant_sample_matches_sylvester_oracle():
+    rng = random.Random(2006)
+    probe = ProjLine.from_coefficients(2, -3, 5)
+    drops = 0
+    for trial in range(30):
+        D = rng.randint(2, 4)
+        P, Q = (
+            TernaryForm(
+                {m: Fraction(rng.randint(-3, 3)) for m in TernaryForm.monomials_of_degree(D)}
+            )
+            for _ in range(2)
+        )
+        p, q = P.restrict(probe).coeffs, Q.restrict(probe).coeffs
+        params = [Fraction(c) for c in range(-3, 4)]
+        if p[D] != 0:
+            params.append(q[D] / p[D])  # the leading coefficient of c*p - q vanishes
+        for c in params:
+            g = [c * a - b for a, b in zip(p, q)]
+            drops += g[D] == 0
+            theirs = sylvester_determinant(g, D)
+            assert _formal_discriminant(UniPoly(g), D) == Fraction(int(theirs.p), int(theirs.q))
+    assert drops > 0
+
+
+# -- span keys ----------------------------------------------------------------------
+
+
+def test_span_key_depends_on_the_span_only():
+    P, Q = F("x^2 - y*z"), F("x*y + 2*z^2")
+    key = Pencil(P, Q).span_key()
+    assert Pencil(Q, P).span_key() == key
+    assert Pencil(P + Q, Q.scale(2)).span_key() == key
+    assert Pencil(P, F("x*z")).span_key() != key
+    assert fw_pencil().span_key() != braid_pencil().span_key()
 
 
 # -- search ----------------------------------------------------------------------
