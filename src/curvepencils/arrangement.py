@@ -10,7 +10,6 @@ pencil base.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -125,15 +124,6 @@ class Arrangement:
                 raise ArrangementError("extra_points entries must be integer triples")
             extra.append(ProjPoint(tuple(int(v) for v in triple)))
         return cls(comps, infinity, extra)
-
-    @classmethod
-    def from_file(cls, path: str) -> "Arrangement":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ArrangementError(f"invalid JSON: {exc}") from None
-        return cls.from_json(doc)
 
     def to_json(self) -> dict:
         doc: dict = {
@@ -358,8 +348,6 @@ class ExponentSubtorus:
     """
 
     rows: tuple[tuple[int, ...], ...]
-    parameter_points: tuple = ()
-    eliminated_point: object = None
 
     @property
     def dimension(self) -> int:
@@ -427,8 +415,4 @@ def pullback_subtorus(arr: Arrangement, classification: "PencilClassification") 
         assert sum(degrees[j] * rows[j][i] for j in range(arr.size)) == 0, (
             "degree relation failed on a subtorus column"
         )
-    return ExponentSubtorus(
-        tuple(tuple(r) for r in rows),
-        parameter_points=tuple(params),
-        eliminated_point=eliminated,
-    )
+    return ExponentSubtorus(tuple(tuple(r) for r in rows))

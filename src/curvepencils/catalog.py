@@ -34,7 +34,7 @@ from .pencil import (
     iter_block_pairs,
     pencil_search,
 )
-from .polyform import ProjLine, ProjPoint, TernaryForm, intersect_lines, intersection_points
+from .polyform import ProjLine, TernaryForm, intersect_lines, intersection_points
 from .resonance import subspace_from_pencil
 from .torsion import (
     characters_of_Tf,
@@ -524,7 +524,6 @@ def build_catalog(
     arr: Arrangement,
     max_multiplicity: int = 2,
     max_blocks: int = 3,
-    extra_points: Sequence[ProjPoint] = (),
 ) -> Catalog:
     """Assemble the component catalog of the arrangement.
 
@@ -543,7 +542,8 @@ def build_catalog(
     composed with that point's pencil), the Wronskian prefilter on two probe
     lines, span dedup against the searched and already swept pencils, and
     exact classification.  Caps that would leave the global stage empty raise
-    `CatalogError`.
+    `CatalogError`, and so does a component that the irreducibility probe
+    of `Arrangement.irreducibility_warnings` shows to be reducible.
     """
     if max_multiplicity < 1:
         raise CatalogError(f"max_multiplicity (--max-mult) must be >= 1, got {max_multiplicity}")
@@ -551,6 +551,9 @@ def build_catalog(
         raise CatalogError(
             f"max_blocks (--max-blocks) must be >= 3 for global components, got {max_blocks}"
         )
+    reducible = arr.irreducibility_warnings()
+    if reducible:
+        raise CatalogError("; ".join(reducible))
     warnings: list[str] = []
 
     # --- Step 1: arrange for an infinity line ---
@@ -568,17 +571,14 @@ def build_catalog(
     base_arr = work if work is not None else arr
 
     # --- Step 2: local components from multiple points ---
-    points = tuple(base_arr.extra_points) + tuple(extra_points)
     locals_: list[ComponentRecord] = []
-    for mp in local_pencil_points(base_arr, points):
+    for mp in local_pencil_points(base_arr, base_arr.extra_points):
         if mp.yields_local_pencil:
             locals_.append(_local_record(base_arr, mp))
     known_keys = {rec.subtorus.saturated_key() for rec in locals_}
 
     # --- Step 3: global components from the partition search ---
-    results = pencil_search(
-        base_arr, max_multiplicity=max_multiplicity, max_blocks=max_blocks, min_blocks=3
-    )
+    results = pencil_search(base_arr, max_multiplicity, max_blocks)
     globals_: list[ComponentRecord] = []
     searched_spans: set[tuple] = set()
     for res in results:

@@ -112,7 +112,7 @@ class Pencil:
             if len(blocks) < 2:
                 raise PencilError("need at least two blocks")
             forms = []
-            for block in blocks[:2]:
+            for block in blocks:
                 try:
                     members, mults = block["members"], block["multiplicities"]
                 except (TypeError, KeyError):
@@ -131,7 +131,21 @@ class Pencil:
                         raise PencilError("multiplicities must be >= 1")
                     pairs.append((j, int(m)))
                 forms.append(arr.block_form(pairs))
-            return cls(forms[0], forms[1])
+            pencil = cls(forms[0], forms[1])
+            # later blocks are further fibers: same degree, inside span(P, Q)
+            spanning = [pencil.P.coefficient_vector(), pencil.Q.coefficient_vector()]
+            for number, form in enumerate(forms[2:], start=3):
+                if form.degree != pencil.degree:
+                    raise PencilError(
+                        f"block {number} has degree {form.degree}, "
+                        f"not the pencil degree {pencil.degree}"
+                    )
+                _, pivots = fraction_rref(spanning + [form.coefficient_vector()])
+                if len(pivots) > 2:
+                    raise PencilError(
+                        f"block {number} is not a fiber of the pencil of the first two blocks"
+                    )
+            return pencil
         raise PencilError("pencil file needs either P/Q or blocks")
 
     def to_json(self) -> dict:
@@ -249,7 +263,11 @@ def _finish_classification(
             for j, e in members:
                 for _ in range(e):
                     nxt = exact_divide(cofactor, arr.components[j].form)
-                    assert nxt is not None, "member multiplicity inconsistent"
+                    if nxt is None:
+                        raise PencilError(
+                            f"member multiplicities over {b} exceed the fiber; "
+                            "is a component reducible?"
+                        )
                     cofactor = nxt
         data = FiberData(b, tuple(members), cofactor)
         fibers[b] = data
@@ -265,7 +283,12 @@ def _finish_classification(
     D = pencil.degree
     for b in B:
         total = sum(arr.components[j].degree * m for j, m in fibers[b].members)
-        assert total == D, "fiber degrees failed to add up"
+        if total != D:
+            # only a component that is a product of others can do this
+            raise PencilError(
+                f"fiber degrees failed to add up over {b}: members give {total}, "
+                f"the pencil has degree {D}; is a component reducible?"
+            )
     minimal = all(p.kind == "type1" for p in done)
     special = any(p.kind == "type2" for p in done)
     return PencilClassification(
@@ -308,6 +331,10 @@ def _probe_seed(arr: Arrangement, pencil: Pencil) -> list[str]:
     return [str(c.form) for c in arr.components] + [str(pencil.P), str(pencil.Q)]
 
 
+# rounds of probing before a discriminant or a profile is declared degenerate
+PROBE_RETRIES = 5
+
+
 # ---------------------------------------------------------------------------
 # special fibers
 
@@ -316,7 +343,6 @@ def detect_special_fibers(
     arr: Arrangement,
     pencil: Pencil,
     classification: PencilClassification,
-    retries: int = 5,
 ) -> PencilClassification:
     """Fill in C(f): special fibers outside B with their m', m'' data.
 
@@ -328,6 +354,8 @@ def detect_special_fibers(
     Irrational discriminant roots leave a warning and mark the result
     conditional.  Special fibers are recognized by this algebraic proxy;
     Milnor-number jumps concentrated at base points are not examined.
+    Probing gives up after `PROBE_RETRIES` rounds with
+    `ProbeDegeneracyError`.
     """
     probes = ProbeSequence(*_probe_seed(arr, pencil), "discriminant")
     warnings: list[str] = []
@@ -341,8 +369,8 @@ def detect_special_fibers(
         # the gcd across probes strips the probe-specific factors
         common: UniPoly | None = None
         stable = 0
-        for _ in range(retries + 3):
-            disc = _family_discriminant(pencil, probes, retries)
+        for _ in range(PROBE_RETRIES + 3):
+            disc = _family_discriminant(pencil, probes)
             if disc is None:
                 raise ProbeDegeneracyError(
                     "probe degeneracy: no valid discriminant probe found"
@@ -384,7 +412,7 @@ def detect_special_fibers(
         cofactor = data.cofactor if data else pencil.fiber(pt)
         if cofactor.is_constant():
             continue
-        profile = _stable_profile(cofactor, profile_probes, retries)
+        profile = _stable_profile(cofactor, profile_probes)
         m_prime = 0
         for _, m in members:
             m_prime = gcd(m_prime, m)
@@ -405,7 +433,7 @@ def detect_special_fibers(
 
 
 def _family_discriminant(
-    pencil: Pencil, probes: ProbeSequence, retries: int
+    pencil: Pencil, probes: ProbeSequence
 ) -> UniPoly | None:
     """Discriminant in c of the probe restriction g_c of c*P - Q.
 
@@ -419,7 +447,7 @@ def _family_discriminant(
     tries = 0
     for line in probes.lines():
         tries += 1
-        if tries > 40 * (retries + 1):
+        if tries > 40 * (PROBE_RETRIES + 1):
             return None
         p_coeffs = pencil.P.restrict(line).coeffs
         q_coeffs = pencil.Q.restrict(line).coeffs
@@ -459,12 +487,12 @@ def _formal_discriminant(g: UniPoly, D: int) -> Fraction:
 
 
 def _stable_profile(
-    form: TernaryForm, probes: ProbeSequence, retries: int
+    form: TernaryForm, probes: ProbeSequence
 ) -> tuple[tuple[int, int], ...]:
     """Multiplicity profile of a form, agreed on two independent probe lines."""
     attempts = 0
     line_iter = probes.lines()
-    while attempts <= retries:
+    while attempts <= PROBE_RETRIES:
         attempts += 1
         profiles = []
         used: list[ProjLine] = []
@@ -1004,34 +1032,32 @@ def _member_vote(
 
 def pencil_search(
     arr: Arrangement,
-    max_multiplicity: int = 3,
-    max_blocks: int = 4,
-    min_blocks: int = 2,
+    max_multiplicity: int,
+    max_blocks: int,
 ) -> list[SearchResult]:
-    """All pencils realizing partitions of components into full fibers.
+    """All pencils realizing partitions of components into k >= 3 full fibers.
 
     Enumerates pairs of disjoint equal-degree multiplicity blocks, spans
     each pair, and keeps the pencils whose count k of fully-arrangement
-    fibers lies in [min_blocks, max_blocks] with every fiber multiplicity
-    within the cap.  Results are deduplicated as 2-dimensional spans; every
-    emitted pencil classifies back to the partition that produced it.
+    fibers lies in [3, max_blocks] with every fiber multiplicity within the
+    cap.  Results are deduplicated as 2-dimensional spans; every emitted
+    pencil classifies back to the partition that produced it.  Pencils with
+    k = 2 are not searched for here: the catalog's translated sweep covers
+    them.
     """
-    if min_blocks < 2:
-        raise ValueError("min_blocks must be >= 2")
     tables = _SearchTables(arr)
     seen: set[tuple] = set()
     results: list[SearchResult] = []
     for a, b in iter_block_pairs(arr, max_multiplicity):
-        if min_blocks >= 3:
-            # a third full fiber needs a component that could still divide
-            # one; all-horizontal votes pin k = 2 without building forms
-            union = a.mask | b.mask
-            if all(
-                _member_vote(tables, a, b, j) == "horizontal"
-                for j in range(arr.size)
-                if not (union >> j & 1)
-            ):
-                continue
+        # a third full fiber needs a component that could still divide
+        # one; all-horizontal votes pin k = 2 without building forms
+        union = a.mask | b.mask
+        if all(
+            _member_vote(tables, a, b, j) == "horizontal"
+            for j in range(arr.size)
+            if not (union >> j & 1)
+        ):
+            continue
         # disjoint supports of irreducibles are never proportional
         pencil = Pencil(tables.block_form(a), tables.block_form(b))
         key = pencil.span_key()
@@ -1040,7 +1066,7 @@ def pencil_search(
         seen.add(key)
         classification = _classify_pair(arr, tables, pencil, a, b)
         k = classification.k
-        if not (min_blocks <= k <= max_blocks):
+        if not (3 <= k <= max_blocks):
             continue
         if any(
             m > max_multiplicity

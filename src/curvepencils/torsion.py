@@ -9,17 +9,18 @@ that slot order.
 The pipeline is `kernel_fstar` -> `theta` -> `compute_Tf` ->
 `characters_of_Tf` -> `lift_character`.  Each stage only consumes the
 output of the previous one, so intermediate data can be inspected or
-serialised between steps.
+serialised between steps.  `compute_Tf` has one algorithm: the relation
+lattice of the kernel images inside the product of the special-fiber
+cyclic groups, with a trivial exit when every special fiber is reduced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable
 
-from .arrangement import Arrangement, TorsionCharacter, pullback_subtorus
+from .arrangement import Arrangement, TorsionCharacter
 from .exactalg import (
     FinAbelianGroup,
     IntMatrix,
@@ -110,9 +111,7 @@ class ThetaData:
     ``theta_rows`` has one row per special point, giving the value of the
     corresponding cyclic coordinate on each affine loop, reduced modulo that
     point's new-part multiplicity.  ``kernel_images`` packs the images of
-    the kernel basis vectors as columns.  ``fiber_multiplicity_gcds`` keeps,
-    per base point, the gcd of the multiplicities of its affine members
-    (zero when a fiber has none); the minimal fast path needs them.
+    the kernel basis vectors as columns.
     """
 
     affine_indices: tuple[int, ...]
@@ -125,8 +124,6 @@ class ThetaData:
     moduli: tuple[int, ...]
     theta_rows: IntMatrix
     kernel_images: IntMatrix
-    fiber_multiplicity_gcds: tuple[int, ...]
-    minimal: bool
     conditional: bool
 
     @property
@@ -170,10 +167,6 @@ def theta(
                 for trow, m in zip(theta_rows, moduli)
             )
         )
-    fiber_gcds = []
-    for b in base:
-        mults = [m for j, m in classification.fiber_members(b) if j in slot]
-        fiber_gcds.append(gcd(*mults))
     return ThetaData(
         affine_indices=affine,
         infinity_index=arr.infinity_index,
@@ -185,8 +178,6 @@ def theta(
         moduli=moduli,
         theta_rows=IntMatrix(theta_rows),
         kernel_images=IntMatrix.from_columns(images, nrows=len(specials)),
-        fiber_multiplicity_gcds=tuple(fiber_gcds),
-        minimal=classification.minimal,
         conditional=classification.conditional,
     )
 
@@ -210,7 +201,6 @@ class TfGroup:
     generator_images: tuple[tuple[int, ...], ...]
     section_columns: tuple[tuple[int, ...], ...]
     basis_classes: tuple[tuple[int, ...], ...]
-    method: str
     conditional: bool
 
     @property
@@ -230,96 +220,27 @@ class TfGroup:
         return frozenset(out)
 
 
-def _trivial_tf(data: ThetaData, method: str) -> TfGroup:
+def _trivial_tf(data: ThetaData) -> TfGroup:
     return TfGroup(
         theta=data,
         group=FinAbelianGroup.trivial(),
         generator_images=(),
         section_columns=(),
         basis_classes=tuple(() for _ in range(data.kernel_basis.ncols)),
-        method=method,
         conditional=data.conditional,
     )
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with x*a + y*b == g == gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
-def _bezout_combination(values: Sequence[int]) -> tuple[int, list[int]]:
-    """gcd of ``values`` with coefficients realising it."""
-    g = 0
-    coeffs = [0] * len(values)
-    for i, v in enumerate(values):
-        if v == 0:
-            continue
-        if g == 0:
-            g = abs(v)
-            coeffs[i] = 1 if v > 0 else -1
-            continue
-        g, x, y = _ext_gcd(g, v)
-        coeffs = [x * c for c in coeffs]
-        coeffs[i] += y
-    return g, coeffs
-
-
-def _minimal_tf(data: ThetaData) -> TfGroup:
-    # Every kernel element maps to a constant vector: with no members inside
-    # the special fibers, each coordinate is the same infinity-side weighted
-    # sum, and its gcd over the kernel is the lcm of the per-fiber member
-    # multiplicity gcds.
-    assert all(not sp.members for sp in data.special_points)
-    r = data.kernel_basis.ncols
-    ell_values = [
-        sum(a * b for a, b in zip(data.infinity_fiber_row, data.kernel_basis.column(t)))
-        for t in range(r)
-    ]
-    g, coeffs = _bezout_combination(ell_values)
-    m_f = lcm(*data.fiber_multiplicity_gcds) if data.fiber_multiplicity_gcds else 1
-    assert g == m_f, "kernel image gcd must match the fiber multiplicity lcm"
-    n = 1
-    for m in data.moduli:
-        n = lcm(n, m // gcd(m, m_f))
-    if n == 1:
-        return _trivial_tf(data, "minimal")
-    group = FinAbelianGroup((n,))
-    image = tuple(m_f % m for m in data.moduli)
-    section = tuple(data.kernel_basis.mul_vector(coeffs))
-    classes = tuple(((ell // m_f) % n,) for ell in ell_values)
-    tf = TfGroup(
-        theta=data,
-        group=group,
-        generator_images=(image,),
-        section_columns=(section,),
-        basis_classes=classes,
-        method="minimal",
-        conditional=data.conditional,
-    )
-    _verify_tf(tf)
-    return tf
 
 
 def _general_tf(data: ThetaData) -> TfGroup:
     r = data.kernel_basis.ncols
-    if r == 0 or not data.moduli:
-        return _trivial_tf(data, "general")
+    if r == 0:
+        return _trivial_tf(data)
     # --- Step 1: relations among the kernel images inside the product ---
     generators = [data.kernel_images.column(t) for t in range(r)]
     relations = product_relation_lattice(data.moduli, generators)
     group = FinAbelianGroup.quotient_structure(relations)
     if group.is_trivial():
-        return _trivial_tf(data, "general")
+        return _trivial_tf(data)
     # --- Step 2: invariant-factor coordinates from the Smith decomposition ---
     dec = smith_normal_form(relations)
     diag = dec.invariant_factors
@@ -351,7 +272,6 @@ def _general_tf(data: ThetaData) -> TfGroup:
         generator_images=tuple(images),
         section_columns=tuple(sections),
         basis_classes=basis_classes,
-        method="general",
         conditional=data.conditional,
     )
     _verify_tf(tf)
@@ -373,31 +293,16 @@ def _verify_tf(tf: TfGroup) -> None:
         assert tuple(acc) == data.kernel_images.column(t)
 
 
-def compute_Tf(data: ThetaData, method: str = "auto") -> TfGroup:
+def compute_Tf(data: ThetaData) -> TfGroup:
     """Structure of the torsion quotient carried by the pencil.
 
-    ``method="auto"`` short-circuits when every special fiber is reduced
-    (the image is trivial regardless of the base-point fibers) and uses the
-    cyclic fast path on minimal classifications; ``"general"`` always runs
-    the relation-lattice computation, ``"minimal"`` insists on the fast
-    path and raises on input that does not support it.
+    The image is trivial when every special fiber is reduced (all moduli
+    are 1), whatever the base-point fibers; otherwise it is read off the
+    Smith form of the relation lattice of the kernel images inside the
+    product of the special-fiber cyclic groups, and checked against them.
     """
-    if method not in ("auto", "general", "minimal"):
-        raise ValueError(f"unknown method {method!r}")
-    fast_ok = (
-        data.minimal
-        and all(not sp.members for sp in data.special_points)
-        and all(g >= 1 for g in data.fiber_multiplicity_gcds)
-    )
-    if method == "minimal":
-        if not fast_ok:
-            raise TorsionError("fast path needs a minimal classification")
-        return _minimal_tf(data)
-    if method == "auto":
-        if not data.moduli or all(m == 1 for m in data.moduli):
-            return _trivial_tf(data, "reduced")
-        if fast_ok:
-            return _minimal_tf(data)
+    if all(m == 1 for m in data.moduli):
+        return _trivial_tf(data)
     return _general_tf(data)
 
 
@@ -420,7 +325,6 @@ class LiftedCharacter:
 
     rho: TorsionCharacter
     rho_tilde: tuple[QmodZ, ...]
-    pin: Optional[tuple[int, QmodZ]]
     conditional: bool
 
 
@@ -433,17 +337,14 @@ def lift_character(
     classification: PencilClassification,
     tf: TfGroup,
     rho_tilde: Iterable[QmodZ | Fraction | int],
-    pin: Optional[tuple[int, QmodZ | Fraction | int]] = None,
 ) -> LiftedCharacter:
     """Exponent vector on the ambient torus inducing a torsion character.
 
-    The lift is pinned down fiberwise: for every base point other than the
-    infinity side, the member with the smallest (multiplicity, index) pair
-    gets exponent zero; whenever that member has multiplicity above one the
-    remaining finite ambiguity is resolved lexicographically.  Passing
-    ``pin=(index, value)`` instead slides the lift along the pullback
-    subtorus until the chosen component has the chosen exponent; this is
-    only available for two-point bases.
+    The lift is made canonical fiberwise: for every base point other than
+    the infinity side, the member with the smallest (multiplicity, index)
+    pair gets exponent zero; whenever that member has multiplicity above one
+    the remaining finite ambiguity is resolved lexicographically.  The
+    exponent of the infinity line follows from the degree relation.
     """
     data = tf.theta
     affine = data.affine_indices
@@ -525,24 +426,6 @@ def lift_character(
         full[j] = e
     full[data.infinity_index] = inf_exp
 
-    # --- Step 4: optional pin along the pullback subtorus ---
-    normalized_pin: Optional[tuple[int, QmodZ]] = None
-    if pin is not None:
-        index, target = pin
-        if classification.k != 2:
-            raise TorsionError("pin is only available for a two-point base")
-        target = _as_qmodz(target)
-        subtorus = pullback_subtorus(arr, classification)
-        direction = [row[0] for row in subtorus.rows]
-        if direction[index] == 0:
-            raise TorsionError(
-                f"cannot pin component {index}: the subtorus does not move it"
-            )
-        step = (target - full[index]).value / direction[index]
-        full = [e + QmodZ(step * c) for e, c in zip(full, direction)]
-        assert full[index] == target
-        normalized_pin = (index, target)
-
     rho = TorsionCharacter(full)
     assert rho.satisfies_degree_relation(arr.degrees)
     for t in range(r):
@@ -553,7 +436,6 @@ def lift_character(
     return LiftedCharacter(
         rho=rho,
         rho_tilde=values,
-        pin=normalized_pin,
         conditional=tf.conditional,
     )
 

@@ -1,7 +1,7 @@
-"""Session-wide catalog builds.
+"""Session-wide catalog builds and searches.
 
 Catalogs are deterministic but the searches behind them are the slowest
-part of the suite, so each arrangement is built once and shared.
+part of the suite, so each arrangement is built or searched once and shared.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ import pytest
 
 from arrfixtures import a2, deleted_b3, ex2, exfin3, triangle
 from curvepencils.catalog import build_catalog
+from curvepencils.pencil import pencil_search
 
 
 @pytest.fixture(scope="session")
@@ -35,3 +36,8 @@ def exfin3_catalog():
 @pytest.fixture(scope="session")
 def triangle_catalog():
     return build_catalog(triangle())
+
+
+@pytest.fixture(scope="session")
+def db3_search():
+    return pencil_search(deleted_b3(), 2, 3)

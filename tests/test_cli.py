@@ -133,6 +133,26 @@ def test_unknown_block_label(capsys, tmp_path):
     assert "unknown component label 'T9'" in err
 
 
+def test_third_block_outside_the_pencil(capsys, tmp_path):
+    for third, fragment in [
+        ({"members": ["T3"], "multiplicities": [5]}, "block 3 has degree 5"),
+        ({"members": ["T3"], "multiplicities": [1]}, "block 3 is not a fiber"),
+    ]:
+        doc = {
+            "blocks": [
+                {"members": ["T1"], "multiplicities": [1]},
+                {"members": ["T2"], "multiplicities": [1]},
+                third,
+            ]
+        }
+        path = tmp_path / "pencil.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "classify", FIXTURES / "triangle.json", "--pencil", path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: parse: ") and fragment in err
+
+
 def test_degenerate_pencil_generators(capsys, tmp_path):
     for doc, fragment in [
         ({"P": "x*y", "Q": "2*x*y"}, "proportional generators"),
@@ -217,6 +237,24 @@ def test_catalog_caps_that_empty_the_global_stage(capsys, flag, value, parameter
     assert code == 4
     assert out == ""
     assert err.startswith("error: computation: ") and parameter in err
+
+
+def test_catalog_rejects_reducible_component(capsys, tmp_path):
+    doc = {
+        "components": [
+            {"label": "X", "poly": "x"},
+            {"label": "Y", "poly": "y"},
+            {"label": "XY", "poly": "x*y"},
+            {"label": "Z", "poly": "z"},
+        ],
+        "infinity": "Z",
+    }
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "catalog", path)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: computation: ") and "'XY' has linear factor" in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,74 @@
+"""Source hygiene: every module-level import in the package is used."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).parent.parent / "src" / "curvepencils").glob("*.py"))
+
+
+def _module_imports(body: list[ast.stmt]) -> list[tuple[str, int]]:
+    """Names bound by imports at module level, inside top-level ``if`` too."""
+    out = []
+    for stmt in body:
+        if isinstance(stmt, ast.Import):
+            for alias in stmt.names:
+                out.append(((alias.asname or alias.name).split(".")[0], stmt.lineno))
+        elif isinstance(stmt, ast.ImportFrom):
+            if stmt.module == "__future__":
+                continue
+            for alias in stmt.names:
+                out.append((alias.asname or alias.name, stmt.lineno))
+        elif isinstance(stmt, ast.If):
+            out.extend(_module_imports(stmt.body + stmt.orelse))
+    return out
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    """Names read anywhere, including inside string annotations."""
+    used = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for annotation in annotations:
+        if annotation is None:
+            continue
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                parsed = ast.parse(node.value, mode="eval")
+                used.update(n.id for n in ast.walk(parsed) if isinstance(n, ast.Name))
+    return used
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_unused_module_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _used_names(tree)
+    unused = [
+        f"{name} (line {line})" for name, line in _module_imports(tree.body) if name not in used
+    ]
+    assert not unused, f"{path.name}: unused imports: {', '.join(unused)}"
+
+
+def test_unused_import_is_caught():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import json\n"
+        "from typing import Optional, Sequence\n"
+        "if True:\n"
+        "    from math import gcd\n"
+        "def f(x: 'Optional[int]') -> int:\n"
+        "    return json.dumps(x)\n"
+    )
+    used = _used_names(tree)
+    assert [n for n, _ in _module_imports(tree.body) if n not in used] == ["Sequence", "gcd"]

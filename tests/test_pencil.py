@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -30,7 +31,7 @@ from arrfixtures import (
     fw_pencil,
     triangle,
 )
-from curvepencils.arrangement import pullback_subtorus
+from curvepencils.arrangement import Arrangement, CurveComponent, pullback_subtorus
 from curvepencils.exactalg import UniPoly
 from curvepencils.pencil import (
     BlowupCluster,
@@ -38,9 +39,11 @@ from curvepencils.pencil import (
     PencilError,
     ProbeSequence,
     _formal_discriminant,
+    _partition_saturated,
     classify,
     detect_special_fibers,
     fy_identities,
+    iter_block_pairs,
     pencil_search,
     self_intersection,
     validate_pencil,
@@ -103,6 +106,27 @@ def test_pencil_from_json_blocks():
             },
             arr,
         )
+
+
+def test_pencil_from_json_later_blocks():
+    # a braid partition of deleted B3: L1*L5 | L2*L6 | L3*L8
+    arr = deleted_b3()
+    blocks = [
+        {"members": ["L1", "L5"], "multiplicities": [1, 1]},
+        {"members": ["L2", "L6"], "multiplicities": [1, 1]},
+        {"members": ["L3", "L8"], "multiplicities": [1, 1]},
+    ]
+    three = Pencil.from_json({"blocks": blocks}, arr)
+    assert three == Pencil.from_json({"blocks": blocks[:2]}, arr)
+    assert three.P.proportional_to(braid_pencil().P)
+    assert three.Q.proportional_to(braid_pencil().Q)
+    for third, fragment in [
+        ({"members": ["L3"], "multiplicities": [1]}, "block 3 has degree 1"),
+        ({"members": ["L3", "L4"], "multiplicities": [1, 1]}, "block 3 is not a fiber"),
+        ({"members": ["L3", "L9"], "multiplicities": [1, 1]}, "unknown component label"),
+    ]:
+        with pytest.raises(PencilError, match=fragment):
+            Pencil.from_json({"blocks": blocks[:2] + [third]}, arr)
 
 
 # -- classification ------------------------------------------------------------
@@ -188,6 +212,16 @@ def test_classify_exfin3():
     assert c.fiber_members(P1(0, 1)) == ((4, 1), (5, 1))
     assert c.fiber_members(P1(1, 0)) == ((2, 1), (3, 1))
     assert c.fiber_members(P1(1, 1)) == ((0, 1), (1, 1))
+
+
+def test_reducible_component_raises():
+    # XY = X*Y: its fiber members overshoot the pencil degree
+    comps = [("X", "x"), ("Y", "y"), ("XY", "x*y"), ("Z", "z")]
+    arr = Arrangement([CurveComponent(label, F(poly)) for label, poly in comps], 3)
+    with pytest.raises(PencilError, match=r"over \(0:1\) exceed the fiber"):
+        classify(arr, Pencil(F("x*y"), F("z^2")))
+    with pytest.raises(PencilError, match=r"fiber degrees failed to add up over"):
+        pencil_search(arr, 2, 3)
 
 
 # -- special fibers -------------------------------------------------------------
@@ -413,21 +447,20 @@ TRIPLE_POINT_PARTITIONS = [
 ]
 
 
-def test_search_deleted_b3_k3():
-    results = pencil_search(deleted_b3(), max_multiplicity=2, max_blocks=3, min_blocks=3)
-    keys = {partition_key(r) for r in results}
+def test_search_deleted_b3_k3(db3_search):
+    keys = {partition_key(r) for r in db3_search}
     expected = {
         frozenset(frozenset(f) for f in p)
         for p in BRAID_PARTITIONS + TRIPLE_POINT_PARTITIONS
     }
     assert keys == expected
-    assert len(results) == 11
-    assert all(r.k == 3 for r in results)
+    assert len(db3_search) == 11
+    assert all(r.k == 3 for r in db3_search)
 
 
-def test_search_roundtrip_classification():
+def test_search_roundtrip_classification(db3_search):
     arr = deleted_b3()
-    for result in pencil_search(arr, 2, 3, 3):
+    for result in db3_search:
         redo = classify(arr, result.pencil)
         partition = tuple(
             redo.fiber_members(b) for b in redo.base_points
@@ -435,29 +468,23 @@ def test_search_roundtrip_classification():
         assert partition == result.partition
 
 
-def test_search_finds_fw_partition():
-    results = pencil_search(deleted_b3(), max_multiplicity=2, max_blocks=2, min_blocks=2)
-    fw = frozenset(
-        {frozenset({(0, 1), (3, 1), (4, 2)}), frozenset({(1, 1), (2, 1), (6, 2)})}
-    )
-    assert fw in {partition_key(r) for r in results}
-
-
 def test_search_four_generic_lines_empty():
-    assert pencil_search(four_generic_lines(), 2, 3, 3) == []
+    assert pencil_search(four_generic_lines(), 2, 3) == []
 
 
 def test_search_rejects_composed():
-    # blocks {1^2} | {2^2} span squares of a smaller pencil; never emitted
-    results = pencil_search(triangle(), max_multiplicity=2, max_blocks=2, min_blocks=2)
-    for r in results:
-        mults = [m for fiber in r.partition for _, m in fiber]
-        g = 0
-        for m in mults:
-            from math import gcd
-
-            g = gcd(g, m)
-        assert g == 1
+    # blocks {T1^2} | {T2^2} span the squares of the pencil (x : y); no pair
+    # with a common multiplicity factor is ever enumerated
+    pairs = list(iter_block_pairs(triangle(), 2))
+    assert pairs
+    for a, b in pairs:
+        assert gcd(*a.mults, *b.mults) == 1
+    # x^2 | y^2 | (x - y)(x + y) is the same composed map, now with a reduced
+    # third fiber: its columns (2,0,-1,-1), (0,2,-1,-1) span an unsaturated
+    # lattice
+    assert not _partition_saturated([[(0, 2)], [(1, 2)], [(2, 1), (3, 1)]], 4)
+    braid = [[(0, 1), (4, 1)], [(1, 1), (5, 1)], [(2, 1), (7, 1)]]
+    assert _partition_saturated(braid, 8)
 
 
 # -- pullback subtori -------------------------------------------------------------

@@ -87,7 +87,7 @@ def test_kernel_with_single_base_point_is_everything():
     assert kernel.to_lists() == [[1, 0], [0, 1]]
     cls = detect_special_fibers(arr, pencil, cls)
     _, tf = cls, compute_Tf(theta(arr, cls, kernel))
-    assert tf.group.is_trivial() and tf.method == "reduced"
+    assert tf.group.is_trivial()
 
 
 def test_theta_requires_special_fiber_data():
@@ -131,7 +131,7 @@ def test_tf_deleted_b3_is_order_two():
     arr, pencil = deleted_b3(), fw_pencil()
     cls, tf = pipeline(arr, pencil)
     assert str(tf.group) == "Z/2"
-    assert tf.order == 2 and tf.method == "general"
+    assert tf.order == 2
     assert not tf.conditional
     assert characters_of_Tf(tf) == [(QmodZ(0),), (QmodZ(HALF),)]
     # loop around the sixth line, and the sum of the first two, both lie in
@@ -151,22 +151,14 @@ def test_tf_deleted_b3_is_order_two():
 def test_tf_trivial_on_reduced_pencils():
     arr, pencil = ex2().with_infinity(0), ex2_pencil()
     cls, tf = pipeline(arr, pencil)
-    assert tf.group.is_trivial() and tf.method == "reduced"
+    assert tf.group.is_trivial()
     assert characters_of_Tf(tf) == [()]
     lift = lift_character(arr, cls, tf, ())
     assert lift.rho.is_trivial()
 
     arr, pencil = deleted_b3(), braid_pencil()
     _, tf = pipeline(arr, pencil)
-    assert tf.group.is_trivial() and tf.method == "reduced"
-
-
-def test_minimal_method_rejects_type2_fibers():
-    arr, pencil = deleted_b3(), fw_pencil()
-    cls = detect_special_fibers(arr, pencil, classify(arr, pencil))
-    data = theta(arr, cls, kernel_fstar(arr, cls))
-    with pytest.raises(TorsionError, match="minimal"):
-        compute_Tf(data, method="minimal")
+    assert tf.group.is_trivial()
 
 
 def test_tf_double_line_minimal_and_general_agree():
@@ -178,20 +170,18 @@ def test_tf_double_line_minimal_and_general_agree():
     assert str(sp.point) == "(1:1)" and sp.members == () and sp.m_dprime == 2
     data = theta(arr, cls, kernel_fstar(arr, cls))
     assert data.kernel_basis.to_lists() == [[1], [1], [1]]
-    tf_fast = compute_Tf(data)
-    tf_general = compute_Tf(data, method="general")
-    assert tf_fast.method == "minimal" and tf_general.method == "general"
-    assert str(tf_fast.group) == "Z/2" == str(tf_general.group)
-    assert tf_fast.elements() == tf_general.elements()
-    for tf in (tf_fast, tf_general):
-        lifts = {
-            lift_character(arr, cls, tf, ch).rho.value_strings()
-            for ch in characters_of_Tf(tf)
-        }
-        assert lifts == {("1", "1", "1", "1"), ("-1", "-1", "1", "1")}
+    tf = compute_Tf(data)
+    assert str(tf.group) == "Z/2"
+    # the kernel generator maps to 1 mod 2 in the one special-fiber group
+    assert tf.elements() == {(0,), (1,)}
+    lifts = {
+        lift_character(arr, cls, tf, ch).rho.value_strings()
+        for ch in characters_of_Tf(tf)
+    }
+    assert lifts == {("1", "1", "1", "1"), ("-1", "-1", "1", "1")}
     # the double line carries no member loop, so no special point is detected
     # by the character
-    nontrivial = lift_character(arr, cls, tf_fast, (HALF,))
+    nontrivial = lift_character(arr, cls, tf, (HALF,))
     assert epsilon_count(cls, nontrivial.rho) == 0
 
 
@@ -207,13 +197,8 @@ def test_lift_deleted_b3_canonical_and_pinned():
     lift = lift_character(arr, cls, tf, generator)
     assert exponent_values(lift) == (0, HALF, HALF, 0, 0, HALF, 0, HALF)
     assert lift.rho.value_strings() == ("1", "-1", "-1", "1", "1", "-1", "1", "-1")
-    assert lift.pin is None and not lift.conditional
+    assert not lift.conditional
     assert epsilon_count(cls, lift.rho) == 1
-
-    pinned = lift_character(arr, cls, tf, generator, pin=(0, HALF))
-    assert exponent_values(pinned) == (HALF, 0, 0, HALF, 0, HALF, 0, HALF)
-    assert pinned.rho.value_strings() == ("-1", "1", "1", "-1", "1", "-1", "1", "-1")
-    assert pinned.pin == (0, QmodZ(HALF))
 
 
 def test_lift_rejects_inconsistent_characters():
@@ -223,14 +208,6 @@ def test_lift_rejects_inconsistent_characters():
         lift_character(arr, cls, tf, (Fraction(1, 3),))
     with pytest.raises(TorsionError, match="expected 1 generator values"):
         lift_character(arr, cls, tf, ())
-    # the subtorus fixes the sixth component, so it cannot be pinned
-    with pytest.raises(TorsionError, match="does not move it"):
-        lift_character(arr, cls, tf, (HALF,), pin=(5, HALF))
-
-    arr, pencil = ex2().with_infinity(0), ex2_pencil()
-    cls, tf = pipeline(arr, pencil)
-    with pytest.raises(TorsionError, match="two-point base"):
-        lift_character(arr, cls, tf, (), pin=(1, HALF))
 
 
 def test_lift_a2_a3_pattern():
@@ -315,19 +292,29 @@ def test_lift_round_trip_and_degree_relation():
 
 def test_random_line_pencils_reduced_implies_trivial():
     rng = random.Random(1208)
-    for _ in range(10):
-        arr, pencil = random_line_pencil(rng)
+    # the random draws all come out reduced; the double line adds a minimal
+    # pencil with a nontrivial T(f) for the order formula below
+    cases = [random_line_pencil(rng) for _ in range(10)] + [double_line_pencil()]
+    orders = []
+    for arr, pencil in cases:
         cls = detect_special_fibers(arr, pencil, classify(arr, pencil))
         data = theta(arr, cls, kernel_fstar(arr, cls))
         tf = compute_Tf(data)
-        tf_general = compute_Tf(data, method="general")
-        assert tf.group.invariant_factors == tf_general.group.invariant_factors
-        assert tf.elements() == tf_general.elements()
-        if not data.moduli or all(m == 1 for m in data.moduli):
+        if all(m == 1 for m in data.moduli):
             assert tf.group.is_trivial()
-        if cls.minimal and all(g >= 1 for g in data.fiber_multiplicity_gcds):
-            m_f = lcm(*data.fiber_multiplicity_gcds)
+        # on a minimal pencil T(f) is cyclic of order lcm over C(f) of
+        # m/gcd(m, m_f), where m_f is the lcm over the base points of the
+        # gcd of the multiplicities of each fiber's affine members
+        fiber_gcds = [
+            gcd(*(m for j, m in cls.fiber_members(b) if j != arr.infinity_index))
+            for b in cls.base_points
+        ]
+        if cls.minimal and all(g >= 1 for g in fiber_gcds):
+            m_f = lcm(*fiber_gcds)
             expected = 1
             for m in data.moduli:
                 expected = lcm(expected, m // gcd(m, m_f))
             assert tf.order == expected
+            assert len(tf.group.invariant_factors) <= 1
+            orders.append(expected)
+    assert orders == [1] * 10 + [2]
