@@ -215,12 +215,11 @@ def _rational_points_on_curve(form: TernaryForm, want: int) -> list[ProjPoint]:
         for a, b, c in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, -1, 0), (1, 2, -1), (2, -1, 3)]
     ]
     for line in probes:
-        bf = form.restrict(line)
-        if bf.is_zero():
+        poly = form.restrict_span(*line.span)
+        if poly.is_zero():
             continue
-        poly = bf.dehomogenized()
-        if bf.formal_degree - poly.degree > 0:
-            pt = line.point_at(1, 0)
+        if poly.degree < form.degree:
+            pt = line.point_at(0, 1)  # the root at t = infinity
             if pt not in found:
                 found.append(pt)
         if poly.degree >= 1:

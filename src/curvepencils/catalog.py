@@ -24,7 +24,15 @@ from .arrangement import (
     local_pencil_points,
     pullback_subtorus,
 )
-from .exactalg import UniPoly, lattice_key, rational_roots, saturate_lattice
+from .exactalg import (
+    UniPoly,
+    coeffs_derivative,
+    coeffs_evaluate,
+    coeffs_mul,
+    lattice_key,
+    rational_roots,
+    saturate_lattice,
+)
 from .pencil import (
     Pencil,
     PencilClassification,
@@ -193,16 +201,16 @@ def _probe_lines(arr: Arrangement) -> list[tuple[TernaryForm, tuple[int, ...], t
 def _integer_restrictions(
     arr: Arrangement, q0: Sequence[int], q1: Sequence[int]
 ) -> list[tuple[int, ...]]:
-    """Component forms F(s*q0 + q1) as integer coefficient tuples in s.
+    """Component forms F(q1 + s*q0) as integer coefficient tuples in s.
 
     Components are primitive integer forms and q0, q1 integer points, so
     the coefficients are integers; lowest degree comes first.
     """
     out = []
     for cp in arr.components:
-        tup = tuple(int(c) for c in reversed(cp.form.restrict_span(q0, q1).coeffs))
-        assert tup[-1] != 0, "parametrization point lies on a component"
-        out.append(tup)
+        poly = cp.form.restrict_span(q1, q0)
+        assert poly.degree == cp.degree, "parametrization point lies on a component"
+        out.append(tuple(int(c) for c in poly.coeffs))
     return out
 
 
@@ -217,26 +225,6 @@ def _integer_restrictions(
 # its degree is bounded by the support degree, independent of the
 # multiplicities, and its rational roots give the only rational parameters
 # that can carry a repeated root.  Agreement across two probes is required.
-
-
-def _conv(u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
-    out = [0] * (len(u) + len(v) - 1)
-    for i, a in enumerate(u):
-        if a:
-            for j, b in enumerate(v):
-                out[i + j] += a * b
-    return tuple(out)
-
-
-def _derivative(u: Sequence[int]) -> tuple[int, ...]:
-    return tuple(i * u[i] for i in range(1, len(u))) or (0,)
-
-
-def _eval_fraction(u: Sequence[int], at: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for a in reversed(u):
-        acc = acc * at + a
-    return acc
 
 
 def _has_projective_root_mod_p(coeffs: Sequence[int], p: int) -> bool:
@@ -260,14 +248,16 @@ def _log_wronskian(
     k = len(support)
     prefix: list[tuple[int, ...]] = [(1,)] * (k + 1)
     for i in range(k):
-        prefix[i + 1] = _conv(prefix[i], restrictions[support[i]])
+        prefix[i + 1] = coeffs_mul(prefix[i], restrictions[support[i]])
     suffix: list[tuple[int, ...]] = [(1,)] * (k + 1)
     for i in range(k - 1, -1, -1):
-        suffix[i] = _conv(restrictions[support[i]], suffix[i + 1])
+        suffix[i] = coeffs_mul(restrictions[support[i]], suffix[i + 1])
     degree_e = len(prefix[k]) - 1
     acc = [0] * max(degree_e, 1)
     for i, j in enumerate(support):
-        term = _conv(_conv(prefix[i], suffix[i + 1]), _derivative(restrictions[j]))
+        term = coeffs_mul(
+            coeffs_mul(prefix[i], suffix[i + 1]), coeffs_derivative(restrictions[j])
+        )
         c = ray[j]
         for t, val in enumerate(term):
             acc[t] += c * val
@@ -281,7 +271,7 @@ def _fiber_value(
 ) -> Fraction:
     out = Fraction(1)
     for j, m in block:
-        out *= _eval_fraction(restrictions[j], at) ** m
+        out *= coeffs_evaluate(restrictions[j], at) ** m
     return out
 
 
@@ -343,10 +333,10 @@ def _repeated_root_at(
     vb: tuple[int, ...] = (1,)
     for j, m in blk_a:
         for _ in range(m):
-            va = _conv(va, restrictions[j])
+            va = coeffs_mul(va, restrictions[j])
     for j, m in blk_b:
         for _ in range(m):
-            vb = _conv(vb, restrictions[j])
+            vb = coeffs_mul(vb, restrictions[j])
     u = [lam.denominator * a - lam.numerator * b for a, b in zip(va, vb)]
     while u and u[-1] == 0:
         u.pop()

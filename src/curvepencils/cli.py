@@ -184,6 +184,9 @@ def _warn_lines(notes: Sequence[str]) -> list[str]:
 
 def _cmd_validate(args: argparse.Namespace) -> tuple[list[str], dict]:
     arr = _load_arrangement(args.arrangement)
+    reducible = arr.irreducibility_warnings()
+    if reducible:
+        raise ArrangementError("; ".join(reducible))
     lines = [
         f"{c.label}: degree {c.degree}, {c.form}" for c in arr.components
     ]

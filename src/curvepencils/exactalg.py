@@ -4,13 +4,21 @@ Integer lattices (Hermite and Smith forms with transform matrices), finite
 abelian groups presented by invariant factors, rationals modulo 1, rational
 linear algebra, and dense univariate polynomials over Q.  No floating point
 enters any code path.
+
+A univariate polynomial is a coefficient sequence, lowest degree first.
+`coeffs_mul`, `coeffs_derivative` and `coeffs_evaluate` work on plain
+sequences and keep integer input integral, so the catalog's sweep runs them
+on integer tuples; `UniPoly` wraps the same three for Fraction
+coefficients.  A polynomial g that stands for a binary form of formal degree
+d (a restriction to a line, see `TernaryForm.restrict_span`) has a root at
+infinity of multiplicity d - deg g; `projective_profile` counts it.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "QmodZ",
@@ -23,9 +31,13 @@ __all__ = [
     "saturate_lattice",
     "FinAbelianGroup",
     "product_relation_lattice",
+    "coeffs_mul",
+    "coeffs_derivative",
+    "coeffs_evaluate",
     "UniPoly",
     "yun_squarefree",
     "squarefree_multiplicity_profile",
+    "projective_profile",
     "RationalRoots",
     "rational_roots",
     "resultant",
@@ -33,6 +45,7 @@ __all__ = [
     "fraction_kernel",
     "solve_fraction_system",
     "lagrange_interpolate",
+    "sampled_polynomial",
 ]
 
 
@@ -532,6 +545,30 @@ def solve_fraction_system(
 # univariate polynomials over Q
 
 
+def coeffs_mul(u: Sequence, v: Sequence) -> tuple:
+    """Product of two coefficient sequences; empty means zero."""
+    if not u or not v:
+        return ()
+    out = [0] * (len(u) + len(v) - 1)
+    for i, a in enumerate(u):
+        if a:
+            for j, b in enumerate(v):
+                out[i + j] += a * b
+    return tuple(out)
+
+
+def coeffs_derivative(u: Sequence) -> tuple:
+    return tuple(k * u[k] for k in range(1, len(u)))
+
+
+def coeffs_evaluate(u: Sequence, x):
+    """Horner evaluation of the coefficient sequence at x."""
+    acc = 0
+    for a in reversed(u):
+        acc = acc * x + a
+    return acc
+
+
 class UniPoly:
     """Dense univariate polynomial over Fraction, lowest degree first."""
 
@@ -583,29 +620,17 @@ class UniPoly:
         return UniPoly(-c for c in self.coeffs)
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
-        if self.is_zero() or other.is_zero():
-            return UniPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(out)
+        return UniPoly(coeffs_mul(self.coeffs, other.coeffs))
 
     def scale(self, c: Fraction | int) -> "UniPoly":
         c = Fraction(c)
         return UniPoly(a * c for a in self.coeffs)
 
     def evaluate(self, x: Fraction | int) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return Fraction(coeffs_evaluate(self.coeffs, x))
 
     def derivative(self) -> "UniPoly":
-        return UniPoly(k * c for k, c in enumerate(self.coeffs) if k >= 1)
+        return UniPoly(coeffs_derivative(self.coeffs))
 
     def divide(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         """Quotient and remainder."""
@@ -707,6 +732,18 @@ def squarefree_multiplicity_profile(f: UniPoly) -> tuple[tuple[int, int], ...]:
     if f.is_zero():
         raise ValueError("zero polynomial has no multiplicity profile")
     return tuple(sorted((mult, part.degree) for part, mult in yun_squarefree(f)))
+
+
+def projective_profile(f: UniPoly, degree: int) -> tuple[tuple[int, int], ...]:
+    """Profile of f read as a binary form of formal degree ``degree``.
+
+    The squarefree profile of f plus the root at infinity, of multiplicity
+    degree - deg f, so the weighted degrees add up to ``degree``.
+    """
+    entries = list(squarefree_multiplicity_profile(f))
+    if degree > f.degree:
+        entries.append((degree - f.degree, 1))
+    return tuple(sorted(entries))
 
 
 class RationalRoots(NamedTuple):
@@ -878,3 +915,13 @@ def lagrange_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> UniPoly
         poly = poly + basis.scale(coef[j])
         basis = basis * UniPoly((-xs[j], 1))
     return poly
+
+
+def sampled_polynomial(sample: Callable[[int], Fraction], degree_bound: int) -> UniPoly | None:
+    """The polynomial of degree <= degree_bound whose values ``sample`` gives.
+
+    Interpolates at the integers 0, ..., degree_bound and checks the value
+    at degree_bound + 1; None when the check fails, i.e. the bound is wrong.
+    """
+    poly = lagrange_interpolate([(x, sample(x)) for x in range(degree_bound + 1)])
+    return poly if poly.evaluate(degree_bound + 1) == sample(degree_bound + 1) else None

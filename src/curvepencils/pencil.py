@@ -22,10 +22,10 @@ from .arrangement import Arrangement
 from .exactalg import (
     UniPoly,
     fraction_rref,
-    lagrange_interpolate,
+    projective_profile,
     rational_roots,
     resultant,
-    squarefree_multiplicity_profile,
+    sampled_polynomial,
 )
 from .polyform import (
     P1Point,
@@ -33,7 +33,6 @@ from .polyform import (
     ProjLine,
     ProjPoint,
     TernaryForm,
-    binary_multiplicity_profile,
     divisibility_multiplicity,
     exact_divide,
     intersection_points,
@@ -449,27 +448,20 @@ def _family_discriminant(
         tries += 1
         if tries > 40 * (PROBE_RETRIES + 1):
             return None
-        p_coeffs = pencil.P.restrict(line).coeffs
-        q_coeffs = pencil.Q.restrict(line).coeffs
-        if len(p_coeffs) != D + 1 or len(q_coeffs) != D + 1:
+        p = pencil.P.restrict_span(*line.span)
+        q = pencil.Q.restrict_span(*line.span)
+        # the point at t = infinity must avoid the base locus, else every
+        # fiber drops formal degree on this probe
+        if p.coefficient(D) == 0 and q.coefficient(D) == 0:
             continue
-        # the point parametrized by (0:1) must avoid the base locus, else
-        # every fiber drops formal degree on this probe
-        if p_coeffs[D] == 0 and q_coeffs[D] == 0:
-            continue
-        degree_bound = 2 * D - 1
 
-        def sample(c: Fraction) -> Fraction:
-            g = UniPoly(c * p - q for p, q in zip(p_coeffs, q_coeffs))
+        def sample(c: int) -> Fraction:
+            g = UniPoly(p.coefficient(k) * c - q.coefficient(k) for k in range(D + 1))
             return _formal_discriminant(g, D)
 
-        points = [(Fraction(c), sample(Fraction(c))) for c in range(degree_bound + 1)]
-        disc = lagrange_interpolate(points)
-        extra = Fraction(degree_bound + 1)
-        if disc.evaluate(extra) != sample(extra):
-            continue  # degree bound violated; probe unusable
-        if disc.is_zero():
-            continue  # every fiber degenerate on this probe; try another
+        disc = sampled_polynomial(sample, 2 * D - 1)
+        if disc is None or disc.is_zero():
+            continue  # degree bound violated, or every fiber degenerate
         return disc
     return None
 
@@ -499,13 +491,10 @@ def _stable_profile(
         for line in line_iter:
             if any(line.form == u.form for u in used):
                 continue
-            bf = form.restrict(line)
-            if bf.is_zero():
+            g = form.restrict_span(*line.span)
+            if g.is_zero():
                 continue
-            prof = binary_multiplicity_profile(bf)
-            if sum(m * d for m, d in prof) != form.degree:
-                continue
-            profiles.append(prof)
+            profiles.append(projective_profile(g, form.degree))
             used.append(line)
             if len(profiles) == 2:
                 break
@@ -640,7 +629,6 @@ def _fy_resultant_profile(
     """Multiset {n_p} read from resultants against two generic centers."""
     B = classification.base_points
     pencil = classification.pencil
-    D = pencil.degree
     probes = ProbeSequence(*_probe_seed(arr, pencil), "fy-centers")
     fibers = [pencil.fiber(b) for b in B]
     profiles: list[tuple[tuple[int, int], ...]] = []
@@ -650,19 +638,13 @@ def _fy_resultant_profile(
             break
         if any(f.evaluate(center.coords) == 0 for f in fibers):
             continue
-        change = _unimodular_with_last_column(center.coords)
-        moved = [_substitute_linear(f, change) for f in fibers]
-        pair_profiles = []
-        ok = True
-        for f1, f2 in itertools.combinations(moved, 2):
-            prof = _projected_resultant_profile(f1, f2, D)
-            if prof is None:
-                ok = False
-                break
-            pair_profiles.append(prof)
-        if not ok:
-            continue
         centers_used += 1
+        pair_profiles = [
+            _projected_resultant_profile(f1, f2, center.coords)
+            for f1, f2 in itertools.combinations(fibers, 2)
+        ]
+        if None in pair_profiles:
+            continue
         profiles.append(tuple(pair_profiles))
         if len(profiles) == 2:
             break
@@ -678,91 +660,31 @@ def _fy_resultant_profile(
     return tuple(sorted(counted.items())), constant
 
 
-def _unimodular_with_last_column(col: Sequence[int]) -> list[list[int]]:
-    """A unimodular integer 3x3 matrix whose last column is the given vector."""
-    from .exactalg import IntMatrix, smith_normal_form
-
-    v = IntMatrix([[c] for c in col])
-    snf = smith_normal_form(v)
-    assert abs(snf.D.entry(0, 0)) == 1, "column must be primitive"
-    # U * v = e1, so U^{-1} has v as first column; rotate columns to the back
-    inv = _int_inverse_3x3(snf.U.to_lists())
-    rotated = [[row[1], row[2], row[0]] for row in inv]
-    return rotated
-
-
-def _int_inverse_3x3(m: list[list[int]]) -> list[list[int]]:
-    a, b, c = m[0]
-    d, e, f = m[1]
-    g, h, i = m[2]
-    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    assert det in (1, -1)
-    cof = [
-        [e * i - f * h, c * h - b * i, b * f - c * e],
-        [f * g - d * i, a * i - c * g, c * d - a * f],
-        [d * h - e * g, b * g - a * h, a * e - b * d],
-    ]
-    return [[x * det for x in row] for row in cof]
-
-
-def _substitute_linear(form: TernaryForm, m: list[list[int]]) -> TernaryForm:
-    """form(M * (x,y,z)), exact."""
-    images = [
-        TernaryForm(
-            {
-                (1, 0, 0): Fraction(m[idx][0]),
-                (0, 1, 0): Fraction(m[idx][1]),
-                (0, 0, 1): Fraction(m[idx][2]),
-            }
-        )
-        for idx in range(3)
-    ]
-    out = TernaryForm.zero()
-    for (a, b, c), coef in form.terms.items():
-        term = TernaryForm.constant(coef)
-        for e, idx in ((a, 0), (b, 1), (c, 2)):
-            if e:
-                term = term * images[idx].power(e)
-        out = out + term
-    return out
-
-
 def _projected_resultant_profile(
-    f1: TernaryForm, f2: TernaryForm, D: int
+    f1: TernaryForm, f2: TernaryForm, center: Sequence[int]
 ) -> tuple[tuple[int, int], ...] | None:
-    """Profile of Res_z(f1, f2) as a binary form in (x, y).
+    """Multiplicities of the common points of f1, f2 seen from the center.
 
-    Both forms must have nonzero z^D coefficient (center off both curves),
-    keeping the formal z-degree constant across samples.
+    With c_k != 0, the lines through the center c meet x_k = 0 at the
+    points r(t) = e_i + t*e_j, and Res(f1(r(t) + s*c), f2(r(t) + s*c)) in s
+    has degree at most D^2 in t.  The center must lie off both curves, so
+    the formal s-degree stays D.  The profile is merged by multiplicity, so
+    it does not depend on this frame.
     """
-    if f1.coefficient((0, 0, D)) == 0 or f2.coefficient((0, 0, D)) == 0:
-        return None
-    bound = D * D
+    D = f1.degree
+    k = next(n for n, v in enumerate(center) if v)
+    i, j = (n for n in range(3) if n != k)
 
-    def z_poly(form: TernaryForm, t: Fraction) -> UniPoly:
-        coeffs = [Fraction(0)] * (D + 1)
-        for (a, b, c), coef in form.terms.items():
-            coeffs[c] += coef * t**b
-        return UniPoly(coeffs)
+    def sample(t: int) -> Fraction:
+        r = [0, 0, 0]
+        r[i], r[j] = 1, t
+        return resultant(f1.restrict_span(r, center), f2.restrict_span(r, center))
 
-    samples = []
-    for i in range(bound + 2):
-        t = Fraction(i)
-        r = resultant(z_poly(f1, t), z_poly(f2, t))
-        samples.append((t, r))
-    poly = lagrange_interpolate(samples[: bound + 1])
-    if poly.evaluate(samples[bound + 1][0]) != samples[bound + 1][1]:
+    poly = sampled_polynomial(sample, D * D)
+    if poly is None or poly.is_zero():
         return None
-    if poly.is_zero():
-        return None
-    drop = bound - poly.degree
-    entries = list(squarefree_multiplicity_profile(poly)) if poly.degree >= 1 else []
-    if drop:
-        entries.append((drop, 1))
-    # A root in the dropped direction shows up as a separate entry; merge by
-    # multiplicity so the profile does not depend on the projection frame.
     merged: dict[int, int] = {}
-    for mult, deg in entries:
+    for mult, deg in projective_profile(poly, D * D):
         merged[mult] = merged.get(mult, 0) + deg
     return tuple(sorted(merged.items()))
 

@@ -5,6 +5,11 @@ text grammar is signed sums of terms ``c*x^a*y^b*z^c`` with rational
 coefficients.  Division of one form by another is decided exactly by a
 linear solve over the unknown cofactor coefficients, organized as repeated
 leading-term elimination.
+
+Every restriction of a form to a line goes through
+`TernaryForm.restrict_span`, which returns the `UniPoly` g(t) = F(p + t*q):
+the point q sits at t = infinity, and the degree by which g falls short of
+the form's degree is the multiplicity of that root.
 """
 
 from __future__ import annotations
@@ -14,12 +19,11 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
-from .exactalg import UniPoly, squarefree_multiplicity_profile
+from .exactalg import UniPoly, coeffs_mul
 
 __all__ = [
     "PolyParseError",
     "TernaryForm",
-    "BinaryForm",
     "ProjPoint",
     "P1Point",
     "ProjLine",
@@ -29,7 +33,6 @@ __all__ = [
     "exact_divide",
     "divisibility_multiplicity",
     "member_of_pencil_dividing",
-    "binary_multiplicity_profile",
 ]
 
 _VARS = ("x", "y", "z")
@@ -247,26 +250,26 @@ class TernaryForm:
 
     # -- restriction ----------------------------------------------------------
 
-    def restrict(self, line: "ProjLine") -> "BinaryForm":
-        """Restriction to the line, in the parameters of its base points."""
-        return self.restrict_span(*line.span)
+    def restrict_span(self, p: Sequence[Fraction | int], q: Sequence[Fraction | int]) -> UniPoly:
+        """The restriction g(t) = F(p + t*q) to the line through p and q.
 
-    def restrict_span(self, p: Sequence[int], q: Sequence[int]) -> "BinaryForm":
-        """The binary form F(s*p + t*q) in the parameters (s, t)."""
-        if self.is_zero():
-            return BinaryForm(())
-        d = self.degree
-        out = [Fraction(0)] * (d + 1)
-        # expand prod (p_i s + q_i t)^e_i via binary-form multiplication
+        This is the one chart of a restricted line: a root t of g is the
+        point p + t*q, and each degree by which g falls below ``self.degree``
+        is a root at t = infinity, the point q.  g is zero when the line lies
+        on the curve.
+        """
+        powers = []  # powers[i][e] = (p_i + t*q_i)^e
+        for i in range(3):
+            row = [(1,)]
+            for _ in range(self.degree):
+                row.append(coeffs_mul(row[-1], (p[i], q[i])))
+            powers.append(row)
+        out = [0] * (self.degree + 1)
         for (a, b, c), coef in self.terms.items():
-            factor = BinaryForm((coef,))
-            for e, i in ((a, 0), (b, 1), (c, 2)):
-                lin = BinaryForm((Fraction(p[i]), Fraction(q[i])))
-                for _ in range(e):
-                    factor = factor.mul(lin)
-            for k, v in enumerate(factor.coeffs):
-                out[k] += v
-        return BinaryForm(out)
+            term = coeffs_mul(coeffs_mul(powers[0][a], powers[1][b]), powers[2][c])
+            for k, v in enumerate(term):
+                out[k] += coef * v
+        return UniPoly(out)
 
     # -- dunder ----------------------------------------------------------------
 
@@ -301,59 +304,6 @@ class TernaryForm:
             else:
                 parts.append(f"+ {body}" if coef > 0 else f"- {body}")
         return " ".join(parts)
-
-
-class BinaryForm:
-    """A homogeneous binary form in s, t; coeffs[i] multiplies s^(d-i) t^i."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[Fraction | int]) -> None:
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
-
-    @property
-    def formal_degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def mul(self, other: "BinaryForm") -> "BinaryForm":
-        if not self.coeffs or not other.coeffs:
-            return BinaryForm(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return BinaryForm(out)
-
-    def dehomogenized(self) -> UniPoly:
-        """The polynomial f(1, t); degree drop records a root at t = infinity."""
-        return UniPoly(self.coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, BinaryForm) and self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        return f"BinaryForm({[str(c) for c in self.coeffs]})"
-
-
-def binary_multiplicity_profile(bf: BinaryForm) -> tuple[tuple[int, int], ...]:
-    """Multiset of (multiplicity, degree) of the distinct factors of a binary form.
-
-    The root at t = infinity (a power of s) is folded into the profile, so
-    the total weighted degree always equals the formal degree.
-    """
-    if bf.is_zero():
-        raise ValueError("zero binary form has no profile")
-    poly = bf.dehomogenized()
-    drop = bf.formal_degree - poly.degree
-    entries = list(squarefree_multiplicity_profile(poly)) if poly.degree >= 1 else []
-    if drop:
-        entries.append((drop, 1))
-    return tuple(sorted(entries))
 
 
 # ---------------------------------------------------------------------------

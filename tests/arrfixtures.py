@@ -184,3 +184,30 @@ def random_line_pencil(rng) -> tuple[Arrangement, Pencil]:
         if len(classify(arr, pencil).base_points) != 2:
             continue
         return arr, pencil
+
+
+def signed_permutation(form: TernaryForm, perm, signs) -> TernaryForm:
+    """The form after the substitution x_i -> signs[i] * x_perm[i]."""
+    terms = {}
+    for exps, coef in form.terms.items():
+        image = [0, 0, 0]
+        for i, e in enumerate(exps):
+            image[perm[i]] += e
+            coef *= signs[i] ** e
+        terms[tuple(image)] = coef
+    return TernaryForm(terms)
+
+
+def random_special_pencil(rng, arr: Arrangement, pencil: Pencil) -> tuple[Arrangement, Pencil]:
+    """A seeded signed permutation of the coordinates applied to a pencil.
+
+    The change is unimodular, so fiber multiplicities, and with them the
+    special fibers and their m'', carry over from the given pencil.
+    """
+    perm = rng.sample(range(3), 3)
+    signs = [rng.choice((1, -1)) for _ in range(3)]
+    comps = [
+        CurveComponent(c.label, signed_permutation(c.form, perm, signs)) for c in arr.components
+    ]
+    moved = Pencil(*(signed_permutation(f, perm, signs) for f in (pencil.P, pencil.Q)))
+    return Arrangement(comps, arr.infinity_index), moved

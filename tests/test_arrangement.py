@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from arrfixtures import F, a3, deleted_b3, ex2, lines, triangle
@@ -11,10 +14,11 @@ from curvepencils.arrangement import (
     CurveComponent,
     ExponentSubtorus,
     TorsionCharacter,
+    _rational_points_on_curve,
     local_pencil_points,
 )
 from curvepencils.exactalg import lattice_key, saturate_lattice
-from curvepencils.polyform import ProjPoint
+from curvepencils.polyform import ProjPoint, TernaryForm
 
 
 def test_construction_rejects_bad_input():
@@ -123,9 +127,22 @@ def test_irreducibility_warning_on_split_conic():
     assert not triangle().irreducibility_warnings()
 
 
-def test_torsion_character_basics():
-    from fractions import Fraction
+def test_rational_points_lie_on_the_curve():
+    # a probe restriction that drops degree has its root at the point q of
+    # the chart t -> p + t*q, not at p
+    rng = random.Random(606)
+    forms = [F("x^2 - 2*x*y - 2*x*z - 2*z^2")]
+    for degree in [2] * 40 + [4] * 40:
+        terms = {m: Fraction(rng.randint(-3, 3)) for m in TernaryForm.monomials_of_degree(degree)}
+        form = TernaryForm(terms)
+        if form.degree == degree:
+            forms.append(form)
+    for form in forms:
+        for point in _rational_points_on_curve(form, want=6):
+            assert form.evaluate(point.coords) == 0, (str(form), str(point))
 
+
+def test_torsion_character_basics():
     chi = TorsionCharacter([0, Fraction(1, 2), Fraction(1, 3)])
     assert not chi.is_trivial()
     assert chi.order == 6

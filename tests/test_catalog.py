@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from arrfixtures import deleted_b3, ex2, exfin3
+from arrfixtures import F, deleted_b3, ex2, exfin3
+from curvepencils.arrangement import Arrangement, CurveComponent
 from curvepencils.catalog import (
     CatalogError,
     _character_in_subtorus,
@@ -210,6 +211,17 @@ def test_exfin3_translated_candidates(exfin3_catalog):
 def test_catalog_json_matches_golden(request, golden, catalog):
     doc = request.getfixturevalue(catalog).to_json()
     assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == (GOLDEN / golden).read_text()
+
+
+def test_three_conic_catalog():
+    # C = A + B, so the pencil span(A, B) has three full fibers; the vote
+    # points of the search must lie on their conics to see it
+    A = F("-2*x^2 - x*y + x*z - y*z + z^2")
+    B = F("x^2 + 2*x*y + x*z + 3*y*z - 2*z^2")
+    arr = Arrangement([CurveComponent(label, form) for label, form in zip("ABC", (A, B, A + B))])
+    assert [rec.describe() for rec in build_catalog(arr).records] == [
+        "global dim 2; A | B | C; essential; certified; expected generic h1 = 1"
+    ]
 
 
 # -- sweep helpers and caps -----------------------------------------------------------

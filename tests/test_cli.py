@@ -239,7 +239,7 @@ def test_catalog_caps_that_empty_the_global_stage(capsys, flag, value, parameter
     assert err.startswith("error: computation: ") and parameter in err
 
 
-def test_catalog_rejects_reducible_component(capsys, tmp_path):
+def reducible_arrangement(tmp_path) -> Path:
     doc = {
         "components": [
             {"label": "X", "poly": "x"},
@@ -251,10 +251,22 @@ def test_catalog_rejects_reducible_component(capsys, tmp_path):
     }
     path = tmp_path / "arr.json"
     path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "catalog", path)
+    return path
+
+
+def test_catalog_rejects_reducible_component(capsys, tmp_path):
+    code, out, err = run(capsys, "catalog", reducible_arrangement(tmp_path))
     assert code == 4
     assert out == ""
     assert err.startswith("error: computation: ") and "'XY' has linear factor" in err
+
+
+def test_validate_rejects_reducible_component(capsys, tmp_path):
+    path = reducible_arrangement(tmp_path)
+    code, out, err = run(capsys, "validate", path)
+    assert code == 4
+    assert out == ""
+    assert err == run(capsys, "catalog", path)[2]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Source hygiene: every module-level import in the package is used."""
+"""Source hygiene: every module-level import and private helper in the package is used."""
 
 from __future__ import annotations
 
@@ -72,3 +72,56 @@ def test_unused_import_is_caught():
     )
     used = _used_names(tree)
     assert [n for n, _ in _module_imports(tree.body) if n not in used] == ["Sequence", "gcd"]
+
+
+def _private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """Module-level private functions and classes: ``_name``, not dunder."""
+    return [
+        (stmt.name, stmt.lineno)
+        for stmt in tree.body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and stmt.name.startswith("_")
+        and not stmt.name.startswith("__")
+    ]
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    """Names read, attributes taken, and names imported anywhere in the module."""
+    out = _used_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def _unreferenced_private(trees: dict[str, ast.Module]) -> list[str]:
+    referenced = set().union(*(_referenced_names(tree) for tree in trees.values()))
+    return [
+        f"{name}: {symbol} (line {line})"
+        for name, tree in trees.items()
+        for symbol, line in _private_definitions(tree)
+        if symbol not in referenced
+    ]
+
+
+def test_no_unreferenced_private_helpers():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    unreferenced = _unreferenced_private(trees)
+    assert not unreferenced, f"private helpers no source file references: {unreferenced}"
+
+
+def test_unreferenced_private_helper_is_caught():
+    trees = {
+        "a.py": ast.parse(
+            "def _called(): pass\n"
+            "def _imported(): pass\n"
+            "def _orphan(): pass\n"
+            "class _Shape: pass\n"
+            "def __getattr__(name): pass\n"
+            "def public(): return _called() + _Shape.__name__\n"
+        ),
+        "b.py": ast.parse("def f():\n    from .a import _imported\n    return _imported\n"),
+    }
+    assert _unreferenced_private(trees) == ["a.py: _orphan (line 3)"]

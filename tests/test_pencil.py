@@ -33,10 +33,12 @@ from arrfixtures import (
 )
 from curvepencils.arrangement import Arrangement, CurveComponent, pullback_subtorus
 from curvepencils.exactalg import UniPoly
+from curvepencils import pencil as pencil_module
 from curvepencils.pencil import (
     BlowupCluster,
     Pencil,
     PencilError,
+    ProbeDegeneracyError,
     ProbeSequence,
     _formal_discriminant,
     _partition_saturated,
@@ -321,6 +323,22 @@ def test_fy_ceva3_resultant_path():
     assert report.member_degree_sum == 9
 
 
+def test_fy_gives_up_after_twelve_centers(monkeypatch):
+    # every usable center is counted, so centers that all fail end the
+    # search with an error instead of drawing points forever
+    calls = []
+
+    def failing_profile(f1, f2, center):
+        calls.append(center)
+        return None
+
+    monkeypatch.setattr(pencil_module, "_projected_resultant_profile", failing_profile)
+    arr = ceva3()
+    with pytest.raises(ProbeDegeneracyError, match="no usable projection centers"):
+        fy_identities(arr, classify(arr, ceva3_pencil()))
+    assert len(set(calls)) == 12
+
+
 def test_fy_rejects_incomplete():
     arr = deleted_b3()
     with pytest.raises(PencilError, match="type-2"):
@@ -398,7 +416,10 @@ def test_discriminant_sample_matches_sylvester_oracle():
             )
             for _ in range(2)
         )
-        p, q = P.restrict(probe).coeffs, Q.restrict(probe).coeffs
+        p, q = (
+            [form.restrict_span(*probe.span).coefficient(k) for k in range(D + 1)]
+            for form in (P, Q)
+        )
         params = [Fraction(c) for c in range(-3, 4)]
         if p[D] != 0:
             params.append(q[D] / p[D])  # the leading coefficient of c*p - q vanishes

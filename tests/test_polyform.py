@@ -8,14 +8,13 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from curvepencils.exactalg import UniPoly, projective_profile
 from curvepencils.polyform import (
-    BinaryForm,
     P1Point,
     PolyParseError,
     ProjLine,
     ProjPoint,
     TernaryForm,
-    binary_multiplicity_profile,
     divisibility_multiplicity,
     exact_divide,
     intersect_lines,
@@ -123,28 +122,30 @@ def test_restrict_matches_sympy():
         line = ProjLine(TernaryForm.parse(
             rng.choice(["x - y", "y - z", "x + y - 2*z", "x + z", "3*x - y + z"])
         ))
-        restricted = f.restrict(line)
         p, q = line.span
+        restricted = f.restrict_span(p, q)
         subs = {
             v: p[i] * s + q[i] * t
             for i, v in enumerate(sympy.symbols("x y z"))
         }
         expected = sympy.expand(sym(f).subs(subs, simultaneous=True))
         ours = sum(
-            sympy.Rational(c.numerator, c.denominator) * s ** (restricted.formal_degree - i) * t**i
+            sympy.Rational(c.numerator, c.denominator) * s ** (f.degree - i) * t**i
             for i, c in enumerate(restricted.coeffs)
         )
         assert sympy.expand(ours) == expected
 
 
 def test_binary_profile_counts_infinity():
-    # restriction of x*y^2 to the line z = 0 in parameters (s:t) -> s*t^2 scaled
+    # x*y^2 on the line z = 0: y^2 vanishes at the point q, which the chart
+    # t -> p + t*q puts at t = infinity
     f = TernaryForm.parse("x*y^2")
-    bf = f.restrict(ProjLine(Z))
-    prof = binary_multiplicity_profile(bf)
-    assert sorted(prof) == [(1, 1), (2, 1)]
+    p, q = ProjLine(Z).span
+    g = f.restrict_span(p, q)
+    assert g.degree == 1 and f.evaluate(q) == 0
+    assert projective_profile(g, f.degree) == ((1, 1), (2, 1))
     with pytest.raises(ValueError):
-        binary_multiplicity_profile(BinaryForm((0, 0)))
+        projective_profile(UniPoly(()), 2)
 
 
 # ---------------------------------------------------------------------------

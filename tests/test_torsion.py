@@ -23,6 +23,7 @@ from arrfixtures import (
     exfin3_pencil,
     fw_pencil,
     random_line_pencil,
+    random_special_pencil,
 )
 from curvepencils.arrangement import Arrangement, CurveComponent
 from curvepencils.exactalg import QmodZ
@@ -292,16 +293,25 @@ def test_lift_round_trip_and_degree_relation():
 
 def test_random_line_pencils_reduced_implies_trivial():
     rng = random.Random(1208)
-    # the random draws all come out reduced; the double line adds a minimal
-    # pencil with a nontrivial T(f) for the order formula below
-    cases = [random_line_pencil(rng) for _ in range(10)] + [double_line_pencil()]
+    # random line pencils come out reduced; signed permutations of the
+    # double-line pencil (minimal) and of the fW pencil (not minimal) add
+    # draws with a fiber of m'' = 2
+    cases = [random_line_pencil(rng) for _ in range(10)] + [
+        random_special_pencil(rng, *base)
+        for base in (double_line_pencil(), (deleted_b3(), fw_pencil()))
+        for _ in range(2)
+    ]
     orders = []
+    special = 0
     for arr, pencil in cases:
         cls = detect_special_fibers(arr, pencil, classify(arr, pencil))
         data = theta(arr, cls, kernel_fstar(arr, cls))
         tf = compute_Tf(data)
         if all(m == 1 for m in data.moduli):
             assert tf.group.is_trivial()
+        else:
+            special += 1
+            assert not tf.group.is_trivial()
         # on a minimal pencil T(f) is cyclic of order lcm over C(f) of
         # m/gcd(m, m_f), where m_f is the lcm over the base points of the
         # gcd of the multiplicities of each fiber's affine members
@@ -317,4 +327,5 @@ def test_random_line_pencils_reduced_implies_trivial():
             assert tf.order == expected
             assert len(tf.group.invariant_factors) <= 1
             orders.append(expected)
-    assert orders == [1] * 10 + [2]
+    assert special == 4
+    assert orders == [1] * 10 + [2, 2]
