@@ -119,10 +119,21 @@ class Arrangement:
                 raise ArrangementError(f"infinity label {doc['infinity']!r} not among components")
             infinity = labels.index(doc["infinity"])
         extra = []
-        for triple in doc.get("extra_points", ()):
-            if not (isinstance(triple, (list, tuple)) and len(triple) == 3):
-                raise ArrangementError("extra_points entries must be integer triples")
-            extra.append(ProjPoint(tuple(int(v) for v in triple)))
+        triples = doc.get("extra_points", [])
+        if not isinstance(triples, (list, tuple)):
+            raise ArrangementError("extra_points must be a list of integer triples")
+        for triple in triples:
+            if not (
+                isinstance(triple, (list, tuple))
+                and len(triple) == 3
+                and all(isinstance(v, int) and not isinstance(v, bool) for v in triple)
+                and any(triple)
+            ):
+                raise ArrangementError(
+                    f"extra_points entry {triple!r} is not a point: "
+                    "need three integers, not all zero"
+                )
+            extra.append(ProjPoint(triple))
         return cls(comps, infinity, extra)
 
     def to_json(self) -> dict:
@@ -304,16 +315,14 @@ class MultiplePoint:
         return self.count >= 3 and self.span_dim == 2
 
 
-def local_pencil_points(
-    arr: Arrangement, extra_points: Sequence[ProjPoint] = ()
-) -> list[MultiplePoint]:
+def local_pencil_points(arr: Arrangement) -> list[MultiplePoint]:
     """All multiple points of the arrangement, grouped by component degree.
 
     Candidate points are pairwise intersections of the line components plus
-    any caller-supplied points (needed when no two lines meet there).
+    the arrangement's `extra_points` (needed when no two lines meet there).
     """
     lines = [ProjLine(arr.components[j].form) for j in arr.line_indices()]
-    candidates = set(extra_points) | intersection_points(itertools.combinations(lines, 2))
+    candidates = set(arr.extra_points) | intersection_points(itertools.combinations(lines, 2))
     out: list[MultiplePoint] = []
     for pt in sorted(candidates, key=lambda p: p.sort_key()):
         incident = [

@@ -562,7 +562,7 @@ def build_catalog(
 
     # --- Step 2: local components from multiple points ---
     locals_: list[ComponentRecord] = []
-    for mp in local_pencil_points(base_arr, base_arr.extra_points):
+    for mp in local_pencil_points(base_arr):
         if mp.yields_local_pencil:
             locals_.append(_local_record(base_arr, mp))
     known_keys = {rec.subtorus.saturated_key() for rec in locals_}

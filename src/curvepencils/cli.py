@@ -392,7 +392,12 @@ def _cmd_reconstruct(args: argparse.Namespace) -> tuple[list[str], dict]:
 
 def _cmd_ray(args: argparse.Namespace) -> tuple[list[str], dict]:
     arr = _load_arrangement(args.arrangement)
-    direction = [Fraction(str(e)) for e in args.exponents]
+    try:
+        direction = [Fraction(e) for e in args.exponents]
+    except (ValueError, ZeroDivisionError):
+        raise CliFailure(
+            EXIT_PARSE, "parse", "--exponents needs comma-separated rationals"
+        ) from None
     if len(direction) != arr.size:
         raise CliFailure(
             EXIT_PARSE,

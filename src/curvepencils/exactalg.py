@@ -161,9 +161,6 @@ class IntMatrix:
     def entry(self, i: int, j: int) -> int:
         return self.rows[i][j]
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.rows[i]
-
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.rows)
 
@@ -420,10 +417,6 @@ class FinAbelianGroup:
             out *= d
         return out
 
-    @property
-    def exponent(self) -> int:
-        return self.invariant_factors[-1] if self.invariant_factors else 1
-
     def is_trivial(self) -> bool:
         return not self.invariant_factors
 
@@ -587,10 +580,6 @@ class UniPoly:
     @classmethod
     def constant(cls, c: Fraction | int) -> "UniPoly":
         return cls((c,))
-
-    @classmethod
-    def variable(cls) -> "UniPoly":
-        return cls((0, 1))
 
     @property
     def degree(self) -> int:

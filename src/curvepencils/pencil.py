@@ -16,9 +16,9 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .arrangement import Arrangement
+from .arrangement import Arrangement, CurveComponent, _rational_points_on_curve
 from .exactalg import (
     UniPoly,
     fraction_rref,
@@ -108,8 +108,8 @@ class Pencil:
             if arr is None:
                 raise PencilError("block form of a pencil file needs the arrangement")
             blocks = doc["blocks"]
-            if len(blocks) < 2:
-                raise PencilError("need at least two blocks")
+            if not isinstance(blocks, (list, tuple)) or len(blocks) < 2:
+                raise PencilError("need a list of at least two blocks")
             forms = []
             for block in blocks:
                 try:
@@ -118,6 +118,8 @@ class Pencil:
                     raise PencilError(
                         "each block needs 'members' and 'multiplicities'"
                     ) from None
+                if not all(isinstance(v, (list, tuple)) for v in (members, mults)):
+                    raise PencilError("block 'members' and 'multiplicities' must be lists")
                 if len(members) != len(mults):
                     raise PencilError("members and multiplicities differ in length")
                 pairs = []
@@ -126,9 +128,11 @@ class Pencil:
                         j = arr.index_of(label)
                     except KeyError:
                         raise PencilError(f"unknown component label {label!r}") from None
-                    if int(m) < 1:
+                    if not isinstance(m, int) or isinstance(m, bool):
+                        raise PencilError(f"multiplicity {m!r} is not an integer")
+                    if m < 1:
                         raise PencilError("multiplicities must be >= 1")
-                    pairs.append((j, int(m)))
+                    pairs.append((j, m))
                 forms.append(arr.block_form(pairs))
             pencil = cls(forms[0], forms[1])
             # later blocks are further fibers: same degree, inside span(P, Q)
@@ -149,18 +153,6 @@ class Pencil:
 
     def to_json(self) -> dict:
         return {"P": str(self.P), "Q": str(self.Q)}
-
-
-def validate_pencil(arr: Arrangement, pencil: Pencil) -> None:
-    """Reject pencils sharing an arrangement component with both generators."""
-    for c in arr.components:
-        if (
-            divisibility_multiplicity(pencil.P, c.form) >= 1
-            and divisibility_multiplicity(pencil.Q, c.form) >= 1
-        ):
-            raise PencilError(
-                f"degenerate pencil: common factor {c.label!r} in both generators"
-            )
 
 
 @dataclass(frozen=True)
@@ -228,27 +220,105 @@ class PencilClassification:
 
 
 def classify(arr: Arrangement, pencil: Pencil) -> PencilClassification:
-    """Place every component and decompose the distinguished fibers."""
-    validate_pencil(arr, pencil)
-    hits: list[tuple[int, P1Point, int]] = []
-    placements: list[ComponentPlacement | None] = [None] * arr.size
+    """Place every component and decompose the distinguished fibers.
+
+    Each component goes down the ladder of `_place`.  Lines vote at their
+    four `_vote_points`; curves skip the vote and go straight to the kernel
+    solve, because finding rational points on a curve costs more than the
+    one solve they could save.  A component dividing both generators
+    raises `PencilError`.
+    """
+    P, Q = pencil.P, pencil.Q
+    votes = {}
     for j, comp in enumerate(arr.components):
-        found = member_of_pencil_dividing(comp.form, pencil.P, pencil.Q)
-        if found is None:
-            placements[j] = ComponentPlacement("horizontal")
-        else:
-            b, e = found
-            hits.append((j, b, e))
-    return _finish_classification(arr, pencil, placements, hits)
+        points = _vote_points(comp.form) if comp.degree == 1 else ()
+        votes[j] = _vote((P.evaluate(p.coords), Q.evaluate(p.coords)) for p in points)
+    return _finish_classification(arr, pencil, votes, [])
+
+
+# verdict of the vote: the only fiber that can contain the component,
+# "horizontal" when the votes disagree, None when no point voted
+Vote = P1Point | str | None
+
+
+def _vote_points(form: TernaryForm) -> list[ProjPoint]:
+    """The rational points at which a component votes for a fiber.
+
+    A line keeps four, so its vote survives two of them being base points
+    of the pencil under test; a curve keeps the first two that slicing by
+    a few fixed lines finds, possibly none.
+    """
+    if form.degree == 1:
+        return list(ProjLine(form).rational_points(4))
+    return _rational_points_on_curve(form, want=2)
+
+
+def _vote(values: Iterable[tuple[Fraction, Fraction]]) -> Vote:
+    """Verdict of one component from (P(p), Q(p)) at its vote points p.
+
+    A point p on C_j inside the fiber over b evaluates to (P(p):Q(p)) = b,
+    so disagreeing votes certify horizontality and agreeing ones single
+    out the only possible fiber.  Base points, where both values vanish,
+    do not vote.
+    """
+    first = None
+    for pv, qv in values:
+        if pv == 0 and qv == 0:
+            continue
+        vote = P1Point(pv, qv)
+        if first is None:
+            first = vote
+        elif vote != first:
+            return "horizontal"
+    return first
+
+
+def _place(pencil: Pencil, comp: CurveComponent, vote: Vote) -> tuple[P1Point, int] | None:
+    """The fiber containing the component and its multiplicity; None if horizontal.
+
+    The ladder: disagreeing votes certify horizontal; agreeing votes leave
+    one `divisibility_multiplicity` at the voted point.  Without a vote,
+    `member_of_pencil_dividing` decides by its kernel solve.  A component
+    dividing both generators never votes (all its points are base points)
+    and divides every fiber; once the solve has found a fiber, one division
+    of a second generator rejects it.  Testing after the solve spares the
+    common horizontal case that division.
+    """
+    if vote == "horizontal":
+        return None
+    if vote is not None:
+        e = divisibility_multiplicity(pencil.fiber(vote), comp.form)
+        return (vote, e) if e >= 1 else None
+    found = member_of_pencil_dividing(comp.form, pencil.P, pencil.Q)
+    if found is not None:
+        # the fiber over (0:1) is P; any other fiber and P span the pencil
+        other = pencil.Q if found[0] == P1Point(0, 1) else pencil.P
+        if exact_divide(other, comp.form) is not None:
+            raise PencilError(
+                f"degenerate pencil: common factor {comp.label!r} in both generators"
+            )
+    return found
 
 
 def _finish_classification(
     arr: Arrangement,
     pencil: Pencil,
-    placements: list[ComponentPlacement | None],
+    votes: dict[int, Vote],
     hits: list[tuple[int, P1Point, int]],
     constant_cofactor_points: frozenset[P1Point] = frozenset(),
 ) -> PencilClassification:
+    """Place the voted components by `_place`, then decompose the fibers.
+
+    ``hits`` holds the (index, point, multiplicity) of components already
+    known to be fiber members; ``votes`` covers every other component.
+    """
+    placements: list[ComponentPlacement | None] = [None] * arr.size
+    for j, vote in votes.items():
+        found = _place(pencil, arr.components[j], vote)
+        if found is None:
+            placements[j] = ComponentPlacement("horizontal")
+        else:
+            hits.append((j, *found))
     by_point: dict[P1Point, list[tuple[int, int]]] = {}
     for j, b, e in hits:
         by_point.setdefault(b, []).append((j, e))
@@ -780,16 +850,7 @@ class _SearchTables:
 
     def __init__(self, arr: Arrangement):
         self.arr = arr
-        self.points: list[list[ProjPoint]] = []
-        for c in arr.components:
-            if c.degree == 1:
-                # four points: membership votes survive two of them being
-                # base points of the pair under test
-                self.points.append(list(ProjLine(c.form).rational_points(4)))
-            else:
-                from .arrangement import _rational_points_on_curve
-
-                self.points.append(_rational_points_on_curve(c.form, want=2))
+        self.points = [_vote_points(c.form) for c in arr.components]
         # values[j][i] = list of evaluations of component i at the points of j
         self.values: list[list[list[Fraction]]] = []
         for j in range(arr.size):
@@ -816,6 +877,10 @@ class _SearchTables:
             out.append(acc)
         self._values_cache[key] = out
         return out
+
+    def vote(self, a: _Block, b: _Block, j: int) -> Vote:
+        """`_vote` of component j against the pencil of two blocks."""
+        return _vote(zip(self.block_values_at(a, j), self.block_values_at(b, j)))
 
     def block_form(self, block: _Block) -> TernaryForm:
         key = (block.mask, block.mults)
@@ -889,67 +954,20 @@ def _classify_pair(
 ) -> PencilClassification:
     """Exact classification of the pencil spanned by two block products.
 
-    Vote-based screening keeps the exact calls to the components that can
-    actually divide a fiber; disagreeing votes certify horizontality.
+    The block members are the fibers over (0:1) and (1:0); every other
+    component goes down the `_place` ladder with its vote from the tables.
     """
-    P, Q = pencil.P, pencil.Q
-    placements: list[ComponentPlacement | None] = [None] * arr.size
-    hits: list[tuple[int, P1Point, int]] = []
-    for j, m in zip(a.indices, a.mults):
-        hits.append((j, P1Point(0, 1), m))
-    for j, m in zip(b.indices, b.mults):
-        hits.append((j, P1Point(1, 0), m))
+    hits = [(j, P1Point(0, 1), m) for j, m in zip(a.indices, a.mults)]
+    hits += [(j, P1Point(1, 0), m) for j, m in zip(b.indices, b.mults)]
     union = a.mask | b.mask
-    for j in range(arr.size):
-        if union >> j & 1:
-            continue
-        vote = _member_vote(tables, a, b, j)
-        if vote == "horizontal":
-            placements[j] = ComponentPlacement("horizontal")
-        elif isinstance(vote, P1Point):
-            # membership is only possible over the voted point
-            fiber = pencil.fiber(vote)
-            e = divisibility_multiplicity(fiber, arr.components[j].form)
-            if e >= 1:
-                hits.append((j, vote, e))
-            else:
-                placements[j] = ComponentPlacement("horizontal")
-        else:
-            found = member_of_pencil_dividing(arr.components[j].form, P, Q)
-            if found is None:
-                placements[j] = ComponentPlacement("horizontal")
-            else:
-                hits.append((j, found[0], found[1]))
+    votes = {j: tables.vote(a, b, j) for j in range(arr.size) if not union >> j & 1}
     return _finish_classification(
         arr,
         pencil,
-        placements,
+        votes,
         hits,
         constant_cofactor_points=frozenset((P1Point(0, 1), P1Point(1, 0))),
     )
-
-
-def _member_vote(
-    tables: _SearchTables, a: _Block, b: _Block, j: int
-) -> P1Point | str | None:
-    """Cheap verdict on component j against the pencil of two blocks.
-
-    A point p on C_j inside the fiber over b evaluates to (P(p):Q(p)) = b,
-    so disagreeing nonzero votes certify horizontality and agreeing ones
-    single out the only possible fiber.  Base points and components without
-    stored rational points stay undecided (None).
-    """
-    va = tables.block_values_at(a, j)
-    vb = tables.block_values_at(b, j)
-    votes = [
-        P1Point(pv, qv) for pv, qv in zip(va, vb) if not (pv == 0 and qv == 0)
-    ]
-    if not votes:
-        return None
-    first = votes[0]
-    if any(v != first for v in votes[1:]):
-        return "horizontal"
-    return first
 
 
 def pencil_search(
@@ -975,7 +993,7 @@ def pencil_search(
         # one; all-horizontal votes pin k = 2 without building forms
         union = a.mask | b.mask
         if all(
-            _member_vote(tables, a, b, j) == "horizontal"
+            tables.vote(a, b, j) == "horizontal"
             for j in range(arr.size)
             if not (union >> j & 1)
         ):

@@ -538,6 +538,13 @@ def member_of_pencil_dividing(
 
     The fiber over (b0 : b1) is b1*P - b0*Q.  Returns None when no member is
     divisible.  P and Q must be independent forms of equal degree.
+
+    The last rung of the placement ladder in `pencil`, for components with
+    no rational point off the base locus to vote: one rational kernel solve
+    of b1*P - b0*Q = fj*h in the unknowns b1, b0 and the coefficients of h.
+    The kernel has dimension at most one unless fj divides both P and Q;
+    then the first fiber found is returned, and callers that must reject a
+    common factor test for it.
     """
     if P.is_zero() or Q.is_zero() or P.degree != Q.degree:
         raise ValueError("pencil generators must be nonzero of equal degree")
@@ -548,10 +555,6 @@ def member_of_pencil_dividing(
     if fj.degree > P.degree:
         return None
 
-    if fj.degree == 1:
-        return _line_member(fj, P, Q)
-
-    # joint linear solve: b1*P - b0*Q = fj * h over unknowns (b1, b0, h)
     D = P.degree
     cod = D - fj.degree
     monos = TernaryForm.monomials_of_degree(cod)
@@ -581,22 +584,3 @@ def member_of_pencil_dividing(
             return b, e
     return None
 
-
-def _line_member(fj: TernaryForm, P: TernaryForm, Q: TernaryForm) -> tuple[P1Point, int] | None:
-    # two points of the line away from the base locus pin the only candidate
-    line = ProjLine(fj)
-    votes: list[P1Point] = []
-    # the base locus is finite, so a short walk always finds two good points
-    for pt in line.rational_points(80):
-        pv, qv = P.evaluate(pt.coords), Q.evaluate(pt.coords)
-        if pv == 0 and qv == 0:
-            continue  # base point, uninformative
-        votes.append(P1Point(pv, qv))
-        if len(votes) == 2:
-            break
-    if len(votes) < 2 or votes[0] != votes[1]:
-        return None
-    b = votes[0]
-    fiber = P.scale(b.coords[1]) - Q.scale(b.coords[0])
-    e = divisibility_multiplicity(fiber, fj)
-    return (b, e) if e >= 1 else None

@@ -51,9 +51,6 @@ class ResidueVector:
     def degree_pairing(self, degrees: Sequence[int]) -> Fraction:
         return sum((d * a for d, a in zip(degrees, self.entries)), Fraction(0))
 
-    def scaled(self, c: Fraction | int) -> "ResidueVector":
-        return ResidueVector(tuple(Fraction(c) * a for a in self.entries))
-
     def is_zero(self) -> bool:
         return not any(self.entries)
 
@@ -162,9 +159,6 @@ class CupStructure:
         x, y = self._affine_part(v), self._affine_part(w)
         coords = [x[i] * y[j] - x[j] * y[i] for i, j in self.pairs]
         return self._reduce(coords)
-
-    def rank_two_dimension(self) -> int:
-        return len(self.pairs) - len(self._relation_pivots)
 
 
 def is_maximal_isotropic(cs: CupStructure, subspace: IsotropicSubspace) -> IsotropyFlags:

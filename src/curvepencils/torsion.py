@@ -126,11 +126,6 @@ class ThetaData:
     kernel_images: IntMatrix
     conditional: bool
 
-    @property
-    def infinity_side(self) -> P1Point:
-        return self.base_points[-1]
-
-
 
 def theta(
     arr: Arrangement, classification: PencilClassification, kernel: IntMatrix
@@ -320,11 +315,11 @@ class LiftedCharacter:
 
     ``rho`` assigns a root-of-unity exponent to every component of the
     arrangement, the designated infinity line included; its restriction to
-    the kernel factors through the torsion group as ``rho_tilde``.
+    the kernel factors through the torsion group as the character that
+    `lift_character` was given.
     """
 
     rho: TorsionCharacter
-    rho_tilde: tuple[QmodZ, ...]
     conditional: bool
 
 
@@ -433,11 +428,7 @@ def lift_character(
         for j, c in zip(affine, data.kernel_basis.column(t)):
             acc = acc + c * full[j]
         assert acc == chi[t]
-    return LiftedCharacter(
-        rho=rho,
-        rho_tilde=values,
-        conditional=tf.conditional,
-    )
+    return LiftedCharacter(rho=rho, conditional=tf.conditional)
 
 
 def epsilon_count(classification: PencilClassification, rho: TorsionCharacter) -> int:

@@ -158,7 +158,7 @@ def random_line_pencil(rng) -> tuple[Arrangement, Pencil]:
     Both base fibers are reduced by construction; whatever the interior
     fibers do is up to the draw.
     """
-    from curvepencils.pencil import classify, validate_pencil, PencilError
+    from curvepencils.pencil import classify, PencilError
 
     while True:
         forms = []
@@ -178,10 +178,10 @@ def random_line_pencil(rng) -> tuple[Arrangement, Pencil]:
             [CurveComponent(f"R{i + 1}", f) for i, f in enumerate(forms)], 0
         )
         try:
-            validate_pencil(arr, pencil)
+            classification = classify(arr, pencil)
         except PencilError:
-            continue
-        if len(classify(arr, pencil).base_points) != 2:
+            continue  # a line dividing both products
+        if len(classification.base_points) != 2:
             continue
         return arr, pencil
 

@@ -104,15 +104,13 @@ def test_local_pencil_points_ex2_has_none():
 def test_local_pencil_points_extra_points_for_curves():
     # three conics sharing (1:1:1) inside a 2-dimensional span; without the
     # extra point no pair of lines witnesses the intersection
-    arr = Arrangement(
-        [
-            CurveComponent("a", F("x^2 - y*z")),
-            CurveComponent("b", F("y^2 - x*z")),
-            CurveComponent("c", F("2*x^2 + y^2 - x*z - 2*y*z")),
-        ]
-    )
-    assert local_pencil_points(arr) == []
-    pts = local_pencil_points(arr, extra_points=[ProjPoint((1, 1, 1))])
+    conics = [
+        CurveComponent("a", F("x^2 - y*z")),
+        CurveComponent("b", F("y^2 - x*z")),
+        CurveComponent("c", F("2*x^2 + y^2 - x*z - 2*y*z")),
+    ]
+    assert local_pencil_points(Arrangement(conics)) == []
+    pts = local_pencil_points(Arrangement(conics, extra_points=[ProjPoint((1, 1, 1))]))
     assert len(pts) == 1
     assert pts[0].incident == (0, 1, 2)
     assert pts[0].degree == 2

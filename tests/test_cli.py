@@ -165,6 +165,53 @@ def test_degenerate_pencil_generators(capsys, tmp_path):
         assert fragment in err
 
 
+@pytest.mark.parametrize(
+    "block,fragment",
+    [
+        ({"members": ["T1"], "multiplicities": ["two"]}, "multiplicity 'two' is not an integer"),
+        ({"members": ["T1"], "multiplicities": [1.5]}, "multiplicity 1.5 is not an integer"),
+        ({"members": ["T1"], "multiplicities": 1}, "must be lists"),
+        ({"members": {"T1": 1}, "multiplicities": [1]}, "must be lists"),
+        ({"members": 7, "multiplicities": [1]}, "must be lists"),
+    ],
+)
+def test_malformed_pencil_block(capsys, tmp_path, block, fragment):
+    doc = {"blocks": [block, {"members": ["T2"], "multiplicities": [1]}]}
+    path = tmp_path / "pencil.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "classify", FIXTURES / "triangle.json", "--pencil", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: parse: ") and fragment in err
+
+
+@pytest.mark.parametrize(
+    "extra,fragment",
+    [
+        ([["p", 1, 2]], "entry ['p', 1, 2] is not a point"),
+        ([[1.5, 0, 0]], "entry [1.5, 0, 0] is not a point"),
+        ([[0, 0, 0]], "entry [0, 0, 0] is not a point"),
+        (5, "must be a list"),
+    ],
+)
+def test_malformed_extra_points(capsys, tmp_path, extra, fragment):
+    doc = {"components": [{"label": "L1", "poly": "x"}], "extra_points": extra}
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: parse: ") and fragment in err
+
+
+@pytest.mark.parametrize("entry", ["x", "1/0"])
+def test_exponent_not_rational(capsys, entry):
+    code, out, err = run(capsys, "ray", FIXTURES / "triangle.json", "--exponents", f"{entry},1,-2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: parse: --exponents needs comma-separated rationals\n"
+
+
 def test_exponent_length_mismatch(capsys):
     code, _, err = run(capsys, "ray", FIXTURES / "triangle.json", "--exponents", "1,-1")
     assert code == 2

@@ -48,7 +48,6 @@ from curvepencils.pencil import (
     iter_block_pairs,
     pencil_search,
     self_intersection,
-    validate_pencil,
 )
 from curvepencils.polyform import P1Point, ProjLine, TernaryForm
 
@@ -78,9 +77,9 @@ def test_pencil_rejects_degenerate_generators():
 
 def test_validate_pencil_common_factor():
     arr = triangle()
-    with pytest.raises(PencilError, match="common factor"):
-        validate_pencil(arr, Pencil(F("x*y"), F("x*z")))
-    validate_pencil(arr, Pencil(F("x*y"), F("z^2")))
+    with pytest.raises(PencilError, match="common factor 'T1' in both generators"):
+        classify(arr, Pencil(F("x*y"), F("x*z")))
+    classify(arr, Pencil(F("x*y"), F("z^2")))
 
 
 def test_pencil_from_json_blocks():
@@ -214,6 +213,36 @@ def test_classify_exfin3():
     assert c.fiber_members(P1(0, 1)) == ((4, 1), (5, 1))
     assert c.fiber_members(P1(1, 0)) == ((2, 1), (3, 1))
     assert c.fiber_members(P1(1, 1)) == ((0, 1), (1, 1))
+
+
+def test_classify_line_without_votes_uses_the_kernel_solve(monkeypatch):
+    # the four vote points of z, (0:1:0), (1:0:0), (1:1:0), (2:1:0), are
+    # exactly where z meets the four concurrent lines of Q: all base points
+    arr = Arrangement(
+        [CurveComponent(label, F(poly)) for label, poly in
+         [("Z", "z"), ("X", "x"), ("Y", "y"), ("M", "x - y"), ("N", "x - 2*y")]]
+    )
+    pencil = Pencil(F("z^4"), F("x") * F("y") * F("x - y") * F("x - 2*y"))
+    assert all(
+        pencil.P.evaluate(p.coords) == 0 and pencil.Q.evaluate(p.coords) == 0
+        for p in ProjLine(F("z")).rational_points(4)
+    )
+    solved = []
+    kernel_solve = pencil_module.member_of_pencil_dividing
+
+    def spy(fj, P, Q):
+        solved.append(fj)
+        return kernel_solve(fj, P, Q)
+
+    monkeypatch.setattr(pencil_module, "member_of_pencil_dividing", spy)
+    c = classify(arr, pencil)
+    # only the vote-less line reaches the last rung; the others voted
+    assert solved == [F("z")]
+    assert kernel_solve(F("z"), pencil.P, pencil.Q) == (P1(0, 1), 4)
+    pm = placement_map(c)
+    assert pm[0] == ("type1", P1(0, 1), 4)
+    assert all(pm[j] == ("type1", P1(1, 0), 1) for j in range(1, 5))
+    assert c.base_points == (P1(0, 1), P1(1, 0))
 
 
 def test_reducible_component_raises():

@@ -59,7 +59,7 @@ def test_cup_structure_rejects_unsuitable_arrangements():
 
 def test_triangle_cup_product_is_nonzero():
     cs = CupStructure(triangle().with_infinity(2))
-    assert cs.rank_two_dimension() == 1
+    assert len(cs.pairs) - len(cs._relation_pivots) == 1
     assert cs.concurrency_classes == ((0, 1),)
     assert cs.parallel_classes == ()
     v = ResidueVector((1, 0, -1))

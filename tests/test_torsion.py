@@ -65,9 +65,9 @@ def test_kernel_relations_deleted_b3():
     assert data.infinity_fiber_row == (0, 1, 1, 0, 0, 0, 2)
     for t in range(kernel.ncols):
         column = kernel.column(t)
-        assert sum(a * b for a, b in zip(data.relation_rows.row(0), column)) == 0
+        assert sum(a * b for a, b in zip(data.relation_rows.rows[0], column)) == 0
     assert [str(b) for b in data.base_points] == ["(0:1)", "(1:0)"]
-    assert str(data.infinity_side) == "(1:0)"
+    assert str(data.base_points[-1]) == "(1:0)"
 
 
 def test_kernel_requires_designated_line():
