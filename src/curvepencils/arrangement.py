@@ -97,10 +97,9 @@ class Arrangement:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Arrangement":
-        try:
-            entries = doc["components"]
-        except (TypeError, KeyError):
-            raise ArrangementError("arrangement document needs a 'components' list") from None
+        entries = doc.get("components") if isinstance(doc, dict) else None
+        if not isinstance(entries, (list, tuple)):
+            raise ArrangementError("arrangement document needs a 'components' list")
         comps = []
         for entry in entries:
             try:

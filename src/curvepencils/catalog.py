@@ -346,20 +346,6 @@ def _repeated_root_at(
     return poly.gcd(poly.derivative()).degree > 0
 
 
-def _lines_concurrent(arr: Arrangement, support: Sequence[int]) -> bool:
-    coeffs = []
-    for j in support:
-        if arr.components[j].degree != 1:
-            return False
-        form = arr.components[j].form
-        coeffs.append(tuple(form.coefficient(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))))
-    if len(coeffs) < 3:
-        return True
-    (a1, b1, c1), (a2, b2, c2) = coeffs[0], coeffs[1]
-    p = (b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2)
-    return all(a * p[0] + b * p[1] + c * p[2] == 0 for a, b, c in coeffs[2:])
-
-
 # ---------------------------------------------------------------------------
 # flags
 
@@ -528,12 +514,13 @@ def build_catalog(
 
     The sweep walks the block pairs through these stages, in order: content
     (both blocks primitive, so the two fibers span a saturated lattice),
-    concurrency (a support of lines through one point only gives pencils
-    composed with that point's pencil), the Wronskian prefilter on two probe
-    lines, span dedup against the searched and already swept pencils, and
-    exact classification.  Caps that would leave the global stage empty raise
-    `CatalogError`, and so does a component that the irreducibility probe
-    of `Arrangement.irreducibility_warnings` shows to be reducible.
+    concurrency (a support of lines through one multiple point of step 2's
+    intersection lattice only gives pencils composed with that point's
+    pencil), the Wronskian prefilter on two probe lines, span dedup against
+    the searched and already swept pencils, and exact classification.  Caps
+    that would leave the global stage empty raise `CatalogError`, and so
+    does a component that the irreducibility probe of
+    `Arrangement.irreducibility_warnings` shows to be reducible.
     """
     if max_multiplicity < 1:
         raise CatalogError(f"max_multiplicity (--max-mult) must be >= 1, got {max_multiplicity}")
@@ -561,8 +548,9 @@ def build_catalog(
     base_arr = work if work is not None else arr
 
     # --- Step 2: local components from multiple points ---
+    multiple_points = local_pencil_points(base_arr)
     locals_: list[ComponentRecord] = []
-    for mp in local_pencil_points(base_arr):
+    for mp in multiple_points:
         if mp.yields_local_pencil:
             locals_.append(_local_record(base_arr, mp))
     known_keys = {rec.subtorus.saturated_key() for rec in locals_}
@@ -593,6 +581,11 @@ def build_catalog(
         restrictions = [
             _integer_restrictions(work, q0, q1) for _, q0, q1 in probes
         ]
+        # any two lines meet at a multiple point, so a support is concurrent
+        # exactly when it lies among the lines through one of them
+        concurrent_masks = [
+            sum(1 << j for j in mp.incident) for mp in multiple_points if mp.degree == 1
+        ]
         survivor_spans: set[tuple] = set()
         for blk_a, blk_b in iter_block_pairs(work, max_multiplicity):
             if blk_a.degree == 1:
@@ -601,8 +594,8 @@ def build_catalog(
             # Z*a + Z*b on disjoint supports, iff both blocks are primitive
             if blk_a.content != 1 or blk_b.content != 1:
                 continue
-            support = sorted(blk_a.indices + blk_b.indices)
-            if _lines_concurrent(work, support):
+            support = blk_a.mask | blk_b.mask
+            if any(support | mask == mask for mask in concurrent_masks):
                 continue  # composed with the point pencil: not connected
             blocks = (
                 tuple(zip(blk_a.indices, blk_a.mults)),

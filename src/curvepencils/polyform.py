@@ -2,9 +2,9 @@
 
 Forms are stored as monomial dictionaries and always kept homogeneous; the
 text grammar is signed sums of terms ``c*x^a*y^b*z^c`` with rational
-coefficients.  Division of one form by another is decided exactly by a
-linear solve over the unknown cofactor coefficients, organized as repeated
-leading-term elimination.
+coefficients.  All exact division goes through `divide`, one lex-order
+division loop whose remainder decides both divisibility and pencil
+membership.
 
 Every restriction of a form to a line goes through
 `TernaryForm.restrict_span`, which returns the `UniPoly` g(t) = F(p + t*q):
@@ -30,6 +30,7 @@ __all__ = [
     "line_through",
     "intersect_lines",
     "intersection_points",
+    "divide",
     "exact_divide",
     "divisibility_multiplicity",
     "member_of_pencil_dividing",
@@ -79,12 +80,10 @@ class TernaryForm:
         return cls({tuple(e): Fraction(1)})
 
     @classmethod
-    def monomial(cls, exps: tuple[int, int, int], c: Fraction | int = 1) -> "TernaryForm":
-        return cls({exps: Fraction(c)})
-
-    @classmethod
     def parse(cls, text: str) -> "TernaryForm":
         """Parse the grammar: signed sums of terms ``c*x^a*y^b*z^c``."""
+        if not isinstance(text, str):
+            raise PolyParseError(f"polynomial {text!r} is not a string")
         s = text.replace(" ", "").replace("\t", "")
         if not s:
             raise PolyParseError("empty polynomial")
@@ -489,31 +488,43 @@ def intersection_points(pairs: Iterable[tuple[ProjLine, ProjLine]]) -> set[ProjP
 # exact division
 
 
-def exact_divide(f: TernaryForm, g: TernaryForm) -> TernaryForm | None:
-    """The cofactor h with f = g * h, or None when g does not divide f.
+def divide(f: TernaryForm, g: TernaryForm) -> tuple[TernaryForm, TernaryForm]:
+    """Quotient and remainder of f on division by g, in lex order x > y > z.
 
-    Solves the linear system on the unknown coefficients of h by repeated
-    leading-term elimination; any step without a matching quotient monomial
-    certifies a nonzero remainder.
+    A leading term that g's leading monomial does not divide moves to the
+    remainder.  One form is a Groebner basis of its ideal, so the remainder
+    is the normal form of f: linear in f, and zero exactly when g divides f.
     """
     if g.is_zero():
         raise ZeroDivisionError("division by the zero form")
-    if f.is_zero():
-        return TernaryForm.zero()
-    if f.degree < g.degree:
-        return None
-    g_lead, g_coef = g.leading_term()
-    work = f
+    (ga, gb, gc), g_coef = g.leading_term()
+    g_tail = [(k, v) for k, v in g.terms.items() if k != (ga, gb, gc)]
+    work = dict(f.terms)
     quotient: dict[tuple[int, int, int], Fraction] = {}
-    while not work.is_zero():
-        w_lead, w_coef = work.leading_term()
-        diff = tuple(a - b for a, b in zip(w_lead, g_lead))
-        if any(e < 0 for e in diff):
-            return None
-        c = w_coef / g_coef
-        quotient[diff] = quotient.get(diff, Fraction(0)) + c
-        work = work - TernaryForm.monomial(diff, c) * g
-    return TernaryForm(quotient)
+    remainder: dict[tuple[int, int, int], Fraction] = {}
+    while work:
+        lead = max(work)  # exponent tuples compare in lex order x > y > z
+        coef = work.pop(lead)
+        a, b, c = lead[0] - ga, lead[1] - gb, lead[2] - gc
+        if a < 0 or b < 0 or c < 0:
+            remainder[lead] = coef
+            continue
+        q = coef / g_coef
+        quotient[(a, b, c)] = q
+        for (ka, kb, kc), v in g_tail:
+            k = (ka + a, kb + b, kc + c)
+            left = work.get(k, 0) - q * v
+            if left:
+                work[k] = left
+            else:
+                del work[k]
+    return TernaryForm(quotient), TernaryForm(remainder)
+
+
+def exact_divide(f: TernaryForm, g: TernaryForm) -> TernaryForm | None:
+    """The cofactor h with f = g * h, or None when g does not divide f."""
+    q, r = divide(f, g)
+    return q if r.is_zero() else None
 
 
 def divisibility_multiplicity(f: TernaryForm, g: TernaryForm) -> int:
@@ -540,11 +551,10 @@ def member_of_pencil_dividing(
     divisible.  P and Q must be independent forms of equal degree.
 
     The last rung of the placement ladder in `pencil`, for components with
-    no rational point off the base locus to vote: one rational kernel solve
-    of b1*P - b0*Q = fj*h in the unknowns b1, b0 and the coefficients of h.
-    The kernel has dimension at most one unless fj divides both P and Q;
-    then the first fiber found is returned, and callers that must reject a
-    common factor test for it.
+    no vote: the remainders rP, rQ of P and Q on division by fj are linear
+    in the dividend, so fj divides the fiber exactly when b1*rP = b0*rQ.
+    When fj divides both P and Q the fiber (0:1) is returned, and callers
+    that must reject a common factor test for it.
     """
     if P.is_zero() or Q.is_zero() or P.degree != Q.degree:
         raise ValueError("pencil generators must be nonzero of equal degree")
@@ -552,35 +562,17 @@ def member_of_pencil_dividing(
         raise ValueError("degenerate pencil: proportional generators")
     if fj.is_constant():
         raise ValueError("members are nonconstant forms")
-    if fj.degree > P.degree:
-        return None
-
-    D = P.degree
-    cod = D - fj.degree
-    monos = TernaryForm.monomials_of_degree(cod)
-    target = TernaryForm.monomials_of_degree(D)
-    index = {m: i for i, m in enumerate(target)}
-    cols: list[list[Fraction]] = []
-    cols.append(list(P.coefficient_vector(D)))
-    cols.append([-c for c in Q.coefficient_vector(D)])
-    for m in monos:
-        prod = TernaryForm.monomial(m) * fj
-        col = [Fraction(0)] * len(target)
-        for k, v in prod.terms.items():
-            col[index[k]] = -v
-        cols.append(col)
-    rows = [[cols[j][i] for j in range(len(cols))] for i in range(len(target))]
-    from .exactalg import fraction_kernel
-
-    kernel = fraction_kernel(rows, len(cols))
-    for vec in kernel:
-        b1, b0 = vec[0], vec[1]
-        if b1 == 0 and b0 == 0:
-            continue
-        b = P1Point(b0, b1)
-        fiber = P.scale(b.coords[1]) - Q.scale(b.coords[0])
-        e = divisibility_multiplicity(fiber, fj)
-        if e >= 1:
-            return b, e
-    return None
-
+    _, rP = divide(P, fj)
+    _, rQ = divide(Q, fj)
+    if rP.is_zero():
+        b = P1Point(0, 1)
+    elif rQ.is_zero():
+        b = P1Point(1, 0)
+    else:
+        lead, cP = rP.leading_term()
+        cQ = rQ.coefficient(lead)
+        if rP.scale(cQ) != rQ.scale(cP):
+            return None
+        b = P1Point(cP, cQ)
+    fiber = P.scale(b.coords[1]) - Q.scale(b.coords[0])
+    return b, divisibility_multiplicity(fiber, fj)

@@ -157,6 +157,7 @@ def test_degenerate_pencil_generators(capsys, tmp_path):
     for doc, fragment in [
         ({"P": "x*y", "Q": "2*x*y"}, "proportional generators"),
         ({"P": "x*y", "Q": "z"}, "degrees 2 and 1"),
+        ({"P": 5, "Q": "y"}, "polynomial 5 is not a string"),
     ]:
         path = tmp_path / "pencil.json"
         path.write_text(json.dumps(doc))
@@ -196,6 +197,23 @@ def test_malformed_pencil_block(capsys, tmp_path, block, fragment):
 )
 def test_malformed_extra_points(capsys, tmp_path, extra, fragment):
     doc = {"components": [{"label": "L1", "poly": "x"}], "extra_points": extra}
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: parse: ") and fragment in err
+
+
+@pytest.mark.parametrize(
+    "doc,fragment",
+    [
+        ({"components": 5}, "needs a 'components' list"),
+        ({"components": [{"label": "L1", "poly": 5}]}, "polynomial 5 is not a string"),
+    ],
+    ids=["components-not-a-list", "poly-not-a-string"],
+)
+def test_malformed_arrangement_document(capsys, tmp_path, doc, fragment):
     path = tmp_path / "arr.json"
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "validate", path)

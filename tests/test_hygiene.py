@@ -1,13 +1,17 @@
-"""Source hygiene: every module-level import and private helper in the package is used."""
+"""Source hygiene: every module-level import, private helper and public function is used."""
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "curvepencils").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "curvepencils").glob("*.py"))
+# files whose references keep a public function of the package in use
+REFERRERS = SOURCES + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def _module_imports(body: list[ast.stmt]) -> list[tuple[str, int]]:
@@ -125,3 +129,84 @@ def test_unreferenced_private_helper_is_caught():
         "b.py": ast.parse("def f():\n    from .a import _imported\n    return _imported\n"),
     }
     assert _unreferenced_private(trees) == ["a.py: _orphan (line 3)"]
+
+
+def _public_functions(tree: ast.Module) -> list[tuple[str, int]]:
+    """Module-level functions and methods of module-level classes, not private or dunder."""
+    out = []
+    for stmt in tree.body:
+        body = stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]
+        out.extend(
+            (node.name, node.lineno)
+            for node in body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_")
+        )
+    return out
+
+
+def _string_references(tree: ast.Module) -> set[str]:
+    """Names in string literals that are dotted identifiers, outside ``__all__``.
+
+    Such strings name attributes for ``monkeypatch.setattr`` or for the
+    benchmark's tracer, e.g. ``"Arrangement.from_json"``.
+    """
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported.update(id(n) for n in ast.walk(node.value))
+    return {
+        part
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and id(node) not in exported
+        and re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*", node.value)
+        for part in node.value.split(".")
+    }
+
+
+def _unreferenced_public(sources: dict[str, ast.Module], referrers: list[ast.Module]) -> list[str]:
+    referenced = set().union(
+        *(_referenced_names(tree) | _string_references(tree) for tree in referrers)
+    )
+    return [
+        f"{name}: {symbol} (line {line})"
+        for name, tree in sources.items()
+        for symbol, line in _public_functions(tree)
+        if symbol not in referenced
+    ]
+
+
+def test_no_unreferenced_public_functions():
+    sources = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    referrers = [ast.parse(path.read_text(), filename=str(path)) for path in REFERRERS]
+    unreferenced = _unreferenced_public(sources, referrers)
+    assert not unreferenced, f"public functions nothing references: {unreferenced}"
+
+
+def test_unreferenced_public_function_is_caught():
+    source = ast.parse(
+        "__all__ = ['exported_only', 'used']\n"
+        "def exported_only(): pass\n"
+        "def used(): pass\n"
+        "def traced(): pass\n"
+        "def __getattr__(name): pass\n"
+        "class Shape:\n"
+        "    def area(self): pass\n"
+        "    def perimeter(self): pass\n"
+        "    def __len__(self): pass\n"
+    )
+    test = ast.parse(
+        "from pkg.a import used\n"
+        "def test_it(shape, monkeypatch):\n"
+        "    '''Calls perimeter, but a docstring is no reference.'''\n"
+        "    monkeypatch.setattr(a, 'traced', used)\n"
+        "    return shape.area()\n"
+    )
+    assert _unreferenced_public({"a.py": source}, [source, test]) == [
+        "a.py: exported_only (line 2)",
+        "a.py: perimeter (line 8)",
+    ]

@@ -217,7 +217,9 @@ def test_classify_exfin3():
 
 def test_classify_line_without_votes_uses_the_kernel_solve(monkeypatch):
     # the four vote points of z, (0:1:0), (1:0:0), (1:1:0), (2:1:0), are
-    # exactly where z meets the four concurrent lines of Q: all base points
+    # exactly where z meets the four concurrent lines of Q: all base points,
+    # so z reaches the last rung, the normal-form test (the test id keeps
+    # its older name for that rung, the kernel solve)
     arr = Arrangement(
         [CurveComponent(label, F(poly)) for label, poly in
          [("Z", "z"), ("X", "x"), ("Y", "y"), ("M", "x - y"), ("N", "x - 2*y")]]
@@ -236,7 +238,7 @@ def test_classify_line_without_votes_uses_the_kernel_solve(monkeypatch):
 
     monkeypatch.setattr(pencil_module, "member_of_pencil_dividing", spy)
     c = classify(arr, pencil)
-    # only the vote-less line reaches the last rung; the others voted
+    # only the vote-less line reaches the normal-form rung; the others voted
     assert solved == [F("z")]
     assert kernel_solve(F("z"), pencil.P, pencil.Q) == (P1(0, 1), 4)
     pm = placement_map(c)

@@ -15,6 +15,7 @@ from curvepencils.polyform import (
     ProjLine,
     ProjPoint,
     TernaryForm,
+    divide,
     divisibility_multiplicity,
     exact_divide,
     intersect_lines,
@@ -199,6 +200,18 @@ def test_exact_divide_random():
         assert mult >= 2
 
 
+def test_divide_matches_sympy_reduced():
+    x, y, z = sympy.symbols("x y z")
+    rng = random.Random(4242)
+    for trial in range(60):
+        f = random_form(rng, rng.randint(1, 5))
+        g = random_form(rng, rng.randint(1, 3), density=0.5)
+        q, r = divide(f, g)
+        (sq,), sr = sympy.reduced(sym(f), [sym(g)], x, y, z, order="lex")
+        assert sym(q) == sympy.expand(sq), (f, g)
+        assert sym(r) == sympy.expand(sr), (f, g)
+
+
 def test_divisibility_multiplicity():
     f = TernaryForm.parse("x^2*y - 2*x*y^2 + y^3")  # y*(x-y)^2
     assert divisibility_multiplicity(f, TernaryForm.parse("x - y")) == 2
@@ -262,6 +275,53 @@ def test_member_of_pencil_quartic_member():
     q2 = P.scale(2) - Q  # fiber over (1:2)
     hit = member_of_pencil_dividing(q2, P, Q)
     assert hit == (P1Point(1, 2), 1)
+
+
+def _oracle_fiber(fj, P, Q):
+    """The fiber of span(P, Q) that fj divides, and the multiplicity, by sympy."""
+    x, y, z, b0, b1 = sympy.symbols("x y z b0 b1")
+    _, r = sympy.reduced(sym(P) * b1 - sym(Q) * b0, [sym(fj)], x, y, z, order="lex")
+    # each coefficient of the remainder is linear in (b0, b1)
+    rows = [[c.coeff(b0), c.coeff(b1)] for c in sympy.Poly(r, x, y, z).coeffs()]
+    null = sympy.Matrix(rows).nullspace()
+    assert len(null) <= 1, "fj divides both generators"
+    if not null:
+        return None
+    v0, v1 = null[0]
+    fiber, e = sympy.expand(sym(P) * v1 - sym(Q) * v0), 0
+    while True:
+        quotient, rest = sympy.div(fiber, sym(fj), x, y, z)
+        if rest != 0:
+            return P1Point(Fraction(str(v0)), Fraction(str(v1))), e
+        fiber, e = quotient, e + 1
+
+
+def test_member_of_pencil_matches_sympy_division():
+    rng = random.Random(7331)
+    for trial in range(30):
+        d = rng.randint(2, 4)
+        b = P1Point(rng.randint(-3, 3), rng.randint(1, 3))
+        P = random_form(rng, d)
+        if trial % 2:
+            # the fiber over b gets a repeated linear factor fj
+            fj = random_form(rng, 1)
+            fiber = fj * fj * random_form(rng, d - 2)
+            if b.coords[0] == 0:
+                continue
+            Q = (P.scale(b.coords[1]) - fiber).scale(Fraction(1, b.coords[0]))
+        else:
+            Q = random_form(rng, d)
+            fiber = P.scale(b.coords[1]) - Q.scale(b.coords[0])
+            factors = sympy.factor_list(sym(fiber))[1]
+            text = str(factors[rng.randrange(len(factors))][0]).replace("**", "^")
+            fj = TernaryForm.parse(text)
+        if P.proportional_to(Q):
+            continue
+        horizontal = random_form(rng, rng.randint(1, d))
+        for form in (fj, horizontal):
+            assert member_of_pencil_dividing(form, P, Q) == _oracle_fiber(form, P, Q)
+        point, e = member_of_pencil_dividing(fj, P, Q)
+        assert point == b and e >= 1 + trial % 2
 
 
 def test_member_of_pencil_degenerate_rejected():
