@@ -10,7 +10,6 @@ expected generic first Betti number along the component.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -42,7 +41,7 @@ from .pencil import (
     iter_block_pairs,
     pencil_search,
 )
-from .polyform import ProjLine, TernaryForm, intersect_lines, intersection_points
+from .polyform import ProjLine, TernaryForm, intersect_lines
 from .resonance import subspace_from_pencil
 from .torsion import (
     characters_of_Tf,
@@ -153,15 +152,16 @@ class Catalog:
 _ROOT_PRIMES = (7, 11)
 
 
-def _probe_lines(arr: Arrangement) -> list[tuple[TernaryForm, tuple[int, ...], tuple[int, ...]]]:
+def _probe_lines(
+    arr: Arrangement, multiple_points: Sequence[MultiplePoint]
+) -> list[tuple[TernaryForm, tuple[int, ...], tuple[int, ...]]]:
     """Two probe lines with integer parametrizations q(s) = s*q0 + q1.
 
-    Each probe misses every pairwise intersection of the line components,
-    both parametrization points avoid all components (so restrictions keep
-    full degree), and the two probes meet away from the arrangement.
+    Each probe misses every meeting point of two lines (the degree-1
+    ``multiple_points``), both parametrization points avoid all components
+    (so restrictions keep full degree), and the probes meet off the arrangement.
     """
-    lines = [ProjLine(arr.components[j].form) for j in arr.line_indices()]
-    points = intersection_points(itertools.combinations(lines, 2))
+    points = [mp.point for mp in multiple_points if mp.degree == 1]
     x, y, z = (TernaryForm.variable(v) for v in "xyz")
 
     candidates = []
@@ -577,7 +577,7 @@ def build_catalog(
             cl = detect_special_fibers(work, res.pencil, res.classification)
             candidates.append(cl)
 
-        probes = _probe_lines(work)
+        probes = _probe_lines(work, multiple_points)
         restrictions = [
             _integer_restrictions(work, q0, q1) for _, q0, q1 in probes
         ]

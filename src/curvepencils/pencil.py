@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator, Sequence
@@ -21,7 +21,6 @@ from typing import Iterable, Iterator, Sequence
 from .arrangement import Arrangement, CurveComponent
 from .exactalg import (
     UniPoly,
-    fraction_rref,
     projective_profile,
     rational_roots,
     resultant,
@@ -37,6 +36,7 @@ from .polyform import (
     exact_divide,
     intersection_points,
     member_of_pencil_dividing,
+    span_rows,
 )
 
 __all__ = [
@@ -69,10 +69,11 @@ class ProbeDegeneracyError(RuntimeError):
 
 @dataclass(frozen=True)
 class Pencil:
-    """Two independent forms of equal degree spanning a pencil of curves."""
+    """Two independent forms of equal degree; their `span_rows` names the pencil."""
 
     P: TernaryForm
     Q: TernaryForm
+    _span: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.P.is_zero() or self.Q.is_zero():
@@ -81,8 +82,10 @@ class Pencil:
             raise PencilError(
                 f"generators have degrees {self.P.degree} and {self.Q.degree}"
             )
-        if self.P.proportional_to(self.Q):
+        span = span_rows(self.P, self.Q)
+        if span is None:
             raise PencilError("degenerate pencil: proportional generators")
+        object.__setattr__(self, "_span", span)
 
     @property
     def degree(self) -> int:
@@ -93,12 +96,20 @@ class Pencil:
         return self.P.scale(b1) - self.Q.scale(b0)
 
     def span_key(self) -> tuple:
-        """Canonical key of the plane spanned by the generators (their RREF)."""
-        rref, _ = fraction_rref([self.P.coefficient_vector(), self.Q.coefficient_vector()])
-        return tuple(tuple(row) for row in rref)
+        """Canonical key of the plane spanned by the generators (`span_rows`)."""
+        return self._span
+
+    def contains(self, form: TernaryForm) -> bool:
+        """Whether a form of the pencil's degree lies in span(P, Q)."""
+        if form.is_zero():
+            return True
+        rows = span_rows(self.P, form)
+        return rows is None or rows == self._span
 
     @classmethod
     def from_json(cls, doc: dict, arr: Arrangement | None = None) -> "Pencil":
+        if not isinstance(doc, dict):
+            raise PencilError("pencil file must hold a JSON object")
         if "P" in doc and "Q" in doc:
             try:
                 return cls(TernaryForm.parse(doc["P"]), TernaryForm.parse(doc["Q"]))
@@ -136,15 +147,13 @@ class Pencil:
                 forms.append(arr.block_form(pairs))
             pencil = cls(forms[0], forms[1])
             # later blocks are further fibers: same degree, inside span(P, Q)
-            spanning = [pencil.P.coefficient_vector(), pencil.Q.coefficient_vector()]
             for number, form in enumerate(forms[2:], start=3):
                 if form.degree != pencil.degree:
                     raise PencilError(
                         f"block {number} has degree {form.degree}, "
                         f"not the pencil degree {pencil.degree}"
                     )
-                _, pivots = fraction_rref(spanning + [form.coefficient_vector()])
-                if len(pivots) > 2:
+                if not pencil.contains(form):
                     raise PencilError(
                         f"block {number} is not a fiber of the pencil of the first two blocks"
                     )
@@ -259,18 +268,18 @@ def _vote(values: Iterable[tuple[Fraction, Fraction]]) -> Vote:
     A point p on C_j inside the fiber over b evaluates to (P(p):Q(p)) = b,
     so disagreeing votes certify horizontality and agreeing ones single
     out the only possible fiber.  Base points, where both values vanish,
-    do not vote.
+    do not vote.  Each vote is compared with the first by
+    cross-multiplication; only the agreed vote becomes a `P1Point`.
     """
     first = None
     for pv, qv in values:
         if pv == 0 and qv == 0:
             continue
-        vote = P1Point(pv, qv)
         if first is None:
-            first = vote
-        elif vote != first:
+            first = pv, qv
+        elif pv * first[1] != qv * first[0]:
             return "horizontal"
-    return first
+    return None if first is None else P1Point(*first)
 
 
 def _place(pencil: Pencil, comp: CurveComponent, vote: Vote) -> tuple[P1Point, int] | None:
@@ -913,7 +922,8 @@ def iter_block_pairs(
     """Unordered pairs of disjoint equal-degree blocks with coprime content.
 
     Blocks whose combined multiplicity vector has content > 1 generate
-    non-primitive maps (powers of a smaller pencil) and are dropped.
+    non-primitive maps (powers of a smaller pencil) and are dropped.  This
+    is the k = 2 case of the saturation rule of `_partition_saturated`.
     """
     by_degree = _enumerate_blocks(arr, max_multiplicity)
     for degree in sorted(by_degree):
@@ -933,21 +943,17 @@ def _partition_saturated(
     homology of the punctured base; that surjectivity is exactly saturation
     of the column lattice.  Failures certify a composed map (the pencil
     factors through a cover of the line) and are not genuine partitions.
-    """
-    from .exactalg import lattice_key, saturate_lattice
 
-    last = dict(partition[-1])
-    cols = []
-    for fiber in partition[:-1]:
-        col = [0] * size
-        for j, m in fiber:
-            col[j] = m
-        for j, m in last.items():
-            col[j] = -m
-        cols.append(tuple(col))
-    return lattice_key(cols, size) == lattice_key(
-        saturate_lattice(cols, size), size
-    )
+    The columns are v_i - v_k, v_i the multiplicity vector of fiber i.  The
+    supports are disjoint, so an integral point of their span is
+    sum c_i*v_i with sum c_i = 0 and c_i in (1/g_i)Z, g_i the gcd of fiber
+    i's multiplicities.  So the lattice is saturated iff the g_i are
+    pairwise coprime: a prime p | g_i, g_j gives c_i = -c_j = 1/p; else
+    with c_i = a_i/g_i and G = prod g_i, sum a_i*G/g_i = 0 modulo g_j,
+    where G/g_j is a unit (CRT), forces g_j | a_j.  ``size`` goes unused.
+    """
+    contents = [gcd(*(m for _, m in fiber)) for fiber in partition]
+    return all(gcd(a, b) == 1 for a, b in itertools.combinations(contents, 2))
 
 
 def _classify_pair(
@@ -1021,7 +1027,9 @@ def pencil_search(
         if not _partition_saturated(partition, arr.size):
             continue
         results.append(SearchResult(classification.pencil, classification, partition))
-    results.sort(
-        key=lambda res: (res.k, tuple(str(v) for row in res.pencil.span_key() for v in row))
-    )
-    return results
+
+    def order(res: SearchResult) -> tuple:  # RREF entries (row over pivot) as strings
+        rows = res.pencil.span_key()
+        return res.k, tuple(str(Fraction(c, next(filter(None, r)))) for r in rows for c in r)
+
+    return sorted(results, key=order)

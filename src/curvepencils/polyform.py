@@ -9,7 +9,8 @@ membership.
 Every restriction of a form to a line goes through
 `TernaryForm.restrict_span`, which returns the `UniPoly` g(t) = F(p + t*q):
 the point q sits at t = infinity, and the degree by which g falls short of
-the form's degree is the multiplicity of that root.
+the form's degree is the multiplicity of that root.  Every plane span(P, Q)
+is named by `span_rows`, its reduced echelon rows in integers.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "exact_divide",
     "divisibility_multiplicity",
     "member_of_pencil_dividing",
+    "span_rows",
 ]
 
 _VARS = ("x", "y", "z")
@@ -213,22 +215,17 @@ class TernaryForm:
         """Canonical scalar multiple: integer, content 1, leading sign positive."""
         if self.is_zero():
             return self
-        den = 1
-        for v in self.terms.values():
-            den = den * v.denominator // gcd(den, v.denominator)
-        nums = [int(v * den) for v in self.terms.values()]
-        g = 0
-        for n in nums:
-            g = gcd(g, abs(n))
-        scale = Fraction(den, g)
-        if self.leading_term()[1] < 0:
-            scale = -scale
-        return self.scale(scale)
+        keys = sorted(self.terms, key=_monomial_key)
+        return TernaryForm(dict(zip(keys, _normalize_coords([self.terms[k] for k in keys]))))
 
     def proportional_to(self, other: "TernaryForm") -> bool:
-        if self.is_zero() or other.is_zero():
-            return self.is_zero() and other.is_zero()
-        return self.primitive() == other.primitive()
+        """Whether other = c*self, c != 0: same monomials, v*b = w*a against one pair (a, b)."""
+        if self.terms.keys() != other.terms.keys():
+            return False
+        if not self.terms:
+            return True
+        a, b = next((v, other.terms[k]) for k, v in self.terms.items())
+        return all(other.terms[k] * a == v * b for k, v in self.terms.items())
 
     # -- linear algebra views -------------------------------------------------
 
@@ -310,79 +307,97 @@ class TernaryForm:
 
 
 def _normalize_coords(coords: Sequence[Fraction | int]) -> tuple[int, ...]:
-    fracs = [Fraction(c) for c in coords]
-    if all(c == 0 for c in fracs):
-        raise ValueError("projective coordinates cannot all vanish")
+    """The primitive integer multiple of a nonzero vector, first nonzero entry positive."""
     den = 1
-    for c in fracs:
+    for c in coords:
         den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    ints = [v // g for v in ints]
-    for v in ints:
-        if v != 0:
-            if v < 0:
-                ints = [-w for w in ints]
-            break
-    return tuple(ints)
+    ints = [c.numerator * (den // c.denominator) for c in coords]
+    g = gcd(*ints)
+    if g == 0:
+        raise ValueError("projective coordinates cannot all vanish")
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return tuple(v // g for v in ints)
 
 
-class ProjPoint:
-    """A point of the projective plane with primitive integer coordinates."""
+def _cross(a: Sequence, b: Sequence) -> tuple:
+    """The line through two points, or the meeting point of two lines."""
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
+def span_rows(
+    P: TernaryForm, Q: TernaryForm
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """span(P, Q) as its RREF rows, each scaled to a primitive integer vector.
+
+    P and Q are nonzero forms of one degree; None when they are
+    proportional.  Fraction-free: the row with the earlier pivot clears its
+    pivot column from the other row, which then clears its own pivot
+    column from the first.  Equal rows mean equal RREFs, so equal spans.
+    """
+    monomials = TernaryForm.monomials_of_degree(P.degree)
+    u, v = (_normalize_coords([F.terms.get(m, 0) for m in monomials]) for F in (P, Q))
+    i = next(k for k, (a, b) in enumerate(zip(u, v)) if a or b)
+    if not u[i]:
+        u, v = v, u
+    v = [u[i] * b - v[i] * a for a, b in zip(u, v)]
+    if not any(v):
+        return None
+    v = _normalize_coords(v)
+    j = next(k for k, b in enumerate(v) if b)
+    u = _normalize_coords([v[j] * a - u[j] * b for a, b in zip(u, v)])
+    return u, v
+
+
+class _Coords:
+    """Primitive integer coordinates, compared, ordered and hashed as a tuple."""
 
     __slots__ = ("coords",)
+
+    def sort_key(self) -> tuple[int, ...]:
+        return self.coords
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self.coords == other.coords
+
+    def __hash__(self) -> int:
+        return hash((type(self).__name__, self.coords))
+
+    def __lt__(self, other: "_Coords") -> bool:
+        return self.coords < other.coords
+
+    def __str__(self) -> str:
+        return "(" + ":".join(str(c) for c in self.coords) + ")"
+
+
+class ProjPoint(_Coords):
+    """A point of the projective plane with primitive integer coordinates."""
+
+    __slots__ = ()
 
     def __init__(self, coords: Sequence[Fraction | int]) -> None:
         if len(coords) != 3:
             raise ValueError("plane points have three coordinates")
         self.coords = _normalize_coords(coords)
 
-    def sort_key(self) -> tuple[int, ...]:
-        return self.coords
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ProjPoint) and self.coords == other.coords
-
-    def __hash__(self) -> int:
-        return hash(("ProjPoint", self.coords))
-
-    def __lt__(self, other: "ProjPoint") -> bool:
-        return self.coords < other.coords
-
     def __repr__(self) -> str:
         return f"ProjPoint({self.coords!r})"
 
-    def __str__(self) -> str:
-        return "(" + ":".join(str(c) for c in self.coords) + ")"
 
-
-class P1Point:
+class P1Point(_Coords):
     """A point of the projective line, written (b0 : b1)."""
 
-    __slots__ = ("coords",)
+    __slots__ = ()
 
     def __init__(self, b0: Fraction | int, b1: Fraction | int) -> None:
         self.coords = _normalize_coords((b0, b1))
 
-    def sort_key(self) -> tuple[int, ...]:
-        return self.coords
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, P1Point) and self.coords == other.coords
-
-    def __hash__(self) -> int:
-        return hash(("P1Point", self.coords))
-
-    def __lt__(self, other: "P1Point") -> bool:
-        return self.coords < other.coords
-
     def __repr__(self) -> str:
         return f"P1Point{self.coords!r}"
-
-    def __str__(self) -> str:
-        return f"({self.coords[0]}:{self.coords[1]})"
 
 
 class ProjLine:
@@ -403,23 +418,15 @@ class ProjLine:
         )
 
     def _two_points(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        a = [self.form.coefficient(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-        candidates = []
-        # cross products of the coefficient vector with the standard basis
-        for i in range(3):
-            e = [0, 0, 0]
-            e[i] = 1
-            v = (
-                a[1] * e[2] - a[2] * e[1],
-                a[2] * e[0] - a[0] * e[2],
-                a[0] * e[1] - a[1] * e[0],
-            )
-            if any(c != 0 for c in v):
-                candidates.append(_normalize_coords(v))
+        a = self.form.coefficient_vector()
         uniq: list[tuple[int, ...]] = []
-        for c in candidates:
-            if c not in uniq:
-                uniq.append(c)
+        # cross products of the coefficient vector with the standard basis
+        for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+            v = _cross(a, e)
+            if any(v):
+                point = _normalize_coords(v)
+                if point not in uniq:
+                    uniq.append(point)
         return uniq[0], uniq[1]
 
     def point_at(self, s: Fraction | int, t: Fraction | int) -> ProjPoint:
@@ -449,26 +456,15 @@ class ProjLine:
 
 
 def line_through(p: ProjPoint, q: ProjPoint) -> ProjLine:
-    a, b = p.coords, q.coords
-    v = (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-    if all(c == 0 for c in v):
+    v = _cross(p.coords, q.coords)
+    if not any(v):
         raise ValueError("coincident points span no line")
     return ProjLine.from_coefficients(*v)
 
 
 def intersect_lines(l1: ProjLine, l2: ProjLine) -> ProjPoint:
-    a = [int(l1.form.coefficient(e)) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    b = [int(l2.form.coefficient(e)) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    v = (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-    if all(c == 0 for c in v):
+    v = _cross(l1.form.coefficient_vector(), l2.form.coefficient_vector())
+    if not any(v):
         raise ValueError("coincident lines")
     return ProjPoint(v)
 

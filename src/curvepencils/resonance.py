@@ -17,7 +17,7 @@ from math import gcd, lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .arrangement import Arrangement, local_pencil_points
-from .exactalg import fraction_kernel, fraction_rref, solve_fraction_system
+from .exactalg import fraction_kernel, fraction_rref
 from .pencil import Pencil, PencilClassification, PencilError
 from .polyform import TernaryForm
 
@@ -288,12 +288,8 @@ def pencil_from_subspace(arr: Arrangement, subspace: IsotropicSubspace) -> Penci
         pencil = Pencil(forms[0], forms[1])
     except PencilError as exc:
         raise ResonanceError(f"not a pencil subspace: {exc}") from exc
-    rows = [
-        [forms[0].coefficient_vector(degree)[i], forms[1].coefficient_vector(degree)[i]]
-        for i in range(len(forms[0].coefficient_vector(degree)))
-    ]
     for form in forms[2:]:
-        if solve_fraction_system(rows, form.coefficient_vector(degree)) is None:
+        if not pencil.contains(form):
             raise ResonanceError("not a pencil subspace: fiber groups do not span a pencil")
     return pencil
 

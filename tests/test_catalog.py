@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
 import pytest
 
 from arrfixtures import F, deleted_b3, ex2, exfin3
-from curvepencils.arrangement import Arrangement, CurveComponent
+from curvepencils.arrangement import Arrangement, CurveComponent, local_pencil_points
 from curvepencils.catalog import (
     CatalogError,
     _character_in_subtorus,
@@ -17,6 +18,7 @@ from curvepencils.catalog import (
     build_catalog,
 )
 from curvepencils.exactalg import lattice_key
+from curvepencils.polyform import ProjLine, intersection_points
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -229,12 +231,23 @@ def test_three_conic_catalog():
 
 def test_probe_restrictions_agree_with_evaluation():
     for arr in (deleted_b3(), exfin3()):
-        for _, q0, q1 in _probe_lines(arr):
+        for _, q0, q1 in _probe_lines(arr, local_pencil_points(arr)):
             for cp, coeffs in zip(arr.components, _integer_restrictions(arr, q0, q1)):
                 assert len(coeffs) == cp.degree + 1
                 for s in range(cp.degree + 2):
                     point = tuple(s * a + b for a, b in zip(q0, q1))
                     assert sum(c * s**k for k, c in enumerate(coeffs)) == cp.form.evaluate(point)
+
+
+def test_probe_lines_miss_every_line_intersection():
+    # the degree-1 multiple points are the pairwise meeting points of the lines
+    for arr in (deleted_b3(), exfin3(), ex2()):
+        lines = [ProjLine(arr.components[j].form) for j in arr.line_indices()]
+        meets = intersection_points(itertools.combinations(lines, 2))
+        points = local_pencil_points(arr)
+        assert {mp.point for mp in points if mp.degree == 1} == meets
+        for form, _, _ in _probe_lines(arr, points):
+            assert all(form.evaluate(p.coords) != 0 for p in meets)
 
 
 def test_caps_that_empty_the_global_stage_are_rejected():

@@ -166,6 +166,16 @@ def test_degenerate_pencil_generators(capsys, tmp_path):
         assert fragment in err
 
 
+@pytest.mark.parametrize("doc", [5, None, "P and Q"], ids=["number", "null", "string"])
+def test_pencil_file_not_an_object(capsys, tmp_path, doc):
+    path = tmp_path / "pencil.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "classify", FIXTURES / "triangle.json", "--pencil", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: parse: ") and "must hold a JSON object" in err
+
+
 @pytest.mark.parametrize(
     "block,fragment",
     [

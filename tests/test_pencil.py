@@ -32,7 +32,7 @@ from arrfixtures import (
     triangle,
 )
 from curvepencils.arrangement import Arrangement, CurveComponent, pullback_subtorus
-from curvepencils.exactalg import UniPoly
+from curvepencils.exactalg import UniPoly, lattice_key, saturate_lattice
 from curvepencils import pencil as pencil_module
 from curvepencils.pencil import (
     BlowupCluster,
@@ -42,6 +42,7 @@ from curvepencils.pencil import (
     ProbeSequence,
     _formal_discriminant,
     _partition_saturated,
+    _vote,
     classify,
     detect_special_fibers,
     fy_identities,
@@ -472,6 +473,97 @@ def test_span_key_depends_on_the_span_only():
     assert Pencil(P + Q, Q.scale(2)).span_key() == key
     assert Pencil(P, F("x*z")).span_key() != key
     assert fw_pencil().span_key() != braid_pencil().span_key()
+
+
+def sympy_rank(*forms):
+    degree = forms[0].degree
+    return sympy.Matrix(
+        [[sympy.Rational(c.numerator, c.denominator) for c in f.coefficient_vector(degree)]
+         for f in forms]
+    ).rank()
+
+
+def test_contains_matches_sympy_rank():
+    rng = random.Random(4242)
+
+    def coefficient():
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+
+    def form(degree):
+        monomials = TernaryForm.monomials_of_degree(degree)
+        return TernaryForm({m: coefficient() for m in rng.sample(monomials, 3)})
+
+    outside = 0
+    for _ in range(40):
+        d = rng.randint(1, 3)
+        P, Q = form(d), form(d)
+        if sympy_rank(P, Q) < 2:
+            continue
+        pencil = Pencil(P, Q)
+        a, b = coefficient(), coefficient()
+        # members: combinations, scaled and swapped generators, zero
+        for member in (P.scale(a) + Q.scale(b), Q.scale(a), P, TernaryForm.zero()):
+            assert pencil.contains(member)
+        assert Pencil(Q.scale(a), P.scale(b)).span_key() == pencil.span_key()
+        other = form(d)
+        assert pencil.contains(other) == (sympy_rank(P, Q, other) == 2)
+        outside += not pencil.contains(other)
+    assert outside > 0
+    # a form outside the span, by construction
+    pencil = Pencil(F("x^2 - y*z"), F("x*y + 2*z^2"))
+    assert not pencil.contains(F("x*z"))
+    assert pencil.contains(F("x^2 + 3*x*y - y*z + 6*z^2"))
+
+
+def test_vote_matches_point_comparison():
+    # the old verdict: compare the P1Points of the voting values
+    def oracle(values):
+        points = [P1Point(pv, qv) for pv, qv in values if pv or qv]
+        if not points:
+            return None
+        return points[0] if all(p == points[0] for p in points) else "horizontal"
+
+    rng = random.Random(99)
+    for _ in range(300):
+        b0, b1 = rng.randint(-3, 3), rng.randint(-3, 3)
+        values = []
+        for _ in range(rng.randint(0, 4)):
+            c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            if rng.random() < 0.2:
+                values.append((Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-2, 2))))
+            else:
+                values.append((c * b0, c * b1))
+        assert _vote(values) == oracle(values), values
+
+
+def test_partition_saturated_matches_smith_form():
+    # the lattice of the columns v_i - v_k, saturated when the Smith form
+    # says so; 3,000 random partitions with disjoint supports
+    rng = random.Random(31)
+    verdicts = set()
+    for _ in range(3000):
+        size = rng.randint(3, 8)
+        order = list(range(size))
+        rng.shuffle(order)
+        k = rng.randint(2, min(4, size))
+        cuts = sorted(rng.sample(range(1, size), k - 1))
+        partition = [
+            [(j, rng.choice([1, 1, 2, 3, 4, 6])) for j in sorted(order[lo:hi])]
+            for lo, hi in zip([0] + cuts, cuts + [size])
+        ]
+        last = dict(partition[-1])
+        cols = []
+        for fiber in partition[:-1]:
+            col = [0] * size
+            for j, m in fiber:
+                col[j] = m
+            for j, m in last.items():
+                col[j] = -m
+            cols.append(tuple(col))
+        oracle = lattice_key(cols, size) == lattice_key(saturate_lattice(cols, size), size)
+        assert _partition_saturated(partition, size) == oracle, partition
+        verdicts.add(oracle)
+    assert verdicts == {True, False}
 
 
 # -- search ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -21,6 +22,7 @@ from curvepencils.polyform import (
     intersect_lines,
     line_through,
     member_of_pencil_dividing,
+    span_rows,
 )
 
 X = TernaryForm.variable("x")
@@ -109,6 +111,72 @@ def test_primitive_normalization():
     assert g.primitive() == TernaryForm.parse("x - y")
     assert f.proportional_to(g)
     assert not f.proportional_to(TernaryForm.parse("x + y"))
+
+
+def random_rational_form(rng, degree):
+    terms = {
+        m: Fraction(rng.choice([-5, -3, -2, -1, 1, 2, 3, 5]), rng.randint(1, 4))
+        for m in TernaryForm.monomials_of_degree(degree)
+        if rng.random() < 0.5
+    }
+    return TernaryForm(terms) if terms else X.power(degree)
+
+
+def test_proportional_to_matches_primitive_equality():
+    rng = random.Random(2718)
+    for _ in range(60):
+        f = random_rational_form(rng, rng.randint(1, 4))
+        c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 5))
+        other = random_rational_form(rng, f.degree)
+        # a scaled copy, a copy with one coefficient changed, another form
+        changed = dict(f.terms)
+        key = rng.choice(list(changed))
+        changed[key] += 1
+        for g in (f.scale(c), TernaryForm(changed), other, f + other):
+            oracle = f.primitive() == g.primitive()
+            assert f.proportional_to(g) == oracle == g.proportional_to(f), (f, g)
+        assert f.proportional_to(f.scale(c))
+    # different supports are never proportional, even when they share a term
+    assert not TernaryForm.parse("x^2 + y^2").proportional_to(TernaryForm.parse("x^2"))
+    assert not TernaryForm.parse("x^2").proportional_to(TernaryForm.parse("x^2 + y*z"))
+    assert TernaryForm.zero().proportional_to(TernaryForm.zero())
+    assert not TernaryForm.zero().proportional_to(X)
+    assert not X.proportional_to(TernaryForm.zero())
+
+
+def sympy_rref_rows(*forms):
+    """The nonzero rows of sympy's RREF of the coefficient vectors."""
+    degree = forms[0].degree
+    matrix = sympy.Matrix(
+        [[sympy.Rational(c.numerator, c.denominator) for c in f.coefficient_vector(degree)]
+         for f in forms]
+    )
+    rref, _ = matrix.rref()
+    return [list(rref.row(i)) for i in range(rref.rows) if any(rref.row(i))]
+
+
+def test_span_rows_matches_sympy_rref():
+    rng = random.Random(1618)
+    for _ in range(60):
+        d = rng.randint(1, 4)
+        P, Q = random_rational_form(rng, d), random_rational_form(rng, d)
+        rows = span_rows(P, Q)
+        expected = sympy_rref_rows(P, Q)
+        if len(expected) < 2:
+            assert rows is None
+            continue
+        assert rows is not None
+        for row, want in zip(rows, expected):
+            pivot = next(c for c in row if c)
+            assert pivot > 0
+            assert [sympy.Rational(c, pivot) for c in row] == want
+            assert gcd(*row) == 1
+        # the rows name the span, not the generators
+        a, b = (Fraction(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(2))
+        assert span_rows(Q, P) == rows
+        assert span_rows(P.scale(-a), Q.scale(b)) == rows
+        assert span_rows(P + Q.scale(a), Q) == rows
+        assert span_rows(P, P.scale(a)) is None
 
 
 # ---------------------------------------------------------------------------
