@@ -18,8 +18,10 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from .exactalg import (
     IntMatrix,
     QmodZ,
+    echelon_rows,
     integer_kernel_basis,
     lattice_key,
+    rational_roots,
     saturate_lattice,
 )
 from .polyform import (
@@ -27,7 +29,9 @@ from .polyform import (
     ProjLine,
     ProjPoint,
     TernaryForm,
+    exact_divide,
     intersection_points,
+    line_through,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -191,8 +195,6 @@ class Arrangement:
 
         A bounded probe only; silence is not a proof of irreducibility.
         """
-        from .polyform import exact_divide, line_through
-
         out = []
         for c in self.components:
             if c.degree < 2:
@@ -217,8 +219,6 @@ class Arrangement:
 
 def _rational_points_on_curve(form: TernaryForm, want: int) -> list[ProjPoint]:
     """A few rational points of the curve, found by slicing with lines."""
-    from .exactalg import rational_roots
-
     found: list[ProjPoint] = []
     probes = [
         ProjLine.from_coefficients(a, b, c)
@@ -335,10 +335,7 @@ def local_pencil_points(arr: Arrangement) -> list[MultiplePoint]:
             if len(group) < 2:
                 continue
             vectors = [arr.components[j].form.coefficient_vector() for j in group]
-            from .exactalg import fraction_rref
-
-            _, pivots = fraction_rref(vectors)
-            out.append(MultiplePoint(pt, degree, tuple(group), len(pivots)))
+            out.append(MultiplePoint(pt, degree, tuple(group), len(echelon_rows(vectors))))
     return out
 
 

@@ -340,7 +340,8 @@ def _repeated_root_at(
     u = [lam.denominator * a - lam.numerator * b for a, b in zip(va, vb)]
     while u and u[-1] == 0:
         u.pop()
-    if not u:
+    # a degree drop of two or more is a repeated root at infinity
+    if len(u) <= len(va) - 2:
         return True
     poly = UniPoly([Fraction(c) for c in u])
     return poly.gcd(poly.derivative()).degree > 0

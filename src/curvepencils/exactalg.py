@@ -16,8 +16,10 @@ infinity of multiplicity d - deg g; `projective_profile` counts it.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
@@ -41,9 +43,8 @@ __all__ = [
     "RationalRoots",
     "rational_roots",
     "resultant",
-    "fraction_rref",
-    "fraction_kernel",
-    "solve_fraction_system",
+    "primitive_vector",
+    "echelon_rows",
     "lagrange_interpolate",
     "sampled_polynomial",
 ]
@@ -467,71 +468,54 @@ def product_relation_lattice(moduli: Sequence[int], generators: Sequence[Sequenc
 # rational linear algebra
 
 
-def fraction_rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form and pivot column list."""
-    M = [[Fraction(e) for e in row] for row in rows]
-    if not M:
-        return [], []
-    ncols = len(M[0])
-    pivots: list[int] = []
-    r = 0
-    for j in range(ncols):
-        pivot_row = None
-        for i in range(r, len(M)):
-            if M[i][j] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        M[r], M[pivot_row] = M[pivot_row], M[r]
-        pv = M[r][j]
-        M[r] = [e / pv for e in M[r]]
-        for i in range(len(M)):
-            if i != r and M[i][j] != 0:
-                f = M[i][j]
-                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
-        pivots.append(j)
-        r += 1
-        if r == len(M):
-            break
-    return M, pivots
+def primitive_vector(coords: Sequence[Fraction | int]) -> tuple[int, ...]:
+    """The primitive integer multiple of a nonzero vector, first nonzero entry positive."""
+    den = 1
+    for c in coords:
+        den = den * c.denominator // gcd(den, c.denominator)
+    ints = [c.numerator * (den // c.denominator) for c in coords]
+    g = gcd(*ints)
+    if g == 0:
+        raise ValueError("projective coordinates cannot all vanish")
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return tuple(v // g for v in ints)
 
 
-def fraction_kernel(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[tuple[Fraction, ...]]:
-    """Basis of the rational kernel of the row system."""
-    rref, pivots = fraction_rref(rows)
-    free = [j for j in range(ncols) if j not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            vec[p] = -rref[r][f]
-        basis.append(tuple(vec))
-    return basis
+def echelon_rows(vectors: Iterable[Sequence[Fraction | int]]) -> tuple[tuple[int, ...], ...]:
+    """The reduced row echelon form of the vectors' rational span.
 
-
-def solve_fraction_system(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> tuple[Fraction, ...] | None:
-    """One rational solution of rows * x = rhs, or None if inconsistent.
-
-    Free coordinates are set to zero.
+    Each row is scaled to a primitive integer vector with positive pivot
+    and the rows are sorted by pivot column, so equal spans give equal
+    tuples; the rank is the number of rows.  Fraction-free: each input,
+    made primitive, is cleared against the rows so far by
+    cross-multiplication, made primitive again, and then clears its own
+    pivot column from those rows.
     """
-    if not rows:
-        return ()
-    ncols = len(rows[0])
-    aug = [list(row) + [Fraction(r)] for row, r in zip(rows, rhs)]
-    rref, pivots = fraction_rref(aug)
-    for r in range(len(rref)):
-        if all(e == 0 for e in rref[r][:ncols]) and rref[r][ncols] != 0:
-            return None
-    sol = [Fraction(0)] * ncols
-    for r, p in enumerate(pivots):
-        if p == ncols:
-            return None
-        sol[p] = rref[r][ncols]
-    return tuple(sol)
+    rows: list[tuple[int, ...]] = []
+    pivots: list[int] = []
+    for vec in vectors:
+        if not any(vec):
+            continue
+        v = primitive_vector(vec)
+        for row, p in zip(rows, pivots):
+            c = v[p]
+            if c:
+                a = row[p]
+                v = [a * x - c * y for x, y in zip(v, row)]
+        if not any(v):
+            continue
+        v = primitive_vector(v)
+        j = next(k for k, x in enumerate(v) if x)
+        a = v[j]
+        for i, row in enumerate(rows):
+            c = row[j]
+            if c:
+                rows[i] = primitive_vector([a * x - c * y for x, y in zip(row, v)])
+        k = bisect.bisect(pivots, j)
+        rows.insert(k, v)
+        pivots.insert(k, j)
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -658,23 +642,6 @@ class UniPoly:
             return self
         return self.scale(1 / self.leading)
 
-    def primitive_integer(self) -> tuple[Fraction, tuple[int, ...]]:
-        """Factor self = scale * (primitive integer polynomial)."""
-        if self.is_zero():
-            return Fraction(0), ()
-        from math import gcd as _g
-
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // _g(den, c.denominator)
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = _g(g, abs(v))
-        sign = -1 if ints[-1] < 0 else 1
-        g *= sign
-        return Fraction(g, den), tuple(v // g for v in ints)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, UniPoly) and self.coeffs == other.coeffs
 
@@ -770,8 +737,6 @@ def _is_probable_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    from math import gcd as _g
-
     if n % 2 == 0:
         return 2
     x0, c = 2, 1
@@ -781,7 +746,7 @@ def _pollard_rho(n: int) -> int:
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
-            d = _g(abs(x - y), n)
+            d = gcd(abs(x - y), n)
         if d != n:
             return d
         x0 += 1
@@ -834,15 +799,13 @@ def rational_roots(f: UniPoly) -> RationalRoots:
     if k:
         roots.append((Fraction(0), k))
     if g.degree >= 1:
-        _, ints = g.primitive_integer()
+        ints = primitive_vector(g.coeffs)
         a0, an = abs(ints[0]), abs(ints[-1])
         g1 = sum(ints)
         gm1 = sum(c if i % 2 == 0 else -c for i, c in enumerate(ints))
         for p in _divisors(a0):
             for q in _divisors(an):
-                from math import gcd as _g
-
-                if _g(p, q) != 1:
+                if gcd(p, q) != 1:
                     continue
                 for sign in (1, -1):
                     # cheap screens: (t - r) | g forces (q - s*p) | g(1), (q + s*p) | g(-1)

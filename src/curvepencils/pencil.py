@@ -934,9 +934,7 @@ def iter_block_pairs(
             yield a, b
 
 
-def _partition_saturated(
-    partition: Sequence[Sequence[tuple[int, int]]], size: int
-) -> bool:
+def _partition_saturated(partition: Sequence[Sequence[tuple[int, int]]]) -> bool:
     """Whether the partition's exponent columns span a saturated lattice.
 
     A primitive pencil has connected generic fiber, hence surjects on first
@@ -950,7 +948,7 @@ def _partition_saturated(
     i's multiplicities.  So the lattice is saturated iff the g_i are
     pairwise coprime: a prime p | g_i, g_j gives c_i = -c_j = 1/p; else
     with c_i = a_i/g_i and G = prod g_i, sum a_i*G/g_i = 0 modulo g_j,
-    where G/g_j is a unit (CRT), forces g_j | a_j.  ``size`` goes unused.
+    where G/g_j is a unit (CRT), forces g_j | a_j.
     """
     contents = [gcd(*(m for _, m in fiber)) for fiber in partition]
     return all(gcd(a, b) == 1 for a, b in itertools.combinations(contents, 2))
@@ -1024,7 +1022,7 @@ def pencil_search(
         partition = tuple(
             classification.fiber_members(bp) for bp in classification.base_points
         )
-        if not _partition_saturated(partition, arr.size):
+        if not _partition_saturated(partition):
             continue
         results.append(SearchResult(classification.pencil, classification, partition))
 

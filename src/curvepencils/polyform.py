@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Iterator, Sequence
 
-from .exactalg import UniPoly, coeffs_mul
+from .exactalg import UniPoly, coeffs_mul, echelon_rows, primitive_vector
 
 __all__ = [
     "PolyParseError",
@@ -216,7 +215,7 @@ class TernaryForm:
         if self.is_zero():
             return self
         keys = sorted(self.terms, key=_monomial_key)
-        return TernaryForm(dict(zip(keys, _normalize_coords([self.terms[k] for k in keys]))))
+        return TernaryForm(dict(zip(keys, primitive_vector([self.terms[k] for k in keys]))))
 
     def proportional_to(self, other: "TernaryForm") -> bool:
         """Whether other = c*self, c != 0: same monomials, v*b = w*a against one pair (a, b)."""
@@ -306,20 +305,6 @@ class TernaryForm:
 # projective points and lines
 
 
-def _normalize_coords(coords: Sequence[Fraction | int]) -> tuple[int, ...]:
-    """The primitive integer multiple of a nonzero vector, first nonzero entry positive."""
-    den = 1
-    for c in coords:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [c.numerator * (den // c.denominator) for c in coords]
-    g = gcd(*ints)
-    if g == 0:
-        raise ValueError("projective coordinates cannot all vanish")
-    if next(v for v in ints if v) < 0:
-        g = -g
-    return tuple(v // g for v in ints)
-
-
 def _cross(a: Sequence, b: Sequence) -> tuple:
     """The line through two points, or the meeting point of two lines."""
     return (
@@ -332,25 +317,14 @@ def _cross(a: Sequence, b: Sequence) -> tuple:
 def span_rows(
     P: TernaryForm, Q: TernaryForm
 ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """span(P, Q) as its RREF rows, each scaled to a primitive integer vector.
+    """span(P, Q) as its `echelon_rows`; None when P and Q are proportional.
 
-    P and Q are nonzero forms of one degree; None when they are
-    proportional.  Fraction-free: the row with the earlier pivot clears its
-    pivot column from the other row, which then clears its own pivot
-    column from the first.  Equal rows mean equal RREFs, so equal spans.
+    P and Q are nonzero forms of one degree.  The rows are canonical, so
+    equal rows mean equal spans.
     """
     monomials = TernaryForm.monomials_of_degree(P.degree)
-    u, v = (_normalize_coords([F.terms.get(m, 0) for m in monomials]) for F in (P, Q))
-    i = next(k for k, (a, b) in enumerate(zip(u, v)) if a or b)
-    if not u[i]:
-        u, v = v, u
-    v = [u[i] * b - v[i] * a for a, b in zip(u, v)]
-    if not any(v):
-        return None
-    v = _normalize_coords(v)
-    j = next(k for k, b in enumerate(v) if b)
-    u = _normalize_coords([v[j] * a - u[j] * b for a, b in zip(u, v)])
-    return u, v
+    rows = echelon_rows([F.terms.get(m, 0) for m in monomials] for F in (P, Q))
+    return rows if len(rows) == 2 else None
 
 
 class _Coords:
@@ -382,7 +356,7 @@ class ProjPoint(_Coords):
     def __init__(self, coords: Sequence[Fraction | int]) -> None:
         if len(coords) != 3:
             raise ValueError("plane points have three coordinates")
-        self.coords = _normalize_coords(coords)
+        self.coords = primitive_vector(coords)
 
     def __repr__(self) -> str:
         return f"ProjPoint({self.coords!r})"
@@ -394,7 +368,7 @@ class P1Point(_Coords):
     __slots__ = ()
 
     def __init__(self, b0: Fraction | int, b1: Fraction | int) -> None:
-        self.coords = _normalize_coords((b0, b1))
+        self.coords = primitive_vector((b0, b1))
 
     def __repr__(self) -> str:
         return f"P1Point{self.coords!r}"
@@ -424,7 +398,7 @@ class ProjLine:
         for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
             v = _cross(a, e)
             if any(v):
-                point = _normalize_coords(v)
+                point = primitive_vector(v)
                 if point not in uniq:
                     uniq.append(point)
         return uniq[0], uniq[1]

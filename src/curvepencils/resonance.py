@@ -13,11 +13,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .arrangement import Arrangement, local_pencil_points
-from .exactalg import fraction_kernel, fraction_rref
+from .exactalg import echelon_rows, primitive_vector
 from .pencil import Pencil, PencilClassification, PencilError
 from .polyform import TernaryForm
 
@@ -51,19 +51,6 @@ class ResidueVector:
     def degree_pairing(self, degrees: Sequence[int]) -> Fraction:
         return sum((d * a for d, a in zip(degrees, self.entries)), Fraction(0))
 
-    def is_zero(self) -> bool:
-        return not any(self.entries)
-
-    def proportional_to(self, other: "ResidueVector") -> bool:
-        if self.is_zero() or other.is_zero():
-            return self.is_zero() and other.is_zero()
-        return all(
-            a * d == b * c
-            for (a, b), (c, d) in itertools.combinations(
-                zip(self.entries, other.entries), 2
-            )
-        )
-
 
 class IsotropyFlags(NamedTuple):
     isotropic: bool
@@ -84,9 +71,7 @@ class IsotropicSubspace:
 
     @property
     def dimension(self) -> int:
-        rows = [v.entries for v in self.basis]
-        _, pivots = fraction_rref(rows)
-        return len(pivots)
+        return len(echelon_rows(v.entries for v in self.basis))
 
 
 # -- cup product on an affine line complement ---------------------------------
@@ -124,21 +109,24 @@ class CupStructure:
         self.parallel_classes = tuple(parallel)
         self.concurrency_classes = tuple(concurrent)
 
-        rows: list[list[Fraction]] = []
+        rows: list[list[int]] = []
         for group in parallel:
             for i, j in itertools.combinations(sorted(self._slot[g] for g in group), 2):
-                row = [Fraction(0)] * len(self.pairs)
-                row[self._pair_slot[(i, j)]] = Fraction(1)
+                row = [0] * len(self.pairs)
+                row[self._pair_slot[(i, j)]] = 1
                 rows.append(row)
         for group in concurrent:
             slots = sorted(self._slot[g] for g in group)
             for i, j, k in itertools.combinations(slots, 3):
-                row = [Fraction(0)] * len(self.pairs)
-                row[self._pair_slot[(i, j)]] = Fraction(1)
-                row[self._pair_slot[(i, k)]] = Fraction(-1)
-                row[self._pair_slot[(j, k)]] = Fraction(1)
+                row = [0] * len(self.pairs)
+                row[self._pair_slot[(i, j)]] = 1
+                row[self._pair_slot[(i, k)]] = -1
+                row[self._pair_slot[(j, k)]] = 1
                 rows.append(row)
-        self._relation_rref, self._relation_pivots = fraction_rref(rows)
+        self._relation_rows = echelon_rows(rows)
+        self._relation_pivots = [
+            next(j for j, e in enumerate(row) if e) for row in self._relation_rows
+        ]
 
     def _affine_part(self, v: ResidueVector) -> list[Fraction]:
         if len(v.entries) != self.arrangement.size:
@@ -148,10 +136,11 @@ class CupStructure:
         return [v.entries[j] for j in self.affine_indices]
 
     def _reduce(self, coords: list[Fraction]) -> tuple[Fraction, ...]:
-        for row, pivot in zip(self._relation_rref, self._relation_pivots):
+        for row, pivot in zip(self._relation_rows, self._relation_pivots):
             c = coords[pivot]
             if c:
-                coords = [a - c * b for a, b in zip(coords, row)]
+                f = c / row[pivot]
+                coords = [a - f * b for a, b in zip(coords, row)]
         return tuple(coords)
 
     def wedge_class(self, v: ResidueVector, w: ResidueVector) -> tuple[Fraction, ...]:
@@ -186,10 +175,8 @@ def is_maximal_isotropic(cs: CupStructure, subspace: IsotropicSubspace) -> Isotr
             unit_classes.append(cs._reduce(coords))
         for p in range(len(cs.pairs)):
             rows.append([unit_classes[a][p] for a in range(n)])
-    annihilator = fraction_kernel(rows, n)
-    span_rows = [cs._affine_part(v) for v in basis]
-    _, pivots = fraction_rref(span_rows)
-    maximal = len(annihilator) == len(pivots)
+    annihilator_dim = n - len(echelon_rows(rows))
+    maximal = annihilator_dim == len(echelon_rows(cs._affine_part(v) for v in basis))
     return IsotropyFlags(True, maximal)
 
 
@@ -226,15 +213,6 @@ def subspace_from_pencil(
     return subspace
 
 
-def _coprime_positive(ratios: Sequence[Fraction]) -> Optional[list[int]]:
-    if any(r <= 0 for r in ratios):
-        return None
-    scale = lcm(*(r.denominator for r in ratios))
-    nums = [int(r * scale) for r in ratios]
-    g = gcd(*nums)
-    return [v // g for v in nums]
-
-
 def pencil_from_subspace(arr: Arrangement, subspace: IsotropicSubspace) -> Pencil:
     """Reconstruct the pencil whose pullback subspace was given.
 
@@ -267,12 +245,12 @@ def pencil_from_subspace(arr: Arrangement, subspace: IsotropicSubspace) -> Penci
             blocks.append(([j], [Fraction(1)]))
     if len(blocks) < 3:
         raise ResonanceError("not a pencil subspace: fewer than three fiber groups")
-    block_mults: list[list[int]] = []
+    block_mults: list[tuple[int, ...]] = []
     block_degrees: list[int] = []
     for members, ratios in blocks:
-        mults = _coprime_positive(ratios)
-        if mults is None:
+        if any(r <= 0 for r in ratios):
             raise ResonanceError("not a pencil subspace: mixed signs inside a fiber group")
+        mults = primitive_vector(ratios)
         block_mults.append(mults)
         block_degrees.append(
             sum(arr.components[j].degree * m for j, m in zip(members, mults))
@@ -329,13 +307,7 @@ def ray_to_map(
         raise ResonanceError("zero direction does not define a map")
     if sum(d * a for d, a in zip(arr.degrees, entries)):
         raise ResonanceError("direction must pair to zero with the component degrees")
-    scale = lcm(*(a.denominator for a in entries))
-    nums = [int(a * scale) for a in entries]
-    g = gcd(*nums)
-    exponents = [v // g for v in nums]
-    first = next(v for v in exponents if v)
-    if first < 0:
-        exponents = [-v for v in exponents]
+    exponents = primitive_vector(entries)
     up, down = [], []
     for j, m in enumerate(exponents):
         label = arr.components[j].label
@@ -347,7 +319,7 @@ def ray_to_map(
     denominator = arr.block_form((j, -m) for j, m in enumerate(exponents) if m < 0)
     description = " * ".join(up) + " / (" + " * ".join(down) + ")"
     return RayMap(
-        exponents=tuple(exponents),
+        exponents=exponents,
         numerator=numerator,
         denominator=denominator,
         description=description,

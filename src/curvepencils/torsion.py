@@ -25,10 +25,10 @@ from .exactalg import (
     FinAbelianGroup,
     IntMatrix,
     QmodZ,
+    echelon_rows,
     integer_kernel_basis,
     product_relation_lattice,
     smith_normal_form,
-    solve_fraction_system,
 )
 from .pencil import PencilClassification, SpecialPoint
 from .polyform import P1Point
@@ -245,14 +245,13 @@ def _general_tf(data: ThetaData) -> TfGroup:
         tuple(dec.U.entry(i, t) % diag[i] for i in keep) for t in range(r)
     )
     # --- Step 3: sections of the generators through the kernel basis ---
-    u_rows = [[Fraction(e) for e in row] for row in dec.U.rows]
+    # U is unimodular, so the echelon form of [U | 1] is [1 | U^-1]
+    inverse = echelon_rows(u + e for u, e in zip(dec.U.rows, IntMatrix.identity(r).rows))
+    assert len(inverse) == r and all(row[i] == 1 for i, row in enumerate(inverse))
     sections = []
     images = []
     for i in keep:
-        rhs = [Fraction(1 if k == i else 0) for k in range(r)]
-        sol = solve_fraction_system(u_rows, rhs)
-        assert sol is not None and all(c.denominator == 1 for c in sol)
-        coeffs = [int(c) for c in sol]
+        coeffs = [row[r + i] for row in inverse]
         section = tuple(data.kernel_basis.mul_vector(coeffs))
         sections.append(section)
         images.append(

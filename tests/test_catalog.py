@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from curvepencils.catalog import (
     _character_in_subtorus,
     _integer_restrictions,
     _probe_lines,
+    _repeated_root_at,
     build_catalog,
 )
 from curvepencils.exactalg import lattice_key
@@ -248,6 +250,14 @@ def test_probe_lines_miss_every_line_intersection():
         assert {mp.point for mp in points if mp.degree == 1} == meets
         for form, _, _ in _probe_lines(arr, points):
             assert all(form.evaluate(p.coords) != 0 for p in meets)
+
+
+def test_second_probe_sees_a_repeated_root_at_infinity():
+    # (3 + t^2) - (1 + t^2) = 2 falls two degrees short: a double root at t = infinity
+    blocks = (((0, 1),), ((1, 1),))
+    assert _repeated_root_at(blocks, [(3, 0, 1), (1, 0, 1)], Fraction(1))
+    # (3 + t^2) - 2*(1 + t^2) = 1 - t^2 has simple roots only
+    assert not _repeated_root_at(blocks, [(3, 0, 1), (1, 0, 1)], Fraction(2))
 
 
 def test_caps_that_empty_the_global_stage_are_rejected():

@@ -14,18 +14,17 @@ from curvepencils.exactalg import (
     IntMatrix,
     QmodZ,
     UniPoly,
-    fraction_kernel,
-    fraction_rref,
+    echelon_rows,
     hermite_column_form,
     integer_kernel_basis,
     lagrange_interpolate,
     lattice_key,
+    primitive_vector,
     product_relation_lattice,
     rational_roots,
     resultant,
     saturate_lattice,
     smith_normal_form,
-    solve_fraction_system,
     squarefree_multiplicity_profile,
     yun_squarefree,
 )
@@ -252,21 +251,65 @@ def test_subgroup_structure_random():
 # rational linear algebra
 
 
-def test_fraction_rref_and_kernel():
-    rows = [[Fraction(1), Fraction(2), Fraction(3)], [Fraction(2), Fraction(4), Fraction(6)]]
-    rref, pivots = fraction_rref(rows)
-    assert pivots == [0]
-    ker = fraction_kernel(rows, 3)
-    assert len(ker) == 2
-    for vec in ker:
-        assert sum(a * b for a, b in zip(rows[0], vec)) == 0
+def test_primitive_vector_sign_and_content():
+    assert primitive_vector((Fraction(1, 2), Fraction(3, 2))) == (1, 3)
+    assert primitive_vector((0, -2, -4)) == (0, 1, 2)
+    assert primitive_vector((0, Fraction(-3, 4), Fraction(5, 6))) == (0, 9, -10)
+    assert primitive_vector((7,)) == (1,)
+    with pytest.raises(ValueError):
+        primitive_vector((0, Fraction(0)))
 
 
-def test_solve_fraction_system():
-    rows = [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(3)]]
-    assert solve_fraction_system(rows, [Fraction(4), Fraction(6)]) == (2, 2)
-    rows = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]]
-    assert solve_fraction_system(rows, [Fraction(1), Fraction(2)]) is None
+def test_echelon_rows_matches_sympy_rref():
+    # zero, duplicate and rank-deficient rows included
+    rng = random.Random(41)
+    ranks = set()
+    for _ in range(300):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 10)
+        rows = []
+        for _ in range(nrows):
+            pick = rng.random()
+            if rows and pick < 0.15:
+                rows.append(list(rng.choice(rows)))
+            elif len(rows) >= 2 and pick < 0.3:
+                a, b = rng.sample(rows, 2)
+                s, t = Fraction(rng.randint(-3, 3), rng.randint(1, 4)), rng.randint(-2, 2)
+                rows.append([s * x + t * y for x, y in zip(a, b)])
+            elif pick < 0.4:
+                rows.append([Fraction(0)] * ncols)
+            else:
+                entries = [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(ncols)]
+                rows.append([e * rng.randint(0, 1) for e in entries])
+        echelon = echelon_rows(rows)
+        rref, pivots = sympy.Matrix(rows).rref()
+        assert len(echelon) == len(pivots)
+        ranks.add(len(pivots))
+        for r, (row, p) in enumerate(zip(echelon, pivots)):
+            assert row[p] > 0 and all(x == 0 for x in row[:p])
+            assert sympy.gcd_list([sympy.Integer(x) for x in row]) == 1
+            assert [sympy.Rational(x, row[p]) for x in row] == list(rref.row(r))
+    assert ranks == set(range(7))
+
+
+def test_echelon_rows_inverts_unimodular_matrices():
+    # [U | 1] reduces to [1 | U^-1]
+    rng = random.Random(43)
+    for _ in range(100):
+        n = rng.randint(1, 5)
+        U = IntMatrix.identity(n)
+        for _ in range(8):
+            i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+            E = [[int(a == b) for b in range(n)] for a in range(n)]
+            if i == j:
+                E[i][i] = -1
+            else:
+                E[i][j] = rng.randint(-3, 3)
+            U = U.mul(IntMatrix(E))
+        echelon = echelon_rows(row + IntMatrix.identity(n).rows[i] for i, row in enumerate(U.rows))
+        assert [row[:n] for row in echelon] == list(IntMatrix.identity(n).rows)
+        inverse = IntMatrix(row[n:] for row in echelon)
+        assert U.mul(inverse) == IntMatrix.identity(n)
+        assert sympy.Matrix(inverse.to_lists()) == sympy.Matrix(U.to_lists()).inv()
 
 
 # ---------------------------------------------------------------------------
@@ -283,17 +326,6 @@ def test_unipoly_arithmetic():
     assert f.evaluate(3) == 8
     assert f.derivative() == UniPoly((0, 2))
     assert f.gcd(g) == g.monic()
-
-
-def test_unipoly_primitive_integer():
-    f = UniPoly((Fraction(1, 2), Fraction(3, 2)))
-    scale, ints = f.primitive_integer()
-    assert ints == (1, 3)
-    assert scale == Fraction(1, 2)
-    f = UniPoly((-2, -4))
-    scale, ints = f.primitive_integer()
-    assert ints == (1, 2)
-    assert scale == -2
 
 
 def test_yun_matches_sympy():

@@ -561,7 +561,7 @@ def test_partition_saturated_matches_smith_form():
                 col[j] = -m
             cols.append(tuple(col))
         oracle = lattice_key(cols, size) == lattice_key(saturate_lattice(cols, size), size)
-        assert _partition_saturated(partition, size) == oracle, partition
+        assert _partition_saturated(partition) == oracle, partition
         verdicts.add(oracle)
     assert verdicts == {True, False}
 
@@ -626,9 +626,9 @@ def test_search_rejects_composed():
     # x^2 | y^2 | (x - y)(x + y) is the same composed map, now with a reduced
     # third fiber: its columns (2,0,-1,-1), (0,2,-1,-1) span an unsaturated
     # lattice
-    assert not _partition_saturated([[(0, 2)], [(1, 2)], [(2, 1), (3, 1)]], 4)
+    assert not _partition_saturated([[(0, 2)], [(1, 2)], [(2, 1), (3, 1)]])
     braid = [[(0, 1), (4, 1)], [(1, 1), (5, 1)], [(2, 1), (7, 1)]]
-    assert _partition_saturated(braid, 8)
+    assert _partition_saturated(braid)
 
 
 # -- pullback subtori -------------------------------------------------------------
