@@ -309,6 +309,11 @@ class MultiplePoint:
         return len(self.incident)
 
     @property
+    def mask(self) -> int:
+        """The incident components as a bitmask, bit j for component j."""
+        return sum(1 << j for j in self.incident)
+
+    @property
     def yields_local_pencil(self) -> bool:
         # a point pencil contributes positive dimension only past two members
         return self.count >= 3 and self.span_dim == 2

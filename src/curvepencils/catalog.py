@@ -42,7 +42,7 @@ from .pencil import (
     pencil_search,
 )
 from .polyform import ProjLine, TernaryForm, intersect_lines
-from .resonance import subspace_from_pencil
+from .resonance import cup_structure, subspace_from_pencil
 from .torsion import (
     characters_of_Tf,
     compute_Tf,
@@ -209,7 +209,10 @@ def _integer_restrictions(
     out = []
     for cp in arr.components:
         poly = cp.form.restrict_span(q1, q0)
-        assert poly.degree == cp.degree, "parametrization point lies on a component"
+        if poly.degree != cp.degree:
+            raise CatalogError(
+                f"parametrization point {tuple(q0)} lies on component {cp.label!r}"
+            )
         out.append(tuple(int(c) for c in poly.coeffs))
     return out
 
@@ -511,17 +514,21 @@ def build_catalog(
     the first line component is used and a warning records the choice.  The
     sweep finds translated components whose repeated fiber part meets a
     probe line rationally (every repeated line does); k = 2 rays that fail
-    maximal isotropy are dropped when the cup structure exists.
+    maximal isotropy are dropped when the cup structure exists.  One
+    `cup_structure` serves every candidate pencil.
 
-    The sweep walks the block pairs through these stages, in order: content
-    (both blocks primitive, so the two fibers span a saturated lattice),
-    concurrency (a support of lines through one multiple point of step 2's
-    intersection lattice only gives pencils composed with that point's
-    pencil), the Wronskian prefilter on two probe lines, span dedup against
-    the searched and already swept pencils, and exact classification.  Caps
-    that would leave the global stage empty raise `CatalogError`, and so
-    does a component that the irreducibility probe of
-    `Arrangement.irreducibility_warnings` shows to be reducible.
+    The global stage is `pencil_search`, whose block pairs pass, in order,
+    the multinet screen (line arrangements only), the vote screen, span
+    dedup and exact classification.  The sweep walks the block pairs
+    through these stages, in order: content (both blocks primitive, so the
+    two fibers span a saturated lattice), concurrency (a support of lines
+    through one multiple point of step 2's intersection lattice only gives
+    pencils composed with that point's pencil), the Wronskian prefilter on
+    two probe lines, span dedup against the searched and already swept
+    pencils, and exact classification.  Caps that would leave the global
+    stage empty raise `CatalogError`, and so does a component that the
+    irreducibility probe of `Arrangement.irreducibility_warnings` shows to
+    be reducible.
     """
     if max_multiplicity < 1:
         raise CatalogError(f"max_multiplicity (--max-mult) must be >= 1, got {max_multiplicity}")
@@ -584,9 +591,7 @@ def build_catalog(
         ]
         # any two lines meet at a multiple point, so a support is concurrent
         # exactly when it lies among the lines through one of them
-        concurrent_masks = [
-            sum(1 << j for j in mp.incident) for mp in multiple_points if mp.degree == 1
-        ]
+        concurrent_masks = [mp.mask for mp in multiple_points if mp.degree == 1]
         survivor_spans: set[tuple] = set()
         for blk_a, blk_b in iter_block_pairs(work, max_multiplicity):
             if blk_a.degree == 1:
@@ -623,13 +628,14 @@ def build_catalog(
             cl = detect_special_fibers(work, pencil, cl)
             candidates.append(cl)
 
+        cup = cup_structure(work)
         for cl in candidates:
             for w in cl.warnings:
                 if w not in warnings:
                     warnings.append(w)
             maximal: Optional[bool] = None
-            if work.is_line_arrangement():
-                subspace = subspace_from_pencil(work, cl)
+            if cup is not None:
+                subspace = subspace_from_pencil(work, cl, cup)
                 maximal = subspace.maximal
                 if cl.k == 2 and maximal is False:
                     continue

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
-from .arrangement import Arrangement, CurveComponent
+from .arrangement import Arrangement, CurveComponent, local_pencil_points
 from .exactalg import (
     UniPoly,
     projective_profile,
@@ -354,7 +354,10 @@ def _finish_classification(
         for j, e in members:
             placements[j] = ComponentPlacement(kind, b, e)
     done = tuple(p for p in placements if p is not None)
-    assert len(done) == arr.size
+    if len(done) != arr.size:
+        raise PencilError(
+            f"{arr.size - len(done)} components neither voted nor were fiber members"
+        )
     B = tuple(sorted((b for b, d in fibers.items() if d.is_full), key=lambda p: p.sort_key()))
     type2 = tuple(
         sorted((b for b, d in fibers.items() if not d.is_full), key=lambda p: p.sort_key())
@@ -872,6 +875,11 @@ class _SearchTables:
             self.values.append(row)
         self._forms: dict[tuple[int, tuple[int, ...]], TernaryForm] = {}
         self._values_cache: dict[tuple[int, tuple[int, ...], int], list[Fraction]] = {}
+        # incidence masks of the multiple points, for the multinet screen
+        self.point_masks: list[int] | None = None
+        if arr.is_line_arrangement():
+            self.point_masks = [mp.mask for mp in local_pencil_points(arr)]
+        self._counts: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
 
     def block_values_at(self, block: _Block, j: int) -> list[Fraction]:
         """Evaluations of the block product at the stored points of component j."""
@@ -891,6 +899,65 @@ class _SearchTables:
     def vote(self, a: _Block, b: _Block, j: int) -> Vote:
         """`_vote` of component j against the pencil of two blocks."""
         return _vote(zip(self.block_values_at(a, j), self.block_values_at(b, j)))
+
+    def point_counts(self, block: _Block) -> tuple[int, ...]:
+        """n_X(block) at each multiple point X: multiplicities of its lines through X."""
+        key = (block.mask, block.mults)
+        counts = self._counts.get(key)
+        if counts is None:
+            counts = tuple(
+                sum(m for j, m in zip(block.indices, block.mults) if mask >> j & 1)
+                for mask in self.point_masks
+            )
+            self._counts[key] = counts
+        return counts
+
+    def multinet_screen(self, a: _Block, b: _Block) -> bool:
+        """Whether two blocks of lines can be fibers of a pencil with k >= 3.
+
+        Falk and Yuzvinsky ("Multinets, resonance varieties, and pencils of
+        plane curves", Compositio Math. 2007) show that the k >= 3
+        completely reducible fibers of a pencil of a line arrangement form a
+        multinet on their lines.  The screen checks two of its conditions at
+        each multiple point X where a line of a meets a line of b, with
+        n_X(block) the sum of the block's multiplicities over its lines
+        through X:
+
+        - n_X(a) = n_X(b), and
+        - some line outside a and b passes through X.
+
+        Both are necessary.  X lies on P = 0 and Q = 0, so it is a base point
+        and every fiber passes through it.  A third full fiber
+        F3 = alpha*P + beta*Q has alpha, beta != 0, and its lines lie outside
+        a and b, since two fibers share no component; one of them passes
+        through X.  Suppose n_X(a) < n_X(b).  P vanishes to order n_X(a) at X
+        and Q to a higher order, so the tangent cone of F3 at X is alpha
+        times that of P: the product of a's lines through X.  It is also the
+        product of F3's own lines through X.  A binary form factors uniquely
+        into lines, so F3 and P would share a line, which is impossible.
+        n_X(a) > n_X(b) is the same with beta and Q.  A rejected pair thus
+        spans a pencil with k = 2.  Curves can be tangent at X, which breaks
+        the unique factorization step, so only line arrangements are
+        screened.
+        """
+        union = a.mask | b.mask
+        for mask, na, nb in zip(self.point_masks, self.point_counts(a), self.point_counts(b)):
+            if na and nb and (na != nb or mask | union == union):
+                return False
+        return True
+
+    def vote_screen(self, a: _Block, b: _Block) -> bool:
+        """Whether some component outside both blocks could divide a third fiber.
+
+        A component whose votes disagree is horizontal, so when every other
+        component votes horizontal the pencil has k = 2.
+        """
+        union = a.mask | b.mask
+        return any(
+            self.vote(a, b, j) != "horizontal"
+            for j in range(self.arr.size)
+            if not union >> j & 1
+        )
 
     def block_form(self, block: _Block) -> TernaryForm:
         key = (block.mask, block.mults)
@@ -982,26 +1049,31 @@ def pencil_search(
 ) -> list[SearchResult]:
     """All pencils realizing partitions of components into k >= 3 full fibers.
 
-    Enumerates pairs of disjoint equal-degree multiplicity blocks, spans
-    each pair, and keeps the pencils whose count k of fully-arrangement
-    fibers lies in [3, max_blocks] with every fiber multiplicity within the
-    cap.  Results are deduplicated as 2-dimensional spans; every emitted
-    pencil classifies back to the partition that produced it.  Pencils with
-    k = 2 are not searched for here: the catalog's translated sweep covers
-    them.
+    Each pair of blocks goes through these stages, in order:
+
+    - `iter_block_pairs`: disjoint, equal degree, coprime contents;
+    - the multinet screen (`_SearchTables.multinet_screen`), on line
+      arrangements only: integer counts at the multiple points;
+    - the vote screen (`_SearchTables.vote_screen`), which needs no forms;
+    - span dedup: the first pair to reach a span classifies it;
+    - exact classification, kept when the count k of fully-arrangement
+      fibers lies in [3, max_blocks], every fiber multiplicity is within the
+      cap, and the partition is saturated (`_partition_saturated`).
+
+    Both screens only reject pairs of a pencil with k = 2, and any two full
+    fibers of a result pass them, so the first pair to reach a result's
+    span does not depend on the screens.  Every emitted pencil classifies
+    back to the partition that produced it.  Pencils with k = 2 are not
+    searched for here: the catalog's translated sweep covers them.
     """
     tables = _SearchTables(arr)
+    lines = tables.point_masks is not None
     seen: set[tuple] = set()
     results: list[SearchResult] = []
     for a, b in iter_block_pairs(arr, max_multiplicity):
-        # a third full fiber needs a component that could still divide
-        # one; all-horizontal votes pin k = 2 without building forms
-        union = a.mask | b.mask
-        if all(
-            tables.vote(a, b, j) == "horizontal"
-            for j in range(arr.size)
-            if not (union >> j & 1)
-        ):
+        if lines and not tables.multinet_screen(a, b):
+            continue
+        if not tables.vote_screen(a, b):
             continue
         # disjoint supports of irreducibles are never proportional
         pencil = Pencil(tables.block_form(a), tables.block_form(b))

@@ -25,6 +25,7 @@ __all__ = [
     "ResonanceError",
     "ResidueVector",
     "CupStructure",
+    "cup_structure",
     "IsotropyFlags",
     "IsotropicSubspace",
     "RayMap",
@@ -150,6 +151,13 @@ class CupStructure:
         return self._reduce(coords)
 
 
+def cup_structure(arr: Arrangement) -> CupStructure | None:
+    """The arrangement's `CupStructure`; None without one (curves, or no infinity line)."""
+    if arr.is_line_arrangement() and arr.infinity_index is not None:
+        return CupStructure(arr)
+    return None
+
+
 def is_maximal_isotropic(cs: CupStructure, subspace: IsotropicSubspace) -> IsotropyFlags:
     """Decide whether all products vanish and whether the annihilator is no bigger."""
     basis = subspace.basis
@@ -184,13 +192,14 @@ def is_maximal_isotropic(cs: CupStructure, subspace: IsotropicSubspace) -> Isotr
 
 
 def subspace_from_pencil(
-    arr: Arrangement, classification: PencilClassification
+    arr: Arrangement, classification: PencilClassification, cup: CupStructure | None
 ) -> IsotropicSubspace:
     """Pullback of degree-one classes of the punctured target line.
 
     One basis vector per base point past the first: positive member
     multiplicities on that fiber, negative ones on the reference fiber.
-    Isotropy flags are filled in whenever a cup structure exists.
+    Isotropy flags are filled in when ``cup``, the arrangement's
+    `cup_structure`, exists; one structure serves every pencil.
     """
     base = classification.base_points
     if len(base) < 2:
@@ -207,8 +216,8 @@ def subspace_from_pencil(
     for v in vectors:
         assert v.degree_pairing(arr.degrees) == 0
     subspace = IsotropicSubspace(tuple(vectors))
-    if arr.is_line_arrangement() and arr.infinity_index is not None:
-        flags = is_maximal_isotropic(CupStructure(arr), subspace)
+    if cup is not None:
+        flags = is_maximal_isotropic(cup, subspace)
         subspace = replace(subspace, isotropic=flags.isotropic, maximal=flags.maximal)
     return subspace
 

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -239,6 +242,25 @@ def test_probe_restrictions_agree_with_evaluation():
                 for s in range(cp.degree + 2):
                     point = tuple(s * a + b for a, b in zip(q0, q1))
                     assert sum(c * s**k for k, c in enumerate(coeffs)) == cp.form.evaluate(point)
+
+
+def test_parametrization_point_on_a_component_raises_under_optimization():
+    # the check must survive python -O, which strips asserts
+    code = """
+from curvepencils.arrangement import Arrangement, CurveComponent
+from curvepencils.catalog import CatalogError, _integer_restrictions
+from curvepencils.polyform import TernaryForm
+arr = Arrangement([CurveComponent(v, TernaryForm.parse(v)) for v in "xyz"])
+try:
+    _integer_restrictions(arr, (0, 1, 1), (1, 1, 1))
+except CatalogError as exc:
+    print(exc)
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert "lies on component 'x'" in done.stdout
 
 
 def test_probe_lines_miss_every_line_intersection():

@@ -40,6 +40,9 @@ from curvepencils.pencil import (
     PencilError,
     ProbeDegeneracyError,
     ProbeSequence,
+    _SearchTables,
+    _classify_pair,
+    _finish_classification,
     _formal_discriminant,
     _partition_saturated,
     _vote,
@@ -612,6 +615,17 @@ def test_search_roundtrip_classification(db3_search):
         assert partition == result.partition
 
 
+def test_search_b3_k3():
+    arr = b3()
+    results = pencil_search(arr, 2, 3)
+    assert len(results) == 16
+    assert all(r.k == 3 for r in results)
+    for result in results:
+        redo = classify(arr, result.pencil)
+        partition = tuple(redo.fiber_members(b) for b in redo.base_points)
+        assert partition == result.partition
+
+
 def test_search_four_generic_lines_empty():
     assert pencil_search(four_generic_lines(), 2, 3) == []
 
@@ -629,6 +643,47 @@ def test_search_rejects_composed():
     assert not _partition_saturated([[(0, 2)], [(1, 2)], [(2, 1), (3, 1)]])
     braid = [[(0, 1), (4, 1)], [(1, 1), (5, 1)], [(2, 1), (7, 1)]]
     assert _partition_saturated(braid)
+
+
+# -- the multinet screen ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "make, pairs, spans", [(deleted_b3, 57, 28), (a2, 57, 28), (ceva2, 15, 5)]
+)
+def test_multinet_screen_survivor_counts(make, pairs, spans):
+    arr = make()
+    tables = _SearchTables(arr)
+    kept = [(a, b) for a, b in iter_block_pairs(arr, 2) if tables.multinet_screen(a, b)]
+    assert len(kept) == pairs
+    keys = {Pencil(tables.block_form(a), tables.block_form(b)).span_key() for a, b in kept}
+    assert len(keys) == spans
+
+
+def test_multinet_screen_keeps_every_pair_of_full_fibers():
+    # exact classification is the oracle: a pair it gives k >= 3 must pass
+    for make in (deleted_b3, a2, ceva2):
+        arr = make()
+        tables = _SearchTables(arr)
+        full = 0
+        for a, b in iter_block_pairs(arr, 2):
+            if not tables.vote_screen(a, b):
+                continue
+            pencil = Pencil(tables.block_form(a), tables.block_form(b))
+            if _classify_pair(arr, tables, pencil, a, b).k >= 3:
+                full += 1
+                assert tables.multinet_screen(a, b), (make.__name__, a, b)
+        assert full > 0
+
+
+def test_multinet_screen_skips_curve_arrangements():
+    assert _SearchTables(exfin3()).point_masks is None
+
+
+def test_unplaced_component_raises():
+    arr = triangle()
+    with pytest.raises(PencilError, match="neither voted nor were fiber members"):
+        _finish_classification(arr, Pencil(F("x"), F("y")), {}, [])
 
 
 # -- pullback subtori -------------------------------------------------------------

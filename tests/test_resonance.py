@@ -30,6 +30,7 @@ from curvepencils.resonance import (
     IsotropicSubspace,
     ResidueVector,
     ResonanceError,
+    cup_structure,
     is_maximal_isotropic,
     pencil_from_subspace,
     ray_to_map,
@@ -119,7 +120,7 @@ def test_cup_relations_deleted_b3():
 def test_isotropy_flags_distinguish_subspaces():
     arr = deleted_b3()
     cs = CupStructure(arr)
-    pencil_subspace = subspace_from_pencil(arr, classify(arr, braid_pencil()))
+    pencil_subspace = subspace_from_pencil(arr, classify(arr, braid_pencil()), cs)
     # one ray inside a two-dimensional isotropic subspace cannot be maximal
     ray = IsotropicSubspace((pencil_subspace.basis[0],))
     assert is_maximal_isotropic(cs, ray) == (True, False)
@@ -137,7 +138,7 @@ def test_isotropy_flags_distinguish_subspaces():
 
 def test_subspace_from_fw_pencil():
     arr = deleted_b3()
-    subspace = subspace_from_pencil(arr, classify(arr, fw_pencil()))
+    subspace = subspace_from_pencil(arr, classify(arr, fw_pencil()), cup_structure(arr))
     assert subspace.dimension == 1
     assert subspace.isotropic is True and subspace.maximal is True
     pattern = ResidueVector((1, -1, -1, 1, 2, 0, -2, 0))
@@ -146,7 +147,7 @@ def test_subspace_from_fw_pencil():
 
 def test_subspace_from_a2_pencil():
     arr = a2()
-    subspace = subspace_from_pencil(arr, classify(arr, a2_pencil()))
+    subspace = subspace_from_pencil(arr, classify(arr, a2_pencil()), cup_structure(arr))
     assert subspace.dimension == 1
     assert subspace.isotropic is True and subspace.maximal is True
     assert subspace.basis[0].entries == tuple(
@@ -161,7 +162,7 @@ def test_three_point_subspaces_are_maximal_isotropic():
         (b3().with_infinity(0), b3_pencil()),
     ]
     for arr, pencil in cases:
-        subspace = subspace_from_pencil(arr, classify(arr, pencil))
+        subspace = subspace_from_pencil(arr, classify(arr, pencil), cup_structure(arr))
         assert subspace.dimension == len(classify(arr, pencil).base_points) - 1 == 2
         assert subspace.isotropic is True and subspace.maximal is True
         for v in subspace.basis:
@@ -170,7 +171,7 @@ def test_three_point_subspaces_are_maximal_isotropic():
 
 def test_subspace_skips_isotropy_for_curve_components():
     arr = ex2()
-    subspace = subspace_from_pencil(arr, classify(arr, ex2_pencil()))
+    subspace = subspace_from_pencil(arr, classify(arr, ex2_pencil()), cup_structure(arr))
     assert subspace.dimension == 2
     assert subspace.isotropic is None and subspace.maximal is None
 
@@ -182,7 +183,7 @@ def test_subspace_needs_two_base_points():
     )
     pencil = Pencil(F("x^2 + y^2"), F("x*z"))
     with pytest.raises(ResonanceError, match="two fully-arrangement fibers"):
-        subspace_from_pencil(arr, classify(arr, pencil))
+        subspace_from_pencil(arr, classify(arr, pencil), cup_structure(arr))
 
 
 # -- pencil reconstruction ----------------------------------------------------------
@@ -190,7 +191,7 @@ def test_subspace_needs_two_base_points():
 
 def test_pencil_from_braid_subspace_is_exact():
     arr = deleted_b3()
-    subspace = subspace_from_pencil(arr, classify(arr, braid_pencil()))
+    subspace = subspace_from_pencil(arr, classify(arr, braid_pencil()), cup_structure(arr))
     pencil = pencil_from_subspace(arr, subspace)
     assert pencil.P == F("x") * F("x - y - z")
     assert pencil.Q == F("x - z") * F("x - y")
@@ -198,7 +199,7 @@ def test_pencil_from_braid_subspace_is_exact():
 
 def test_pencil_from_subspace_recovers_fiber_multiplicities():
     arr = ex2()
-    subspace = subspace_from_pencil(arr, classify(arr, ex2_pencil()))
+    subspace = subspace_from_pencil(arr, classify(arr, ex2_pencil()), cup_structure(arr))
     pencil = pencil_from_subspace(arr, subspace)
     assert pencil.P == F("x^2") and pencil.Q == F("y*z")
 
@@ -211,7 +212,7 @@ def test_pencil_subspace_round_trips():
         (ex2(), ex2_pencil()),
     ]
     for arr, pencil in cases:
-        subspace = subspace_from_pencil(arr, classify(arr, pencil))
+        subspace = subspace_from_pencil(arr, classify(arr, pencil), cup_structure(arr))
         assert same_span(pencil_from_subspace(arr, subspace), pencil)
 
 
@@ -219,7 +220,7 @@ def test_pencil_from_subspace_errors():
     arr = deleted_b3()
     with pytest.raises(ResonanceError, match="dimension below two"):
         pencil_from_subspace(arr, IsotropicSubspace(()))
-    ray = subspace_from_pencil(arr, classify(arr, fw_pencil()))
+    ray = subspace_from_pencil(arr, classify(arr, fw_pencil()), cup_structure(arr))
     with pytest.raises(ResonanceError, match="dimension below two"):
         pencil_from_subspace(arr, ray)
     junk = IsotropicSubspace((ResidueVector((1, -1, 0)), ResidueVector((0, 1, -1))))
