@@ -30,6 +30,7 @@ from .exactalg import (
     coeffs_mul,
     lattice_key,
     rational_roots,
+    roots_mod_p,
     saturate_lattice,
 )
 from .pencil import (
@@ -230,19 +231,6 @@ def _integer_restrictions(
 # that can carry a repeated root.  Agreement across two probes is required.
 
 
-def _has_projective_root_mod_p(coeffs: Sequence[int], p: int) -> bool:
-    reduced = [c % p for c in coeffs]
-    if reduced[-1] == 0:
-        return True
-    for s in range(p):
-        acc = 0
-        for c in reversed(reduced):
-            acc = (acc * s + c) % p
-        if acc == 0:
-            return True
-    return False
-
-
 def _log_wronskian(
     ray: dict[int, int], restrictions: Sequence[tuple[int, ...]]
 ) -> tuple[tuple[int, ...], int]:
@@ -303,8 +291,10 @@ def _candidate_parameters(
     wron = tuple(c // content for c in wron)
 
     found: set[Fraction] = set()
-    # finite repeated-root positions are rational roots of the Wronskian
-    if len(wron) > 1 and all(_has_projective_root_mod_p(wron, p) for p in _ROOT_PRIMES):
+    # finite repeated-root positions are rational roots of the Wronskian;
+    # most Wronskians have no root mod 7 or mod 11, which costs far less
+    # to see than a call of `rational_roots`
+    if len(wron) > 1 and all(roots_mod_p(wron, p) for p in _ROOT_PRIMES):
         for rho, _ in rational_roots(UniPoly([Fraction(c) for c in wron])).roots:
             va = _fiber_value(blk_a, restrictions, rho)
             vb = _fiber_value(blk_b, restrictions, rho)
@@ -518,17 +508,17 @@ def build_catalog(
     `cup_structure` serves every candidate pencil.
 
     The global stage is `pencil_search`, whose block pairs pass, in order,
-    the multinet screen (line arrangements only), the vote screen, span
-    dedup and exact classification.  The sweep walks the block pairs
-    through these stages, in order: content (both blocks primitive, so the
-    two fibers span a saturated lattice), concurrency (a support of lines
-    through one multiple point of step 2's intersection lattice only gives
-    pencils composed with that point's pencil), the Wronskian prefilter on
-    two probe lines, span dedup against the searched and already swept
-    pencils, and exact classification.  Caps that would leave the global
-    stage empty raise `CatalogError`, and so does a component that the
-    irreducibility probe of `Arrangement.irreducibility_warnings` shows to
-    be reducible.
+    one screen (the multinet screen on line arrangements, the vote screen
+    on the others), span dedup and exact classification.  The sweep walks
+    the block pairs through these stages, in order: content (both blocks
+    primitive, so the two fibers span a saturated lattice), concurrency (a
+    support of lines through one multiple point of step 2's intersection
+    lattice only gives pencils composed with that point's pencil; two
+    single lines always meet at one), the Wronskian prefilter on two probe
+    lines, span dedup against the searched and already swept pencils, and
+    exact classification.  Caps that would leave the global stage empty
+    raise `CatalogError`, and so does a component that the irreducibility
+    probe of `Arrangement.irreducibility_warnings` shows to be reducible.
     """
     if max_multiplicity < 1:
         raise CatalogError(f"max_multiplicity (--max-mult) must be >= 1, got {max_multiplicity}")
@@ -594,8 +584,6 @@ def build_catalog(
         concurrent_masks = [mp.mask for mp in multiple_points if mp.degree == 1]
         survivor_spans: set[tuple] = set()
         for blk_a, blk_b in iter_block_pairs(work, max_multiplicity):
-            if blk_a.degree == 1:
-                continue  # every fiber of a line pencil is reduced
             # the two fibers span the homology cokernel, the lattice
             # Z*a + Z*b on disjoint supports, iff both blocks are primitive
             if blk_a.content != 1 or blk_b.content != 1:

@@ -41,6 +41,7 @@ __all__ = [
     "squarefree_multiplicity_profile",
     "projective_profile",
     "RationalRoots",
+    "roots_mod_p",
     "rational_roots",
     "resultant",
     "primitive_vector",
@@ -707,86 +708,85 @@ class RationalRoots(NamedTuple):
     remaining_degree: int
 
 
-# -- integer factorization helpers for the rational root test ---------------
+def roots_mod_p(coeffs: Sequence[int], p: int) -> list[int]:
+    """Roots mod p of an integer polynomial read as a binary form.
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_rho(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    x0, c = 2, 1
-    while True:
-        x, y, d = x0, x0, 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = gcd(abs(x - y), n)
-        if d != n:
-            return d
-        x0 += 1
-        c += 2
-
-
-def _factor(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    if n < 0:
-        n = -n
-    for p in (2, 3, 5, 7, 11, 13):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if _is_probable_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
+    The residues s in [0, p) where sum c_i * s^i vanishes mod p, then p
+    itself, standing for infinity, when the leading coefficient does.  A
+    rational root u/v in lowest terms has v | c_n; it reduces to u/v mod p,
+    or to infinity when p | v, so an empty list certifies that there is no
+    rational root.
+    """
+    reduced = [c % p for c in reversed(coeffs)]
+    out = []
+    for s in range(p):
+        acc = 0
+        for c in reduced:
+            acc = (acc * s + c) % p
+        if acc == 0:
+            out.append(s)
+    if reduced[0] == 0:
+        out.append(p)
     return out
 
 
-def _divisors(n: int) -> list[int]:
-    divs = [1]
-    for p, e in _factor(n).items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
+def _primes() -> Iterator[int]:
+    found: list[int] = []
+    for n in itertools.count(2):
+        if all(n % q for q in found):
+            found.append(n)
+            yield n
+
+
+def _root_candidates(g: UniPoly) -> list[Fraction]:
+    """Rationals among which every root of g lies, by p-adic lifting.
+
+    Let h be g made primitive over Z, with leading coefficient a and
+    B = |a| + max |c_i| over the other coefficients.  A root r of h reduces
+    to a root mod every prime p not dividing a, so a rootless residue ring
+    proves that there is none.  At the first such p where every root mod p
+    is simple, Newton's iteration lifts each one to a p-adic root x, which
+    is r when the root came from r.  Cauchy's bound gives |a*r| <= B, so once
+    the modulus M exceeds 2B, a*r is the symmetric residue of a*x mod M.  A
+    repeated root is multiple mod every p, so after a few primes with a
+    multiple root h becomes its squarefree part, which has the same roots
+    and only finitely many such primes.
+    """
+    h = primitive_vector(g.coeffs)
+    tries = 0
+    for p in _primes():
+        if h[-1] % p == 0:
+            continue
+        residues = roots_mod_p(h, p)
+        if not residues:
+            return []
+        dh = coeffs_derivative(h)
+        if all(coeffs_evaluate(dh, s) % p for s in residues):
+            break
+        tries += 1
+        if tries == 4:
+            sq = UniPoly(h)
+            h = primitive_vector(sq.exact_divide(sq.gcd(sq.derivative())).coeffs)
+    a = h[-1]
+    bound = 2 * (abs(a) + max(abs(c) for c in h[:-1]))
+    out = []
+    for x in residues:
+        m = p
+        while m <= bound:
+            m *= m
+            x = (x - coeffs_evaluate(h, x) * pow(coeffs_evaluate(dh, x), -1, m)) % m
+        n = a * x % m
+        out.append(Fraction(n - m if 2 * n > m else n, a))
+    return out
 
 
 def rational_roots(f: UniPoly) -> RationalRoots:
     """All rational roots with multiplicities, plus the leftover degree.
 
     ``remaining_degree`` counts the rootless factor; it is zero exactly when
-    f splits over Q into linear factors.
+    f splits over Q into linear factors.  Candidates come from
+    `_root_candidates`; exact division confirms each one and counts its
+    multiplicity.
     """
     if f.is_zero():
         raise ValueError("zero polynomial has every root")
@@ -799,32 +799,18 @@ def rational_roots(f: UniPoly) -> RationalRoots:
     if k:
         roots.append((Fraction(0), k))
     if g.degree >= 1:
-        ints = primitive_vector(g.coeffs)
-        a0, an = abs(ints[0]), abs(ints[-1])
-        g1 = sum(ints)
-        gm1 = sum(c if i % 2 == 0 else -c for i, c in enumerate(ints))
-        for p in _divisors(a0):
-            for q in _divisors(an):
-                if gcd(p, q) != 1:
-                    continue
-                for sign in (1, -1):
-                    # cheap screens: (t - r) | g forces (q - s*p) | g(1), (q + s*p) | g(-1)
-                    if g1 != 0 and (q - sign * p) != 0 and g1 % (q - sign * p) != 0:
-                        continue
-                    if gm1 != 0 and (q + sign * p) != 0 and gm1 % (q + sign * p) != 0:
-                        continue
-                    r = Fraction(sign * p, q)
-                    if g.evaluate(r) != 0:
-                        continue
-                    lin = UniPoly((-r, 1))
-                    mult = 0
-                    while True:
-                        quo, rem = g.divide(lin)
-                        if not rem.is_zero():
-                            break
-                        g = quo
-                        mult += 1
-                    roots.append((r, mult))
+        for r in _root_candidates(g):
+            if g.evaluate(r) != 0:
+                continue
+            lin = UniPoly((-r, 1))
+            mult = 0
+            while True:
+                quo, rem = g.divide(lin)
+                if not rem.is_zero():
+                    break
+                g = quo
+                mult += 1
+            roots.append((r, mult))
     roots.sort(key=lambda rm: rm[0])
     return RationalRoots(tuple(roots), g.degree if g.degree >= 1 else 0)
 

@@ -1052,9 +1052,10 @@ def pencil_search(
     Each pair of blocks goes through these stages, in order:
 
     - `iter_block_pairs`: disjoint, equal degree, coprime contents;
-    - the multinet screen (`_SearchTables.multinet_screen`), on line
-      arrangements only: integer counts at the multiple points;
-    - the vote screen (`_SearchTables.vote_screen`), which needs no forms;
+    - one screen, by arrangement kind: the multinet screen
+      (`_SearchTables.multinet_screen`, integer counts at the multiple
+      points) on line arrangements, the vote screen
+      (`_SearchTables.vote_screen`, which needs no forms) on the others;
     - span dedup: the first pair to reach a span classifies it;
     - exact classification, kept when the count k of fully-arrangement
       fibers lies in [3, max_blocks], every fiber multiplicity is within the
@@ -1062,18 +1063,18 @@ def pencil_search(
 
     Both screens only reject pairs of a pencil with k = 2, and any two full
     fibers of a result pass them, so the first pair to reach a result's
-    span does not depend on the screens.  Every emitted pencil classifies
-    back to the partition that produced it.  Pencils with k = 2 are not
-    searched for here: the catalog's translated sweep covers them.
+    span does not depend on the screens.  On line arrangements the vote
+    screen would add nothing: it rejects no multinet survivor of the line
+    fixtures.  Every emitted pencil classifies back to the partition that
+    produced it.  Pencils with k = 2 are not searched for here: the
+    catalog's translated sweep covers them.
     """
     tables = _SearchTables(arr)
     lines = tables.point_masks is not None
     seen: set[tuple] = set()
     results: list[SearchResult] = []
     for a, b in iter_block_pairs(arr, max_multiplicity):
-        if lines and not tables.multinet_screen(a, b):
-            continue
-        if not tables.vote_screen(a, b):
+        if not (tables.multinet_screen(a, b) if lines else tables.vote_screen(a, b)):
             continue
         # disjoint supports of irreducibles are never proportional
         pencil = Pencil(tables.block_form(a), tables.block_form(b))

@@ -233,14 +233,13 @@ def _general_tf(data: ThetaData) -> TfGroup:
     # --- Step 1: relations among the kernel images inside the product ---
     generators = [data.kernel_images.column(t) for t in range(r)]
     relations = product_relation_lattice(data.moduli, generators)
-    group = FinAbelianGroup.quotient_structure(relations)
-    if group.is_trivial():
-        return _trivial_tf(data)
-    # --- Step 2: invariant-factor coordinates from the Smith decomposition ---
+    # --- Step 2: the group and its coordinates from the Smith decomposition ---
     dec = smith_normal_form(relations)
     diag = dec.invariant_factors
     keep = [i for i in range(len(diag)) if diag[i] > 1]
-    assert tuple(diag[i] for i in keep) == group.invariant_factors
+    if not keep:
+        return _trivial_tf(data)
+    group = FinAbelianGroup(diag[i] for i in keep)
     basis_classes = tuple(
         tuple(dec.U.entry(i, t) % diag[i] for i in keep) for t in range(r)
     )

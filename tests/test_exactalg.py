@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -23,6 +24,7 @@ from curvepencils.exactalg import (
     product_relation_lattice,
     rational_roots,
     resultant,
+    roots_mod_p,
     saturate_lattice,
     smith_normal_form,
     squarefree_multiplicity_profile,
@@ -399,6 +401,82 @@ def test_rational_roots_random():
             expected[r] = expected.get(r, 0) + 1
         assert dict(rr.roots) == expected
         assert rr.remaining_degree == (2 if tail else 0)
+
+
+def _random_root(rng):
+    # numerators up to 10^6, denominators up to 10^5 or a product of small
+    # primes, which the lifting must skip as divisors of the leading coefficient
+    num = rng.randint(-(10 ** rng.randint(0, 6)), 10 ** rng.randint(0, 6))
+    if rng.random() < 0.25:
+        den = rng.choice((6, 30, 210, 2310, 30030))
+    else:
+        den = rng.randint(1, 10 ** rng.randint(0, 5))
+    return Fraction(num, den)
+
+
+def test_rational_roots_match_sympy():
+    # large roots, repeated rational roots and repeated irreducible factors
+    rng = random.Random(6060)
+    t = sympy.Symbol("t")
+    repeated = 0
+    for trial in range(300):
+        poly = UniPoly.constant(rng.choice((1, -1)) * rng.randint(1, 10 ** rng.randint(0, 4)))
+        for _ in range(rng.randint(0, 4)):
+            lin = UniPoly((-_random_root(rng), 1))
+            for _ in range(rng.randint(1, 3)):
+                poly = poly * lin
+        for _ in range(rng.randint(0, 2)):
+            q = UniPoly([rng.randint(-9, 9) for _ in range(rng.randint(2, 3))] + [rng.randint(1, 5)])
+            for _ in range(rng.randint(1, 2)):
+                poly = poly * q
+        if poly.degree < 1:
+            continue
+        expected: dict[Fraction, int] = {}
+        rest = 0
+        oracle = sympy.Poly([sympy.Rational(str(c)) for c in reversed(poly.coeffs)], t)
+        for factor, mult in oracle.factor_list()[1]:
+            if factor.degree() == 1:
+                a, b = (int(c) for c in factor.all_coeffs())
+                expected[Fraction(-b, a)] = mult
+            else:
+                rest += factor.degree() * mult
+        rr = rational_roots(poly)
+        assert dict(rr.roots) == expected, poly
+        assert rr.remaining_degree == rest, poly
+        repeated += any(m > 1 for m in expected.values())
+    assert repeated > 50
+
+
+def test_roots_mod_p_frozen():
+    assert roots_mod_p((-1, 0, 1), 7) == [1, 6]
+    assert roots_mod_p((1, 0, 1), 7) == []
+    assert roots_mod_p((-1, 2), 2) == [2]  # 2t - 1: the root 1/2 is at infinity mod 2
+    assert roots_mod_p((0, 3), 3) == [0, 1, 2, 3]
+
+
+def test_roots_mod_p_never_misses_a_rational_root():
+    # the shared screen is sound: u/v reduces to u * v^-1 mod p, or to
+    # infinity (a vanishing leading coefficient) when p divides v
+    rng = random.Random(7070)
+    at_infinity = 0
+    for trial in range(400):
+        p = rng.choice((2, 3, 5, 7, 11, 13))
+        v = rng.randint(1, 30) * (p if rng.random() < 0.3 else 1)
+        u = rng.randint(-50, 50)
+        g = gcd(u, v)
+        u, v = u // g, v // g
+        cofactor = [rng.randint(-20, 20) for _ in range(rng.randint(0, 4))] + [rng.randint(1, 20)]
+        coeffs = [0] * (len(cofactor) + 1)
+        for i, c in enumerate(cofactor):  # (v*t - u) * cofactor
+            coeffs[i] -= u * c
+            coeffs[i + 1] += v * c
+        residues = roots_mod_p(coeffs, p)
+        if v % p == 0:
+            assert p in residues
+            at_infinity += 1
+        else:
+            assert u * pow(v, -1, p) % p in residues
+    assert at_infinity > 50
 
 
 def test_resultant_matches_sympy():

@@ -1,4 +1,5 @@
-"""Source hygiene: every module-level import, private helper and public function is used."""
+"""Source hygiene: every module-level import, private helper and public function is used,
+and no float enters the arithmetic."""
 
 from __future__ import annotations
 
@@ -209,4 +210,40 @@ def test_unreferenced_public_function_is_caught():
     assert _unreferenced_public({"a.py": source}, [source, test]) == [
         "a.py: exported_only (line 2)",
         "a.py: perimeter (line 8)",
+    ]
+
+
+def _float_uses(tree: ast.Module) -> list[str]:
+    """Float and complex literals, and every read of the name ``float``."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            out.append(f"{node.value!r} (line {node.lineno})")
+        elif isinstance(node, ast.Name) and node.id == "float":
+            out.append(f"float (line {node.lineno})")
+    return out
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_floats(path):
+    # arithmetic stays exact: integers and Fractions only
+    uses = _float_uses(ast.parse(path.read_text(), filename=str(path)))
+    assert not uses, f"{path.name}: floats: {', '.join(uses)}"
+
+
+def test_float_use_is_caught():
+    tree = ast.parse(
+        "x = 1.5\n"
+        "y = 2j\n"
+        "z = 10 ** 6\n"
+        "s = 'float 0.5'\n"
+        "def f(a: float) -> int:\n"
+        "    return int(float(a) * 1e3)\n"
+    )
+    assert sorted(_float_uses(tree)) == [
+        "1.5 (line 1)",
+        "1000.0 (line 6)",
+        "2j (line 2)",
+        "float (line 5)",
+        "float (line 6)",
     ]

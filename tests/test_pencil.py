@@ -660,6 +660,15 @@ def test_multinet_screen_survivor_counts(make, pairs, spans):
     assert len(keys) == spans
 
 
+@pytest.mark.parametrize("make", [deleted_b3, a2, ceva2])
+def test_vote_screen_passes_every_multinet_survivor(make):
+    # why `pencil_search` runs only the multinet screen on line arrangements
+    arr = make()
+    tables = _SearchTables(arr)
+    kept = [(a, b) for a, b in iter_block_pairs(arr, 2) if tables.multinet_screen(a, b)]
+    assert kept and all(tables.vote_screen(a, b) for a, b in kept)
+
+
 def test_multinet_screen_keeps_every_pair_of_full_fibers():
     # exact classification is the oracle: a pair it gives k >= 3 must pass
     for make in (deleted_b3, a2, ceva2):
