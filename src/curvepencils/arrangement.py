@@ -2,9 +2,10 @@
 
 An arrangement is a list of labeled, pairwise distinct irreducible-looking
 forms; one degree-1 component may be designated as the line at infinity.
-This module carries block products of components, detection of multiple
-points that span local pencils, and exponent subtori pulled back from a
-pencil base.
+This module carries block products of components, the multiple points that
+span local pencils, and exponent subtori pulled back from a pencil base.
+`meeting_points` is the one routine that finds where two components meet:
+the cross product for two lines, a projected resultant for curves.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ from .polyform import (
     ProjLine,
     ProjPoint,
     TernaryForm,
+    cross,
     exact_divide,
-    intersection_points,
     line_through,
+    projected_resultant,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -43,6 +45,7 @@ __all__ = [
     "Arrangement",
     "TorsionCharacter",
     "MultiplePoint",
+    "meeting_points",
     "local_pencil_points",
     "ExponentSubtorus",
     "pullback_subtorus",
@@ -72,7 +75,6 @@ class Arrangement:
         self,
         components: Sequence[CurveComponent],
         infinity_index: int | None = None,
-        extra_points: Sequence[ProjPoint] = (),
     ):
         comps = tuple(
             CurveComponent(c.label, c.form.primitive()) for c in components
@@ -95,7 +97,6 @@ class Arrangement:
                 raise ArrangementError("the line at infinity must have degree 1")
         self.components = comps
         self.infinity_index = infinity_index
-        self.extra_points = tuple(extra_points)
 
     # -- constructors --------------------------------------------------------
 
@@ -121,23 +122,7 @@ class Arrangement:
             if doc["infinity"] not in labels:
                 raise ArrangementError(f"infinity label {doc['infinity']!r} not among components")
             infinity = labels.index(doc["infinity"])
-        extra = []
-        triples = doc.get("extra_points", [])
-        if not isinstance(triples, (list, tuple)):
-            raise ArrangementError("extra_points must be a list of integer triples")
-        for triple in triples:
-            if not (
-                isinstance(triple, (list, tuple))
-                and len(triple) == 3
-                and all(isinstance(v, int) and not isinstance(v, bool) for v in triple)
-                and any(triple)
-            ):
-                raise ArrangementError(
-                    f"extra_points entry {triple!r} is not a point: "
-                    "need three integers, not all zero"
-                )
-            extra.append(ProjPoint(triple))
-        return cls(comps, infinity, extra)
+        return cls(comps, infinity)
 
     def to_json(self) -> dict:
         doc: dict = {
@@ -147,12 +132,10 @@ class Arrangement:
         }
         if self.infinity_index is not None:
             doc["infinity"] = self.components[self.infinity_index].label
-        if self.extra_points:
-            doc["extra_points"] = [list(p.coords) for p in self.extra_points]
         return doc
 
     def with_infinity(self, index: int) -> "Arrangement":
-        return Arrangement(self.components, index, self.extra_points)
+        return Arrangement(self.components, index)
 
     # -- queries ---------------------------------------------------------------
 
@@ -217,6 +200,19 @@ class Arrangement:
         return f"Arrangement({[c.label for c in self.components]!r}{inf})"
 
 
+def _points_on_line(
+    form: TernaryForm, p: Sequence[Fraction | int], q: Sequence[Fraction | int]
+) -> list[ProjPoint]:
+    """Rational points of the curve on the line p + t*q: q if the restriction
+    drops degree, then the rational roots t in order; none if the line lies on it."""
+    poly = form.restrict_span(p, q)
+    if poly.is_zero():
+        return []
+    out = [ProjPoint(q)] if poly.degree < form.degree else []
+    roots = rational_roots(poly).roots
+    return out + [ProjPoint([a + t * b for a, b in zip(p, q)]) for t, _ in roots]
+
+
 def _rational_points_on_curve(form: TernaryForm, want: int) -> list[ProjPoint]:
     """A few rational points of the curve, found by slicing with lines."""
     found: list[ProjPoint] = []
@@ -225,18 +221,9 @@ def _rational_points_on_curve(form: TernaryForm, want: int) -> list[ProjPoint]:
         for a, b, c in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, -1, 0), (1, 2, -1), (2, -1, 3)]
     ]
     for line in probes:
-        poly = form.restrict_span(*line.span)
-        if poly.is_zero():
-            continue
-        if poly.degree < form.degree:
-            pt = line.point_at(0, 1)  # the root at t = infinity
+        for pt in _points_on_line(form, *line.span):
             if pt not in found:
                 found.append(pt)
-        if poly.degree >= 1:
-            for root, _ in rational_roots(poly).roots:
-                pt = line.point_at(1, root)
-                if pt not in found:
-                    found.append(pt)
         if len(found) >= want:
             break
     return found[:want]
@@ -319,19 +306,44 @@ class MultiplePoint:
         return self.count >= 3 and self.span_dim == 2
 
 
+def meeting_points(a: CurveComponent, b: CurveComponent) -> list[ProjPoint]:
+    """The rational points where two components meet, sorted.
+
+    Two lines meet at their cross product.  Curves are projected from the
+    first center (u : v : 1), 0 <= u, v <= deg a + deg b, off both; the
+    product of the forms cannot vanish on all of that grid.  A rational
+    common point lies on the line through the center and a rational root
+    of `projected_resultant` or its point at infinity, as a rational point
+    of a where b vanishes.  A common factor raises `ArrangementError`.
+    """
+    f, g = a.form, b.form
+    if f.degree == g.degree == 1:
+        meet = cross(f.coefficient_vector(), g.coefficient_vector())
+        if any(meet):
+            return [ProjPoint(meet)]
+    else:
+        grid = itertools.product(range(f.degree + g.degree + 1), repeat=2)
+        center = next((u, v, 1) for u, v in grid if f.evaluate((u, v, 1)) and g.evaluate((u, v, 1)))
+        R, r0, r1 = projected_resultant(f, g, center)
+        if not R.is_zero():
+            through = [r1] if R.degree < f.degree * g.degree else []
+            through += [[u + t * w for u, w in zip(r0, r1)] for t, _ in rational_roots(R).roots]
+            found = {p for r in through for p in _points_on_line(f, r, center)}
+            return sorted(p for p in found if g.evaluate(p.coords) == 0)
+    raise ArrangementError(f"components {a.label!r} and {b.label!r} share a factor")
+
+
 def local_pencil_points(arr: Arrangement) -> list[MultiplePoint]:
     """All multiple points of the arrangement, grouped by component degree.
 
-    Candidate points are pairwise intersections of the line components plus
-    the arrangement's `extra_points` (needed when no two lines meet there).
+    Candidate points are the `meeting_points` of every pair of components
+    of one degree, so every point where two of them meet is listed.
     """
-    lines = [ProjLine(arr.components[j].form) for j in arr.line_indices()]
-    candidates = set(arr.extra_points) | intersection_points(itertools.combinations(lines, 2))
+    pairs = itertools.combinations(arr.components, 2)
+    candidates = {pt for a, b in pairs if a.degree == b.degree for pt in meeting_points(a, b)}
     out: list[MultiplePoint] = []
-    for pt in sorted(candidates, key=lambda p: p.sort_key()):
-        incident = [
-            j for j, c in enumerate(arr.components) if c.form.evaluate(pt.coords) == 0
-        ]
+    for pt in sorted(candidates):
+        incident = [j for j, c in enumerate(arr.components) if c.form.evaluate(pt.coords) == 0]
         by_degree: dict[int, list[int]] = {}
         for j in incident:
             by_degree.setdefault(arr.components[j].degree, []).append(j)

@@ -10,10 +10,11 @@ expected generic first Betti number along the component.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .arrangement import (
     Arrangement,
@@ -30,6 +31,7 @@ from .exactalg import (
     coeffs_mul,
     lattice_key,
     rational_roots,
+    resultant,
     roots_mod_p,
     saturate_lattice,
 )
@@ -42,7 +44,7 @@ from .pencil import (
     iter_block_pairs,
     pencil_search,
 )
-from .polyform import ProjLine, TernaryForm, intersect_lines
+from .polyform import ProjLine, TernaryForm
 from .resonance import cup_structure, subspace_from_pencil
 from .torsion import (
     characters_of_Tf,
@@ -152,48 +154,51 @@ class Catalog:
 
 _ROOT_PRIMES = (7, 11)
 
+# a probe line, its parametrization points q0 and q1, and its restrictions
+_Probe = tuple[TernaryForm, tuple[int, ...], tuple[int, ...], list[tuple[int, ...]]]
 
-def _probe_lines(
-    arr: Arrangement, multiple_points: Sequence[MultiplePoint]
-) -> list[tuple[TernaryForm, tuple[int, ...], tuple[int, ...]]]:
-    """Two probe lines with integer parametrizations q(s) = s*q0 + q1.
 
-    Each probe misses every meeting point of two lines (the degree-1
-    ``multiple_points``), both parametrization points avoid all components
-    (so restrictions keep full degree), and the probes meet off the arrangement.
+def _probe_candidates() -> Iterator[tuple[int, int, int]]:
+    """Primitive (a, b, c) with 1 <= a <= 23, |b| <= a, -a - |b| <= c <= a + |b| + 1,
+    by height a + |b| + |c| (at most 93), then lexicographically."""
+    for h in range(1, 94):
+        for a in range(1, min(h, 23) + 1):
+            for b in range(-min(a, h - a), min(a, h - a) + 1):
+                r = h - a - abs(b)
+                for c in sorted({-r, r}):
+                    if -a - abs(b) <= c <= a + abs(b) + 1 and gcd(gcd(a, b), c) == 1:
+                        yield a, b, c
+
+
+def _probe_lines(arr: Arrangement) -> list[_Probe]:
+    """Two probe lines q(s) = s*q0 + q1 with their `_integer_restrictions`.
+
+    q0 and q1 avoid all components, so the restrictions keep full degree,
+    and pairwise nonzero resultants prove that the probe misses every point
+    where two components meet, rational or not: every base point of a swept
+    pencil.  The same test against the first probe's restriction puts the
+    meeting point of the two probes off the arrangement.
     """
-    points = [mp.point for mp in multiple_points if mp.degree == 1]
-    x, y, z = (TernaryForm.variable(v) for v in "xyz")
-
-    candidates = []
-    for a in range(1, 24):
-        for b in range(-a, a + 1):
-            for c in range(-a - abs(b), a + abs(b) + 2):
-                candidates.append((a, b, c))
-    candidates.sort(key=lambda t: (abs(t[0]) + abs(t[1]) + abs(t[2]), t))
-
-    chosen: list[tuple[TernaryForm, tuple[int, ...], tuple[int, ...]]] = []
-    for a, b, c in candidates:
-        if gcd(gcd(a, abs(b)), abs(c)) != 1:
+    chosen: list[_Probe] = []
+    for a, b, c in _probe_candidates():
+        line = ProjLine.from_coefficients(a, b, c)
+        if any(cp.form.proportional_to(line.form) for cp in arr.components):
             continue
-        form = x.scale(a) + y.scale(b) + z.scale(c)
-        if any(cp.form.proportional_to(form) for cp in arr.components):
-            continue
-        if any(form.evaluate(p.coords) == 0 for p in points):
-            continue
-        if chosen:
-            met = intersect_lines(ProjLine(form), ProjLine(chosen[0][0]))
-            if any(cp.form.evaluate(met.coords) == 0 for cp in arr.components):
-                continue
-        good: list[tuple[int, ...]] = []
-        for p in ProjLine(form).rational_points(80):
-            if all(cp.form.evaluate(p.coords) != 0 for cp in arr.components):
-                good.append(tuple(int(v) for v in p.coords))
-                if len(good) == 2:
-                    break
+        off = (
+            p.coords
+            for p in line.rational_points(80)
+            if all(cp.form.evaluate(p.coords) for cp in arr.components)
+        )
+        good = list(itertools.islice(off, 2))
         if len(good) < 2:
             continue
-        chosen.append((form, good[0], good[1]))
+        restrictions = _integer_restrictions(arr, good[0], good[1])
+        polys = [UniPoly(r) for r in restrictions]
+        if chosen:
+            polys.append(chosen[0][0].restrict_span(good[1], good[0]))
+        if any(resultant(f, g) == 0 for f, g in itertools.combinations(polys, 2)):
+            continue
+        chosen.append((line.form, good[0], good[1], restrictions))
         if len(chosen) == 2:
             return chosen
     raise CatalogError("no probe line avoids the arrangement")
@@ -272,8 +277,10 @@ def _candidate_parameters(
 ) -> Optional[list[Fraction]]:
     """Rational parameters that can carry a repeated root on this probe.
 
-    None marks a degenerate probe (identically vanishing Wronskian); the
-    caller must keep the pair in that case.
+    None means only that the Wronskian vanishes identically; the caller
+    must keep the pair in that case.  A root of the Wronskian is never a
+    base point of the pencil: the probe misses every point where two
+    components meet (`_probe_lines`).
     """
     blk_a, blk_b = blocks
     ray: dict[int, int] = {}
@@ -298,8 +305,6 @@ def _candidate_parameters(
         for rho, _ in rational_roots(UniPoly([Fraction(c) for c in wron])).roots:
             va = _fiber_value(blk_a, restrictions, rho)
             vb = _fiber_value(blk_b, restrictions, rho)
-            if va == 0 and vb == 0:
-                return None  # probe hits a base point; decide downstream
             if va == 0 or vb == 0:
                 continue  # the repeated root sits inside a block fiber
             found.add(va / vb)
@@ -512,11 +517,12 @@ def build_catalog(
     on the others), span dedup and exact classification.  The sweep walks
     the block pairs through these stages, in order: content (both blocks
     primitive, so the two fibers span a saturated lattice), concurrency (a
-    support of lines through one multiple point of step 2's intersection
-    lattice only gives pencils composed with that point's pencil; two
-    single lines always meet at one), the Wronskian prefilter on two probe
-    lines, span dedup against the searched and already swept pencils, and
-    exact classification.  Caps that would leave the global stage empty
+    support of lines through one of step 2's multiple points, the
+    `meeting_points` of the components, only gives pencils composed with
+    that point's pencil; two single lines always meet at one), the
+    Wronskian prefilter on two probe lines that miss every meeting point,
+    span dedup against the searched and already swept pencils, and exact
+    classification.  Caps that would leave the global stage empty
     raise `CatalogError`, and so does a component that the irreducibility
     probe of `Arrangement.irreducibility_warnings` shows to be reducible.
     """
@@ -546,10 +552,13 @@ def build_catalog(
     base_arr = work if work is not None else arr
 
     # --- Step 2: local components from multiple points ---
+    # curves of degree >= 2 through a point that span a pencil are full
+    # fibers of that pencil: step 3 lists it once as a global pencil, where
+    # local records would list it again at each rational base point
     multiple_points = local_pencil_points(base_arr)
     locals_: list[ComponentRecord] = []
     for mp in multiple_points:
-        if mp.yields_local_pencil:
+        if mp.yields_local_pencil and mp.degree == 1:
             locals_.append(_local_record(base_arr, mp))
     known_keys = {rec.subtorus.saturated_key() for rec in locals_}
 
@@ -575,10 +584,7 @@ def build_catalog(
             cl = detect_special_fibers(work, res.pencil, res.classification)
             candidates.append(cl)
 
-        probes = _probe_lines(work, multiple_points)
-        restrictions = [
-            _integer_restrictions(work, q0, q1) for _, q0, q1 in probes
-        ]
+        restrictions = [r for _, _, _, r in _probe_lines(work)]
         # any two lines meet at a multiple point, so a support is concurrent
         # exactly when it lies among the lines through one of them
         concurrent_masks = [mp.mask for mp in multiple_points if mp.degree == 1]

@@ -192,8 +192,6 @@ def _cmd_validate(args: argparse.Namespace) -> tuple[list[str], dict]:
     ]
     if arr.infinity_index is not None:
         lines.append(f"infinity: {arr.labels[arr.infinity_index]}")
-    if arr.extra_points:
-        lines.append("extra points: " + ", ".join(str(p) for p in arr.extra_points))
     lines.append(f"{arr.size} components, total degree {sum(arr.degrees)}")
     lines.append("ok")
     doc = arr.to_json()

@@ -20,7 +20,7 @@ import bisect
 import itertools
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "QmodZ",
@@ -47,7 +47,6 @@ __all__ = [
     "primitive_vector",
     "echelon_rows",
     "lagrange_interpolate",
-    "sampled_polynomial",
 ]
 
 
@@ -738,10 +737,10 @@ def _primes() -> Iterator[int]:
             yield n
 
 
-def _root_candidates(g: UniPoly) -> list[Fraction]:
-    """Rationals among which every root of g lies, by p-adic lifting.
+def _root_candidates(h: Sequence[int]) -> list[Fraction]:
+    """Rationals among which every root of h lies, by p-adic lifting.
 
-    Let h be g made primitive over Z, with leading coefficient a and
+    h is primitive over Z of degree >= 1, with leading coefficient a and
     B = |a| + max |c_i| over the other coefficients.  A root r of h reduces
     to a root mod every prime p not dividing a, so a rootless residue ring
     proves that there is none.  At the first such p where every root mod p
@@ -752,7 +751,6 @@ def _root_candidates(g: UniPoly) -> list[Fraction]:
     multiple root h becomes its squarefree part, which has the same roots
     and only finitely many such primes.
     """
-    h = primitive_vector(g.coeffs)
     tries = 0
     for p in _primes():
         if h[-1] % p == 0:
@@ -780,39 +778,42 @@ def _root_candidates(g: UniPoly) -> list[Fraction]:
     return out
 
 
+def _divide_root(h: Sequence[int], u: int, v: int) -> list[int] | None:
+    """h / (v*t - u) by integer synthetic division, None when u/v is no root;
+    by Gauss's lemma an exact quotient of a primitive h is integral."""
+    q = [0] * len(h)  # q[k - 1] = (h[k] + u*q[k]) / v from the top, q[n] = 0
+    for k in range(len(h) - 1, 0, -1):
+        q[k - 1], rem = divmod(h[k] + u * q[k], v)
+        if rem:
+            return None
+    return q[:-1] if h[0] + u * q[0] == 0 else None
+
+
 def rational_roots(f: UniPoly) -> RationalRoots:
     """All rational roots with multiplicities, plus the leftover degree.
 
     ``remaining_degree`` counts the rootless factor; it is zero exactly when
     f splits over Q into linear factors.  Candidates come from
-    `_root_candidates`; exact division confirms each one and counts its
-    multiplicity.
+    `_root_candidates` on f made primitive over Z; integer synthetic
+    division by v*t - u (`_divide_root`) confirms each root u/v and counts
+    its multiplicity.
     """
     if f.is_zero():
         raise ValueError("zero polynomial has every root")
-    roots: list[tuple[Fraction, int]] = []
-    g = f
-    k = 0
-    while g.coefficient(0) == 0 and g.degree >= 1:
-        g = UniPoly(g.coeffs[1:])
-        k += 1
-    if k:
-        roots.append((Fraction(0), k))
-    if g.degree >= 1:
-        for r in _root_candidates(g):
-            if g.evaluate(r) != 0:
-                continue
-            lin = UniPoly((-r, 1))
+    h = list(primitive_vector(f.coeffs))
+    k = next(i for i, c in enumerate(h) if c)
+    h = h[k:]
+    roots: list[tuple[Fraction, int]] = [(Fraction(0), k)] if k else []
+    if len(h) > 1:
+        for r in _root_candidates(h):
             mult = 0
-            while True:
-                quo, rem = g.divide(lin)
-                if not rem.is_zero():
-                    break
-                g = quo
+            while len(h) > 1 and (q := _divide_root(h, r.numerator, r.denominator)) is not None:
+                h = q
                 mult += 1
-            roots.append((r, mult))
+            if mult:
+                roots.append((r, mult))
     roots.sort(key=lambda rm: rm[0])
-    return RationalRoots(tuple(roots), g.degree if g.degree >= 1 else 0)
+    return RationalRoots(tuple(roots), len(h) - 1)
 
 
 def resultant(f: UniPoly, g: UniPoly) -> Fraction:
@@ -853,13 +854,3 @@ def lagrange_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> UniPoly
         poly = poly + basis.scale(coef[j])
         basis = basis * UniPoly((-xs[j], 1))
     return poly
-
-
-def sampled_polynomial(sample: Callable[[int], Fraction], degree_bound: int) -> UniPoly | None:
-    """The polynomial of degree <= degree_bound whose values ``sample`` gives.
-
-    Interpolates at the integers 0, ..., degree_bound and checks the value
-    at degree_bound + 1; None when the check fails, i.e. the bound is wrong.
-    """
-    poly = lagrange_interpolate([(x, sample(x)) for x in range(degree_bound + 1)])
-    return poly if poly.evaluate(degree_bound + 1) == sample(degree_bound + 1) else None

@@ -18,13 +18,13 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
-from .arrangement import Arrangement, CurveComponent, local_pencil_points
+from .arrangement import Arrangement, CurveComponent, local_pencil_points, meeting_points
 from .exactalg import (
     UniPoly,
+    lagrange_interpolate,
     projective_profile,
     rational_roots,
     resultant,
-    sampled_polynomial,
 )
 from .polyform import (
     P1Point,
@@ -34,8 +34,8 @@ from .polyform import (
     TernaryForm,
     divisibility_multiplicity,
     exact_divide,
-    intersection_points,
     member_of_pencil_dividing,
+    projected_resultant,
     span_rows,
 )
 
@@ -542,9 +542,10 @@ def _family_discriminant(
             g = UniPoly(p.coefficient(k) * c - q.coefficient(k) for k in range(D + 1))
             return _formal_discriminant(g, D)
 
-        disc = sampled_polynomial(sample, 2 * D - 1)
-        if disc is None or disc.is_zero():
-            continue  # degree bound violated, or every fiber degenerate
+        # 2D samples fix the discriminant, of degree <= 2D - 1; one more checks it
+        disc = lagrange_interpolate([(c, sample(c)) for c in range(2 * D)])
+        if disc.is_zero() or disc.evaluate(2 * D) != sample(2 * D):
+            continue  # every fiber degenerate, or degree bound violated
         return disc
     return None
 
@@ -673,17 +674,15 @@ def fy_identities(arr: Arrangement, classification: PencilClassification) -> FYR
 def _cross_fiber_points(
     arr: Arrangement, classification: PencilClassification
 ) -> list[ProjPoint]:
-    """Sorted meeting points of full-fiber lines that lie in different fibers."""
+    """Sorted meeting points of full-fiber members that lie in different fibers."""
     fibers = [
-        [ProjLine(arr.components[j].form) for j, _ in classification.fiber_members(b)]
+        [arr.components[j] for j, _ in classification.fiber_members(b)]
         for b in classification.base_points
     ]
     pairs = (
-        pair
-        for f1, f2 in itertools.combinations(fibers, 2)
-        for pair in itertools.product(f1, f2)
+        pair for f1, f2 in itertools.combinations(fibers, 2) for pair in itertools.product(f1, f2)
     )
-    return sorted(intersection_points(pairs), key=lambda q: q.sort_key())
+    return sorted({p for a, b in pairs for p in meeting_points(a, b)})
 
 
 def _fy_exact_points(
@@ -748,26 +747,15 @@ def _projected_resultant_profile(
 ) -> tuple[tuple[int, int], ...] | None:
     """Multiplicities of the common points of f1, f2 seen from the center.
 
-    With c_k != 0, the lines through the center c meet x_k = 0 at the
-    points r(t) = e_i + t*e_j, and Res(f1(r(t) + s*c), f2(r(t) + s*c)) in s
-    has degree at most D^2 in t.  The center must lie off both curves, so
-    the formal s-degree stays D.  The profile is merged by multiplicity, so
-    it does not depend on this frame.
+    The center must lie off both curves.  The profile of
+    `projected_resultant` is merged by multiplicity, so it does not depend
+    on the chart of the line it projects to.
     """
-    D = f1.degree
-    k = next(n for n, v in enumerate(center) if v)
-    i, j = (n for n in range(3) if n != k)
-
-    def sample(t: int) -> Fraction:
-        r = [0, 0, 0]
-        r[i], r[j] = 1, t
-        return resultant(f1.restrict_span(r, center), f2.restrict_span(r, center))
-
-    poly = sampled_polynomial(sample, D * D)
-    if poly is None or poly.is_zero():
+    poly, _, _ = projected_resultant(f1, f2, center)
+    if poly.is_zero():
         return None
     merged: dict[int, int] = {}
-    for mult, deg in projective_profile(poly, D * D):
+    for mult, deg in projective_profile(poly, f1.degree * f2.degree):
         merged[mult] = merged.get(mult, 0) + deg
     return tuple(sorted(merged.items()))
 

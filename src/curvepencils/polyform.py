@@ -17,9 +17,16 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from .exactalg import UniPoly, coeffs_mul, echelon_rows, primitive_vector
+from .exactalg import (
+    UniPoly,
+    coeffs_mul,
+    echelon_rows,
+    lagrange_interpolate,
+    primitive_vector,
+    resultant,
+)
 
 __all__ = [
     "PolyParseError",
@@ -27,9 +34,9 @@ __all__ = [
     "ProjPoint",
     "P1Point",
     "ProjLine",
+    "cross",
     "line_through",
-    "intersect_lines",
-    "intersection_points",
+    "projected_resultant",
     "divide",
     "exact_divide",
     "divisibility_multiplicity",
@@ -305,7 +312,7 @@ class TernaryForm:
 # projective points and lines
 
 
-def _cross(a: Sequence, b: Sequence) -> tuple:
+def cross(a: Sequence, b: Sequence) -> tuple:
     """The line through two points, or the meeting point of two lines."""
     return (
         a[1] * b[2] - a[2] * b[1],
@@ -396,62 +403,58 @@ class ProjLine:
         uniq: list[tuple[int, ...]] = []
         # cross products of the coefficient vector with the standard basis
         for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-            v = _cross(a, e)
+            v = cross(a, e)
             if any(v):
                 point = primitive_vector(v)
                 if point not in uniq:
                     uniq.append(point)
         return uniq[0], uniq[1]
 
-    def point_at(self, s: Fraction | int, t: Fraction | int) -> ProjPoint:
-        p, q = self.span
-        s, t = Fraction(s), Fraction(t)
-        return ProjPoint(tuple(s * a + t * b for a, b in zip(p, q)))
-
     def rational_points(self, count: int) -> Iterator[ProjPoint]:
         """Distinct rational points, walking the parametrization."""
+        p, q = self.span
         seen: set[ProjPoint] = set()
         for s, t in itertools.chain([(1, 0), (0, 1)], ((1, k) for k in itertools.count(1))):
-            pt = self.point_at(s, t)
+            pt = ProjPoint(tuple(s * a + t * b for a, b in zip(p, q)))
             if pt not in seen:
                 seen.add(pt)
                 yield pt
                 if len(seen) >= count:
                     return
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ProjLine) and self.form == other.form
-
-    def __hash__(self) -> int:
-        return hash(("ProjLine", self.form))
-
     def __repr__(self) -> str:
         return f"ProjLine({self.form!r})"
 
 
 def line_through(p: ProjPoint, q: ProjPoint) -> ProjLine:
-    v = _cross(p.coords, q.coords)
+    v = cross(p.coords, q.coords)
     if not any(v):
         raise ValueError("coincident points span no line")
     return ProjLine.from_coefficients(*v)
 
 
-def intersect_lines(l1: ProjLine, l2: ProjLine) -> ProjPoint:
-    v = _cross(l1.form.coefficient_vector(), l2.form.coefficient_vector())
-    if not any(v):
-        raise ValueError("coincident lines")
-    return ProjPoint(v)
+def projected_resultant(
+    f: TernaryForm, g: TernaryForm, center: Sequence[int]
+) -> tuple[UniPoly, tuple[int, ...], tuple[int, ...]]:
+    """R(t) = Res_s(f(r + s*c), g(r + s*c)) at r = r0 + t*r1, with r0 and r1.
 
+    r0 + t*r1, and r1 at t = infinity, run over a coordinate line x_k = 0
+    with c_k != 0, which every line through the center c meets once.  With
+    c off both curves, deg R <= deg f * deg g; R(t) vanishes exactly when
+    the line through c and r carries a common point, falls short of that
+    degree exactly when the line through c and r1 does, and is zero exactly
+    when f and g share a factor.
+    """
+    if not (f.evaluate(center) and g.evaluate(center)):
+        raise ValueError("the projection center lies on a curve")
+    k = next(n for n, v in enumerate(center) if v)
+    r0, r1 = (tuple(int(n == m) for n in range(3)) for m in range(3) if m != k)
 
-def intersection_points(pairs: Iterable[tuple[ProjLine, ProjLine]]) -> set[ProjPoint]:
-    """Meeting points of the given line pairs; coincident pairs are skipped."""
-    points: set[ProjPoint] = set()
-    for l1, l2 in pairs:
-        try:
-            points.add(intersect_lines(l1, l2))
-        except ValueError:
-            continue
-    return points
+    def sample(t: int) -> Fraction:
+        r = [a + t * b for a, b in zip(r0, r1)]
+        return resultant(f.restrict_span(r, center), g.restrict_span(r, center))
+
+    return lagrange_interpolate([(t, sample(t)) for t in range(f.degree * g.degree + 1)]), r0, r1
 
 
 # ---------------------------------------------------------------------------

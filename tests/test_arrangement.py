@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+import sympy
 
 from arrfixtures import F, a3, deleted_b3, ex2, lines, triangle
 from curvepencils.arrangement import (
@@ -16,6 +21,7 @@ from curvepencils.arrangement import (
     TorsionCharacter,
     _rational_points_on_curve,
     local_pencil_points,
+    meeting_points,
 )
 from curvepencils.exactalg import lattice_key, saturate_lattice
 from curvepencils.polyform import ProjPoint, TernaryForm
@@ -45,11 +51,9 @@ def test_json_round_trip():
             {"label": "L2", "poly": "y - z"},
         ],
         "infinity": "L2",
-        "extra_points": [[1, 0, 0]],
     }
     arr = Arrangement.from_json(doc)
     assert arr.infinity_index == 1
-    assert arr.extra_points == (ProjPoint((1, 0, 0)),)
     assert arr.to_json() == doc
 
 
@@ -65,10 +69,6 @@ def test_json_errors():
     with pytest.raises(ArrangementError):
         Arrangement.from_json(
             {"components": [{"label": "a", "poly": "x"}], "infinity": "b"}
-        )
-    with pytest.raises(ArrangementError):
-        Arrangement.from_json(
-            {"components": [{"label": "a", "poly": "x"}], "extra_points": [[1, 2]]}
         )
 
 
@@ -102,19 +102,98 @@ def test_local_pencil_points_ex2_has_none():
 
 
 def test_local_pencil_points_extra_points_for_curves():
-    # three conics sharing (1:1:1) inside a 2-dimensional span; without the
-    # extra point no pair of lines witnesses the intersection
+    # three conics of one pencil, c = 2a + b, with no line among them: the
+    # base points of the pencil are (0:0:1), (1:1:1) and two conjugate
+    # points, and the meeting points of the conics find both rational ones
     conics = [
         CurveComponent("a", F("x^2 - y*z")),
         CurveComponent("b", F("y^2 - x*z")),
         CurveComponent("c", F("2*x^2 + y^2 - x*z - 2*y*z")),
     ]
-    assert local_pencil_points(Arrangement(conics)) == []
-    pts = local_pencil_points(Arrangement(conics, extra_points=[ProjPoint((1, 1, 1))]))
-    assert len(pts) == 1
-    assert pts[0].incident == (0, 1, 2)
-    assert pts[0].degree == 2
-    assert pts[0].yields_local_pencil
+    pts = local_pencil_points(Arrangement(conics))
+    assert [p.point for p in pts] == [ProjPoint((0, 0, 1)), ProjPoint((1, 1, 1))]
+    for p in pts:
+        assert p.incident == (0, 1, 2)
+        assert p.degree == 2
+        assert p.yields_local_pencil
+
+
+def _form_through(rng, degree, points):
+    """A random integer form of the degree through the points, or None."""
+    monomials = TernaryForm.monomials_of_degree(degree)
+    conditions = sympy.Matrix(
+        [[p[0] ** a * p[1] ** b * p[2] ** c for a, b, c in monomials] for p in points]
+    )
+    vec = sympy.zeros(len(monomials), 1)
+    for v in conditions.nullspace():
+        vec += rng.randint(-3, 3) * v
+    form = TernaryForm({m: Fraction(int(c.p), int(c.q)) for m, c in zip(monomials, vec)})
+    return form if form.degree == degree else None
+
+
+def _sympy_meeting_points(f, g):
+    """Rational common points of f and g in the charts z = 1, (x:1:0) and (1:0:0)."""
+    x, y, z = sympy.symbols("x y z")
+    F = sympy.Poly(sympy.sympify(str(f).replace("^", "**")), x, y, z).as_expr()
+    G = sympy.Poly(sympy.sympify(str(g).replace("^", "**")), x, y, z).as_expr()
+    out = set()
+    res = sympy.resultant(F.subs(z, 1), G.subs(z, 1), y)
+    for x0 in sympy.Poly(res, x).ground_roots():
+        common = sympy.gcd(F.subs({x: x0, z: 1}), G.subs({x: x0, z: 1}))
+        for y0 in sympy.Poly(common, y).ground_roots():
+            out.add(ProjPoint((Fraction(int(x0.p), int(x0.q)), Fraction(int(y0.p), int(y0.q)), 1)))
+    common = sympy.gcd(F.subs({y: 1, z: 0}), G.subs({y: 1, z: 0}))
+    for x0 in sympy.Poly(common, x).ground_roots():
+        out.add(ProjPoint((Fraction(int(x0.p), int(x0.q)), 1, 0)))
+    if F.subs({x: 1, y: 0, z: 0}) == 0 and G.subs({x: 1, y: 0, z: 0}) == 0:
+        out.add(ProjPoint((1, 0, 0)))
+    return out
+
+
+@pytest.mark.parametrize("degree,draws", [(2, 40), (3, 15)])
+def test_meeting_points_match_sympy(degree, draws):
+    # curves of one degree through 1-3 chosen rational points, some at
+    # infinity; sympy solves the system chart by chart
+    rng = random.Random(1100 + degree)
+    checked = 0
+    while checked < draws:
+        chosen = [
+            tuple(rng.randint(-3, 3) for _ in range(2)) + (rng.choice((0, 1, 1, 1)),)
+            for _ in range(rng.randint(1, 3))
+        ]
+        if any(not any(p) for p in chosen):
+            continue
+        f = _form_through(rng, degree, chosen)
+        g = _form_through(rng, degree, chosen)
+        if f is None or g is None:
+            continue
+        x, y, z = sympy.symbols("x y z")
+        exprs = [sympy.sympify(str(h).replace("^", "**")) for h in (f, g)]
+        if sympy.Poly(sympy.gcd(*exprs), x, y, z).total_degree() > 0:
+            continue
+        ours = meeting_points(CurveComponent("f", f), CurveComponent("g", g))
+        assert set(ours) == _sympy_meeting_points(f, g), (str(f), str(g))
+        assert ours == sorted(set(ours))
+        assert {ProjPoint(p) for p in chosen} <= set(ours)
+        checked += 1
+
+
+def test_shared_factor_raises_under_optimization():
+    # the check must survive python -O, which strips asserts
+    code = """
+from curvepencils.arrangement import Arrangement, ArrangementError, CurveComponent, local_pencil_points
+from curvepencils.polyform import TernaryForm
+arr = Arrangement([CurveComponent("A", TernaryForm.parse("x*y")), CurveComponent("B", TernaryForm.parse("x*z - x*y"))])
+try:
+    local_pencil_points(arr)
+except ArrangementError as exc:
+    print(exc)
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert "components 'A' and 'B' share a factor" in done.stdout
 
 
 def test_irreducibility_warning_on_split_conic():

@@ -8,22 +8,25 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
+import sympy
 
-from arrfixtures import F, deleted_b3, ex2, exfin3
-from curvepencils.arrangement import Arrangement, CurveComponent, local_pencil_points
+from arrfixtures import F, ceva3, deleted_b3, ex2, exfin3
+from curvepencils import catalog as catalog_module
+from curvepencils.arrangement import Arrangement, CurveComponent, meeting_points
 from curvepencils.catalog import (
     CatalogError,
     _character_in_subtorus,
     _integer_restrictions,
+    _probe_candidates,
     _probe_lines,
     _repeated_root_at,
     build_catalog,
 )
 from curvepencils.exactalg import lattice_key
-from curvepencils.polyform import ProjLine, intersection_points
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -236,8 +239,9 @@ def test_three_conic_catalog():
 
 def test_probe_restrictions_agree_with_evaluation():
     for arr in (deleted_b3(), exfin3()):
-        for _, q0, q1 in _probe_lines(arr, local_pencil_points(arr)):
-            for cp, coeffs in zip(arr.components, _integer_restrictions(arr, q0, q1)):
+        for _, q0, q1, restrictions in _probe_lines(arr):
+            assert restrictions == _integer_restrictions(arr, q0, q1)
+            for cp, coeffs in zip(arr.components, restrictions):
                 assert len(coeffs) == cp.degree + 1
                 for s in range(cp.degree + 2):
                     point = tuple(s * a + b for a, b in zip(q0, q1))
@@ -264,14 +268,50 @@ except CatalogError as exc:
 
 
 def test_probe_lines_miss_every_line_intersection():
-    # the degree-1 multiple points are the pairwise meeting points of the lines
-    for arr in (deleted_b3(), exfin3(), ex2()):
-        lines = [ProjLine(arr.components[j].form) for j in arr.line_indices()]
-        meets = intersection_points(itertools.combinations(lines, 2))
-        points = local_pencil_points(arr)
-        assert {mp.point for mp in points if mp.degree == 1} == meets
-        for form, _, _ in _probe_lines(arr, points):
+    # every meeting point of two components, of any degrees, rational or not:
+    # sympy's resultants of the restrictions are nonzero, and no probe passes
+    # through a rational point that `meeting_points` lists
+    s = sympy.symbols("s")
+    for arr in (deleted_b3(), exfin3(), ex2(), ceva3()):
+        meets = {
+            p for a, b in itertools.combinations(arr.components, 2) for p in meeting_points(a, b)
+        }
+        assert meets
+        for form, _, _, restrictions in _probe_lines(arr):
+            polys = [sum(c * s**k for k, c in enumerate(r)) for r in restrictions]
+            for f, g in itertools.combinations(polys, 2):
+                assert sympy.resultant(f, g, s) != 0
             assert all(form.evaluate(p.coords) != 0 for p in meets)
+
+
+def test_probe_candidates_come_by_height():
+    # the lazy walk yields the primitive triples of the bounded box sorted
+    # by height, ties lexicographic
+    box = [
+        (a, b, c)
+        for a in range(1, 24)
+        for b in range(-a, a + 1)
+        for c in range(-a - abs(b), a + abs(b) + 2)
+        if gcd(gcd(a, b), c) == 1
+    ]
+    box.sort(key=lambda t: (sum(abs(v) for v in t), t))
+    assert list(_probe_candidates()) == box
+
+
+def test_ceva3_sweep_classifies_two_spans(monkeypatch):
+    # the probes miss the line-conic points (0:1:0) and (0:0:1), the base
+    # points of most swept pencils, so the Wronskian prefilter decides them
+    calls = []
+    original = catalog_module.classify
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(catalog_module, "classify", counting)
+    cat = build_catalog(ceva3())
+    assert len(calls) == 2
+    assert [r.kind for r in cat.records] == ["local", "global"]
 
 
 def test_second_probe_sees_a_repeated_root_at_infinity():

@@ -197,25 +197,6 @@ def test_malformed_pencil_block(capsys, tmp_path, block, fragment):
 
 
 @pytest.mark.parametrize(
-    "extra,fragment",
-    [
-        ([["p", 1, 2]], "entry ['p', 1, 2] is not a point"),
-        ([[1.5, 0, 0]], "entry [1.5, 0, 0] is not a point"),
-        ([[0, 0, 0]], "entry [0, 0, 0] is not a point"),
-        (5, "must be a list"),
-    ],
-)
-def test_malformed_extra_points(capsys, tmp_path, extra, fragment):
-    doc = {"components": [{"label": "L1", "poly": "x"}], "extra_points": extra}
-    path = tmp_path / "arr.json"
-    path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "validate", path)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: parse: ") and fragment in err
-
-
-@pytest.mark.parametrize(
     "doc,fragment",
     [
         ({"components": 5}, "needs a 'components' list"),

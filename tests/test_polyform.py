@@ -9,6 +9,7 @@ from math import gcd
 import pytest
 import sympy
 
+from curvepencils.arrangement import CurveComponent, meeting_points
 from curvepencils.exactalg import UniPoly, projective_profile
 from curvepencils.polyform import (
     P1Point,
@@ -19,7 +20,6 @@ from curvepencils.polyform import (
     divide,
     divisibility_multiplicity,
     exact_divide,
-    intersect_lines,
     line_through,
     member_of_pencil_dividing,
     span_rows,
@@ -235,8 +235,8 @@ def test_line_incidence():
     l1 = ProjLine(TernaryForm.parse("x - y"))
     for pt in l1.rational_points(5):
         assert l1.form.evaluate(pt.coords) == 0
-    p = intersect_lines(l1, ProjLine(Z))
-    assert p == ProjPoint((1, 1, 0))
+    p = meeting_points(CurveComponent("a", l1.form), CurveComponent("b", Z))
+    assert p == [ProjPoint((1, 1, 0))]
     back = line_through(ProjPoint((0, 0, 1)), ProjPoint((1, 1, 0)))
     assert back.form.proportional_to(TernaryForm.parse("x - y"))
 
