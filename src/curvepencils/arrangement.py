@@ -105,6 +105,9 @@ class Arrangement:
         entries = doc.get("components") if isinstance(doc, dict) else None
         if not isinstance(entries, (list, tuple)):
             raise ArrangementError("arrangement document needs a 'components' list")
+        unknown = sorted(set(doc) - {"components", "infinity"})
+        if unknown:
+            raise ArrangementError(f"unknown key {unknown[0]!r} in arrangement document")
         comps = []
         for entry in entries:
             try:

@@ -32,13 +32,13 @@ from .exactalg import (
     lattice_key,
     rational_roots,
     resultant,
-    roots_mod_p,
     saturate_lattice,
 )
 from .pencil import (
     Pencil,
     PencilClassification,
     PencilError,
+    _Block,
     classify,
     detect_special_fibers,
     iter_block_pairs,
@@ -152,8 +152,6 @@ class Catalog:
 # ---------------------------------------------------------------------------
 # probe lines for the translated sweep
 
-_ROOT_PRIMES = (7, 11)
-
 # a probe line, its parametrization points q0 and q1, and its restrictions
 _Probe = tuple[TernaryForm, tuple[int, ...], tuple[int, ...], list[tuple[int, ...]]]
 
@@ -177,26 +175,37 @@ def _probe_lines(arr: Arrangement) -> list[_Probe]:
     and pairwise nonzero resultants prove that the probe misses every point
     where two components meet, rational or not: every base point of a swept
     pencil.  The same test against the first probe's restriction puts the
-    meeting point of the two probes off the arrangement.
+    meeting point of the two probes off the arrangement.  Everything is
+    integer arithmetic: the components are primitive integer forms and the
+    candidate points integer points, and two linear restrictions f, g have
+    resultant f0*g1 - f1*g0.
     """
+    terms = [[(e, int(c)) for e, c in cp.form.terms.items()] for cp in arr.components]
+
+    def off_arrangement(point: tuple[int, ...]) -> bool:
+        x, y, z = point
+        return all(sum(c * x**i * y**j * z**k for (i, j, k), c in t) for t in terms)
+
+    def coprime(f: tuple[int, ...], g: tuple[int, ...]) -> bool:
+        if len(f) == 2 and len(g) == 2:
+            return f[0] * g[1] != f[1] * g[0]
+        return resultant(UniPoly(f), UniPoly(g)) != 0
+
     chosen: list[_Probe] = []
     for a, b, c in _probe_candidates():
         line = ProjLine.from_coefficients(a, b, c)
         if any(cp.form.proportional_to(line.form) for cp in arr.components):
             continue
-        off = (
-            p.coords
-            for p in line.rational_points(80)
-            if all(cp.form.evaluate(p.coords) for cp in arr.components)
-        )
+        off = (p.coords for p in line.rational_points(80) if off_arrangement(p.coords))
         good = list(itertools.islice(off, 2))
         if len(good) < 2:
             continue
         restrictions = _integer_restrictions(arr, good[0], good[1])
-        polys = [UniPoly(r) for r in restrictions]
+        polys = list(restrictions)
         if chosen:
-            polys.append(chosen[0][0].restrict_span(good[1], good[0]))
-        if any(resultant(f, g) == 0 for f, g in itertools.combinations(polys, 2)):
+            across = chosen[0][0].restrict_span(good[1], good[0])
+            polys.append(tuple(int(c) for c in across.coeffs))
+        if not all(coprime(f, g) for f, g in itertools.combinations(polys, 2)):
             continue
         chosen.append((line.form, good[0], good[1], restrictions))
         if len(chosen) == 2:
@@ -229,82 +238,156 @@ def _integer_restrictions(
 # A fiber with a repeated component meets every probe line in a repeated
 # root, away from the blocks.  On a probe the repeated-root locus of the
 # family v - lambda*w is cut out by the logarithmic Wronskian
-#   sum_j c_j * R_j' * prod_{i != j} R_i,
-# with c the block multiplicity ray and R_j the component restrictions;
-# its degree is bounded by the support degree, independent of the
-# multiplicities, and its rational roots give the only rational parameters
-# that can carry a repeated root.  Agreement across two probes is required.
+#   W = sum_j c_j * R_j' * prod_{i != j} R_i,
+# with c the block multiplicity ray (m_j on block a, -m_j on block b) and
+# R_j the component restrictions; its degree is bounded by the support
+# degree, independent of the multiplicities, and its rational roots give the
+# only rational parameters that can carry a repeated root.  Agreement across
+# two probes is required.
+#
+# Per-block algebra.  The two blocks have disjoint supports, so
+#   W = L_a*S_b - S_a*L_b,  S = prod R_j,  L = sum m_j R_j' prod_{i != j} R_i
+# over each block's support (L/S = sum m_j R_j'/R_j).  S and L are fixed per
+# block and probe; `_SweepTables` builds them one component at a time by
+# (S, L) <- (S*R, L*R + m*S*R').  W has formal degree deg_e - 2, with
+# deg_e = deg S_a + deg S_b: L has formal degree deg S - 1 and leading
+# coefficient D*lc(S) for a block of degree D, so the t^(deg_e - 1)
+# coefficient of W is D*lc(S_a)*lc(S_b) - lc(S_a)*D*lc(S_b) = 0.
+#
+# Residue screen.  Before any polynomial of the pair is built, the pair is
+# rejected when, for some p in _SCREEN_PRIMES, the t^(deg_e - 2)
+# coefficient w of W is nonzero mod p and W has no zero on F_p.  This is
+# sound.  w != 0 gives W exact degree deg_e - 2, so the parameter at the
+# parametrization's infinity is not taken.  A rational root u/v of W in
+# lowest terms has v | w, so p does not divide v, and v^(deg_e - 2)*W(u/v) = 0
+# reduces to W(u/v mod p) = 0 on F_p.  So a rejected pair has no candidate
+# parameter at all, as if W had been built.  The tables hold, per block and
+# prime, S(t) and L(t) mod p at every t in F_p, and the top two
+# coefficients of S and of L, from which w comes.
 
 
-def _log_wronskian(
-    ray: dict[int, int], restrictions: Sequence[tuple[int, ...]]
-) -> tuple[tuple[int, ...], int]:
-    """Numerator of the restricted Wronskian and the support degree."""
-    support = sorted(ray)
-    k = len(support)
-    prefix: list[tuple[int, ...]] = [(1,)] * (k + 1)
-    for i in range(k):
-        prefix[i + 1] = coeffs_mul(prefix[i], restrictions[support[i]])
-    suffix: list[tuple[int, ...]] = [(1,)] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        suffix[i] = coeffs_mul(restrictions[support[i]], suffix[i + 1])
-    degree_e = len(prefix[k]) - 1
-    acc = [0] * max(degree_e, 1)
-    for i, j in enumerate(support):
-        term = coeffs_mul(
-            coeffs_mul(prefix[i], suffix[i + 1]), coeffs_derivative(restrictions[j])
-        )
-        c = ray[j]
-        for t, val in enumerate(term):
-            acc[t] += c * val
-    while acc and acc[-1] == 0:
-        acc.pop()
-    return tuple(acc), degree_e
+_SCREEN_PRIMES = (7, 11, 13)
 
 
-def _fiber_value(
-    block: Sequence[tuple[int, int]], restrictions: Sequence[tuple[int, ...]], at: Fraction
-) -> Fraction:
+class _SweepTables:
+    """S, L and their residues for every block of the sweep, on one probe.
+
+    A block's entry is built once, from the entry of the block without its
+    last component, and holds:
+
+    - codes: one integer bitmask over all primes.  Slot t of prime p has
+      p + 1 bits: bit L(t)/S(t) mod p when S(t) != 0, bit p when S(t) = 0
+      and L(t) != 0, all of them when S(t) = L(t) = 0.  W(t) = L_a*S_b -
+      S_a*L_b vanishes mod p exactly when the two blocks share a bit in
+      slot t, so W has a zero on F_p exactly when their codes meet in
+      p's range.
+    - tops: S[d], S[d - 1], L[d - 1], L[d - 2] with d = deg S (0 below
+      degree 0).
+    - S and L, with L of formal degree d - 1.
+    - residues: per prime, S(t) mod p then L(t) mod p for t in F_p, for
+      the entries built on top of this one.
+    """
+
+    def __init__(self, restrictions: Sequence[tuple[int, ...]]) -> None:
+        self.restrictions = restrictions
+        self.derivatives = [coeffs_derivative(r) for r in restrictions]
+        # per prime: p, bit offset of its codes, range mask, and per component
+        # R_j(t) mod p then R_j'(t) mod p for t in F_p
+        self.primes: list[tuple[int, int, int, list[bytes]]] = []
+        offset = 0
+        for p in _SCREEN_PRIMES:
+            width = p * (p + 1)
+            values = [
+                bytes(coeffs_evaluate(r, t) % p for t in range(p))
+                + bytes(coeffs_evaluate(dr, t) % p for t in range(p))
+                for r, dr in zip(restrictions, self.derivatives)
+            ]
+            self.primes.append((p, offset, ((1 << width) - 1) << offset, values))
+            offset += width
+        empty = b"".join(bytes([1]) * p + bytes(p) for p in _SCREEN_PRIMES)
+        self._entries: dict[tuple[int, tuple[int, ...]], tuple] = {
+            (0, ()): (0, (1, 0, 0, 0), (1,), (), empty)
+        }
+
+    def _entry(self, mask: int, mults: tuple[int, ...]) -> tuple:
+        entry = self._entries.get((mask, mults))
+        if entry is not None:
+            return entry
+        j = mask.bit_length() - 1
+        m = mults[-1]
+        _, _, S, L, residues = self._entry(mask ^ (1 << j), mults[:-1])
+        r = self.restrictions[j]
+        term = tuple(m * c for c in coeffs_mul(S, self.derivatives[j]))  # m*S*R'
+        L = tuple(x + y for x, y in zip(coeffs_mul(L, r), term)) if L else term
+        S = coeffs_mul(S, r)
+        tops = (S[-1], S[-2], L[-1], L[-2] if len(L) > 1 else 0)
+        codes = 0
+        out = bytearray()
+        base = 0
+        for p, offset, _, values in self.primes:
+            rv = values[j]
+            row = bytearray(2 * p)
+            for t in range(p):
+                s, ls = residues[base + t], residues[base + p + t]
+                row[t] = sn = s * rv[t] % p
+                row[p + t] = ln = (ls * rv[t] + m * s * rv[p + t]) % p
+                slot = offset + t * (p + 1)
+                if sn:
+                    codes |= 1 << (slot + ln * pow(sn, -1, p) % p)
+                elif ln:
+                    codes |= 1 << (slot + p)
+                else:
+                    codes |= ((1 << (p + 1)) - 1) << slot
+            out += row
+            base += 2 * p
+        entry = (codes, tops, S, L, bytes(out))
+        self._entries[(mask, mults)] = entry
+        return entry
+
+    def screen(self, a: _Block, b: _Block) -> bool:
+        """False when the residues prove that W has no rational root."""
+        codes_a, (s0a, s1a, l1a, l2a), *_ = self._entry(a.mask, a.mults)
+        codes_b, (s0b, s1b, l1b, l2b), *_ = self._entry(b.mask, b.mults)
+        w = l1a * s1b + l2a * s0b - s0a * l2b - s1a * l1b
+        meet = codes_a & codes_b
+        return not any(w % p and not meet & span for p, _, span, _ in self.primes)
+
+    def wronskian(self, a: _Block, b: _Block) -> tuple[tuple[int, ...], int]:
+        """W = L_a*S_b - S_a*L_b, zeros trimmed, and deg_e = deg S_a + deg S_b."""
+        _, _, S_a, L_a, _ = self._entry(a.mask, a.mults)
+        _, _, S_b, L_b, _ = self._entry(b.mask, b.mults)
+        # both products have formal degree deg_e - 1
+        wron = [x - y for x, y in zip(coeffs_mul(L_a, S_b), coeffs_mul(S_a, L_b))]
+        while wron and wron[-1] == 0:
+            wron.pop()
+        return tuple(wron), len(S_a) + len(S_b) - 2
+
+
+def _fiber_value(block: _Block, restrictions: Sequence[tuple[int, ...]], at: Fraction) -> Fraction:
     out = Fraction(1)
-    for j, m in block:
+    for j, m in zip(block.indices, block.mults):
         out *= coeffs_evaluate(restrictions[j], at) ** m
     return out
 
 
-def _candidate_parameters(
-    blocks: tuple[Sequence[tuple[int, int]], Sequence[tuple[int, int]]],
-    restrictions: Sequence[tuple[int, ...]],
-) -> Optional[list[Fraction]]:
-    """Rational parameters that can carry a repeated root on this probe.
+def _candidate_parameters(sweep: _SweepTables, a: _Block, b: _Block) -> Optional[list[Fraction]]:
+    """Rational parameters that can carry a repeated root on the first probe.
 
-    None means only that the Wronskian vanishes identically; the caller
-    must keep the pair in that case.  A root of the Wronskian is never a
-    base point of the pencil: the probe misses every point where two
-    components meet (`_probe_lines`).
+    W is built from the cached S and L of the two blocks (`_SweepTables`).
+    None means only that W vanishes identically; the caller must keep the
+    pair in that case.  A root of W is never a base point of the pencil:
+    the probe misses every point where two components meet (`_probe_lines`).
     """
-    blk_a, blk_b = blocks
-    ray: dict[int, int] = {}
-    for j, m in blk_a:
-        ray[j] = ray.get(j, 0) + m
-    for j, m in blk_b:
-        ray[j] = ray.get(j, 0) - m
-    ray = {j: c for j, c in ray.items() if c}
-    wron, degree_e = _log_wronskian(ray, restrictions)
+    wron, degree_e = sweep.wronskian(a, b)
     if not wron:
         return None
-    content = 0
-    for c in wron:
-        content = gcd(content, c)
-    wron = tuple(c // content for c in wron)
-
+    restrictions = sweep.restrictions
     found: set[Fraction] = set()
-    # finite repeated-root positions are rational roots of the Wronskian;
-    # most Wronskians have no root mod 7 or mod 11, which costs far less
-    # to see than a call of `rational_roots`
-    if len(wron) > 1 and all(roots_mod_p(wron, p) for p in _ROOT_PRIMES):
+    # finite repeated-root positions are rational roots of W
+    if len(wron) > 1:
         for rho, _ in rational_roots(UniPoly([Fraction(c) for c in wron])).roots:
-            va = _fiber_value(blk_a, restrictions, rho)
-            vb = _fiber_value(blk_b, restrictions, rho)
+            va = _fiber_value(a, restrictions, rho)
+            vb = _fiber_value(b, restrictions, rho)
             if va == 0 or vb == 0:
                 continue  # the repeated root sits inside a block fiber
             found.add(va / vb)
@@ -313,9 +396,9 @@ def _candidate_parameters(
     if len(wron) - 1 < degree_e - 2:
         la = Fraction(1)
         lb = Fraction(1)
-        for j, m in blk_a:
+        for j, m in zip(a.indices, a.mults):
             la *= Fraction(restrictions[j][-1]) ** m
-        for j, m in blk_b:
+        for j, m in zip(b.indices, b.mults):
             lb *= Fraction(restrictions[j][-1]) ** m
         found.add(la / lb)
     return sorted(found)
@@ -520,11 +603,18 @@ def build_catalog(
     support of lines through one of step 2's multiple points, the
     `meeting_points` of the components, only gives pencils composed with
     that point's pencil; two single lines always meet at one), the
-    Wronskian prefilter on two probe lines that miss every meeting point,
-    span dedup against the searched and already swept pencils, and exact
-    classification.  Caps that would leave the global stage empty
-    raise `CatalogError`, and so does a component that the irreducibility
-    probe of `Arrangement.irreducibility_warnings` shows to be reducible.
+    residue screen, the Wronskian prefilter on two probe lines that miss
+    every meeting point, span dedup against the searched and already swept
+    pencils, and exact classification.  The screen and the prefilter work
+    per block: each block's S = prod R_j and L = sum m_j R_j' prod_{i != j}
+    R_i on the first probe, and their values mod 7, 11 and 13, are built
+    once (`_SweepTables`), and a pair's Wronskian is L_a*S_b - S_a*L_b.
+    The screen rejects a pair whose Wronskian has no zero mod some prime
+    that keeps its degree, before any polynomial of the pair is built; the
+    comment above `_SCREEN_PRIMES` proves it loses no candidate.  Caps that
+    would leave the global stage empty raise `CatalogError`, and so does a
+    component that the irreducibility probe of
+    `Arrangement.irreducibility_warnings` shows to be reducible.
     """
     if max_multiplicity < 1:
         raise CatalogError(f"max_multiplicity (--max-mult) must be >= 1, got {max_multiplicity}")
@@ -584,7 +674,8 @@ def build_catalog(
             cl = detect_special_fibers(work, res.pencil, res.classification)
             candidates.append(cl)
 
-        restrictions = [r for _, _, _, r in _probe_lines(work)]
+        first, second = (r for _, _, _, r in _probe_lines(work))
+        sweep = _SweepTables(first)
         # any two lines meet at a multiple point, so a support is concurrent
         # exactly when it lies among the lines through one of them
         concurrent_masks = [mp.mask for mp in multiple_points if mp.degree == 1]
@@ -597,17 +688,17 @@ def build_catalog(
             support = blk_a.mask | blk_b.mask
             if any(support | mask == mask for mask in concurrent_masks):
                 continue  # composed with the point pencil: not connected
+            if not sweep.screen(blk_a, blk_b):
+                continue  # no rational root of W on the first probe
             blocks = (
                 tuple(zip(blk_a.indices, blk_a.mults)),
                 tuple(zip(blk_b.indices, blk_b.mults)),
             )
-            params = _candidate_parameters(blocks, restrictions[0])
+            params = _candidate_parameters(sweep, blk_a, blk_b)
             if params is not None:
                 if not params:
                     continue
-                confirmed = [
-                    lam for lam in params if _repeated_root_at(blocks, restrictions[1], lam)
-                ]
+                confirmed = [lam for lam in params if _repeated_root_at(blocks, second, lam)]
                 if not confirmed:
                     continue
             try:

@@ -401,16 +401,6 @@ class FinAbelianGroup:
     def trivial(cls) -> "FinAbelianGroup":
         return cls(())
 
-    @classmethod
-    def quotient_structure(cls, relations: IntMatrix) -> "FinAbelianGroup":
-        """Structure of Z^n / (column span), which must be finite."""
-        n = relations.nrows
-        snf = smith_normal_form(relations)
-        factors = [snf.D.entry(i, i) for i in range(min(n, relations.ncols))]
-        if len(factors) < n or any(d == 0 for d in factors):
-            raise ValueError("quotient is infinite")
-        return cls(d for d in factors if d > 1)
-
     @property
     def order(self) -> int:
         out = 1

@@ -979,14 +979,32 @@ def iter_block_pairs(
     Blocks whose combined multiplicity vector has content > 1 generate
     non-primitive maps (powers of a smaller pencil) and are dropped.  This
     is the k = 2 case of the saturation rule of `_partition_saturated`.
+
+    Yield order: by degree, ascending; within a degree, exactly the order of
+    ``itertools.combinations`` over the blocks in enumeration order (by
+    mask, then multiplicities), minus the pairs that fail the two tests.
+    Only the disjoint pairs are visited: for each block a, the masks s of
+    its partner are the submasks of its complement with s > a.mask, in
+    ascending order (two disjoint masks differ in their highest bit, so
+    these are the submasks with a bit above a's highest one), and each
+    mask's blocks come in enumeration order.  Catalog `source` strings
+    name the first pair to reach a span, so the order is part of the output.
     """
+    full = (1 << arr.size) - 1
     by_degree = _enumerate_blocks(arr, max_multiplicity)
     for degree in sorted(by_degree):
-        blocks = by_degree[degree]
-        for a, b in itertools.combinations(blocks, 2):
-            if a.mask & b.mask or gcd(a.content, b.content) != 1:
-                continue
-            yield a, b
+        buckets: dict[int, list[_Block]] = {}
+        for block in by_degree[degree]:
+            buckets.setdefault(block.mask, []).append(block)
+        for a in by_degree[degree]:
+            rest = full ^ a.mask
+            s = rest & -(1 << a.mask.bit_length())  # complement bits above a's
+            s &= -s  # the least submask of rest above a.mask
+            while s:
+                for b in buckets.get(s, ()):
+                    if gcd(a.content, b.content) == 1:
+                        yield a, b
+                s = (s - rest) & rest  # next submask of rest, ascending
 
 
 def _partition_saturated(partition: Sequence[Sequence[tuple[int, int]]]) -> bool:

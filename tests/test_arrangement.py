@@ -70,6 +70,14 @@ def test_json_errors():
         Arrangement.from_json(
             {"components": [{"label": "a", "poly": "x"}], "infinity": "b"}
         )
+    with pytest.raises(ArrangementError, match="unknown key 'infinty'"):
+        Arrangement.from_json(
+            {"components": [{"label": "a", "poly": "x"}], "infinty": "a"}
+        )
+    with pytest.raises(ArrangementError, match="unknown key 'extra_points'"):
+        Arrangement.from_json(
+            {"components": [{"label": "a", "poly": "x"}], "extra_points": [[0, 0, 1]]}
+        )
 
 
 def test_local_pencil_points_deleted_b3():

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from arrfixtures import F, ceva3, deleted_b3, ex2, exfin3
 from curvepencils import catalog as catalog_module
@@ -24,11 +26,14 @@ from curvepencils.catalog import (
     _probe_candidates,
     _probe_lines,
     _repeated_root_at,
+    _SweepTables,
     build_catalog,
 )
 from curvepencils.exactalg import lattice_key
+from curvepencils.pencil import _Block
 
 GOLDEN = Path(__file__).parent / "golden"
+FIXTURES = Path(__file__).parent / "fixtures"
 
 W_FLAG = "certified (m'(c) = 1 for all c in C(f))"
 NO_CUP = "candidate (no cup-product structure on this arrangement)"
@@ -284,6 +289,30 @@ def test_probe_lines_miss_every_line_intersection():
             assert all(form.evaluate(p.coords) != 0 for p in meets)
 
 
+PARENT_PROBES = {
+    "a2": [("x - y + 3*z", (6, 3, -1), (9, 3, -2)), ("2*x + 2*y - z", (2, 1, 6), (3, 1, 8))],
+    "a3": [("x - y - 2*z", (4, 2, 1), (8, 2, 3)), ("2*x + y + z", (2, 1, -5), (3, 1, -7))],
+    "b3": [("2*x - y + 4*z", (3, 2, -1), (8, 4, -3)), ("4*x - y - 2*z", (3, 2, 5), (4, 2, 7))],
+    "ceva2": [("x - y - z", (3, 1, 2), (4, 1, 3)), ("2*x - y + 2*z", (0, 2, 1), (1, 2, 0))],
+    "ceva3": [("x - y - z", (0, 1, -1), (3, 1, 2)), ("x + y + 2*z", (0, 2, -1), (2, 0, -1))],
+    "deletedB3": [
+        ("x + y + 2*z", (4, 2, -3), (8, 2, -5)),
+        ("2*x - y + 3*z", (9, 3, -5), (12, 3, -7)),
+    ],
+    "ex2": [("x - y - z", (2, 1, 1), (3, 1, 2)), ("x + y - 2*z", (4, 2, 3), (3, 1, 2))],
+    "exfin3": [("x - y - z", (3, 1, 2), (4, 1, 3)), ("2*x - y + 2*z", (0, 2, 1), (1, 2, 0))],
+    "triangle": [("x - y - z", (2, 1, 1), (3, 1, 2)), ("x + y - 2*z", (1, 1, 1), (4, 2, 3))],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARENT_PROBES))
+def test_probe_lines_are_pinned(name):
+    # the integer search picks the probes the Fraction search picked
+    arr = Arrangement.from_json(json.loads((FIXTURES / f"{name}.json").read_text()))
+    chosen = [(str(form), q0, q1) for form, q0, q1, _ in _probe_lines(arr)]
+    assert chosen == PARENT_PROBES[name]
+
+
 def test_probe_candidates_come_by_height():
     # the lazy walk yields the primitive triples of the bounded box sorted
     # by height, ties lexicographic
@@ -320,6 +349,74 @@ def test_second_probe_sees_a_repeated_root_at_infinity():
     assert _repeated_root_at(blocks, [(3, 0, 1), (1, 0, 1)], Fraction(1))
     # (3 + t^2) - 2*(1 + t^2) = 1 - t^2 has simple roots only
     assert not _repeated_root_at(blocks, [(3, 0, 1), (1, 0, 1)], Fraction(2))
+
+
+# -- the sweep's per-block algebra and residue screen --------------------------------
+
+
+def _restriction(degree):
+    lead = st.integers(-6, 6).filter(bool)
+    return st.tuples(*[st.integers(-6, 6)] * degree, lead)
+
+
+@st.composite
+def _block_pair(draw):
+    """Random restrictions of degree 1-3 and two disjoint blocks of equal degree."""
+    degrees = draw(st.lists(st.integers(1, 3), min_size=2, max_size=5))
+    restrictions = [draw(_restriction(d)) for d in degrees]
+    blocks = []
+    for mask in range(1, 1 << len(degrees)):
+        members = tuple(j for j in range(len(degrees)) if mask >> j & 1)
+        for mults in itertools.product((1, 2), repeat=len(members)):
+            degree = sum(degrees[j] * m for j, m in zip(members, mults))
+            blocks.append(_Block(mask, members, mults, degree, gcd(*mults)))
+    pairs = [
+        (a, b)
+        for a, b in itertools.combinations(blocks, 2)
+        if not a.mask & b.mask and a.degree == b.degree
+    ]
+    assume(pairs)
+    return restrictions, draw(st.sampled_from(pairs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_block_pair())
+def test_block_algebra_wronskian_and_screen(case):
+    restrictions, (a, b) = case
+    t = sympy.symbols("t")
+    R = [sum(c * t**k for k, c in enumerate(r)) for r in restrictions]
+    ray = {**dict(zip(a.indices, a.mults)), **{j: -m for j, m in zip(b.indices, b.mults)}}
+    # the logarithmic Wronskian summed over the whole support
+    direct = sympy.expand(
+        sum(
+            c * sympy.diff(R[j], t) * sympy.prod([R[i] for i in ray if i != j])
+            for j, c in ray.items()
+        )
+    )
+    sweep = _SweepTables(restrictions)
+    wron, degree_e = sweep.wronskian(a, b)
+    assert degree_e == sum(len(restrictions[j]) - 1 for j in ray)
+    expected = tuple(sympy.Poly(direct, t).all_coeffs()[::-1]) if direct != 0 else ()
+    assert wron == expected
+    if not sweep.screen(a, b):
+        assert len(wron) - 1 == degree_e - 2
+        _, factors = sympy.factor_list(direct, t)
+        assert all(sympy.degree(f, t) != 1 for f, _ in factors)
+
+
+def test_screen_cuts_the_sweep_rational_root_calls(monkeypatch):
+    # deleted B3: 1,218 sweep calls of `rational_roots` with the 7/11 check
+    # on built Wronskians; 646 once the residue screen runs on every pair
+    calls = []
+    original = catalog_module.rational_roots
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(catalog_module, "rational_roots", counting)
+    build_catalog(deleted_b3())
+    assert len(calls) < 1218
 
 
 def test_caps_that_empty_the_global_stage_are_rejected():

@@ -119,6 +119,19 @@ def test_duplicate_labels(capsys, tmp_path):
     assert "labels must be unique" in err
 
 
+@pytest.mark.parametrize("key", ["infinty", "extra_points"])
+def test_unknown_arrangement_key(capsys, tmp_path, key):
+    # a misspelt "infinity" or the retired "extra_points" must not parse silently
+    doc = {"components": [{"label": "L1", "poly": "x"}], key: "L1"}
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: parse: ")
+    assert repr(key) in err
+
+
 def test_unknown_block_label(capsys, tmp_path):
     blocks = {
         "blocks": [

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -42,6 +43,7 @@ from curvepencils.pencil import (
     ProbeSequence,
     _SearchTables,
     _classify_pair,
+    _enumerate_blocks,
     _finish_classification,
     _formal_discriminant,
     _partition_saturated,
@@ -643,6 +645,25 @@ def test_search_rejects_composed():
     assert not _partition_saturated([[(0, 2)], [(1, 2)], [(2, 1), (3, 1)]])
     braid = [[(0, 1), (4, 1)], [(1, 1), (5, 1)], [(2, 1), (7, 1)]]
     assert _partition_saturated(braid)
+
+
+@pytest.mark.parametrize(
+    "make, cap",
+    [(make, cap) for make in (triangle, ex2, ceva2, ceva3) for cap in (2, 3)] + [(deleted_b3, 2)],
+)
+def test_block_pair_walk_keeps_the_combinations_order(make, cap):
+    # catalog sources name the first pair to reach a span, so the submask
+    # walk must yield what the plain walk over all combinations yields, in order
+    arr = make()
+    blocks = _enumerate_blocks(arr, cap)
+    reference = [
+        (a, b)
+        for degree in sorted(blocks)
+        for a, b in itertools.combinations(blocks[degree], 2)
+        if not a.mask & b.mask and gcd(a.content, b.content) == 1
+    ]
+    assert reference
+    assert list(iter_block_pairs(arr, cap)) == reference
 
 
 # -- the multinet screen ----------------------------------------------------------
