@@ -29,9 +29,9 @@ from .exactalg import (
     coeffs_derivative,
     coeffs_evaluate,
     coeffs_mul,
+    coeffs_resultant,
     lattice_key,
     rational_roots,
-    resultant,
     saturate_lattice,
 )
 from .pencil import (
@@ -189,7 +189,7 @@ def _probe_lines(arr: Arrangement) -> list[_Probe]:
     def coprime(f: tuple[int, ...], g: tuple[int, ...]) -> bool:
         if len(f) == 2 and len(g) == 2:
             return f[0] * g[1] != f[1] * g[0]
-        return resultant(UniPoly(f), UniPoly(g)) != 0
+        return coeffs_resultant(f, g) != 0
 
     chosen: list[_Probe] = []
     for a, b, c in _probe_candidates():
@@ -404,28 +404,39 @@ def _candidate_parameters(sweep: _SweepTables, a: _Block, b: _Block) -> Optional
     return sorted(found)
 
 
-def _repeated_root_at(
-    blocks: tuple[Sequence[tuple[int, int]], Sequence[tuple[int, int]]],
-    restrictions: Sequence[tuple[int, ...]],
-    lam: Fraction,
-) -> bool:
-    blk_a, blk_b = blocks
-    va: tuple[int, ...] = (1,)
-    vb: tuple[int, ...] = (1,)
-    for j, m in blk_a:
-        for _ in range(m):
-            va = coeffs_mul(va, restrictions[j])
-    for j, m in blk_b:
-        for _ in range(m):
-            vb = coeffs_mul(vb, restrictions[j])
-    u = [lam.denominator * a - lam.numerator * b for a, b in zip(va, vb)]
+class _BlockProducts:
+    """The product prod R_j^m_j of every block on one probe (the sweep's second).
+
+    Each block's product is built once, from that of the block without its
+    last component, as in `_SweepTables`.
+    """
+
+    def __init__(self, restrictions: Sequence[tuple[int, ...]]) -> None:
+        self.restrictions = restrictions
+        self._products: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {(0, ()): (1,)}
+
+    def product(self, mask: int, mults: tuple[int, ...]) -> tuple[int, ...]:
+        out = self._products.get((mask, mults))
+        if out is None:
+            j = mask.bit_length() - 1
+            out = self.product(mask ^ (1 << j), mults[:-1])
+            for _ in range(mults[-1]):
+                out = coeffs_mul(out, self.restrictions[j])
+            self._products[(mask, mults)] = out
+        return out
+
+
+def _repeated_root_at(products: _BlockProducts, a: _Block, b: _Block, lam: Fraction) -> bool:
+    """Whether the fiber V_a - lam*V_b of the two blocks has a repeated root on the probe."""
+    va = products.product(a.mask, a.mults)
+    vb = products.product(b.mask, b.mults)
+    u = [lam.denominator * x - lam.numerator * y for x, y in zip(va, vb)]
     while u and u[-1] == 0:
         u.pop()
     # a degree drop of two or more is a repeated root at infinity
     if len(u) <= len(va) - 2:
         return True
-    poly = UniPoly([Fraction(c) for c in u])
-    return poly.gcd(poly.derivative()).degree > 0
+    return len(u) > 1 and coeffs_resultant(u, coeffs_derivative(u)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -676,6 +687,7 @@ def build_catalog(
 
         first, second = (r for _, _, _, r in _probe_lines(work))
         sweep = _SweepTables(first)
+        products = _BlockProducts(second)
         # any two lines meet at a multiple point, so a support is concurrent
         # exactly when it lies among the lines through one of them
         concurrent_masks = [mp.mask for mp in multiple_points if mp.degree == 1]
@@ -698,7 +710,9 @@ def build_catalog(
             if params is not None:
                 if not params:
                     continue
-                confirmed = [lam for lam in params if _repeated_root_at(blocks, second, lam)]
+                confirmed = [
+                    lam for lam in params if _repeated_root_at(products, blk_a, blk_b, lam)
+                ]
                 if not confirmed:
                     continue
             try:

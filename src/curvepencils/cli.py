@@ -447,6 +447,13 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
 
 
+def _multiplicity_list(text: str) -> list[int]:
+    values = _int_list(text)
+    if any(v < 1 for v in values):
+        raise argparse.ArgumentTypeError(f"cluster multiplicities must be >= 1: {text!r}")
+    return values
+
+
 def _str_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",")]
 
@@ -484,7 +491,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pencil", required=True, help="pencil JSON file")
     p.add_argument(
         "--clusters",
-        type=_int_list,
+        type=_multiplicity_list,
         default=None,
         help="comma-separated blow-up cluster multiplicities",
     )

@@ -9,9 +9,12 @@ A univariate polynomial is a coefficient sequence, lowest degree first.
 `coeffs_mul`, `coeffs_derivative` and `coeffs_evaluate` work on plain
 sequences and keep integer input integral, so the catalog's sweep runs them
 on integer tuples; `UniPoly` wraps the same three for Fraction
-coefficients.  A polynomial g that stands for a binary form of formal degree
-d (a restriction to a line, see `TernaryForm.restrict_span`) has a root at
-infinity of multiplicity d - deg g; `projective_profile` counts it.
+coefficients.  Every resultant and gcd runs in integers through one
+subresultant loop (`coeffs_resultant`, `coeffs_gcd`), and sampled
+polynomials come back by `interpolate_integers`.  A polynomial g that
+stands for a binary form of formal degree d (a restriction to a line, see
+`TernaryForm.restrict_span`) has a root at infinity of multiplicity
+d - deg g; `projective_profile` counts it.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
@@ -36,6 +39,9 @@ __all__ = [
     "coeffs_mul",
     "coeffs_derivative",
     "coeffs_evaluate",
+    "coeffs_resultant",
+    "coeffs_gcd",
+    "interpolate_integers",
     "UniPoly",
     "yun_squarefree",
     "squarefree_multiplicity_profile",
@@ -43,10 +49,8 @@ __all__ = [
     "RationalRoots",
     "roots_mod_p",
     "rational_roots",
-    "resultant",
     "primitive_vector",
     "echelon_rows",
-    "lagrange_interpolate",
 ]
 
 
@@ -536,6 +540,143 @@ def coeffs_evaluate(u: Sequence, x):
     return acc
 
 
+# ---------------------------------------------------------------------------
+# the integer kernel: resultant, gcd and interpolation over Z
+
+
+def _trimmed(u: Sequence[int]) -> list[int]:
+    out = list(u)
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """Remainder of lc(b)^(deg a - deg b + 1) * a on division by b, trimmed."""
+    lead, db = b[-1], len(b) - 1
+    r = list(a)
+    for k in range(len(a) - 1, db - 1, -1):
+        c = r.pop()  # the t^k coefficient, cancelled by c * t^(k - db) * b
+        r = [lead * x for x in r]
+        if c:
+            for j in range(db):
+                r[k - db + j] -= c * b[j]
+    return _trimmed(r)
+
+
+def _subresultant_tail(a: list[int], b: list[int]) -> tuple[list[int], list[int], int, int]:
+    """Run the subresultant remainder sequence of a and b until b is constant or zero.
+
+    a and b are primitive with deg a >= deg b >= 0.  Returns the last two
+    terms a and b, the scale h, and the product of (-1)^(deg a * deg b)
+    over the steps; `coeffs_resultant` needs the last two.  Every ``//`` is
+    exact by the fundamental theorem on subresultants (Brown and Traub,
+    1971; von zur Gathen and Gerhard, *Modern Computer Algebra*, chapters 6
+    and 11; Cohen, *A Course in Computational Algebraic Number Theory*,
+    section 3.3): the remainder divided by g*h^delta is, up to sign, a
+    subresultant of a and b, whose coefficients are minors of their
+    Sylvester matrix, and the new h, g^delta / h^(delta - 1), is the
+    leading coefficient of a subresultant, again an integer.
+    """
+    g = h = 1
+    sign = 1
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        if da & db & 1:
+            sign = -sign
+        r = _pseudo_remainder(a, b)
+        scale = g * h**delta
+        a, b = b, [c // scale for c in r]
+        g = a[-1]
+        if delta:
+            h = g**delta // h ** (delta - 1)
+    return a, b, h, sign
+
+
+def _primitive_parts(
+    f: Sequence[int], g: Sequence[int]
+) -> tuple[list[int], list[int], int, int]:
+    """f and g trimmed and divided by their contents, with the contents."""
+    f, g = _trimmed(f), _trimmed(g)
+    cf, cg = gcd(*f), gcd(*g)
+    return [c // cf for c in f], [c // cg for c in g], cf, cg
+
+
+def coeffs_resultant(f: Sequence[int], g: Sequence[int]) -> int:
+    """Resultant of two integer coefficient sequences at their true degrees.
+
+    The Sylvester determinant of f and g; 0 when either is zero or they
+    share a root.  Contents come out first, Res(c*f, g) = c^deg g * Res(f, g),
+    and the rest runs `_subresultant_tail` in integers.
+    """
+    f, g, cf, cg = _primitive_parts(f, g)
+    if not f or not g:
+        return 0
+    df, dg = len(f) - 1, len(g) - 1
+    sign = 1
+    if df < dg:
+        f, g = g, f  # Res(g, f) = (-1)^(df*dg) * Res(f, g)
+        if df & dg & 1:
+            sign = -1
+    a, b, h, steps = _subresultant_tail(f, g)
+    if not b:
+        return 0
+    n = len(a) - 1
+    last = b[0] ** n // h ** (n - 1) if n else 1
+    return sign * steps * cf**dg * cg**df * last
+
+
+def coeffs_gcd(f: Sequence[int], g: Sequence[int]) -> tuple[int, ...]:
+    """Primitive gcd of two integer coefficient sequences, leading coefficient positive.
+
+    The gcd over Q up to a constant: the last nonzero term of the same
+    subresultant sequence as `coeffs_resultant`.  Zero only for two zeros.
+    """
+    f, g, _, _ = _primitive_parts(f, g)
+    if len(f) < len(g):
+        f, g = g, f
+    a, b, _, _ = _subresultant_tail(f, g)
+    if b:
+        return (1,)
+    if not a:
+        return ()
+    c = gcd(*a) if a[-1] > 0 else -gcd(*a)
+    return tuple(x // c for x in a)
+
+
+def interpolate_integers(values: Sequence[int]) -> tuple[int, ...]:
+    """The integer polynomial of degree < n through (k, values[k]), k = 0..n-1.
+
+    Newton's forward-difference form f(t) = sum_k D^k f(0) * C(t, k) has
+    integer differences D^k f(0); times (n-1)! every binomial C(t, k)
+    becomes an integer polynomial, and one exact division by (n-1)! ends
+    it.  ValueError when no integer polynomial takes these values.
+    """
+    n = len(values)
+    diffs = list(values)
+    for k in range(1, n):
+        for i in range(n - 1, k - 1, -1):
+            diffs[i] -= diffs[i - 1]
+    scale = factorial(n - 1) if n else 1
+    total = [0] * n
+    basis = [scale]  # (n-1)!/k! * t(t-1)...(t-k+1)
+    for k, d in enumerate(diffs):
+        if d:
+            for i, c in enumerate(basis):
+                total[i] += d * c
+        if k + 1 < n:
+            shifted = [0] + basis
+            basis = [(x - k * y) // (k + 1) for x, y in zip(shifted, basis + [0])]
+    out = []
+    for c in total:
+        q, r = divmod(c, scale)
+        if r:
+            raise ValueError("the values are not those of an integer polynomial")
+        out.append(q)
+    return tuple(_trimmed(out))
+
+
 class UniPoly:
     """Dense univariate polynomial over Fraction, lowest degree first."""
 
@@ -619,13 +760,9 @@ class UniPoly:
         return q
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
-        """Monic greatest common divisor."""
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divide(b)[1]
-        if a.is_zero():
-            return a
-        return a.scale(1 / a.leading)
+        """Monic greatest common divisor: `coeffs_gcd` of the primitive parts."""
+        parts = (primitive_vector(u.coeffs) if u.coeffs else () for u in (self, other))
+        return UniPoly(coeffs_gcd(*parts)).monic()
 
     def monic(self) -> "UniPoly":
         if self.is_zero():
@@ -804,43 +941,3 @@ def rational_roots(f: UniPoly) -> RationalRoots:
                 roots.append((r, mult))
     roots.sort(key=lambda rm: rm[0])
     return RationalRoots(tuple(roots), len(h) - 1)
-
-
-def resultant(f: UniPoly, g: UniPoly) -> Fraction:
-    """Resultant of f and g via a Euclidean remainder sequence."""
-    if f.is_zero() or g.is_zero():
-        return Fraction(0)
-    a, b = f, g
-    acc = Fraction(1)
-    sign = 1
-    while b.degree > 0:
-        r = a.divide(b)[1]
-        if r.is_zero():
-            return Fraction(0)
-        if (a.degree % 2) and (b.degree % 2):
-            sign = -sign
-        acc *= b.leading ** (a.degree - r.degree)
-        a, b = b, r
-    # b is a nonzero constant
-    acc *= b.leading**a.degree
-    return sign * acc
-
-
-def lagrange_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> UniPoly:
-    """The unique polynomial of degree < len(points) through the given points."""
-    xs = [Fraction(x) for x, _ in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("interpolation nodes must be distinct")
-    # Newton form: build divided differences, then expand
-    ys = [Fraction(y) for _, y in points]
-    n = len(points)
-    coef = list(ys)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    poly = UniPoly.zero()
-    basis = UniPoly.constant(1)
-    for j in range(n):
-        poly = poly + basis.scale(coef[j])
-        basis = basis * UniPoly((-xs[j], 1))
-    return poly

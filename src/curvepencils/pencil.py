@@ -21,10 +21,13 @@ from typing import Iterable, Iterator, Sequence
 from .arrangement import Arrangement, CurveComponent, local_pencil_points, meeting_points
 from .exactalg import (
     UniPoly,
-    lagrange_interpolate,
+    coeffs_derivative,
+    coeffs_evaluate,
+    coeffs_resultant,
+    interpolate_integers,
+    primitive_vector,
     projective_profile,
     rational_roots,
-    resultant,
 )
 from .polyform import (
     P1Point,
@@ -434,7 +437,10 @@ def detect_special_fibers(
     carry arrangement members or a non-reduced new part enter C(f), reduced
     non-arrangement singular fibers are reported as incidental only.
     Irrational discriminant roots leave a warning and mark the result
-    conditional.  Special fibers are recognized by this algebraic proxy;
+    conditional.  Each probe's discriminant (`_family_discriminant`) is
+    computed in integers and is off by a constant factor; it is taken
+    monic, and the probes are joined by the integer gcd of `UniPoly.gcd`.
+    Special fibers are recognized by this algebraic proxy;
     Milnor-number jumps concentrated at base points are not examined.
     Probing gives up after `PROBE_RETRIES` rounds with
     `ProbeDegeneracyError`.
@@ -517,13 +523,16 @@ def detect_special_fibers(
 def _family_discriminant(
     pencil: Pencil, probes: ProbeSequence
 ) -> UniPoly | None:
-    """Discriminant in c of the probe restriction g_c of c*P - Q.
+    """Discriminant in c of the probe restriction g_c of c*P - Q, up to a constant.
 
-    Each sample at a value of c is `_formal_discriminant` of g_c: the
-    resultant Res(g_c, g_c'), or zero where g_c drops below degree D.
-    Enough samples are interpolated in c; vanishing identifies every fiber
-    with a repeated or degree-dropping restriction, a superset of the
-    special parameters.
+    The probe restrictions p and q of P and Q are scaled by one rational
+    constant k to coprime integer coefficients, so each sample at an
+    integer c is the integer `_formal_discriminant` of k*g_c: k^(2D - 1)
+    times that of g_c, a constant factor that `detect_special_fibers`
+    strips by taking the result monic.  Samples at c = 0..2D-1 are
+    interpolated in integers; vanishing identifies every fiber with a
+    repeated or degree-dropping restriction, a superset of the special
+    parameters.
     """
     D = pencil.degree
     tries = 0
@@ -537,29 +546,31 @@ def _family_discriminant(
         # fiber drops formal degree on this probe
         if p.coefficient(D) == 0 and q.coefficient(D) == 0:
             continue
+        scaled = primitive_vector([f.coefficient(k) for f in (p, q) for k in range(D + 1)])
+        p_int, q_int = scaled[: D + 1], scaled[D + 1 :]
 
-        def sample(c: int) -> Fraction:
-            g = UniPoly(p.coefficient(k) * c - q.coefficient(k) for k in range(D + 1))
-            return _formal_discriminant(g, D)
+        def sample(c: int) -> int:
+            return _formal_discriminant([c * a - b for a, b in zip(p_int, q_int)], D)
 
         # 2D samples fix the discriminant, of degree <= 2D - 1; one more checks it
-        disc = lagrange_interpolate([(c, sample(c)) for c in range(2 * D)])
-        if disc.is_zero() or disc.evaluate(2 * D) != sample(2 * D):
+        disc = interpolate_integers([sample(c) for c in range(2 * D)])
+        if not disc or coeffs_evaluate(disc, 2 * D) != sample(2 * D):
             continue  # every fiber degenerate, or degree bound violated
-        return disc
+        return UniPoly(disc)
     return None
 
 
-def _formal_discriminant(g: UniPoly, D: int) -> Fraction:
+def _formal_discriminant(g: Sequence[int], D: int) -> int:
     """Sylvester determinant of g and g' at formal degrees D and D - 1.
 
-    This is Res(g, g') while g keeps degree D.  Below that degree the first
-    column of the formal Sylvester matrix holds only the vanishing leading
-    coefficients g_D and D*g_D, so the determinant is zero.
+    g is an integer coefficient list of length D + 1.  This is Res(g, g')
+    while g keeps degree D.  Below that degree the first column of the
+    formal Sylvester matrix holds only the vanishing leading coefficients
+    g_D and D*g_D, so the determinant is zero.
     """
-    if g.degree < D:
-        return Fraction(0)
-    return resultant(g, g.derivative())
+    if g[D] == 0:
+        return 0
+    return coeffs_resultant(g, coeffs_derivative(g))
 
 
 def _stable_profile(

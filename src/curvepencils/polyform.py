@@ -22,10 +22,10 @@ from typing import Iterator, Sequence
 from .exactalg import (
     UniPoly,
     coeffs_mul,
+    coeffs_resultant,
     echelon_rows,
-    lagrange_interpolate,
+    interpolate_integers,
     primitive_vector,
-    resultant,
 )
 
 __all__ = [
@@ -209,11 +209,10 @@ class TernaryForm:
         return out
 
     def evaluate(self, point: Sequence[Fraction | int]) -> Fraction:
-        px, py, pz = (Fraction(c) for c in point)
-        total = Fraction(0)
-        for (a, b, c), coef in self.terms.items():
-            total += coef * px**a * py**b * pz**c
-        return total
+        # integer coordinates stay integers until each monomial meets its coefficient
+        px, py, pz = (c if isinstance(c, int) else Fraction(c) for c in point)
+        total = sum(coef * (px**a * py**b * pz**c) for (a, b, c), coef in self.terms.items())
+        return Fraction(total)
 
     # -- normalization -------------------------------------------------------
 
@@ -443,18 +442,28 @@ def projected_resultant(
     c off both curves, deg R <= deg f * deg g; R(t) vanishes exactly when
     the line through c and r carries a common point, falls short of that
     degree exactly when the line through c and r1 does, and is zero exactly
-    when f and g share a factor.
+    when f and g share a factor.  f and g are made primitive over Z, f =
+    a*f0 and g = b*g0, so the samples at t = 0..deg f * deg g are integer
+    `coeffs_resultant`s and interpolate in integers; the constant
+    a^deg g * b^deg f is multiplied back in, so R is the resultant of f and
+    g themselves.
     """
     if not (f.evaluate(center) and g.evaluate(center)):
         raise ValueError("the projection center lies on a curve")
     k = next(n for n, v in enumerate(center) if v)
     r0, r1 = (tuple(int(n == m) for n in range(3)) for m in range(3) if m != k)
+    f0, g0 = f.primitive(), g.primitive()
 
-    def sample(t: int) -> Fraction:
+    def sample(t: int) -> int:
         r = [a + t * b for a, b in zip(r0, r1)]
-        return resultant(f.restrict_span(r, center), g.restrict_span(r, center))
+        return coeffs_resultant(
+            *([c.numerator for c in h.restrict_span(r, center).coeffs] for h in (f0, g0))
+        )
 
-    return lagrange_interpolate([(t, sample(t)) for t in range(f.degree * g.degree + 1)]), r0, r1
+    m, n = next(iter(f0.terms)), next(iter(g0.terms))
+    scale = (f.terms[m] / f0.terms[m]) ** g.degree * (g.terms[n] / g0.terms[n]) ** f.degree
+    R = UniPoly(interpolate_integers([sample(t) for t in range(f.degree * g.degree + 1)]))
+    return R.scale(scale), r0, r1
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from curvepencils import catalog as catalog_module
 from curvepencils.arrangement import Arrangement, CurveComponent, meeting_points
 from curvepencils.catalog import (
     CatalogError,
+    _BlockProducts,
     _character_in_subtorus,
     _integer_restrictions,
     _probe_candidates,
@@ -345,10 +346,11 @@ def test_ceva3_sweep_classifies_two_spans(monkeypatch):
 
 def test_second_probe_sees_a_repeated_root_at_infinity():
     # (3 + t^2) - (1 + t^2) = 2 falls two degrees short: a double root at t = infinity
-    blocks = (((0, 1),), ((1, 1),))
-    assert _repeated_root_at(blocks, [(3, 0, 1), (1, 0, 1)], Fraction(1))
+    products = _BlockProducts([(3, 0, 1), (1, 0, 1)])
+    a, b = _Block(1, (0,), (1,), 2, 1), _Block(2, (1,), (1,), 2, 1)
+    assert _repeated_root_at(products, a, b, Fraction(1))
     # (3 + t^2) - 2*(1 + t^2) = 1 - t^2 has simple roots only
-    assert not _repeated_root_at(blocks, [(3, 0, 1), (1, 0, 1)], Fraction(2))
+    assert not _repeated_root_at(products, a, b, Fraction(2))
 
 
 # -- the sweep's per-block algebra and residue screen --------------------------------

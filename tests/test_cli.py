@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import curvepencils
 from curvepencils.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -252,6 +256,28 @@ def test_missing_required_option():
     with pytest.raises(SystemExit) as exc:
         main(["classify", str(FIXTURES / "triangle.json")])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag", [["--clusters", "0,3,3,3"], ["--clusters=-3,3,3,3"]])
+def test_cluster_multiplicity_below_one(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", str(FIXTURES / "ex2.json"),
+              "--pencil", str(FIXTURES / "ex2pencil.json"), *flag])
+    assert exc.value.code == 2
+    assert "cluster multiplicities must be >= 1" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_command_line():
+    src = str(Path(curvepencils.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "curvepencils", "validate", str(FIXTURES / "deletedB3.json")],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout == (GOLDEN / "validate_deletedB3.txt").read_text()
 
 
 # ---------------------------------------------------------------------------

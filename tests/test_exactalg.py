@@ -8,6 +8,8 @@ from math import gcd
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from curvepencils.exactalg import (
@@ -15,15 +17,18 @@ from curvepencils.exactalg import (
     IntMatrix,
     QmodZ,
     UniPoly,
+    coeffs_evaluate,
+    coeffs_gcd,
+    coeffs_mul,
+    coeffs_resultant,
     echelon_rows,
     hermite_column_form,
     integer_kernel_basis,
-    lagrange_interpolate,
+    interpolate_integers,
     lattice_key,
     primitive_vector,
     product_relation_lattice,
     rational_roots,
-    resultant,
     roots_mod_p,
     saturate_lattice,
     smith_normal_form,
@@ -480,32 +485,96 @@ def test_roots_mod_p_never_misses_a_rational_root():
     assert at_infinity > 50
 
 
+def sylvester_resultant(f, g):
+    """Sylvester determinant of two integer coefficient tuples, lowest degree first."""
+    m, n = len(f) - 1, len(g) - 1
+    fc, gc = list(reversed(f)), list(reversed(g))
+    rows = [[0] * i + fc + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + gc + [0] * (m - 1 - i) for i in range(m)]
+    return int(sympy.Matrix(rows).det()) if rows else 1
+
+
 def test_resultant_matches_sympy():
     rng = random.Random(88)
-    t = sympy.Symbol("t")
     for trial in range(40):
         df, dg = rng.randint(1, 4), rng.randint(1, 4)
-        f = UniPoly([rng.randint(-4, 4) for _ in range(df)] + [rng.randint(1, 4)])
-        g = UniPoly([rng.randint(-4, 4) for _ in range(dg)] + [rng.randint(1, 4)])
-        ours = resultant(f, g)
+        f = tuple([rng.randint(-4, 4) for _ in range(df)] + [rng.randint(1, 4)])
+        g = tuple([rng.randint(-4, 4) for _ in range(dg)] + [rng.randint(1, 4)])
         # oracle: Sylvester determinant, the convention-free definition
-        m, n = f.degree, g.degree
-        fc = [int(c) for c in reversed(f.coeffs)]
-        gc = [int(c) for c in reversed(g.coeffs)]
-        rows = []
-        for i in range(n):
-            rows.append([0] * i + fc + [0] * (n - 1 - i))
-        for i in range(m):
-            rows.append([0] * i + gc + [0] * (m - 1 - i))
-        theirs = sympy.Matrix(rows).det()
-        assert ours == Fraction(int(theirs))
+        assert coeffs_resultant(f, g) == sylvester_resultant(f, g)
+
+
+def _integer_poly(max_degree, bound):
+    """Integer coefficient tuples with a nonzero leading coefficient of either sign."""
+    return st.integers(0, max_degree).flatmap(
+        lambda d: st.tuples(
+            st.lists(st.integers(-bound, bound), min_size=d, max_size=d),
+            st.integers(-bound, bound).filter(bool),
+        ).map(lambda cl: tuple(cl[0]) + (cl[1],))
+    )
+
+
+_BOUNDS = st.sampled_from([3, 40, 10**15])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_coeffs_resultant_matches_sylvester(data):
+    bound = data.draw(_BOUNDS)
+    f = data.draw(_integer_poly(8, bound))
+    g = data.draw(_integer_poly(8, bound))
+    # nontrivial contents and, sometimes, a shared factor
+    f = tuple(data.draw(st.integers(1, 12)) * c for c in f)
+    if data.draw(st.booleans()):
+        h = data.draw(_integer_poly(2, 5))
+        f, g = coeffs_mul(f, h), coeffs_mul(g, h)
+    ours = coeffs_resultant(f, g)
+    assert ours == sylvester_resultant(f, g)
+    assert coeffs_resultant(g, f) == (-1) ** ((len(f) - 1) * (len(g) - 1)) * ours
+
+
+def test_coeffs_resultant_of_a_shared_factor_is_zero():
+    h = (-3, 0, 2)
+    assert coeffs_resultant(coeffs_mul(h, (1, 5)), coeffs_mul(h, (7, -1, 4))) == 0
+    assert coeffs_resultant((), (1, 2)) == 0
+    assert coeffs_resultant((6,), (-4,)) == 1
+    assert coeffs_resultant((5, 0, 2), (3,)) == 9
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_coeffs_gcd_matches_sympy(data):
+    t = sympy.Symbol("t")
+    bound = data.draw(_BOUNDS)
+    h = data.draw(_integer_poly(3, 6))
+    f = coeffs_mul(data.draw(_integer_poly(5, bound)), h)
+    g = coeffs_mul(data.draw(_integer_poly(5, bound)), h)
+    f = tuple(data.draw(st.integers(-9, 9).filter(bool)) * c for c in f)
+    theirs = sympy.Poly(
+        sympy.gcd(*(sympy.Poly(list(reversed(u)), t) for u in (f, g))), t
+    ).primitive()[1]
+    expected = [int(c) for c in reversed(theirs.all_coeffs())]
+    if expected[-1] < 0:
+        expected = [-c for c in expected]
+    assert coeffs_gcd(f, g) == tuple(expected)
+
+
+def test_coeffs_gcd_edge_cases():
+    assert coeffs_gcd((), ()) == ()
+    assert coeffs_gcd((4, -6), ()) == (-2, 3)
+    assert coeffs_gcd((), (0, 0, -5)) == (0, 0, 1)
+    assert coeffs_gcd((3,), (1, 1)) == (1,)
 
 
 def test_lagrange_interpolation_round_trip():
     rng = random.Random(1234)
     for trial in range(40):
         deg = rng.randint(0, 5)
-        poly = UniPoly([Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(deg)] + [Fraction(1)])
-        xs = list(range(poly.degree + 1))
-        pts = [(Fraction(x), poly.evaluate(x)) for x in xs]
-        assert lagrange_interpolate(pts) == poly
+        poly = tuple([rng.randint(-10**6, 10**6) for _ in range(deg)] + [rng.choice([-3, 1, 7])])
+        n = deg + 1 + rng.randint(0, 2)
+        assert interpolate_integers([coeffs_evaluate(poly, k) for k in range(n)]) == poly
+    assert interpolate_integers([]) == ()
+    assert interpolate_integers([0, 0, 0]) == ()
+    # t*(t - 1)/2 takes integer values but has no integer coefficients
+    with pytest.raises(ValueError):
+        interpolate_integers([0, 0, 1])
