@@ -209,9 +209,9 @@ def _points_on_line(
     """Rational points of the curve on the line p + t*q: q if the restriction
     drops degree, then the rational roots t in order; none if the line lies on it."""
     poly = form.restrict_span(p, q)
-    if poly.is_zero():
+    if not any(poly):
         return []
-    out = [ProjPoint(q)] if poly.degree < form.degree else []
+    out = [ProjPoint(q)] if poly[-1] == 0 else []
     roots = rational_roots(poly).roots
     return out + [ProjPoint([a + t * b for a, b in zip(p, q)]) for t, _ in roots]
 
@@ -328,8 +328,8 @@ def meeting_points(a: CurveComponent, b: CurveComponent) -> list[ProjPoint]:
         grid = itertools.product(range(f.degree + g.degree + 1), repeat=2)
         center = next((u, v, 1) for u, v in grid if f.evaluate((u, v, 1)) and g.evaluate((u, v, 1)))
         R, r0, r1 = projected_resultant(f, g, center)
-        if not R.is_zero():
-            through = [r1] if R.degree < f.degree * g.degree else []
+        if R:
+            through = [r1] if len(R) <= f.degree * g.degree else []
             through += [[u + t * w for u, w in zip(r0, r1)] for t, _ in rational_roots(R).roots]
             found = {p for r in through for p in _points_on_line(f, r, center)}
             return sorted(p for p in found if g.evaluate(p.coords) == 0)

@@ -25,7 +25,6 @@ from .arrangement import (
     pullback_subtorus,
 )
 from .exactalg import (
-    UniPoly,
     coeffs_derivative,
     coeffs_evaluate,
     coeffs_mul,
@@ -203,8 +202,7 @@ def _probe_lines(arr: Arrangement) -> list[_Probe]:
         restrictions = _integer_restrictions(arr, good[0], good[1])
         polys = list(restrictions)
         if chosen:
-            across = chosen[0][0].restrict_span(good[1], good[0])
-            polys.append(tuple(int(c) for c in across.coeffs))
+            polys.append(chosen[0][0].restrict_span(good[1], good[0]))
         if not all(coprime(f, g) for f, g in itertools.combinations(polys, 2)):
             continue
         chosen.append((line.form, good[0], good[1], restrictions))
@@ -224,11 +222,11 @@ def _integer_restrictions(
     out = []
     for cp in arr.components:
         poly = cp.form.restrict_span(q1, q0)
-        if poly.degree != cp.degree:
+        if poly[-1] == 0:
             raise CatalogError(
                 f"parametrization point {tuple(q0)} lies on component {cp.label!r}"
             )
-        out.append(tuple(int(c) for c in poly.coeffs))
+        out.append(poly)
     return out
 
 
@@ -385,7 +383,7 @@ def _candidate_parameters(sweep: _SweepTables, a: _Block, b: _Block) -> Optional
     found: set[Fraction] = set()
     # finite repeated-root positions are rational roots of W
     if len(wron) > 1:
-        for rho, _ in rational_roots(UniPoly([Fraction(c) for c in wron])).roots:
+        for rho, _ in rational_roots(wron).roots:
             va = _fiber_value(a, restrictions, rho)
             vb = _fiber_value(b, restrictions, rho)
             if va == 0 or vb == 0:

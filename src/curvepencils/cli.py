@@ -14,6 +14,7 @@ with code ``parse`` (exit 2), ``invariant`` (exit 3), ``computation``
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -458,7 +459,9 @@ def _str_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",")]
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing never changes it."""
     parser = argparse.ArgumentParser(
         prog="curvepencils",
         description="Exact invariants of pencils of plane curves on arrangement complements.",

@@ -5,13 +5,15 @@ abelian groups presented by invariant factors, rationals modulo 1, rational
 linear algebra, and dense univariate polynomials over Q.  No floating point
 enters any code path.
 
-A univariate polynomial is a coefficient sequence, lowest degree first.
-`coeffs_mul`, `coeffs_derivative` and `coeffs_evaluate` work on plain
-sequences and keep integer input integral, so the catalog's sweep runs them
-on integer tuples; `UniPoly` wraps the same three for Fraction
-coefficients.  Every resultant and gcd runs in integers through one
-subresultant loop (`coeffs_resultant`, `coeffs_gcd`), and sampled
-polynomials come back by `interpolate_integers`.  A polynomial g that
+A univariate polynomial is a plain coefficient sequence, lowest degree
+first, and there is no other representation.  `coeffs_mul`,
+`coeffs_derivative` and `coeffs_evaluate` keep integer input integral.
+Every resultant and gcd runs in integers through one subresultant loop
+(`coeffs_resultant`, `coeffs_gcd`), every exact division through
+`coeffs_divide`, and sampled polynomials come back by
+`interpolate_integers`; routines that accept Fraction entries
+(`yun_squarefree`, `projective_profile`, `rational_roots`) first scale them
+to a primitive integer vector by `primitive_vector`.  A polynomial g that
 stands for a binary form of formal degree d (a restriction to a line, see
 `TernaryForm.restrict_span`) has a root at infinity of multiplicity
 d - deg g; `projective_profile` counts it.
@@ -42,9 +44,8 @@ __all__ = [
     "coeffs_resultant",
     "coeffs_gcd",
     "interpolate_integers",
-    "UniPoly",
+    "coeffs_divide",
     "yun_squarefree",
-    "squarefree_multiplicity_profile",
     "projective_profile",
     "RationalRoots",
     "roots_mod_p",
@@ -677,155 +678,76 @@ def interpolate_integers(values: Sequence[int]) -> tuple[int, ...]:
     return tuple(_trimmed(out))
 
 
-class UniPoly:
-    """Dense univariate polynomial over Fraction, lowest degree first."""
+def coeffs_divide(f: Sequence[int], g: Sequence[int]) -> tuple[int, ...] | None:
+    """The quotient f / g in Z[t] for a primitive g, or None when g does not divide f.
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[Fraction | int | str] = ()) -> None:
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls) -> "UniPoly":
-        return cls(())
-
-    @classmethod
-    def constant(cls, c: Fraction | int) -> "UniPoly":
-        return cls((c,))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(self.coefficient(k) + other.coefficient(k) for k in range(n))
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(self.coefficient(k) - other.coefficient(k) for k in range(n))
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly(-c for c in self.coeffs)
-
-    def __mul__(self, other: "UniPoly") -> "UniPoly":
-        return UniPoly(coeffs_mul(self.coeffs, other.coeffs))
-
-    def scale(self, c: Fraction | int) -> "UniPoly":
-        c = Fraction(c)
-        return UniPoly(a * c for a in self.coeffs)
-
-    def evaluate(self, x: Fraction | int) -> Fraction:
-        return Fraction(coeffs_evaluate(self.coeffs, x))
-
-    def derivative(self) -> "UniPoly":
-        return UniPoly(coeffs_derivative(self.coeffs))
-
-    def divide(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        """Quotient and remainder."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        q = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
-        d = other.degree
-        lead = other.leading
-        for k in range(len(rem) - 1, d - 1, -1):
-            if rem[k] == 0:
-                continue
-            f = rem[k] / lead
-            q[k - d] = f
-            for j, b in enumerate(other.coeffs):
-                rem[k - d + j] -= f * b
-        return UniPoly(q), UniPoly(rem)
-
-    def exact_divide(self, other: "UniPoly") -> "UniPoly":
-        q, r = self.divide(other)
-        if not r.is_zero():
-            raise ValueError("division is not exact")
-        return q
-
-    def gcd(self, other: "UniPoly") -> "UniPoly":
-        """Monic greatest common divisor: `coeffs_gcd` of the primitive parts."""
-        parts = (primitive_vector(u.coeffs) if u.coeffs else () for u in (self, other))
-        return UniPoly(coeffs_gcd(*parts)).monic()
-
-    def monic(self) -> "UniPoly":
-        if self.is_zero():
-            return self
-        return self.scale(1 / self.leading)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(("UniPoly", self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"UniPoly({[str(c) for c in self.coeffs]})"
-
-
-def yun_squarefree(f: UniPoly) -> list[tuple[UniPoly, int]]:
-    """Squarefree decomposition f = c * prod a_i^i by Yun's algorithm.
-
-    Returns the nonconstant monic factors a_i with their multiplicities i.
+    By Gauss's lemma the quotient of an integer f by a primitive divisor is
+    integral, so a nonzero remainder of any step's integer division proves
+    that g does not divide f.  Dividing by v*t - u is dividing by (-u, v).
+    ValueError when g is not primitive, zero included.
     """
-    if f.is_zero():
+    f, g = _trimmed(f), _trimmed(g)
+    if gcd(*g) != 1:
+        raise ValueError("the divisor must be primitive")
+    lead, dg = g[-1], len(g) - 1
+    q = [0] * max(len(f) - dg, 0)
+    for k in range(len(f) - 1, dg - 1, -1):
+        c, rem = divmod(f[k], lead)
+        if rem:
+            return None
+        q[k - dg] = c
+        if c:
+            for j in range(dg):
+                f[k - dg + j] -= c * g[j]
+    return tuple(q) if not any(f[:dg]) else None
+
+
+def _minus_derivative(c: Sequence[int], b: Sequence[int]) -> list[int]:
+    """c - b', trimmed."""
+    return _trimmed([x - y for x, y in itertools.zip_longest(c, coeffs_derivative(b), fillvalue=0)])
+
+
+def yun_squarefree(f: Sequence[Fraction | int]) -> list[tuple[tuple[int, ...], int]]:
+    """Squarefree decomposition f = c * prod a_i^i by Yun's algorithm, over Z.
+
+    Returns the nonconstant primitive factors a_i with their multiplicities
+    i.  Each step divides b and c by the same primitive gcd, so they stay
+    integral (`coeffs_divide`) and agree with the monic steps over Q up to
+    one common constant.
+    """
+    if not any(f):
         raise ValueError("zero polynomial has no squarefree decomposition")
-    f = f.monic()
-    if f.degree < 1:
+    f = _trimmed(primitive_vector(f))
+    if len(f) < 2:
         return []
-    df = f.derivative()
-    a = f.gcd(df)
-    b = f.exact_divide(a)
-    c = df.exact_divide(a)
-    d = c - b.derivative()
-    out: list[tuple[UniPoly, int]] = []
+    df = coeffs_derivative(f)
+    a = coeffs_gcd(f, df)
+    b = coeffs_divide(f, a)
+    d = _minus_derivative(coeffs_divide(df, a), b)
+    out: list[tuple[tuple[int, ...], int]] = []
     i = 1
-    while b.degree > 0:
-        ai = b.gcd(d)
-        if ai.degree > 0:
+    while len(b) > 1:
+        ai = coeffs_gcd(b, d)
+        if len(ai) > 1:
             out.append((ai, i))
-        b = b.exact_divide(ai)
-        c = d.exact_divide(ai)
-        d = c - b.derivative()
+        b = coeffs_divide(b, ai)
+        d = _minus_derivative(coeffs_divide(d, ai), b)
         i += 1
     return out
 
 
-def squarefree_multiplicity_profile(f: UniPoly) -> tuple[tuple[int, int], ...]:
-    """Multiset of (multiplicity, degree) over the squarefree decomposition.
+def projective_profile(f: Sequence[Fraction | int], degree: int) -> tuple[tuple[int, int], ...]:
+    """Multiset of (multiplicity, degree) of f read as a binary form of formal degree ``degree``.
 
-    Sorted ascending, so equal profiles compare equal as tuples.
+    The squarefree decomposition of f plus the root at infinity, of
+    multiplicity degree - deg f, so the weighted degrees add up to
+    ``degree``.  Sorted ascending, so equal profiles compare equal as
+    tuples.  ValueError on the zero polynomial.
     """
-    if f.is_zero():
-        raise ValueError("zero polynomial has no multiplicity profile")
-    return tuple(sorted((mult, part.degree) for part, mult in yun_squarefree(f)))
-
-
-def projective_profile(f: UniPoly, degree: int) -> tuple[tuple[int, int], ...]:
-    """Profile of f read as a binary form of formal degree ``degree``.
-
-    The squarefree profile of f plus the root at infinity, of multiplicity
-    degree - deg f, so the weighted degrees add up to ``degree``.
-    """
-    entries = list(squarefree_multiplicity_profile(f))
-    if degree > f.degree:
-        entries.append((degree - f.degree, 1))
+    entries = [(mult, len(part) - 1) for part, mult in yun_squarefree(f)]
+    deg_f = len(_trimmed(f)) - 1
+    if degree > deg_f:
+        entries.append((degree - deg_f, 1))
     return tuple(sorted(entries))
 
 
@@ -890,8 +812,7 @@ def _root_candidates(h: Sequence[int]) -> list[Fraction]:
             break
         tries += 1
         if tries == 4:
-            sq = UniPoly(h)
-            h = primitive_vector(sq.exact_divide(sq.gcd(sq.derivative())).coeffs)
+            h = coeffs_divide(h, coeffs_gcd(h, coeffs_derivative(h)))
     a = h[-1]
     bound = 2 * (abs(a) + max(abs(c) for c in h[:-1]))
     out = []
@@ -905,36 +826,24 @@ def _root_candidates(h: Sequence[int]) -> list[Fraction]:
     return out
 
 
-def _divide_root(h: Sequence[int], u: int, v: int) -> list[int] | None:
-    """h / (v*t - u) by integer synthetic division, None when u/v is no root;
-    by Gauss's lemma an exact quotient of a primitive h is integral."""
-    q = [0] * len(h)  # q[k - 1] = (h[k] + u*q[k]) / v from the top, q[n] = 0
-    for k in range(len(h) - 1, 0, -1):
-        q[k - 1], rem = divmod(h[k] + u * q[k], v)
-        if rem:
-            return None
-    return q[:-1] if h[0] + u * q[0] == 0 else None
-
-
-def rational_roots(f: UniPoly) -> RationalRoots:
-    """All rational roots with multiplicities, plus the leftover degree.
+def rational_roots(f: Sequence[Fraction | int]) -> RationalRoots:
+    """All rational roots of a coefficient sequence with multiplicities, plus the leftover degree.
 
     ``remaining_degree`` counts the rootless factor; it is zero exactly when
     f splits over Q into linear factors.  Candidates come from
-    `_root_candidates` on f made primitive over Z; integer synthetic
-    division by v*t - u (`_divide_root`) confirms each root u/v and counts
-    its multiplicity.
+    `_root_candidates` on f made primitive over Z; `coeffs_divide` by
+    v*t - u confirms each root u/v and counts its multiplicity.
     """
-    if f.is_zero():
+    if not any(f):
         raise ValueError("zero polynomial has every root")
-    h = list(primitive_vector(f.coeffs))
+    h = _trimmed(primitive_vector(f))
     k = next(i for i, c in enumerate(h) if c)
     h = h[k:]
     roots: list[tuple[Fraction, int]] = [(Fraction(0), k)] if k else []
     if len(h) > 1:
         for r in _root_candidates(h):
             mult = 0
-            while len(h) > 1 and (q := _divide_root(h, r.numerator, r.denominator)) is not None:
+            while len(h) > 1 and (q := coeffs_divide(h, (-r.numerator, r.denominator))) is not None:
                 h = q
                 mult += 1
             if mult:

@@ -20,9 +20,9 @@ from typing import Iterable, Iterator, Sequence
 
 from .arrangement import Arrangement, CurveComponent, local_pencil_points, meeting_points
 from .exactalg import (
-    UniPoly,
     coeffs_derivative,
     coeffs_evaluate,
+    coeffs_gcd,
     coeffs_resultant,
     interpolate_integers,
     primitive_vector,
@@ -437,9 +437,9 @@ def detect_special_fibers(
     carry arrangement members or a non-reduced new part enter C(f), reduced
     non-arrangement singular fibers are reported as incidental only.
     Irrational discriminant roots leave a warning and mark the result
-    conditional.  Each probe's discriminant (`_family_discriminant`) is
-    computed in integers and is off by a constant factor; it is taken
-    monic, and the probes are joined by the integer gcd of `UniPoly.gcd`.
+    conditional.  Each probe's discriminant (`_family_discriminant`) is an
+    integer coefficient tuple, off by a constant factor, and the probes are
+    joined by their primitive integer gcd, `coeffs_gcd`.
     Special fibers are recognized by this algebraic proxy;
     Milnor-number jumps concentrated at base points are not examined.
     Probing gives up after `PROBE_RETRIES` rounds with
@@ -455,7 +455,7 @@ def detect_special_fibers(
         # one probe's discriminant also vanishes where the probe is merely
         # tangent to a fiber; non-reduced fibers vanish for every probe, so
         # the gcd across probes strips the probe-specific factors
-        common: UniPoly | None = None
+        common: tuple[int, ...] | None = None
         stable = 0
         for _ in range(PROBE_RETRIES + 3):
             disc = _family_discriminant(pencil, probes)
@@ -464,15 +464,15 @@ def detect_special_fibers(
                     "probe degeneracy: no valid discriminant probe found"
                 )
             if common is None:
-                common = disc.monic()
+                common = disc
             else:
-                new = common.gcd(disc)
-                stable = stable + 1 if new.degree == common.degree else 0
+                new = coeffs_gcd(common, disc)
+                stable = stable + 1 if len(new) == len(common) else 0
                 common = new
-            if common.degree <= 0 or stable >= 2:
+            if len(common) <= 1 or stable >= 2:
                 break
         assert common is not None
-        if common.degree >= 1:
+        if len(common) > 1:
             rr = rational_roots(common)
             for root, _ in rr.roots:
                 candidates.add(P1Point(1, root))
@@ -522,15 +522,14 @@ def detect_special_fibers(
 
 def _family_discriminant(
     pencil: Pencil, probes: ProbeSequence
-) -> UniPoly | None:
+) -> tuple[int, ...] | None:
     """Discriminant in c of the probe restriction g_c of c*P - Q, up to a constant.
 
     The probe restrictions p and q of P and Q are scaled by one rational
     constant k to coprime integer coefficients, so each sample at an
     integer c is the integer `_formal_discriminant` of k*g_c: k^(2D - 1)
-    times that of g_c, a constant factor that `detect_special_fibers`
-    strips by taking the result monic.  Samples at c = 0..2D-1 are
-    interpolated in integers; vanishing identifies every fiber with a
+    times that of g_c, a constant factor that no caller reads.  Samples at
+    c = 0..2D-1 are interpolated in integers; vanishing identifies every fiber with a
     repeated or degree-dropping restriction, a superset of the special
     parameters.
     """
@@ -544,9 +543,9 @@ def _family_discriminant(
         q = pencil.Q.restrict_span(*line.span)
         # the point at t = infinity must avoid the base locus, else every
         # fiber drops formal degree on this probe
-        if p.coefficient(D) == 0 and q.coefficient(D) == 0:
+        if p[D] == 0 and q[D] == 0:
             continue
-        scaled = primitive_vector([f.coefficient(k) for f in (p, q) for k in range(D + 1)])
+        scaled = primitive_vector(p + q)
         p_int, q_int = scaled[: D + 1], scaled[D + 1 :]
 
         def sample(c: int) -> int:
@@ -556,7 +555,7 @@ def _family_discriminant(
         disc = interpolate_integers([sample(c) for c in range(2 * D)])
         if not disc or coeffs_evaluate(disc, 2 * D) != sample(2 * D):
             continue  # every fiber degenerate, or degree bound violated
-        return UniPoly(disc)
+        return disc
     return None
 
 
@@ -587,7 +586,7 @@ def _stable_profile(
             if any(line.form == u.form for u in used):
                 continue
             g = form.restrict_span(*line.span)
-            if g.is_zero():
+            if not any(g):
                 continue
             profiles.append(projective_profile(g, form.degree))
             used.append(line)
@@ -763,7 +762,7 @@ def _projected_resultant_profile(
     on the chart of the line it projects to.
     """
     poly, _, _ = projected_resultant(f1, f2, center)
-    if poly.is_zero():
+    if not poly:
         return None
     merged: dict[int, int] = {}
     for mult, deg in projective_profile(poly, f1.degree * f2.degree):

@@ -7,9 +7,10 @@ division loop whose remainder decides both divisibility and pencil
 membership.
 
 Every restriction of a form to a line goes through
-`TernaryForm.restrict_span`, which returns the `UniPoly` g(t) = F(p + t*q):
-the point q sits at t = infinity, and the degree by which g falls short of
-the form's degree is the multiplicity of that root.  Every plane span(P, Q)
+`TernaryForm.restrict_span`, which returns g(t) = F(p + t*q) as a plain
+coefficient tuple, lowest degree first, the one univariate representation
+of `exactalg`: the point q sits at t = infinity, and the degree by which g
+falls short of the form's degree is the multiplicity of that root.  Every plane span(P, Q)
 is named by `span_rows`, its reduced echelon rows in integers.
 """
 
@@ -20,7 +21,6 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .exactalg import (
-    UniPoly,
     coeffs_mul,
     coeffs_resultant,
     echelon_rows,
@@ -251,13 +251,18 @@ class TernaryForm:
 
     # -- restriction ----------------------------------------------------------
 
-    def restrict_span(self, p: Sequence[Fraction | int], q: Sequence[Fraction | int]) -> UniPoly:
+    def restrict_span(
+        self, p: Sequence[Fraction | int], q: Sequence[Fraction | int]
+    ) -> tuple[Fraction | int, ...]:
         """The restriction g(t) = F(p + t*q) to the line through p and q.
 
         This is the one chart of a restricted line: a root t of g is the
         point p + t*q, and each degree by which g falls below ``self.degree``
-        is a root at t = infinity, the point q.  g is zero when the line lies
-        on the curve.
+        is a root at t = infinity, the point q.  g comes back as its
+        ``self.degree + 1`` coefficients, lowest first and trailing zeros
+        kept, so g[-1] == 0 exactly when q lies on the curve; g is all zero
+        when the line lies on it.  Integral coefficients multiply as ints,
+        so a primitive form at integer points gives integers.
         """
         powers = []  # powers[i][e] = (p_i + t*q_i)^e
         for i in range(3):
@@ -267,10 +272,12 @@ class TernaryForm:
             powers.append(row)
         out = [0] * (self.degree + 1)
         for (a, b, c), coef in self.terms.items():
+            if coef.denominator == 1:
+                coef = coef.numerator
             term = coeffs_mul(coeffs_mul(powers[0][a], powers[1][b]), powers[2][c])
             for k, v in enumerate(term):
                 out[k] += coef * v
-        return UniPoly(out)
+        return tuple(out)
 
     # -- dunder ----------------------------------------------------------------
 
@@ -434,7 +441,7 @@ def line_through(p: ProjPoint, q: ProjPoint) -> ProjLine:
 
 def projected_resultant(
     f: TernaryForm, g: TernaryForm, center: Sequence[int]
-) -> tuple[UniPoly, tuple[int, ...], tuple[int, ...]]:
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """R(t) = Res_s(f(r + s*c), g(r + s*c)) at r = r0 + t*r1, with r0 and r1.
 
     r0 + t*r1, and r1 at t = infinity, run over a coordinate line x_k = 0
@@ -442,11 +449,10 @@ def projected_resultant(
     c off both curves, deg R <= deg f * deg g; R(t) vanishes exactly when
     the line through c and r carries a common point, falls short of that
     degree exactly when the line through c and r1 does, and is zero exactly
-    when f and g share a factor.  f and g are made primitive over Z, f =
-    a*f0 and g = b*g0, so the samples at t = 0..deg f * deg g are integer
-    `coeffs_resultant`s and interpolate in integers; the constant
-    a^deg g * b^deg f is multiplied back in, so R is the resultant of f and
-    g themselves.
+    when f and g share a factor.  f and g are made primitive over Z, so the
+    samples at t = 0..deg f * deg g are integer `coeffs_resultant`s and
+    interpolate in integers: R comes back as an integer coefficient tuple,
+    trimmed, up to a nonzero integer constant.
     """
     if not (f.evaluate(center) and g.evaluate(center)):
         raise ValueError("the projection center lies on a curve")
@@ -456,14 +462,10 @@ def projected_resultant(
 
     def sample(t: int) -> int:
         r = [a + t * b for a, b in zip(r0, r1)]
-        return coeffs_resultant(
-            *([c.numerator for c in h.restrict_span(r, center).coeffs] for h in (f0, g0))
-        )
+        return coeffs_resultant(*(h.restrict_span(r, center) for h in (f0, g0)))
 
-    m, n = next(iter(f0.terms)), next(iter(g0.terms))
-    scale = (f.terms[m] / f0.terms[m]) ** g.degree * (g.terms[n] / g0.terms[n]) ** f.degree
-    R = UniPoly(interpolate_integers([sample(t) for t in range(f.degree * g.degree + 1)]))
-    return R.scale(scale), r0, r1
+    R = interpolate_integers([sample(t) for t in range(f.degree * g.degree + 1)])
+    return R, r0, r1
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import curvepencils
+from curvepencils import cli as cli_module
+from curvepencils.catalog import build_catalog
 from curvepencils.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -62,6 +64,28 @@ def test_golden_report(capsys, golden, argv):
     assert code == 0
     assert err == ""
     assert out == (GOLDEN / golden).read_text()
+
+
+def test_main_twice_in_one_process(capsys, monkeypatch):
+    # the parser is built once per process; one run's options must not reach the next
+    caps = []
+
+    def recording(arr, **kwargs):
+        caps.append(kwargs)
+        return build_catalog(arr, **kwargs)
+
+    monkeypatch.setattr(cli_module, "build_catalog", recording)
+    ex2 = FIXTURES / "ex2.json"
+    code, _, _ = run(capsys, "catalog", ex2, "--max-mult", "3", "--strict")
+    assert code == 0
+    code, out, err = run(capsys, "catalog", ex2)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "catalog_ex2.txt").read_text()
+    assert caps == [
+        {"max_multiplicity": 3, "max_blocks": 3},
+        {"max_multiplicity": 2, "max_blocks": 3},
+    ]
+    assert not cli_module._build_parser().parse_args(["catalog", str(ex2)]).strict
 
 
 def test_json_reports_are_stable(capsys):

@@ -8,7 +8,7 @@ from math import gcd
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
@@ -16,7 +16,7 @@ from curvepencils.exactalg import (
     FinAbelianGroup,
     IntMatrix,
     QmodZ,
-    UniPoly,
+    coeffs_divide,
     coeffs_evaluate,
     coeffs_gcd,
     coeffs_mul,
@@ -28,11 +28,11 @@ from curvepencils.exactalg import (
     lattice_key,
     primitive_vector,
     product_relation_lattice,
+    projective_profile,
     rational_roots,
     roots_mod_p,
     saturate_lattice,
     smith_normal_form,
-    squarefree_multiplicity_profile,
     yun_squarefree,
 )
 
@@ -324,16 +324,31 @@ def test_echelon_rows_inverts_unimodular_matrices():
 # univariate polynomials
 
 
-def test_unipoly_arithmetic():
-    t = UniPoly([0, 1])
-    f = t * t - UniPoly.constant(1)
-    g = t - UniPoly.constant(1)
-    q, r = f.divide(g)
-    assert r.is_zero()
-    assert q == t + UniPoly.constant(1)
-    assert f.evaluate(3) == 8
-    assert f.derivative() == UniPoly((0, 2))
-    assert f.gcd(g) == g.monic()
+_INT_POLY = st.lists(st.integers(-20, 20), min_size=1, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=_INT_POLY.filter(any), h=_INT_POLY, f=_INT_POLY, exact=st.booleans())
+@example(g=[1, 2, 3], h=[0], f=[5, 1], exact=False)  # dividend of lower degree
+@example(g=[-3, 2], h=[0], f=[0], exact=True)  # zero dividend
+@example(g=[1, 0, 1], h=[4, -1], f=[0], exact=True)  # exact, by a divisor with no root
+def test_coeffs_divide_matches_sympy(g, h, f, exact):
+    t = sympy.Symbol("t")
+    g = list(primitive_vector(g))
+    while g[-1] == 0:
+        g.pop()
+    dividend = coeffs_mul(g, h) if exact else f
+    q, r = sympy.div(
+        sympy.Poly(list(reversed(dividend)), t), sympy.Poly(list(reversed(g)), t)
+    )
+    ours = coeffs_divide(dividend, g)
+    if r.is_zero:
+        assert ours is not None and (not ours or ours[-1] != 0)
+        assert sympy.expand(sum(c * t**i for i, c in enumerate(ours)) - q.as_expr()) == 0
+    else:
+        assert not exact and ours is None
+    with pytest.raises(ValueError):
+        coeffs_divide(dividend, [2 * c for c in g])
 
 
 def test_yun_matches_sympy():
@@ -341,16 +356,15 @@ def test_yun_matches_sympy():
     t = sympy.Symbol("t")
     for trial in range(40):
         nfac = rng.randint(1, 3)
-        poly = UniPoly.constant(1)
+        poly = (1,)
         spoly = sympy.Integer(1)
         for _ in range(nfac):
             a, b = rng.randint(-3, 3), rng.randint(1, 3)
             mult = rng.randint(1, 3)
-            fac = UniPoly((a, b))
             for _ in range(mult):
-                poly = poly * fac
+                poly = coeffs_mul(poly, (a, b))
             spoly = spoly * (b * t + a) ** mult
-        ours = sorted((m, p.degree) for p, m in yun_squarefree(poly))
+        ours = sorted((m, len(p) - 1) for p, m in yun_squarefree(poly))
         theirs = sorted(
             (int(m), sympy.degree(p, t))
             for p, m in sympy.sqf_list(sympy.expand(spoly), t)[1]
@@ -359,33 +373,29 @@ def test_yun_matches_sympy():
 
 
 def test_multiplicity_profile_frozen():
-    t = UniPoly([0, 1])
-    one = UniPoly.constant(1)
-    f = (t - one) * (t - one) * (t + UniPoly.constant(2))
-    assert squarefree_multiplicity_profile(f) == ((1, 1), (2, 1))
-    f = t * t * t * t
-    assert squarefree_multiplicity_profile(f) == ((4, 1),)
-    f = t * t * t - t - one  # irreducible cubic
-    assert squarefree_multiplicity_profile(f) == ((1, 3),)
+    f = coeffs_mul(coeffs_mul((-1, 1), (-1, 1)), (2, 1))  # (t - 1)^2 (t + 2)
+    assert projective_profile(f, 3) == ((1, 1), (2, 1))
+    assert projective_profile((0, 0, 0, 0, 1), 4) == ((4, 1),)  # t^4
+    assert projective_profile((-1, -1, 0, 1), 3) == ((1, 3),)  # irreducible cubic
     with pytest.raises(ValueError):
-        squarefree_multiplicity_profile(UniPoly.zero())
+        projective_profile((0, 0, 0), 2)
 
 
 def test_rational_roots_frozen():
     # 2t^2 - 3t + 1 = (2t - 1)(t - 1)
-    rr = rational_roots(UniPoly((1, -3, 2)))
+    rr = rational_roots((1, -3, 2))
     assert rr.roots == ((Fraction(1, 2), 1), (Fraction(1), 1))
     assert rr.remaining_degree == 0
     # t^2 + 1 has no rational roots
-    rr = rational_roots(UniPoly((1, 0, 1)))
+    rr = rational_roots((1, 0, 1))
     assert rr.roots == ()
     assert rr.remaining_degree == 2
     # (t - 1)^3
-    rr = rational_roots(UniPoly((-1, 3, -3, 1)))
+    rr = rational_roots((-1, 3, -3, 1))
     assert rr.roots == ((Fraction(1), 3),)
     assert rr.remaining_degree == 0
     # t^2 * (t + 5/3)
-    rr = rational_roots(UniPoly((0, 0, Fraction(5, 3), 1)))
+    rr = rational_roots((0, 0, Fraction(5, 3), 1))
     assert rr.roots == ((Fraction(-5, 3), 1), (Fraction(0), 2))
     assert rr.remaining_degree == 0
 
@@ -394,13 +404,13 @@ def test_rational_roots_random():
     rng = random.Random(5150)
     for trial in range(60):
         roots = [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(rng.randint(0, 3))]
-        poly = UniPoly.constant(rng.randint(1, 3))
+        poly = (rng.randint(1, 3),)
         for r in roots:
-            poly = poly * UniPoly((-r, 1))
+            poly = coeffs_mul(poly, (-r, 1))
         # an irreducible tail to exercise remaining_degree
         tail = rng.random() < 0.5
         if tail:
-            poly = poly * UniPoly((1, 0, 1))
+            poly = coeffs_mul(poly, (1, 0, 1))
         rr = rational_roots(poly)
         expected: dict[Fraction, int] = {}
         for r in roots:
@@ -426,20 +436,20 @@ def test_rational_roots_match_sympy():
     t = sympy.Symbol("t")
     repeated = 0
     for trial in range(300):
-        poly = UniPoly.constant(rng.choice((1, -1)) * rng.randint(1, 10 ** rng.randint(0, 4)))
+        poly = (rng.choice((1, -1)) * rng.randint(1, 10 ** rng.randint(0, 4)),)
         for _ in range(rng.randint(0, 4)):
-            lin = UniPoly((-_random_root(rng), 1))
+            lin = (-_random_root(rng), 1)
             for _ in range(rng.randint(1, 3)):
-                poly = poly * lin
+                poly = coeffs_mul(poly, lin)
         for _ in range(rng.randint(0, 2)):
-            q = UniPoly([rng.randint(-9, 9) for _ in range(rng.randint(2, 3))] + [rng.randint(1, 5)])
+            q = [rng.randint(-9, 9) for _ in range(rng.randint(2, 3))] + [rng.randint(1, 5)]
             for _ in range(rng.randint(1, 2)):
-                poly = poly * q
-        if poly.degree < 1:
+                poly = coeffs_mul(poly, q)
+        if len(poly) < 2:
             continue
         expected: dict[Fraction, int] = {}
         rest = 0
-        oracle = sympy.Poly([sympy.Rational(str(c)) for c in reversed(poly.coeffs)], t)
+        oracle = sympy.Poly([sympy.Rational(str(c)) for c in reversed(poly)], t)
         for factor, mult in oracle.factor_list()[1]:
             if factor.degree() == 1:
                 a, b = (int(c) for c in factor.all_coeffs())

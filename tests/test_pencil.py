@@ -453,13 +453,10 @@ def test_discriminant_sample_matches_sylvester_oracle():
             )
             for _ in range(2)
         )
-        p, q = (
-            [form.restrict_span(*probe.span).coefficient(k) for k in range(D + 1)]
-            for form in (P, Q)
-        )
+        p, q = (form.restrict_span(*probe.span) for form in (P, Q))
         params = [Fraction(c) for c in range(-3, 4)]
         if p[D] != 0:
-            params.append(q[D] / p[D])  # the leading coefficient of c*p - q vanishes
+            params.append(Fraction(q[D], p[D]))  # the leading coefficient of c*p - q vanishes
         for c in params:
             g = [c * a - b for a, b in zip(p, q)]
             drops += g[D] == 0
