@@ -739,16 +739,17 @@ def yun_squarefree(f: Sequence[Fraction | int]) -> list[tuple[tuple[int, ...], i
 def projective_profile(f: Sequence[Fraction | int], degree: int) -> tuple[tuple[int, int], ...]:
     """Multiset of (multiplicity, degree) of f read as a binary form of formal degree ``degree``.
 
-    The squarefree decomposition of f plus the root at infinity, of
-    multiplicity degree - deg f, so the weighted degrees add up to
-    ``degree``.  Sorted ascending, so equal profiles compare equal as
-    tuples.  ValueError on the zero polynomial.
+    The squarefree decomposition of f, with the root at infinity, of
+    multiplicity degree - deg f, merged into the entry of its multiplicity,
+    so the profile does not depend on the chart and the weighted degrees
+    add up to ``degree``.  Sorted ascending, so equal profiles compare
+    equal as tuples.  ValueError on the zero polynomial.
     """
-    entries = [(mult, len(part) - 1) for part, mult in yun_squarefree(f)]
-    deg_f = len(_trimmed(f)) - 1
-    if degree > deg_f:
-        entries.append((degree - deg_f, 1))
-    return tuple(sorted(entries))
+    entries = {mult: len(part) - 1 for part, mult in yun_squarefree(f)}
+    at_infinity = degree - (len(_trimmed(f)) - 1)
+    if at_infinity > 0:
+        entries[at_infinity] = entries.get(at_infinity, 0) + 1
+    return tuple(sorted(entries.items()))
 
 
 class RationalRoots(NamedTuple):

@@ -4,15 +4,15 @@ A pencil is spanned by two forms of equal degree; the fiber over the base
 point (b0 : b1) is b1*P - b0*Q.  Components of the arrangement either fill
 whole fibers (type 1), sit inside fibers with non-arrangement parts
 (type 2), or map onto the base (horizontal).  Special fibers outside the
-fully-arrangement set B are located through the discriminant of a probe
-line restriction and profiled on further probes; everything is exact.
+fully-arrangement set B are located through the discriminants of probe
+line restrictions and profiled exactly on counted lines through one point.
+Every probe line and point comes from `ProbeSequence`, the moment curve,
+and every walk over probes stops within a proven bound.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd
@@ -67,7 +67,7 @@ class PencilError(ValueError):
 
 
 class ProbeDegeneracyError(RuntimeError):
-    """Probe lines kept disagreeing; the input is degenerate for probing."""
+    """A proven bound on probes ran out: the input is degenerate for probing."""
 
 
 @dataclass(frozen=True)
@@ -211,7 +211,6 @@ class PencilClassification:
     minimal: bool
     special: bool
     special_points: tuple[SpecialPoint, ...] | None = None
-    incidental_points: tuple[P1Point, ...] = ()
     warnings: tuple[str, ...] = ()
     conditional: bool = False
 
@@ -389,35 +388,28 @@ def _finish_classification(
 
 
 # ---------------------------------------------------------------------------
-# deterministic probe sequences
+# probes: the moment curve
 
 
 class ProbeSequence:
-    """Reproducible pseudo-random probe lines and points, seeded by the input."""
+    """The one supplier of probe lines and points: the moment curve.
 
-    def __init__(self, *seed_parts: str) -> None:
-        digest = hashlib.sha256("|".join(seed_parts).encode()).digest()
-        self._rng = random.Random(int.from_bytes(digest[:8], "big"))
+    `lines` yields x + s*y + s^2*z and `points` yields (1 : s : s^2), for
+    s = 1, 2, ...  Any three of either have the Vandermonde determinant
+    (s2 - s1)(s3 - s1)(s3 - s2) != 0, so no three of the lines meet in a
+    point and no three of the points lie on a line.  The sequences are
+    fixed, so every result drawn from them is reproducible.
+    """
 
-    def lines(self) -> Iterator[ProjLine]:
-        while True:
-            coeffs = [self._rng.randint(-9, 9) for _ in range(3)]
-            if any(c != 0 for c in coeffs):
-                yield ProjLine.from_coefficients(*coeffs)
+    @staticmethod
+    def lines() -> Iterator[ProjLine]:
+        for s in itertools.count(1):
+            yield ProjLine.from_coefficients(1, s, s * s)
 
-    def points(self) -> Iterator[ProjPoint]:
-        while True:
-            coords = [self._rng.randint(-9, 9) for _ in range(3)]
-            if any(c != 0 for c in coords):
-                yield ProjPoint(coords)
-
-
-def _probe_seed(arr: Arrangement, pencil: Pencil) -> list[str]:
-    return [str(c.form) for c in arr.components] + [str(pencil.P), str(pencil.Q)]
-
-
-# rounds of probing before a discriminant or a profile is declared degenerate
-PROBE_RETRIES = 5
+    @staticmethod
+    def points() -> Iterator[ProjPoint]:
+        for s in itertools.count(1):
+            yield ProjPoint((1, s, s * s))
 
 
 # ---------------------------------------------------------------------------
@@ -431,67 +423,76 @@ def detect_special_fibers(
 ) -> PencilClassification:
     """Fill in C(f): special fibers outside B with their m', m'' data.
 
-    Candidates are the type-2 fiber points plus rational roots of the
-    discriminant of a probe-line restriction of the fiber family.  Each
-    candidate fiber is profiled on two independent probe lines; fibers that
-    carry arrangement members or a non-reduced new part enter C(f), reduced
-    non-arrangement singular fibers are reported as incidental only.
-    Irrational discriminant roots leave a warning and mark the result
-    conditional.  Each probe's discriminant (`_family_discriminant`) is an
-    integer coefficient tuple, off by a constant factor, and the probes are
-    joined by their primitive integer gcd, `coeffs_gcd`.
-    Special fibers are recognized by this algebraic proxy;
-    Milnor-number jumps concentrated at base points are not examined.
-    Probing gives up after `PROBE_RETRIES` rounds with
-    `ProbeDegeneracyError`.
+    Candidates are the type-2 fiber points, both end fibers, and the
+    rational roots of the discriminants of the fiber family restricted to
+    the `ProbeSequence` lines (`_family_discriminant`), joined by their
+    primitive integer gcd, `coeffs_gcd`.  A non-reduced fiber has a
+    repeated root on every line, so its parameter divides every
+    discriminant; the walk stops once the joined discriminant splits over
+    Q, and then every non-reduced fiber is a candidate.  Each candidate is
+    profiled exactly (`_certified_profile`); fibers that carry arrangement
+    members or a non-reduced new part enter C(f), the others are dropped.
+    A factor without rational roots that outlasts the walk's bound proves
+    non-reduced fibers over irrational points: it leaves a warning and
+    marks the result conditional.  Special fibers are recognized by this
+    algebraic proxy; Milnor-number jumps concentrated at base points are
+    not examined.
     """
-    probes = ProbeSequence(*_probe_seed(arr, pencil), "discriminant")
     warnings: list[str] = []
     conditional = False
     candidates: set[P1Point] = set(classification.type2_points)
 
     D = pencil.degree
     if D >= 2:
-        # one probe's discriminant also vanishes where the probe is merely
-        # tangent to a fiber; non-reduced fibers vanish for every probe, so
-        # the gcd across probes strips the probe-specific factors
-        common: tuple[int, ...] | None = None
-        stable = 0
-        for _ in range(PROBE_RETRIES + 3):
-            disc = _family_discriminant(pencil, probes)
+        # A reduced fiber F_c makes a valid moment line's discriminant vanish
+        # at c only when the line
+        # - passes through one of its at most D(D-1)/2 singular points, each
+        #   on at most two moment lines;
+        # - is tangent to it: the moment lines form a conic of the dual
+        #   plane, which meets the dual curve, of degree <= D(D-1), at most
+        #   2D(D-1) times unless F_c holds the envelope y^2 = 4xz;
+        # - has its point at t = infinity, (-s^2 : 0 : 1), on it: at most D
+        #   values of s unless y divides F_c.
+        # For irrational c those rational factors would divide the conjugate
+        # fiber too, hence P and Q, and make every line invalid.  So past
+        # 3D(D-1) + D valid lines only non-reduced fibers keep irrational roots.
+        max_valid = 3 * D * (D - 1) + D + 1
+        # an invalid line passes through a base point (`_family_discriminant`):
+        # at most D^2 of them for coprime P and Q, each on at most two moment lines
+        max_invalid = 2 * D * D
+        common: tuple[int, ...] = ()
+        valid = invalid = 0
+        for line in ProbeSequence.lines():
+            disc = _family_discriminant(pencil, line)
             if disc is None:
-                raise ProbeDegeneracyError(
-                    "probe degeneracy: no valid discriminant probe found"
-                )
-            if common is None:
-                common = disc
-            else:
-                new = coeffs_gcd(common, disc)
-                stable = stable + 1 if len(new) == len(common) else 0
-                common = new
-            if len(common) <= 1 or stable >= 2:
-                break
-        assert common is not None
-        if len(common) > 1:
+                invalid += 1
+                if invalid > max_invalid:
+                    raise ProbeDegeneracyError(
+                        "probe degeneracy: no valid discriminant probe found; "
+                        "do the generators share a factor?"
+                    )
+                continue
+            valid += 1
+            common = coeffs_gcd(common, disc)
             rr = rational_roots(common)
-            for root, _ in rr.roots:
-                candidates.add(P1Point(1, root))
-            if rr.remaining_degree > 0:
-                warnings.append(
-                    f"discriminant keeps a degree-{rr.remaining_degree} factor "
-                    "without rational roots; possible special fibers over "
-                    "irrational points"
-                )
-                conditional = True
+            if rr.remaining_degree == 0 or valid == max_valid:
+                break
+        for root, _ in rr.roots:
+            candidates.add(P1Point(1, root))
+        if rr.remaining_degree > 0:
+            warnings.append(
+                f"discriminant keeps a degree-{rr.remaining_degree} factor "
+                "without rational roots; possible special fibers over "
+                "irrational points"
+            )
+            conditional = True
     # the chart c -> (1:c) misses (0:1) and the degree count misses nothing
     # else, but both end fibers deserve a direct look when not already placed
     for endpoint in (P1Point(0, 1), P1Point(1, 0)):
         if endpoint not in classification.base_points:
             candidates.add(endpoint)
 
-    profile_probes = ProbeSequence(*_probe_seed(arr, pencil), "profiles")
     specials: list[SpecialPoint] = []
-    incidental: list[P1Point] = []
     for pt in sorted(candidates, key=lambda p: p.sort_key()):
         if pt in classification.base_points:
             continue
@@ -500,63 +501,55 @@ def detect_special_fibers(
         cofactor = data.cofactor if data else pencil.fiber(pt)
         if cofactor.is_constant():
             continue
-        profile = _stable_profile(cofactor, profile_probes)
-        m_prime = 0
-        for _, m in members:
-            m_prime = gcd(m_prime, m)
-        m_dprime = 0
-        for m, _ in profile:
-            m_dprime = gcd(m_dprime, m)
+        profile = _certified_profile(cofactor)
+        m_prime = gcd(*(m for _, m in members))
+        m_dprime = gcd(*(m for m, _ in profile))
         if members or m_dprime >= 2:
             specials.append(SpecialPoint(pt, members, m_prime, m_dprime, profile))
-        else:
-            incidental.append(pt)
     return replace(
         classification,
         special_points=tuple(specials),
-        incidental_points=tuple(incidental),
         warnings=classification.warnings + tuple(warnings),
         conditional=classification.conditional or conditional,
     )
 
 
-def _family_discriminant(
-    pencil: Pencil, probes: ProbeSequence
-) -> tuple[int, ...] | None:
-    """Discriminant in c of the probe restriction g_c of c*P - Q, up to a constant.
+def _family_discriminant(pencil: Pencil, line: ProjLine) -> tuple[int, ...] | None:
+    """Discriminant in c of the restriction g_c of c*P - Q to a line, up to a constant.
 
-    The probe restrictions p and q of P and Q are scaled by one rational
-    constant k to coprime integer coefficients, so each sample at an
-    integer c is the integer `_formal_discriminant` of k*g_c: k^(2D - 1)
-    times that of g_c, a constant factor that no caller reads.  Samples at
-    c = 0..2D-1 are interpolated in integers; vanishing identifies every fiber with a
+    The restrictions p and q of P and Q are scaled by one rational constant
+    k to coprime integer coefficients, so each sample at an integer c is
+    the integer `_formal_discriminant` of k*g_c: k^(2D - 1) times that of
+    g_c, a constant factor that no caller reads.  Samples at c = 0..2D-1
+    are interpolated in integers; vanishing identifies every fiber with a
     repeated or degree-dropping restriction, a superset of the special
     parameters.
+
+    None when the line is invalid: its point at t = infinity is a base
+    point, so every fiber drops formal degree, or the discriminant vanishes
+    identically.  Otherwise p and q are coprime binary forms times their
+    gcd h, and the generic member of a pencil of coprime binary forms is
+    squarefree, so the discriminant vanishes identically only when h has a
+    repeated root, a base point on the line.  Either way an invalid line
+    passes through a base point.
     """
     D = pencil.degree
-    tries = 0
-    for line in probes.lines():
-        tries += 1
-        if tries > 40 * (PROBE_RETRIES + 1):
-            return None
-        p = pencil.P.restrict_span(*line.span)
-        q = pencil.Q.restrict_span(*line.span)
-        # the point at t = infinity must avoid the base locus, else every
-        # fiber drops formal degree on this probe
-        if p[D] == 0 and q[D] == 0:
-            continue
-        scaled = primitive_vector(p + q)
-        p_int, q_int = scaled[: D + 1], scaled[D + 1 :]
+    p = pencil.P.restrict_span(*line.span)
+    q = pencil.Q.restrict_span(*line.span)
+    if p[D] == 0 and q[D] == 0:
+        return None
+    scaled = primitive_vector(p + q)
+    p_int, q_int = scaled[: D + 1], scaled[D + 1 :]
 
-        def sample(c: int) -> int:
-            return _formal_discriminant([c * a - b for a, b in zip(p_int, q_int)], D)
+    def sample(c: int) -> int:
+        return _formal_discriminant([c * a - b for a, b in zip(p_int, q_int)], D)
 
-        # 2D samples fix the discriminant, of degree <= 2D - 1; one more checks it
-        disc = interpolate_integers([sample(c) for c in range(2 * D)])
-        if not disc or coeffs_evaluate(disc, 2 * D) != sample(2 * D):
-            continue  # every fiber degenerate, or degree bound violated
-        return disc
-    return None
+    # each sample is the determinant of a (2D - 1)-square matrix whose
+    # entries are linear in c, so 2D samples fix it and one more must agree
+    disc = interpolate_integers([sample(c) for c in range(2 * D)])
+    if coeffs_evaluate(disc, 2 * D) != sample(2 * D):
+        raise PencilError("family discriminant exceeds its degree bound 2D - 1")
+    return disc or None
 
 
 def _formal_discriminant(g: Sequence[int], D: int) -> int:
@@ -572,29 +565,37 @@ def _formal_discriminant(g: Sequence[int], D: int) -> int:
     return coeffs_resultant(g, coeffs_derivative(g))
 
 
-def _stable_profile(
-    form: TernaryForm, probes: ProbeSequence
-) -> tuple[tuple[int, int], ...]:
-    """Multiplicity profile of a form, agreed on two independent probe lines."""
-    attempts = 0
-    line_iter = probes.lines()
-    while attempts <= PROBE_RETRIES:
-        attempts += 1
-        profiles = []
-        used: list[ProjLine] = []
-        for line in line_iter:
-            if any(line.form == u.form for u in used):
-                continue
-            g = form.restrict_span(*line.span)
-            if not any(g):
-                continue
-            profiles.append(projective_profile(g, form.degree))
-            used.append(line)
-            if len(profiles) == 2:
-                break
-        if len(profiles) == 2 and profiles[0] == profiles[1]:
-            return profiles[0]
-    raise ProbeDegeneracyError("probe degeneracy: multiplicity profiles disagree")
+def _certified_profile(form: TernaryForm) -> tuple[tuple[int, int], ...]:
+    """Multiplicity profile of a form: `projective_profile` on a generic line.
+
+    Let F have degree D and reduced curve F_red of degree e <= D, and let c
+    be the first `ProbeSequence.points()` entry off F.  A line through c
+    shows at most e distinct roots, and shows the profile exactly when it
+    shows e.  Otherwise it meets F_red at a singular point or is tangent to
+    it there, a point on the polar curve of c.  A component of F_red inside
+    that polar would have all its tangents through c, so it would be a line
+    through c, yet c is off F; so by Bezout the two curves meet in at most
+    e(e - 1) <= D(D - 1) points, each on one line through c.  c has z != 0,
+    so its lines to (s : 1 : 0), s = 0..D(D - 1), are distinct and one is
+    generic: the first with the most distinct roots.  D roots stop early.
+    """
+    D = form.degree
+    # F meets the moment curve in at most 2D points unless xz = y^2 divides it
+    points = itertools.islice(ProbeSequence.points(), 2 * D + 1)
+    c = next((p.coords for p in points if form.evaluate(p.coords) != 0), None)
+    if c is None:
+        raise ProbeDegeneracyError("probe degeneracy: the conic x*z = y^2 divides the form")
+
+    def distinct_roots(profile: tuple[tuple[int, int], ...]) -> int:
+        return sum(deg for _, deg in profile)
+
+    best: tuple[tuple[int, int], ...] = ()
+    for s in range(D * (D - 1) + 1):
+        profile = projective_profile(form.restrict_span(c, (s, 1, 0)), D)
+        best = max(best, profile, key=distinct_roots)
+        if distinct_roots(best) == D:
+            break
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +632,8 @@ def fy_identities(arr: Arrangement, classification: PencilClassification) -> FYR
     local intersection numbers add up to D^2, (iii) weighted member degrees
     add up to k*D.  Entirely linear fibers are handled by exact point
     enumeration; once a member has degree >= 2 the n_p multiset is read off
-    resultants with respect to two generic projection centers.
+    projected resultants from two projection centers on the moment curve
+    that agree (`_fy_resultant_profile`), which is evidence, not proof.
     """
     if any(p.kind == "type2" for p in classification.placements):
         raise PencilError(
@@ -652,22 +654,14 @@ def fy_identities(arr: Arrangement, classification: PencilClassification) -> FYR
         for b in B
         for j, _ in classification.fiber_members(b)
     )
+    table = profile = None
     if all_lines:
-        table, constant = _fy_exact_points(arr, classification)
+        points, constant = _fy_exact_points(arr, classification)
+        table = tuple(points)
         total = sum(n for _, n in table)
-        return FYReport(
-            degree=D,
-            k=k,
-            constant_multiplicity=constant,
-            total=total,
-            total_expected=D * D,
-            member_degree_sum=member_sum,
-            member_degree_expected=k * D,
-            point_table=tuple(table),
-            profile=None,
-        )
-    profile, constant = _fy_resultant_profile(arr, classification)
-    total = sum(n * count for n, count in profile)
+    else:
+        profile, constant = _fy_resultant_profile(classification)
+        total = sum(n * count for n, count in profile)
     return FYReport(
         degree=D,
         k=k,
@@ -676,7 +670,7 @@ def fy_identities(arr: Arrangement, classification: PencilClassification) -> FYR
         total_expected=D * D,
         member_degree_sum=member_sum,
         member_degree_expected=k * D,
-        point_table=None,
+        point_table=table,
         profile=profile,
     )
 
@@ -716,17 +710,26 @@ def _fy_exact_points(
 
 
 def _fy_resultant_profile(
-    arr: Arrangement, classification: PencilClassification
+    classification: PencilClassification,
 ) -> tuple[tuple[tuple[int, int], ...], bool]:
-    """Multiset {n_p} read from resultants against two generic centers."""
+    """Multiset {n_p} read from resultants against two agreeing centers.
+
+    The centers are the `ProbeSequence.points()` entries off every full
+    fiber.  A center off both curves and off every line through two of
+    their common points gives the intersection numbers exactly; two
+    centers that agree are evidence of that, not proof.  After 12 usable
+    centers without two agreeing profiles, `ProbeDegeneracyError`.
+    """
     B = classification.base_points
     pencil = classification.pencil
-    probes = ProbeSequence(*_probe_seed(arr, pencil), "fy-centers")
     fibers = [pencil.fiber(b) for b in B]
     profiles: list[tuple[tuple[int, int], ...]] = []
     centers_used = 0
-    for center in probes.points():
-        if centers_used >= 2 + 10:
+    # a fiber of degree D meets the moment curve in at most 2D points unless
+    # the conic xz = y^2 divides it, so 12 centers lie within 12 + 2Dk draws
+    draws = 12 + 2 * pencil.degree * len(fibers)
+    for center in itertools.islice(ProbeSequence.points(), draws):
+        if centers_used >= 12:
             break
         if any(f.evaluate(center.coords) == 0 for f in fibers):
             continue
@@ -744,12 +747,8 @@ def _fy_resultant_profile(
         raise ProbeDegeneracyError("probe degeneracy: no usable projection centers")
     if profiles[0] != profiles[1]:
         raise ProbeDegeneracyError("probe degeneracy: projection centers disagree")
-    pair_profiles = profiles[0]
-    constant = len(set(pair_profiles)) == 1
-    counted: dict[int, int] = {}
-    for mult, deg in pair_profiles[0]:
-        counted[mult] = counted.get(mult, 0) + deg
-    return tuple(sorted(counted.items())), constant
+    # each pair profile is already merged by multiplicity
+    return profiles[0][0], len(set(profiles[0])) == 1
 
 
 def _projected_resultant_profile(
@@ -757,17 +756,12 @@ def _projected_resultant_profile(
 ) -> tuple[tuple[int, int], ...] | None:
     """Multiplicities of the common points of f1, f2 seen from the center.
 
-    The center must lie off both curves.  The profile of
-    `projected_resultant` is merged by multiplicity, so it does not depend
-    on the chart of the line it projects to.
+    The center must lie off both curves.  `projective_profile` merges the
+    root at infinity by multiplicity, so the profile does not depend on the
+    chart of the line it projects to.
     """
     poly, _, _ = projected_resultant(f1, f2, center)
-    if not poly:
-        return None
-    merged: dict[int, int] = {}
-    for mult, deg in projective_profile(poly, f1.degree * f2.degree):
-        merged[mult] = merged.get(mult, 0) + deg
-    return tuple(sorted(merged.items()))
+    return projective_profile(poly, f1.degree * f2.degree) if poly else None
 
 
 # ---------------------------------------------------------------------------

@@ -377,6 +377,7 @@ def test_multiplicity_profile_frozen():
     assert projective_profile(f, 3) == ((1, 1), (2, 1))
     assert projective_profile((0, 0, 0, 0, 1), 4) == ((4, 1),)  # t^4
     assert projective_profile((-1, -1, 0, 1), 3) == ((1, 3),)  # irreducible cubic
+    assert projective_profile((0, 1), 2) == ((1, 2),)  # t, and a simple root at infinity
     with pytest.raises(ValueError):
         projective_profile((0, 0, 0), 2)
 

@@ -1,5 +1,5 @@
 """Source hygiene: every module-level import, private helper and public function is used,
-and no float enters the arithmetic."""
+no float enters the arithmetic, and no random source feeds it."""
 
 from __future__ import annotations
 
@@ -246,4 +246,49 @@ def test_float_use_is_caught():
         "2j (line 2)",
         "float (line 5)",
         "float (line 6)",
+    ]
+
+
+# modules whose draws would make a result depend on a seed rather than the input
+RANDOM_SOURCES = frozenset({"random", "hashlib", "secrets"})
+
+
+def _random_imports(tree: ast.Module) -> list[str]:
+    """Imports of a random source anywhere in the module, nested ones included."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names = [node.module]
+        else:
+            continue
+        out.extend(
+            f"{name} (line {node.lineno})"
+            for name in names
+            if name.split(".")[0] in RANDOM_SOURCES
+        )
+    return out
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_random_sources(path):
+    # every probe is deterministic: sound by construction or confirmed exactly
+    uses = _random_imports(ast.parse(path.read_text(), filename=str(path)))
+    assert not uses, f"{path.name}: random sources: {', '.join(uses)}"
+
+
+def test_random_source_is_caught():
+    tree = ast.parse(
+        "import itertools, random\n"
+        "from hashlib import sha256\n"
+        "from .random import helper\n"
+        "def f():\n"
+        "    import secrets.token as t\n"
+        "    return t\n"
+    )
+    assert sorted(_random_imports(tree)) == [
+        "hashlib (line 2)",
+        "random (line 1)",
+        "secrets.token (line 5)",
     ]

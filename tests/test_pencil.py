@@ -9,6 +9,8 @@ from math import gcd
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrfixtures import (
     F,
@@ -33,7 +35,7 @@ from arrfixtures import (
     triangle,
 )
 from curvepencils.arrangement import Arrangement, CurveComponent, pullback_subtorus
-from curvepencils.exactalg import lattice_key, saturate_lattice
+from curvepencils.exactalg import lattice_key, projective_profile, saturate_lattice
 from curvepencils import pencil as pencil_module
 from curvepencils.pencil import (
     BlowupCluster,
@@ -42,6 +44,7 @@ from curvepencils.pencil import (
     ProbeDegeneracyError,
     ProbeSequence,
     _SearchTables,
+    _certified_profile,
     _classify_pair,
     _enumerate_blocks,
     _finish_classification,
@@ -55,7 +58,7 @@ from curvepencils.pencil import (
     pencil_search,
     self_intersection,
 )
-from curvepencils.polyform import P1Point, ProjLine, TernaryForm
+from curvepencils.polyform import P1Point, ProjLine, TernaryForm, cross
 
 
 def P1(b0, b1) -> P1Point:
@@ -283,7 +286,6 @@ def test_detect_braid_and_ex2_empty():
     arr = deleted_b3()
     c = detect_special_fibers(arr, braid_pencil(), classify(arr, braid_pencil()))
     assert c.special_points == ()
-    assert c.incidental_points == ()
     arr = ex2()
     c = detect_special_fibers(arr, ex2_pencil(), classify(arr, ex2_pencil()))
     assert c.special_points == ()
@@ -315,12 +317,72 @@ def test_detect_exfin3():
     ]
 
 
-def test_probe_sequence_deterministic():
-    s1 = ProbeSequence("a", "b")
-    s2 = ProbeSequence("a", "b")
-    lines1 = [line.form for _, line in zip(range(5), s1.lines())]
-    lines2 = [line.form for _, line in zip(range(5), s2.lines())]
-    assert lines1 == lines2
+def test_probe_sequence_general_position():
+    # moment-curve probes: no three lines meet in a point, no three points
+    # lie on a line, so every count of bad probes in `pencil` holds
+    lines = [line.form.coefficient_vector() for line in itertools.islice(ProbeSequence.lines(), 30)]
+    points = [p.coords for p in itertools.islice(ProbeSequence.points(), 30)]
+    for rows in (lines, points):
+        for a, b, c in itertools.combinations(rows, 3):
+            assert sum(u * v for u, v in zip(a, cross(b, c))) != 0
+
+
+def test_discriminant_degree_bound_violation_raises(monkeypatch):
+    # each sample is a (2D - 1)-square determinant with entries linear in c,
+    # so a discriminant of degree 2D is a broken invariant, not a bad probe
+    monkeypatch.setattr(
+        pencil_module, "_formal_discriminant", lambda g, D: (sum(g) ** 2 + g[D] ** 2) ** D
+    )
+    arr = deleted_b3()
+    with pytest.raises(PencilError, match="degree bound"):
+        detect_special_fibers(arr, fw_pencil(), classify(arr, fw_pencil()))
+
+
+def test_certified_profile_walks_past_a_special_first_line():
+    # c = (1 : 1 : 1) is off both conics, and the first line through it, to
+    # (0 : 1 : 0), is x = z: tangent to the smooth conic at (1 : 0 : 1) and
+    # through the node (1 : 0 : 1) of the line pair, so both read as a
+    # double line there
+    for text in ("y^2 - x*z + z^2", "x^2 - 2*x*z + z^2 - y^2"):
+        form = F(text)
+        assert projective_profile(form.restrict_span((1, 1, 1), (0, 1, 0)), 2) == ((2, 1),)
+        assert _certified_profile(form) == ((1, 2),)
+    # every point of the moment curve lies on this conic
+    with pytest.raises(ProbeDegeneracyError, match="conic"):
+        _certified_profile(F("x*z - y^2"))
+
+
+@st.composite
+def _power_product(draw) -> TernaryForm:
+    """A product of powers of random forms, of total degree 1 to 6."""
+    form, degree = TernaryForm.constant(1), 0
+    for _ in range(draw(st.integers(1, 3))):
+        if degree == 6:
+            break
+        d = draw(st.integers(1, min(3, 6 - degree)))
+        e = draw(st.integers(1, (6 - degree) // d))
+        monomials = TernaryForm.monomials_of_degree(d)
+        size = len(monomials)
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size).filter(any))
+        form = form * TernaryForm(dict(zip(monomials, coeffs))).power(e)
+        degree += d * e
+    return form
+
+
+@settings(max_examples=60, deadline=None)
+@given(_power_product())
+def test_certified_profile_matches_sympy(form):
+    x, y, z = sympy.symbols("x y z")
+    merged: dict[int, int] = {}
+    on_moment_curve = False
+    for factor, m in sympy.factor_list(sympy.sympify(str(form).replace("^", "**")))[1]:
+        merged[m] = merged.get(m, 0) + sympy.Poly(factor, x, y, z).total_degree()
+        on_moment_curve |= sympy.cancel(factor / (x * z - y**2)).is_number
+    if on_moment_curve:
+        with pytest.raises(ProbeDegeneracyError):
+            _certified_profile(form)
+    else:
+        assert _certified_profile(form) == tuple(sorted(merged.items()))
 
 
 # -- base-locus identities ------------------------------------------------------
