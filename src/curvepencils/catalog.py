@@ -680,7 +680,7 @@ def build_catalog(
     if work is not None:
         candidates: list[PencilClassification] = []
         for res in results:
-            cl = detect_special_fibers(work, res.pencil, res.classification)
+            cl = detect_special_fibers(res.pencil, res.classification)
             candidates.append(cl)
 
         first, second = (r for _, _, _, r in _probe_lines(work))
@@ -722,7 +722,7 @@ def build_catalog(
                 continue
             survivor_spans.add(span)
             cl = classify(work, pencil)
-            cl = detect_special_fibers(work, pencil, cl)
+            cl = detect_special_fibers(pencil, cl)
             candidates.append(cl)
 
         cup = cup_structure(work)

@@ -136,7 +136,7 @@ def _character_tuple(values: Sequence[str]) -> str:
 
 
 def _classified(arr: Arrangement, pencil: Pencil) -> PencilClassification:
-    return detect_special_fibers(arr, pencil, classify(arr, pencil))
+    return detect_special_fibers(pencil, classify(arr, pencil))
 
 
 def _tf_report(arr: Arrangement, cl: PencilClassification) -> tuple[list[str], dict, bool]:

@@ -6,8 +6,8 @@ whole fibers (type 1), sit inside fibers with non-arrangement parts
 (type 2), or map onto the base (horizontal).  Special fibers outside the
 fully-arrangement set B are located through the discriminants of probe
 line restrictions and profiled exactly on counted lines through one point.
-Every probe line and point comes from `ProbeSequence`, the moment curve,
-and every walk over probes stops within a proven bound.
+Every probe line and point comes from `ProbeSequence`, and every walk over
+probes stops within a proven bound.
 """
 
 from __future__ import annotations
@@ -388,17 +388,19 @@ def _finish_classification(
 
 
 # ---------------------------------------------------------------------------
-# probes: the moment curve
+# probes
 
 
 class ProbeSequence:
-    """The one supplier of probe lines and points: the moment curve.
+    """The one supplier of probe lines and points; both sequences are fixed.
 
-    `lines` yields x + s*y + s^2*z and `points` yields (1 : s : s^2), for
-    s = 1, 2, ...  Any three of either have the Vandermonde determinant
-    (s2 - s1)(s3 - s1)(s3 - s2) != 0, so no three of the lines meet in a
-    point and no three of the points lie on a line.  The sequences are
-    fixed, so every result drawn from them is reproducible.
+    `lines` yields x + s*y + s^2*z, s = 1, 2, ...: any three have the
+    Vandermonde determinant (s2 - s1)(s3 - s1)(s3 - s2) != 0, so no three
+    meet.  `points` yields (1 : 2^s : 3^s), s = 0, 1, ...: there a nonzero
+    form of degree d is sum f_bc (2^b 3^c)^s, M = (d + 1)(d + 2)/2
+    exponentials with distinct positive bases, with at most M - 1 real
+    zeros by Descartes' rule of signs.  So no three points are collinear
+    and no curve holds them all.
     """
 
     @staticmethod
@@ -408,8 +410,8 @@ class ProbeSequence:
 
     @staticmethod
     def points() -> Iterator[ProjPoint]:
-        for s in itertools.count(1):
-            yield ProjPoint((1, s, s * s))
+        for s in itertools.count(0):
+            yield ProjPoint((1, 2**s, 3**s))
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +419,7 @@ class ProbeSequence:
 
 
 def detect_special_fibers(
-    arr: Arrangement,
-    pencil: Pencil,
-    classification: PencilClassification,
+    pencil: Pencil, classification: PencilClassification
 ) -> PencilClassification:
     """Fill in C(f): special fibers outside B with their m', m'' data.
 
@@ -577,14 +577,16 @@ def _certified_profile(form: TernaryForm) -> tuple[tuple[int, int], ...]:
     through c, yet c is off F; so by Bezout the two curves meet in at most
     e(e - 1) <= D(D - 1) points, each on one line through c.  c has z != 0,
     so its lines to (s : 1 : 0), s = 0..D(D - 1), are distinct and one is
-    generic: the first with the most distinct roots.  D roots stop early.
+    generic: the first with the most distinct roots.  D roots stop early;
+    a non-reduced form, e < D, always walks all D(D - 1) + 1 lines.
     """
     D = form.degree
-    # F meets the moment curve in at most 2D points unless xz = y^2 divides it
-    points = itertools.islice(ProbeSequence.points(), 2 * D + 1)
+    # F vanishes at at most D(D + 3)/2 probe points, so c is among the
+    # first (D + 1)(D + 2)/2
+    points = itertools.islice(ProbeSequence.points(), (D + 1) * (D + 2) // 2)
     c = next((p.coords for p in points if form.evaluate(p.coords) != 0), None)
     if c is None:
-        raise ProbeDegeneracyError("probe degeneracy: the conic x*z = y^2 divides the form")
+        raise ProbeDegeneracyError("probe degeneracy: the form vanishes at every probe point")
 
     def distinct_roots(profile: tuple[tuple[int, int], ...]) -> int:
         return sum(deg for _, deg in profile)
@@ -632,8 +634,8 @@ def fy_identities(arr: Arrangement, classification: PencilClassification) -> FYR
     local intersection numbers add up to D^2, (iii) weighted member degrees
     add up to k*D.  Entirely linear fibers are handled by exact point
     enumeration; once a member has degree >= 2 the n_p multiset is read off
-    projected resultants from two projection centers on the moment curve
-    that agree (`_fy_resultant_profile`), which is evidence, not proof.
+    projected resultants from two `ProbeSequence.points()` centers that
+    agree (`_fy_resultant_profile`), which is evidence, not proof.
     """
     if any(p.kind == "type2" for p in classification.placements):
         raise PencilError(
@@ -725,9 +727,9 @@ def _fy_resultant_profile(
     fibers = [pencil.fiber(b) for b in B]
     profiles: list[tuple[tuple[int, int], ...]] = []
     centers_used = 0
-    # a fiber of degree D meets the moment curve in at most 2D points unless
-    # the conic xz = y^2 divides it, so 12 centers lie within 12 + 2Dk draws
-    draws = 12 + 2 * pencil.degree * len(fibers)
+    # a fiber of degree D vanishes at at most D(D + 3)/2 probe points, so
+    # 12 centers lie within 12 + k*D(D + 3)/2 draws
+    draws = 12 + len(fibers) * pencil.degree * (pencil.degree + 3) // 2
     for center in itertools.islice(ProbeSequence.points(), draws):
         if centers_used >= 12:
             break

@@ -271,7 +271,7 @@ def test_reducible_component_raises():
 
 def test_detect_fw():
     arr = deleted_b3()
-    c = detect_special_fibers(arr, fw_pencil(), classify(arr, fw_pencil()))
+    c = detect_special_fibers(fw_pencil(), classify(arr, fw_pencil()))
     assert len(c.special_points) == 1
     sp = c.special_points[0]
     assert sp.point == P1(1, 1)
@@ -284,21 +284,21 @@ def test_detect_fw():
 
 def test_detect_braid_and_ex2_empty():
     arr = deleted_b3()
-    c = detect_special_fibers(arr, braid_pencil(), classify(arr, braid_pencil()))
+    c = detect_special_fibers(braid_pencil(), classify(arr, braid_pencil()))
     assert c.special_points == ()
     arr = ex2()
-    c = detect_special_fibers(arr, ex2_pencil(), classify(arr, ex2_pencil()))
+    c = detect_special_fibers(ex2_pencil(), classify(arr, ex2_pencil()))
     assert c.special_points == ()
 
 
 def test_detect_a2_a3():
     arr = a2()
-    c = detect_special_fibers(arr, a2_pencil(), classify(arr, a2_pencil()))
+    c = detect_special_fibers(a2_pencil(), classify(arr, a2_pencil()))
     assert [(sp.point, sp.m_prime, sp.m_dprime) for sp in c.special_points] == [
         (P1(1, 1), 1, 2)
     ]
     arr = a3()
-    c = detect_special_fibers(arr, a3_pencil(), classify(arr, a3_pencil()))
+    c = detect_special_fibers(a3_pencil(), classify(arr, a3_pencil()))
     assert [(sp.point, sp.m_prime, sp.m_dprime) for sp in c.special_points] == [
         (P1(1, 1), 1, 3)
     ]
@@ -306,7 +306,7 @@ def test_detect_a2_a3():
 
 def test_detect_exfin3():
     arr = exfin3()
-    c = detect_special_fibers(arr, exfin3_pencil(), classify(arr, exfin3_pencil()))
+    c = detect_special_fibers(exfin3_pencil(), classify(arr, exfin3_pencil()))
     got = [
         (sp.point, sp.members, sp.m_prime, sp.m_dprime) for sp in c.special_points
     ]
@@ -317,14 +317,87 @@ def test_detect_exfin3():
     ]
 
 
+def test_detect_conic_fibers():
+    # a type-2 cofactor and a double fiber that are the conic x*z = y^2,
+    # which holds every point of a moment curve
+    arr = triangle()
+    pencil = Pencil(F("x*y^2 - x^2*z"), F("y^3 + z^3"))
+    c = detect_special_fibers(pencil, classify(arr, pencil))
+    assert [(sp.point, sp.members, sp.m_dprime, sp.new_part_profile) for sp in c.special_points] == [
+        (P1(0, 1), ((0, 1),), 1, ((1, 2),))
+    ]
+    pencil = Pencil(F("x*z - y^2").power(2), F("x*y") * F("x^2 + y^2 + z^2 + x*z"))
+    c = detect_special_fibers(pencil, classify(arr, pencil))
+    assert [(sp.point, sp.members, sp.m_dprime, sp.new_part_profile) for sp in c.special_points] == [
+        (P1(0, 1), (), 2, ((2, 2),)),
+        (P1(1, 0), ((0, 1), (1, 1)), 1, ((1, 2),)),
+    ]
+    assert not c.conditional
+
+
+def test_conic_pencil_through_the_probe_conic():
+    # y^2 - x*z is a full fiber, so the first FY center (1 : 1 : 1), a base
+    # point, and every other point of a moment curve lie on a fiber
+    arr = Arrangement(
+        [
+            CurveComponent("a", F("x^2 - y*z")),
+            CurveComponent("b", F("y^2 - x*z")),
+            CurveComponent("c", F("2*x^2 + y^2 - x*z - 2*y*z")),
+        ]
+    )
+    pencil = Pencil(F("x^2 - y*z"), F("y^2 - x*z"))
+    c = classify(arr, pencil)
+    assert c.base_points == (P1(0, 1), P1(1, -2), P1(1, 0))
+    report = fy_identities(arr, c)
+    assert report.passed and report.profile == ((1, 4),)
+    c = detect_special_fibers(pencil, c)
+    assert c.special_points == () and not c.conditional
+
+
+def test_detect_irrational_double_fibers(monkeypatch):
+    # the fibers over c = +-2*sqrt(2) are squares of lines that are not
+    # rational: the rootless factor outlasts the whole bounded walk
+    valid = []
+
+    def counting(pencil, line):
+        disc = family_discriminant(pencil, line)
+        valid.append(disc is not None)
+        assert len(valid) <= 40, "the discriminant walk does not stop"
+        return disc
+
+    family_discriminant = pencil_module._family_discriminant
+    monkeypatch.setattr(pencil_module, "_family_discriminant", counting)
+    arr = triangle()
+    pencil = Pencil(F("x^2 + 2*y^2"), F("x*y"))
+    c = detect_special_fibers(pencil, classify(arr, pencil))
+    assert c.special_points == ()
+    assert c.warnings == (
+        "discriminant keeps a degree-2 factor without rational roots; "
+        "possible special fibers over irrational points",
+    )
+    assert c.conditional
+    D = pencil.degree
+    assert sum(valid) == 3 * D * (D - 1) + D + 1
+
+
 def test_probe_sequence_general_position():
-    # moment-curve probes: no three lines meet in a point, no three points
-    # lie on a line, so every count of bad probes in `pencil` holds
+    # no three probe lines meet in a point and no three probe points lie on
+    # a line, so every count of bad probes in `pencil` holds
     lines = [line.form.coefficient_vector() for line in itertools.islice(ProbeSequence.lines(), 30)]
     points = [p.coords for p in itertools.islice(ProbeSequence.points(), 30)]
     for rows in (lines, points):
         for a, b, c in itertools.combinations(rows, 3):
             assert sum(u * v for u, v in zip(a, cross(b, c))) != 0
+
+
+def test_probe_points_lie_on_no_curve():
+    # a form of degree d vanishes at no (d + 1)(d + 2)/2 of the probe
+    # points: the evaluation matrix of the first ones has full rank
+    points = [p.coords for p in itertools.islice(ProbeSequence.points(), 15)]
+    for d in range(1, 5):
+        monomials = TernaryForm.monomials_of_degree(d)
+        rows = [[x**a * y**b * z**c for a, b, c in monomials] for x, y, z in points]
+        assert sympy.Matrix(rows[: len(monomials)]).rank() == len(monomials)
 
 
 def test_discriminant_degree_bound_violation_raises(monkeypatch):
@@ -335,7 +408,7 @@ def test_discriminant_degree_bound_violation_raises(monkeypatch):
     )
     arr = deleted_b3()
     with pytest.raises(PencilError, match="degree bound"):
-        detect_special_fibers(arr, fw_pencil(), classify(arr, fw_pencil()))
+        detect_special_fibers(fw_pencil(), classify(arr, fw_pencil()))
 
 
 def test_certified_profile_walks_past_a_special_first_line():
@@ -347,9 +420,11 @@ def test_certified_profile_walks_past_a_special_first_line():
         form = F(text)
         assert projective_profile(form.restrict_span((1, 1, 1), (0, 1, 0)), 2) == ((2, 1),)
         assert _certified_profile(form) == ((1, 2),)
-    # every point of the moment curve lies on this conic
-    with pytest.raises(ProbeDegeneracyError, match="conic"):
-        _certified_profile(F("x*z - y^2"))
+    # (1 : 1 : 1) lies on this conic, which holds every point of a moment
+    # curve, so c moves on to (1 : 2 : 3)
+    conic = F("x*z - y^2")
+    assert _certified_profile(conic) == ((1, 2),)
+    assert _certified_profile(conic.power(2)) == ((2, 2),)
 
 
 @st.composite
@@ -374,15 +449,9 @@ def _power_product(draw) -> TernaryForm:
 def test_certified_profile_matches_sympy(form):
     x, y, z = sympy.symbols("x y z")
     merged: dict[int, int] = {}
-    on_moment_curve = False
     for factor, m in sympy.factor_list(sympy.sympify(str(form).replace("^", "**")))[1]:
         merged[m] = merged.get(m, 0) + sympy.Poly(factor, x, y, z).total_degree()
-        on_moment_curve |= sympy.cancel(factor / (x * z - y**2)).is_number
-    if on_moment_curve:
-        with pytest.raises(ProbeDegeneracyError):
-            _certified_profile(form)
-    else:
-        assert _certified_profile(form) == tuple(sorted(merged.items()))
+    assert _certified_profile(form) == tuple(sorted(merged.items()))
 
 
 # -- base-locus identities ------------------------------------------------------

@@ -42,7 +42,7 @@ HALF = Fraction(1, 2)
 
 
 def pipeline(arr, pencil):
-    cls = detect_special_fibers(arr, pencil, classify(arr, pencil))
+    cls = detect_special_fibers(pencil, classify(arr, pencil))
     data = theta(arr, cls, kernel_fstar(arr, cls))
     return cls, compute_Tf(data)
 
@@ -59,7 +59,7 @@ def test_kernel_relations_deleted_b3():
     cls = classify(arr, pencil)
     kernel = kernel_fstar(arr, cls)
     assert kernel.ncols == 6
-    cls = detect_special_fibers(arr, pencil, cls)
+    cls = detect_special_fibers(pencil, cls)
     data = theta(arr, cls, kernel)
     assert data.relation_rows.to_lists() == [[1, -1, -1, 1, 2, 0, -2]]
     assert data.infinity_fiber_row == (0, 1, 1, 0, 0, 0, 2)
@@ -86,7 +86,7 @@ def test_kernel_with_single_base_point_is_everything():
     assert [str(b) for b in cls.base_points] == ["(1:0)"]
     kernel = kernel_fstar(arr, cls)
     assert kernel.to_lists() == [[1, 0], [0, 1]]
-    cls = detect_special_fibers(arr, pencil, cls)
+    cls = detect_special_fibers(pencil, cls)
     _, tf = cls, compute_Tf(theta(arr, cls, kernel))
     assert tf.group.is_trivial()
 
@@ -103,7 +103,7 @@ def test_theta_requires_special_fiber_data():
 
 def test_theta_rows_deleted_b3():
     arr, pencil = deleted_b3(), fw_pencil()
-    cls = detect_special_fibers(arr, pencil, classify(arr, pencil))
+    cls = detect_special_fibers(pencil, classify(arr, pencil))
     data = theta(arr, cls, kernel_fstar(arr, cls))
     assert data.moduli == (2,)
     assert data.theta_rows.to_lists() == [[0, 1, 1, 0, 0, 1, 0]]
@@ -114,7 +114,7 @@ def test_theta_rows_deleted_b3():
 
 def test_theta_rows_exfin3():
     arr, pencil = exfin3(), exfin3_pencil()
-    cls = detect_special_fibers(arr, pencil, classify(arr, pencil))
+    cls = detect_special_fibers(pencil, classify(arr, pencil))
     data = theta(arr, cls, kernel_fstar(arr, cls))
     assert data.moduli == (2, 2, 2)
     assert [str(sp.point) for sp in data.special_points] == ["(0:1)", "(1:0)", "(1:1)"]
@@ -164,7 +164,7 @@ def test_tf_trivial_on_reduced_pencils():
 
 def test_tf_double_line_minimal_and_general_agree():
     arr, pencil = double_line_pencil()
-    cls = detect_special_fibers(arr, pencil, classify(arr, pencil))
+    cls = detect_special_fibers(pencil, classify(arr, pencil))
     assert cls.minimal
     assert [str(b) for b in cls.base_points] == ["(0:1)", "(1:0)", "(1:2)"]
     (sp,) = cls.special_points
@@ -304,7 +304,7 @@ def test_random_line_pencils_reduced_implies_trivial():
     orders = []
     special = 0
     for arr, pencil in cases:
-        cls = detect_special_fibers(arr, pencil, classify(arr, pencil))
+        cls = detect_special_fibers(pencil, classify(arr, pencil))
         data = theta(arr, cls, kernel_fstar(arr, cls))
         tf = compute_Tf(data)
         if all(m == 1 for m in data.moduli):
