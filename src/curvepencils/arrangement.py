@@ -13,12 +13,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .exactalg import (
     IntMatrix,
-    QmodZ,
     echelon_rows,
     integer_kernel_basis,
     lattice_key,
@@ -237,36 +236,38 @@ def _rational_points_on_curve(form: TernaryForm, want: int) -> list[ProjPoint]:
 
 
 class TorsionCharacter:
-    """A character of H_1 of the complement, as exponents in Q/Z per component."""
+    """A character of H_1 of the complement, as exponents in Q/Z per component.
+
+    Each exponent is a Fraction in [0, 1); the exponent a/b stands for the
+    value e^(2*pi*i*a/b) on the loop around that component.  This is the
+    boundary form: `torsion.lift_character` computes on integer numerators
+    modulo one common denominator N and builds the Fractions a/N once.
+    """
 
     __slots__ = ("exponents",)
 
-    def __init__(self, exponents: Iterable[QmodZ | Fraction | int]) -> None:
-        self.exponents = tuple(
-            e if isinstance(e, QmodZ) else QmodZ(e) for e in exponents
-        )
+    def __init__(self, exponents: Iterable[Fraction | int]) -> None:
+        self.exponents = tuple(Fraction(e) % 1 for e in exponents)
 
     def is_trivial(self) -> bool:
-        return all(e.is_zero() for e in self.exponents)
+        return not any(self.exponents)
 
     @property
     def order(self) -> int:
-        out = 1
-        for e in self.exponents:
-            out = out * e.order // gcd(out, e.order)
-        return out
+        return lcm(*(e.denominator for e in self.exponents))
 
     def satisfies_degree_relation(self, degrees: Sequence[int]) -> bool:
-        total = QmodZ(0)
-        for d, e in zip(degrees, self.exponents):
-            total = total + d * e
-        return total.is_zero()
+        return sum(d * e for d, e in zip(degrees, self.exponents)) % 1 == 0
 
     def value_strings(self) -> tuple[str, ...]:
-        return tuple(e.character_string() for e in self.exponents)
+        """Each value rendered as ``1``, ``-1``, or ``e(a/b)``."""
+        return tuple(
+            "1" if e == 0 else "-1" if e == Fraction(1, 2) else f"e({e})"
+            for e in self.exponents
+        )
 
     def sort_key(self) -> tuple[Fraction, ...]:
-        return tuple(e.value for e in self.exponents)
+        return self.exponents
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, TorsionCharacter) and self.exponents == other.exponents
@@ -436,7 +437,6 @@ def pullback_subtorus(arr: Arrangement, classification: "PencilClassification") 
             rows[j][i] = placement.multiplicity
     degrees = arr.degrees
     for i in range(len(params)):
-        assert sum(degrees[j] * rows[j][i] for j in range(arr.size)) == 0, (
-            "degree relation failed on a subtorus column"
-        )
+        if sum(degrees[j] * rows[j][i] for j in range(arr.size)) != 0:
+            raise ArrangementError("degree relation failed on a subtorus column")
     return ExponentSubtorus(tuple(tuple(r) for r in rows))

@@ -29,9 +29,7 @@ from .exactalg import (
     coeffs_evaluate,
     coeffs_mul,
     coeffs_resultant,
-    lattice_key,
     rational_roots,
-    saturate_lattice,
 )
 from .pencil import (
     Pencil,
@@ -442,19 +440,17 @@ def _repeated_root_at(products: _BlockProducts, a: _Block, b: _Block, lam: Fract
 
 
 def _character_in_subtorus(subtorus: ExponentSubtorus, character: TorsionCharacter) -> bool:
-    """Whether the torsion character is a torsion point of the subtorus."""
-    order = character.order
-    if order == 1:
+    """Whether the torsion character is a torsion point of the subtorus.
+
+    The subtorus is the common zero set of the characters trivial on it, so
+    the point lies on it exactly when every annihilator u pairs it into Z.
+    """
+    if character.is_trivial():
         return True
-    size = subtorus.size
-    scaled = tuple(int(e.value * order) % order for e in character.exponents)
-    cols = [list(col) for col in saturate_lattice(subtorus.columns(), size)]
-    for j in range(size):
-        unit = [0] * size
-        unit[j] = order
-        cols.append(unit)
-    base = lattice_key(cols, size)
-    return lattice_key(cols + [list(scaled)], size) == base
+    return all(
+        sum(u * e for u, e in zip(vector, character.exponents)) % 1 == 0
+        for vector in subtorus.perp_lattice_key()
+    )
 
 
 def _component_flags(
@@ -463,7 +459,7 @@ def _component_flags(
     plain = []
     translated = []
     for j in subtorus.zero_rows():
-        if torsion.exponents[j].is_zero():
+        if torsion.exponents[j] == 0:
             plain.append(j)
         else:
             translated.append(j)
@@ -562,7 +558,7 @@ def _translated_records(
     certification = _translated_certification(arr, cl, maximal)
     out = []
     for chi in characters_of_Tf(tf):
-        if all(c.is_zero() for c in chi):
+        if not any(chi):
             continue
         lifted = lift_character(arr, cl, tf, chi)
         rho = lifted.rho

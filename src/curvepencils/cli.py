@@ -145,7 +145,7 @@ def _tf_report(arr: Arrangement, cl: PencilClassification) -> tuple[list[str], d
     lifts = [
         lift_character(arr, cl, tf, chi)
         for chi in characters_of_Tf(tf)
-        if any(not c.is_zero() for c in chi)
+        if any(chi)
     ]
     head = f"T(f) = {tf.group}"
     if lifts:

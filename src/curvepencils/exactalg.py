@@ -1,9 +1,8 @@
 """Exact arithmetic kernels shared by every other module.
 
 Integer lattices (Hermite and Smith forms with transform matrices), finite
-abelian groups presented by invariant factors, rationals modulo 1, rational
-linear algebra, and dense univariate polynomials over Q.  No floating point
-enters any code path.
+abelian groups presented by invariant factors, rational linear algebra, and
+dense univariate polynomials over Q.  No floating point enters any code path.
 
 A univariate polynomial is a plain coefficient sequence, lowest degree
 first, and there is no other representation.  `coeffs_mul`,
@@ -28,7 +27,6 @@ from math import factorial, gcd
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
-    "QmodZ",
     "IntMatrix",
     "SmithDecomposition",
     "smith_normal_form",
@@ -53,74 +51,6 @@ __all__ = [
     "primitive_vector",
     "echelon_rows",
 ]
-
-
-# ---------------------------------------------------------------------------
-# rationals modulo 1
-
-
-class QmodZ:
-    """A rational residue modulo 1, stored in [0, 1).
-
-    These are exponents of unit-circle character values: the residue p/q
-    stands for the value e^(2*pi*i*p/q).
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Fraction | int | str = 0) -> None:
-        self.value = Fraction(value) % 1
-
-    @property
-    def order(self) -> int:
-        """Smallest n >= 1 with n * self == 0."""
-        return self.value.denominator
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def __add__(self, other: "QmodZ") -> "QmodZ":
-        if not isinstance(other, QmodZ):
-            return NotImplemented
-        return QmodZ(self.value + other.value)
-
-    def __sub__(self, other: "QmodZ") -> "QmodZ":
-        if not isinstance(other, QmodZ):
-            return NotImplemented
-        return QmodZ(self.value - other.value)
-
-    def __neg__(self) -> "QmodZ":
-        return QmodZ(-self.value)
-
-    def __mul__(self, n: int) -> "QmodZ":
-        if not isinstance(n, int):
-            return NotImplemented
-        return QmodZ(self.value * n)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, QmodZ) and self.value == other.value
-
-    def __hash__(self) -> int:
-        return hash(("QmodZ", self.value))
-
-    def __lt__(self, other: "QmodZ") -> bool:
-        return self.value < other.value
-
-    def __repr__(self) -> str:
-        return f"QmodZ({self.value})"
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-    def character_string(self) -> str:
-        """Render the unit-circle value: ``1``, ``-1``, or ``e(p/q)``."""
-        if self.value == 0:
-            return "1"
-        if self.value == Fraction(1, 2):
-            return "-1"
-        return f"e({self.value})"
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +236,8 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
         t += 1
 
     Um, Dm, Vm = IntMatrix(U), IntMatrix(M), IntMatrix(V)
-    assert Um.mul(A).mul(Vm) == Dm, "smith decomposition broke"
+    if Um.mul(A).mul(Vm) != Dm:
+        raise ValueError("smith decomposition broke")
     return SmithDecomposition(Um, Dm, Vm)
 
 
@@ -416,12 +347,10 @@ class FinAbelianGroup:
     def is_trivial(self) -> bool:
         return not self.invariant_factors
 
-    def characters(self) -> Iterator[tuple[QmodZ, ...]]:
-        """All characters, as exponent tuples on the invariant-factor generators."""
-        ranges = [
-            [QmodZ(Fraction(a, d)) for a in range(d)] for d in self.invariant_factors
-        ]
-        return (tuple(combo) for combo in itertools.product(*ranges))
+    def characters(self) -> Iterator[tuple[Fraction, ...]]:
+        """All characters, as exponent tuples in [0, 1) on the invariant-factor generators."""
+        ranges = [[Fraction(a, d) for a in range(d)] for d in self.invariant_factors]
+        return itertools.product(*ranges)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FinAbelianGroup) and self.invariant_factors == other.invariant_factors

@@ -213,8 +213,8 @@ def subspace_from_pencil(
         for j, m in classification.fiber_members(reference):
             entries[j] = Fraction(-m)
         vectors.append(ResidueVector(tuple(entries)))
-    for v in vectors:
-        assert v.degree_pairing(arr.degrees) == 0
+    if any(v.degree_pairing(arr.degrees) != 0 for v in vectors):
+        raise ResonanceError("degree relation failed on a pencil residue vector")
     subspace = IsotropicSubspace(tuple(vectors))
     if cup is not None:
         flags = is_maximal_isotropic(cup, subspace)

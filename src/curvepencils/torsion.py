@@ -12,19 +12,26 @@ output of the previous one, so intermediate data can be inspected or
 serialised between steps.  `compute_Tf` has one algorithm: the relation
 lattice of the kernel images inside the product of the special-fiber
 cyclic groups, with a trivial exit when every special fiber is reduced.
+
+Characters enter and leave as Fractions in [0, 1), one per invariant-factor
+generator or per component.  Inside `lift_character` an exponent is an
+integer numerator a modulo a common denominator N, standing for a/N; N
+starts at the largest invariant factor and grows by each pivot
+multiplicity, and the result becomes Fractions only once, at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
 from .arrangement import Arrangement, TorsionCharacter
 from .exactalg import (
     FinAbelianGroup,
     IntMatrix,
-    QmodZ,
+    SmithDecomposition,
     echelon_rows,
     integer_kernel_basis,
     product_relation_lattice,
@@ -143,7 +150,8 @@ def theta(
     affine, slot, base, inf_vec, rows = _affine_chart(arr, classification)
     specials = tuple(classification.special_points)
     moduli = tuple(sp.m_dprime for sp in specials)
-    assert all(m >= 1 for m in moduli)
+    if any(m < 1 for m in moduli):
+        raise TorsionError("special fiber multiplicities must be positive")
 
     theta_rows: list[list[int]] = []
     for sp, m in zip(specials, moduli):
@@ -188,7 +196,8 @@ class TfGroup:
     generators inside the product (entries reduced modulo the moduli),
     ``section_columns`` are kernel elements mapping onto them, and
     ``basis_classes[t]`` expresses the image of the t-th kernel basis
-    vector in generator coordinates.
+    vector in generator coordinates.  ``kernel_smith`` is computed on first
+    use and then shared by every character lifted through this group.
     """
 
     theta: ThetaData
@@ -202,17 +211,10 @@ class TfGroup:
     def order(self) -> int:
         return self.group.order
 
-    def elements(self) -> frozenset[tuple[int, ...]]:
-        """All elements of the image, as reduced vectors in the product."""
-        moduli = self.theta.moduli
-        out = {(0,) * len(moduli)}
-        for image, d in zip(self.generator_images, self.group.invariant_factors):
-            out = {
-                tuple((a + k * b) % m for a, b, m in zip(elt, image, moduli))
-                for elt in out
-                for k in range(d)
-            }
-        return frozenset(out)
+    @cached_property
+    def kernel_smith(self) -> SmithDecomposition:
+        """Smith decomposition of the transposed kernel basis."""
+        return smith_normal_form(self.theta.kernel_basis.transpose())
 
 
 def _trivial_tf(data: ThetaData) -> TfGroup:
@@ -246,7 +248,8 @@ def _general_tf(data: ThetaData) -> TfGroup:
     # --- Step 3: sections of the generators through the kernel basis ---
     # U is unimodular, so the echelon form of [U | 1] is [1 | U^-1]
     inverse = echelon_rows(u + e for u, e in zip(dec.U.rows, IntMatrix.identity(r).rows))
-    assert len(inverse) == r and all(row[i] == 1 for i, row in enumerate(inverse))
+    if len(inverse) != r or any(row[i] != 1 for i, row in enumerate(inverse)):
+        raise TorsionError("Smith transform of the relation lattice is not unimodular")
     sections = []
     images = []
     for i in keep:
@@ -277,13 +280,15 @@ def _verify_tf(tf: TfGroup) -> None:
     product_order = 1
     for m in moduli:
         product_order *= m
-    assert product_order % tf.group.order == 0
+    if product_order % tf.group.order != 0:
+        raise TorsionError("torsion group order does not divide the product order")
     for t in range(data.kernel_basis.ncols):
         acc = [0] * len(moduli)
         for c, image in zip(tf.basis_classes[t], tf.generator_images):
             for i, (e, m) in enumerate(zip(image, moduli)):
                 acc[i] = (acc[i] + c * e) % m
-        assert tuple(acc) == data.kernel_images.column(t)
+        if tuple(acc) != data.kernel_images.column(t):
+            raise TorsionError("generator coordinates miss a kernel image")
 
 
 def compute_Tf(data: ThetaData) -> TfGroup:
@@ -299,7 +304,7 @@ def compute_Tf(data: ThetaData) -> TfGroup:
     return _general_tf(data)
 
 
-def characters_of_Tf(tf: TfGroup) -> list[tuple[QmodZ, ...]]:
+def characters_of_Tf(tf: TfGroup) -> list[tuple[Fraction, ...]]:
     """All characters of the torsion group, trivial one first."""
     return list(tf.group.characters())
 
@@ -321,15 +326,11 @@ class LiftedCharacter:
     conditional: bool
 
 
-def _as_qmodz(value: QmodZ | Fraction | int) -> QmodZ:
-    return value if isinstance(value, QmodZ) else QmodZ(value)
-
-
 def lift_character(
     arr: Arrangement,
     classification: PencilClassification,
     tf: TfGroup,
-    rho_tilde: Iterable[QmodZ | Fraction | int],
+    rho_tilde: Iterable[Fraction | int],
 ) -> LiftedCharacter:
     """Exponent vector on the ambient torus inducing a torsion character.
 
@@ -337,95 +338,88 @@ def lift_character(
     the infinity side, the member with the smallest (multiplicity, index)
     pair gets exponent zero; whenever that member has multiplicity above one
     the remaining finite ambiguity is resolved lexicographically.  The
-    exponent of the infinity line follows from the degree relation.
+    exponent of the infinity line follows from the degree relation.  All
+    work runs on integer numerators over one denominator N.
     """
     data = tf.theta
     affine = data.affine_indices
     slot = {j: i for i, j in enumerate(affine)}
     n = len(affine)
     factors = tf.group.invariant_factors
-    values = tuple(_as_qmodz(v) for v in rho_tilde)
+    values = [Fraction(v) % 1 for v in rho_tilde]
     if len(values) != len(factors):
         raise TorsionError(
             f"inconsistent character: expected {len(factors)} generator values, got {len(values)}"
         )
     for d, q in zip(factors, values):
-        if not (d * q).is_zero():
+        if (d * q).denominator != 1:
             raise TorsionError(
                 f"inconsistent character: value {q} is not killed by the generator order {d}"
             )
+    # the factors form a divisibility chain, so every value is a/N0
+    N0 = factors[-1] if factors else 1
+    numerators = [int(q * N0) for q in values]
 
     # --- Step 1: particular solution of rho(v_t) = rho_tilde(theta(v_t)) ---
+    N = N0
     r = data.kernel_basis.ncols
-    chi: list[QmodZ] = []
-    for t in range(r):
-        acc = QmodZ(0)
-        for q, c in zip(values, tf.basis_classes[t]):
-            acc = acc + q * c
-        chi.append(acc)
+    chi = [
+        sum(a * c for a, c in zip(numerators, tf.basis_classes[t])) % N for t in range(r)
+    ]
+    exps = [0] * n
     if r:
-        dec = smith_normal_form(data.kernel_basis.transpose())
-        u_chi = []
+        dec = tf.kernel_smith
+        sigma = [0] * n
         for i in range(r):
-            acc = QmodZ(0)
-            for t in range(r):
-                acc = acc + chi[t] * dec.U.entry(i, t)
-            u_chi.append(acc)
-        sigma = [Fraction(0)] * n
-        for i in range(r):
+            u_chi = sum(dec.U.entry(i, t) * chi[t] for t in range(r)) % N
             d = dec.D.entry(i, i) if i < n else 0
             if d == 0:
-                if not u_chi[i].is_zero():
+                if u_chi:
                     raise TorsionError("inconsistent character: no lift exists")
                 continue
-            assert d == 1, "kernel basis lattice must be saturated"
-            sigma[i] = u_chi[i].value
-        exps = [
-            QmodZ(sum(dec.V.entry(j, i) * sigma[i] for i in range(n)))
-            for j in range(n)
-        ]
-    else:
-        exps = [QmodZ(0)] * n
+            if d != 1:
+                raise TorsionError("kernel basis lattice must be saturated")
+            sigma[i] = u_chi
+        exps = [sum(dec.V.entry(j, i) * sigma[i] for i in range(n)) % N for j in range(n)]
 
     # --- Step 2: canonical representative, one pivot per finite base point ---
-    relation_rows = {
-        b: row for b, row in zip(data.base_points[:-1], data.relation_rows.rows)
-    }
-    for b in data.base_points[:-1]:
+    # over N * m the pivot exponent p / N becomes p * m, and the shift by
+    # -p / (N * m) times the relation row zeroes it; the m lifts of that
+    # shift differ by k / m = k * N / (N * m) times the row
+    for b, row in zip(data.base_points[:-1], data.relation_rows.rows):
         members = [
             (m, j) for j, m in classification.fiber_members(b) if j in slot
         ]
         if not members:
             continue
         m_piv, j_piv = min(members)
-        row = relation_rows[b]
-        shift = (-exps[slot[j_piv]]).value / m_piv
-        exps = [e + QmodZ(shift * c) for e, c in zip(exps, row)]
-        if m_piv > 1:
-            candidates = []
-            for k in range(m_piv):
-                step = Fraction(k, m_piv)
-                cand = [e + QmodZ(step * c) for e, c in zip(exps, row)]
-                candidates.append(tuple(cand))
-            exps = list(min(candidates, key=lambda c: tuple(e.value for e in c)))
-        assert exps[slot[j_piv]].is_zero()
+        shift = -exps[slot[j_piv]]
+        step = N
+        N *= m_piv
+        candidates = (
+            tuple((a * m_piv + (shift + k * step) * c) % N for a, c in zip(exps, row))
+            for k in range(m_piv)
+        )
+        exps = list(min(candidates))
+        if exps[slot[j_piv]]:
+            raise TorsionError("canonical lift left a nonzero pivot exponent")
 
     # --- Step 3: exponent at infinity from the degree relation ---
-    inf_exp = QmodZ(0)
-    for j, e in zip(affine, exps):
-        inf_exp = inf_exp - arr.components[j].degree * e
-    full = [QmodZ(0)] * arr.size
+    full = [0] * arr.size
     for j, e in zip(affine, exps):
         full[j] = e
-    full[data.infinity_index] = inf_exp
+    full[data.infinity_index] = -sum(
+        arr.components[j].degree * e for j, e in zip(affine, exps)
+    ) % N
 
-    rho = TorsionCharacter(full)
-    assert rho.satisfies_degree_relation(arr.degrees)
+    if sum(d * e for d, e in zip(arr.degrees, full)) % N:
+        raise TorsionError("lifted character breaks the degree relation")
+    scale = N // N0
     for t in range(r):
-        acc = QmodZ(0)
-        for j, c in zip(affine, data.kernel_basis.column(t)):
-            acc = acc + c * full[j]
-        assert acc == chi[t]
+        acc = sum(c * full[j] for j, c in zip(affine, data.kernel_basis.column(t)))
+        if (acc - chi[t] * scale) % N:
+            raise TorsionError("lifted character misses its value on the kernel")
+    rho = TorsionCharacter(Fraction(a, N) for a in full)
     return LiftedCharacter(rho=rho, conditional=tf.conditional)
 
 
@@ -440,6 +434,6 @@ def epsilon_count(classification: PencilClassification, rho: TorsionCharacter) -
         raise TorsionError("special fiber data not computed")
     count = 0
     for sp in classification.special_points:
-        if any(not rho.exponents[j].is_zero() for j, _m in sp.members):
+        if any(rho.exponents[j] != 0 for j, _m in sp.members):
             count += 1
     return count

@@ -236,6 +236,24 @@ def test_torsion_character_basics():
     assert not chi.satisfies_degree_relation([1, 1, 1])
 
 
+def test_torsion_character_normalizes_exponents():
+    # exponents are reduced into [0, 1) as Fractions
+    a, b = Fraction(3, 4), Fraction(1, 2)
+    chi = TorsionCharacter([a + b, a - b, -a, 3 * a, Fraction(7, 3)])
+    assert chi.exponents == (Fraction(1, 4),) * 4 + (Fraction(1, 3),)
+    assert all(type(e) is Fraction for e in chi.exponents)
+    assert TorsionCharacter([a]).order == 4
+    assert TorsionCharacter([0, 1, -2, Fraction(5, 1)]).is_trivial()
+    assert not TorsionCharacter([0, a]).is_trivial()
+    assert TorsionCharacter([]).order == 1
+
+
+def test_torsion_character_value_strings():
+    chi = TorsionCharacter([0, Fraction(1, 2), Fraction(1, 3), Fraction(-1, 3), Fraction(3, 2)])
+    assert chi.value_strings() == ("1", "-1", "e(1/3)", "e(2/3)", "-1")
+    assert str(chi) == "(1,-1,e(1/3),e(2/3),-1)"
+
+
 def test_subtorus_monomials_and_zero_rows():
     sub = ExponentSubtorus(
         tuple((v,) for v in (1, -1, -1, 1, 2, 0, -2, 0))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,7 +19,13 @@ from hypothesis import strategies as st
 
 from arrfixtures import F, ceva3, deleted_b3, ex2, exfin3
 from curvepencils import catalog as catalog_module
-from curvepencils.arrangement import Arrangement, CurveComponent, meeting_points
+from curvepencils.arrangement import (
+    Arrangement,
+    CurveComponent,
+    ExponentSubtorus,
+    TorsionCharacter,
+    meeting_points,
+)
 from curvepencils.catalog import (
     CatalogError,
     _BlockProducts,
@@ -30,7 +37,7 @@ from curvepencils.catalog import (
     _SweepTables,
     build_catalog,
 )
-from curvepencils.exactalg import lattice_key
+from curvepencils.exactalg import lattice_key, saturate_lattice
 from curvepencils.pencil import _Block
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -122,6 +129,42 @@ def test_deleted_b3_translated_component(db3_catalog):
     assert rec.expected_generic_h1 == 1
     assert "witness L6" in rec.describe()
     assert not _character_in_subtorus(rec.subtorus, rec.torsion)
+
+
+def _lattice_membership_oracle(subtorus, character):
+    # the torsion point lies on the subtorus iff its scaled exponent vector
+    # lies in the saturated exponent lattice plus order * Z^n
+    order = character.order
+    if order == 1:
+        return True
+    size = subtorus.size
+    scaled = [int(e * order) for e in character.exponents]
+    cols = [list(col) for col in saturate_lattice(subtorus.columns(), size)]
+    cols += [[order if i == j else 0 for i in range(size)] for j in range(size)]
+    return lattice_key(cols + [scaled], size) == lattice_key(cols, size)
+
+
+def test_character_in_subtorus_matches_lattice_oracle():
+    rng = random.Random(4417)
+    inside = outside = 0
+    for _ in range(300):
+        size = rng.randint(2, 5)
+        dim = rng.randint(1, size - 1)
+        rows = tuple(tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(size))
+        subtorus = ExponentSubtorus(rows)
+        den = rng.choice((2, 3, 4, 6))
+        if rng.randrange(2):
+            # a torsion point of the subtorus: t_i = e(k_i / den)
+            params = [Fraction(rng.randrange(den), den) for _ in range(dim)]
+            exponents = [sum(e * t for e, t in zip(row, params)) for row in rows]
+        else:
+            exponents = [Fraction(rng.randrange(den), den) for _ in range(size)]
+        character = TorsionCharacter(exponents)
+        expected = _lattice_membership_oracle(subtorus, character)
+        assert _character_in_subtorus(subtorus, character) == expected, (rows, exponents)
+        inside += expected
+        outside += not expected
+    assert inside > 100 and outside > 100
 
 
 # -- small arrangements -----------------------------------------------------------

@@ -15,7 +15,6 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from curvepencils.exactalg import (
     FinAbelianGroup,
     IntMatrix,
-    QmodZ,
     coeffs_divide,
     coeffs_evaluate,
     coeffs_gcd,
@@ -39,30 +38,6 @@ from curvepencils.exactalg import (
 
 def random_matrix(rng, nrows, ncols, bound=9):
     return IntMatrix([[rng.randint(-bound, bound) for _ in range(ncols)] for _ in range(nrows)])
-
-
-# ---------------------------------------------------------------------------
-# QmodZ
-
-
-def test_qmodz_arithmetic():
-    a = QmodZ(Fraction(3, 4))
-    b = QmodZ(Fraction(1, 2))
-    assert (a + b).value == Fraction(1, 4)
-    assert (a - b).value == Fraction(1, 4)
-    assert (-a).value == Fraction(1, 4)
-    assert (3 * a).value == Fraction(1, 4)
-    assert QmodZ(Fraction(7, 3)).value == Fraction(1, 3)
-    assert a.order == 4
-    assert QmodZ(0).is_zero()
-    assert not a.is_zero()
-
-
-def test_qmodz_character_strings():
-    assert QmodZ(0).character_string() == "1"
-    assert QmodZ(Fraction(1, 2)).character_string() == "-1"
-    assert QmodZ(Fraction(1, 3)).character_string() == "e(1/3)"
-    assert QmodZ(Fraction(-1, 3)).character_string() == "e(2/3)"
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +195,11 @@ def test_fin_abelian_group_characters():
     assert all(len(c) == 2 for c in chars)
     assert len(set(chars)) == 4
     assert list(FinAbelianGroup.trivial().characters()) == [()]
+    assert list(FinAbelianGroup([3]).characters()) == [
+        (Fraction(0),),
+        (Fraction(1, 3),),
+        (Fraction(2, 3),),
+    ]
 
 
 def test_product_relation_lattice():

@@ -292,3 +292,28 @@ def test_random_source_is_caught():
         "random (line 1)",
         "secrets.token (line 5)",
     ]
+
+
+def _asserts(tree: ast.Module) -> list[str]:
+    """Every ``assert`` statement in the module, nested ones included."""
+    return [f"line {node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_asserts(path):
+    # invariant checks raise, so they still run under python -O
+    uses = _asserts(ast.parse(path.read_text(), filename=str(path)))
+    assert not uses, f"{path.name}: assert statements: {', '.join(uses)}"
+
+
+def test_assert_is_caught():
+    tree = ast.parse(
+        "assert ok\n"
+        "class C:\n"
+        "    def f(self, x):\n"
+        "        if x:\n"
+        "            assert x > 0, 'positive'\n"
+        "        return 'assert x'\n"
+        "check = lambda y: y\n"
+    )
+    assert _asserts(tree) == ["line 1", "line 5"]

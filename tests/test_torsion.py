@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 
@@ -22,11 +27,12 @@ from arrfixtures import (
     exfin3,
     exfin3_pencil,
     fw_pencil,
+    lines,
     random_line_pencil,
     random_special_pencil,
 )
 from curvepencils.arrangement import Arrangement, CurveComponent
-from curvepencils.exactalg import QmodZ
+from curvepencils.exactalg import FinAbelianGroup
 from curvepencils.pencil import Pencil, classify, detect_special_fibers
 from curvepencils.torsion import (
     TorsionError,
@@ -48,7 +54,8 @@ def pipeline(arr, pencil):
 
 
 def exponent_values(lift):
-    return tuple(q.value for q in lift.rho.exponents)
+    assert all(type(e) is Fraction and 0 <= e < 1 for e in lift.rho.exponents)
+    return lift.rho.exponents
 
 
 # -- kernel of the induced map -------------------------------------------------
@@ -134,7 +141,7 @@ def test_tf_deleted_b3_is_order_two():
     assert str(tf.group) == "Z/2"
     assert tf.order == 2
     assert not tf.conditional
-    assert characters_of_Tf(tf) == [(QmodZ(0),), (QmodZ(HALF),)]
+    assert characters_of_Tf(tf) == [(Fraction(0),), (HALF,)]
     # loop around the sixth line, and the sum of the first two, both lie in
     # the kernel and map to the generator; the first loop alone does not
     data = tf.theta
@@ -174,7 +181,7 @@ def test_tf_double_line_minimal_and_general_agree():
     tf = compute_Tf(data)
     assert str(tf.group) == "Z/2"
     # the kernel generator maps to 1 mod 2 in the one special-fiber group
-    assert tf.elements() == {(0,), (1,)}
+    assert tf.generator_images == ((1,),)
     lifts = {
         lift_character(arr, cls, tf, ch).rho.value_strings()
         for ch in characters_of_Tf(tf)
@@ -223,10 +230,7 @@ def test_lift_a2_a3_pattern():
             for ch in characters_of_Tf(tf)
         }
         expected = {
-            tuple(
-                QmodZ(v).value
-                for v in (0, 0, -q, -q, q, q, 0, 0)
-            )
+            tuple(Fraction(v) % 1 for v in (0, 0, -q, -q, q, q, 0, 0))
             for q in (Fraction(k, m) for k in range(m))
         }
         assert lifts == expected
@@ -247,7 +251,7 @@ def test_lift_exfin3_three_torsion_factors():
             for t3 in (Fraction(0), HALF):
                 expected.add(
                     tuple(
-                        QmodZ(v).value
+                        Fraction(v) % 1
                         for v in (t3, t3, t2, t2, t1, t1, 0, t1 + t2 + t3)
                     )
                 )
@@ -256,7 +260,7 @@ def test_lift_exfin3_three_torsion_factors():
     # on its members: L5/L6 over (0:1), L3/L4 over (1:0), L1/L2 over (1:1)
     for lift in lifts:
         values = lift.rho.exponents
-        detected = sum(1 for v in (values[4], values[2], values[1]) if not v.is_zero())
+        detected = sum(1 for v in (values[4], values[2], values[1]) if v != 0)
         assert epsilon_count(cls, lift.rho) == detected
 
 
@@ -280,12 +284,78 @@ def test_lift_round_trip_and_degree_relation():
             assert lift.rho.satisfies_degree_relation(arr.degrees)
             # sections land back on the prescribed generator values
             for value, section in zip(ch, tf.section_columns):
-                acc = QmodZ(0)
-                for j, coeff in zip(tf.theta.affine_indices, section):
-                    acc = acc + coeff * lift.rho.exponents[j]
-                assert acc == value
+                acc = sum(
+                    coeff * lift.rho.exponents[j]
+                    for j, coeff in zip(tf.theta.affine_indices, section)
+                )
+                assert (acc - value) % 1 == 0
             for exponent in lift.rho.exponents:
-                assert (tf.order * base_lcm) % exponent.order == 0
+                assert (tf.order * base_lcm) % exponent.denominator == 0
+
+
+def pivot_pencil():
+    # the finite base fiber 2(x-y) + 2(x+y) has a pivot of multiplicity two
+    arr = lines("x-y", "x+y", "x-z", "x+z", "y-z", "y+z", "z", infinity=6)
+    pencil = Pencil(F("x^4 - 2*x^2*y^2 + y^4"), F("x^2*y^2 - x^2*z^2 - y^2*z^2 + z^4"))
+    return arr, pencil
+
+
+@pytest.mark.parametrize(
+    "d,images,value,expected",
+    [
+        (2, (1, 0, 0, 0, 0), Fraction(1, 2), "(1,-1,e(1/4),e(1/4),e(1/4),e(1/4),-1)"),
+        (3, (1, 0, 0, 0, 0), Fraction(1, 3), "(1,e(2/3),e(1/6),e(1/6),e(1/6),e(1/6),e(2/3))"),
+        (3, (1, 0, 0, 0, 0), Fraction(2, 3), "(1,e(1/3),e(1/3),e(1/3),e(1/3),e(1/3),e(1/3))"),
+        # here the smaller candidate is not the one the pivot shift lands on
+        (2, (0, 0, 1, 0, 0), Fraction(1, 2), "(1,1,1,-1,-1,-1,-1)"),
+        (2, (1, 0, 1, 0, 0), Fraction(1, 2), "(1,-1,e(1/4),e(3/4),e(3/4),e(3/4),1)"),
+    ],
+)
+def test_lift_breaks_ties_at_a_multiple_pivot(d, images, value, expected):
+    arr, pencil = pivot_pencil()
+    cls, tf = pipeline(arr, pencil)
+    assert [cls.fiber_members(b) for b in cls.base_points[:-1]] == [((0, 2), (1, 2))]
+    assert tf.group.is_trivial()
+    # T(f) is trivial here, so give the pencil a cyclic group of order d and
+    # map the kernel basis vectors onto multiples of its generator; the lift
+    # must then choose among the candidates of the doubled pivot
+    fake = dataclasses.replace(
+        tf, group=FinAbelianGroup([d]), basis_classes=tuple((c,) for c in images)
+    )
+    lift = lift_character(arr, cls, fake, (value,))
+    assert str(lift.rho) == expected
+    assert exponent_values(lift)[0] == 0
+    assert lift.rho.satisfies_degree_relation(arr.degrees)
+
+
+def test_lift_rejects_unsaturated_kernel_under_optimization():
+    # the check raises rather than asserts, so it survives python -O
+    code = """
+import dataclasses
+from arrfixtures import deleted_b3, fw_pencil
+from curvepencils.exactalg import IntMatrix
+from curvepencils.pencil import classify, detect_special_fibers
+from curvepencils.torsion import TorsionError, compute_Tf, kernel_fstar, lift_character, theta
+arr, pencil = deleted_b3(), fw_pencil()
+cls = detect_special_fibers(pencil, classify(arr, pencil))
+tf = compute_Tf(theta(arr, cls, kernel_fstar(arr, cls)))
+doubled = IntMatrix([[2 * e for e in row] for row in tf.theta.kernel_basis.rows])
+tf = dataclasses.replace(tf, theta=dataclasses.replace(tf.theta, kernel_basis=doubled))
+try:
+    lift_character(arr, cls, tf, (0,))
+except TorsionError as exc:
+    print(exc)
+"""
+    root = Path(__file__).parent.parent
+    path = os.pathsep.join([str(root / "src"), str(root / "tests")])
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+    )
+    assert done.stdout == "kernel basis lattice must be saturated\n"
 
 
 # -- randomized line pencils -------------------------------------------------------
