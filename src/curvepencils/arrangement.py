@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -65,6 +66,19 @@ class CurveComponent:
     @property
     def degree(self) -> int:
         return self.form.degree
+
+    @cached_property
+    def vote_points(self) -> tuple[tuple[int, int, int], ...]:
+        """The integer points at which the component votes for a fiber.
+
+        Only lines vote.  A line keeps four points, so its vote survives two
+        of them being base points of the pencil under test.  A curve gets
+        none: on exfin3 its votes saved the catalog no measurable time over
+        sending it to the normal-form rung.
+        """
+        if self.degree != 1:
+            return ()
+        return tuple(p.coords for p in ProjLine(self.form).rational_points(4))
 
 
 class Arrangement:

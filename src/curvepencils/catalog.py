@@ -177,11 +177,6 @@ def _probe_lines(arr: Arrangement) -> list[_Probe]:
     candidate points integer points, and two linear restrictions f, g have
     resultant f0*g1 - f1*g0.
     """
-    terms = [[(e, int(c)) for e, c in cp.form.terms.items()] for cp in arr.components]
-
-    def off_arrangement(point: tuple[int, ...]) -> bool:
-        x, y, z = point
-        return all(sum(c * x**i * y**j * z**k for (i, j, k), c in t) for t in terms)
 
     def coprime(f: tuple[int, ...], g: tuple[int, ...]) -> bool:
         if len(f) == 2 and len(g) == 2:
@@ -193,7 +188,11 @@ def _probe_lines(arr: Arrangement) -> list[_Probe]:
         line = ProjLine.from_coefficients(a, b, c)
         if any(cp.form.proportional_to(line.form) for cp in arr.components):
             continue
-        off = (p.coords for p in line.rational_points(80) if off_arrangement(p.coords))
+        off = (
+            p.coords
+            for p in line.rational_points(80)
+            if all(cp.form.evaluate(p.coords) for cp in arr.components)
+        )
         good = list(itertools.islice(off, 2))
         if len(good) < 2:
             continue
@@ -359,10 +358,20 @@ class _SweepTables:
         return tuple(wron), len(S_a) + len(S_b) - 2
 
 
-def _fiber_value(block: _Block, restrictions: Sequence[tuple[int, ...]], at: Fraction) -> Fraction:
-    out = Fraction(1)
+def _fiber_value(block: _Block, restrictions: Sequence[tuple[int, ...]], u: int, v: int) -> int:
+    """The block product at (u : v), each restriction R_j homogenized to its degree.
+
+    That is v^deg times the block product at u/v, or at the infinity
+    (1 : 0) the product of the leading coefficients.  Two blocks of equal
+    degree share the power of v, so their ratio is that of the products.
+    """
+    out = 1
     for j, m in zip(block.indices, block.mults):
-        out *= coeffs_evaluate(restrictions[j], at) ** m
+        value, vk = 0, 1
+        for c in reversed(restrictions[j]):
+            value = value * u + c * vk
+            vk *= v
+        out *= value**m
     return out
 
 
@@ -377,26 +386,20 @@ def _candidate_parameters(sweep: _SweepTables, a: _Block, b: _Block) -> Optional
     wron, degree_e = sweep.wronskian(a, b)
     if not wron:
         return None
-    restrictions = sweep.restrictions
-    found: set[Fraction] = set()
-    # finite repeated-root positions are rational roots of W
-    if len(wron) > 1:
-        for rho, _ in rational_roots(wron).roots:
-            va = _fiber_value(a, restrictions, rho)
-            vb = _fiber_value(b, restrictions, rho)
-            if va == 0 or vb == 0:
-                continue  # the repeated root sits inside a block fiber
-            found.add(va / vb)
-    # a repeated root at the parametrization's infinity shows as an extra
-    # degree drop past the one forced by the equal block degrees
+    # finite repeated-root positions are rational roots u/v of W
+    roots = rational_roots(wron).roots if len(wron) > 1 else ()
+    points = [(rho.numerator, rho.denominator) for rho, _ in roots]
+    # a repeated root at the parametrization's infinity (1 : 0) shows as an
+    # extra degree drop past the one forced by the equal block degrees
     if len(wron) - 1 < degree_e - 2:
-        la = Fraction(1)
-        lb = Fraction(1)
-        for j, m in zip(a.indices, a.mults):
-            la *= Fraction(restrictions[j][-1]) ** m
-        for j, m in zip(b.indices, b.mults):
-            lb *= Fraction(restrictions[j][-1]) ** m
-        found.add(la / lb)
+        points.append((1, 0))
+    found: set[Fraction] = set()
+    for u, v in points:
+        va = _fiber_value(a, sweep.restrictions, u, v)
+        vb = _fiber_value(b, sweep.restrictions, u, v)
+        if va == 0 or vb == 0:
+            continue  # the repeated root sits inside a block fiber
+        found.add(Fraction(va, vb))
     return sorted(found)
 
 

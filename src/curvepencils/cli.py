@@ -8,7 +8,9 @@ document.  Errors leave a single machine-parsable line on stderr:
 
 with code ``parse`` (exit 2), ``invariant`` (exit 3), ``computation``
 (exit 4), or ``conditional`` (exit 5, a conditional result under
-``--strict``).
+``--strict``).  A reader that closes stdout early, as ``| head`` does,
+ends the run quietly with exit 141 (128 plus SIGPIPE); a failing run keeps
+its own status and error line.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -61,6 +64,7 @@ EXIT_PARSE = 2
 EXIT_INVARIANT = 3
 EXIT_COMPUTATION = 4
 EXIT_CONDITIONAL = 5
+EXIT_BROKEN_PIPE = 141
 
 _COMPUTATION_ERRORS = (
     ArrangementError,
@@ -525,16 +529,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise CliFailure(EXIT_COMPUTATION, "computation", str(exc)) from None
     except CliFailure as failure:
         if args.json and failure.doc is not None:
-            print(json.dumps(failure.doc, indent=2, sort_keys=True))
+            _write_report(json.dumps(failure.doc, indent=2, sort_keys=True))
         elif failure.lines is not None:
-            print("\n".join(failure.lines))
+            _write_report("\n".join(failure.lines))
         print(failure.line, file=sys.stderr)
         return failure.status
-    if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print("\n".join(lines))
-    return 0
+    report = json.dumps(doc, indent=2, sort_keys=True) if args.json else "\n".join(lines)
+    return 0 if _write_report(report) else EXIT_BROKEN_PIPE
+
+
+def _write_report(text: str) -> bool:
+    """Print the report to stdout; False when its reader has closed the pipe."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # what is left in the buffer goes to devnull, so the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return False
+    return True
 
 
 if __name__ == "__main__":

@@ -394,10 +394,12 @@ def product_relation_lattice(moduli: Sequence[int], generators: Sequence[Sequenc
 
 def primitive_vector(coords: Sequence[Fraction | int]) -> tuple[int, ...]:
     """The primitive integer multiple of a nonzero vector, first nonzero entry positive."""
-    den = 1
-    for c in coords:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [c.numerator * (den // c.denominator) for c in coords]
+    ints = coords
+    if not all(type(c) is int for c in coords):
+        den = 1
+        for c in coords:
+            den = den * c.denominator // gcd(den, c.denominator)
+        ints = [c.numerator * (den // c.denominator) for c in coords]
     g = gcd(*ints)
     if g == 0:
         raise ValueError("projective coordinates cannot all vanish")

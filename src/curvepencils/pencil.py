@@ -234,13 +234,13 @@ def classify(arr: Arrangement, pencil: Pencil) -> PencilClassification:
     """Place every component and decompose the distinguished fibers.
 
     Each component goes down the ladder of `_place` with the vote of its
-    `_vote_points`; only lines vote, so curves go straight to the
-    normal-form rung.  A component dividing both generators raises
+    `CurveComponent.vote_points`; only lines vote, so curves go straight to
+    the normal-form rung.  A component dividing both generators raises
     `PencilError`.
     """
     P, Q = pencil.P, pencil.Q
     votes = {
-        j: _vote((P.evaluate(p.coords), Q.evaluate(p.coords)) for p in _vote_points(comp.form))
+        j: _vote((P.evaluate(p), Q.evaluate(p)) for p in comp.vote_points)
         for j, comp in enumerate(arr.components)
     }
     return _finish_classification(arr, pencil, votes, [])
@@ -251,20 +251,7 @@ def classify(arr: Arrangement, pencil: Pencil) -> PencilClassification:
 Vote = P1Point | str | None
 
 
-def _vote_points(form: TernaryForm) -> list[ProjPoint]:
-    """The rational points at which a component votes for a fiber.
-
-    Only lines vote.  A line keeps four points, so its vote survives two of
-    them being base points of the pencil under test.  A curve gets none:
-    on exfin3 its votes saved the catalog no measurable time over sending
-    it to the normal-form rung.
-    """
-    if form.degree != 1:
-        return []
-    return list(ProjLine(form).rational_points(4))
-
-
-def _vote(values: Iterable[tuple[Fraction, Fraction]]) -> Vote:
+def _vote(values: Iterable[tuple[int, int]]) -> Vote:
     """Verdict of one component from (P(p), Q(p)) at its vote points p.
 
     A point p on C_j inside the fiber over b evaluates to (P(p):Q(p)) = b,
@@ -857,33 +844,28 @@ class _SearchTables:
 
     def __init__(self, arr: Arrangement):
         self.arr = arr
-        self.points = [_vote_points(c.form) for c in arr.components]
-        # values[j][i] = list of evaluations of component i at the points of j
-        self.values: list[list[list[Fraction]]] = []
-        for j in range(arr.size):
-            row = []
-            for i in range(arr.size):
-                row.append(
-                    [arr.components[i].form.evaluate(p.coords) for p in self.points[j]]
-                )
-            self.values.append(row)
+        # values[j][i] = evaluations of component i at the vote points of j
+        self.values = [
+            [[c.form.evaluate(p) for p in cj.vote_points] for c in arr.components]
+            for cj in arr.components
+        ]
         self._forms: dict[tuple[int, tuple[int, ...]], TernaryForm] = {}
-        self._values_cache: dict[tuple[int, tuple[int, ...], int], list[Fraction]] = {}
+        self._values_cache: dict[tuple[int, tuple[int, ...], int], list[int]] = {}
         # incidence masks of the multiple points, for the multinet screen
         self.point_masks: list[int] | None = None
         if arr.is_line_arrangement():
             self.point_masks = [mp.mask for mp in local_pencil_points(arr)]
         self._counts: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
 
-    def block_values_at(self, block: _Block, j: int) -> list[Fraction]:
-        """Evaluations of the block product at the stored points of component j."""
+    def block_values_at(self, block: _Block, j: int) -> list[int]:
+        """Evaluations of the block product at the vote points of component j."""
         key = (block.mask, block.mults, j)
         cached = self._values_cache.get(key)
         if cached is not None:
             return cached
         out = []
-        for pi in range(len(self.points[j])):
-            acc = Fraction(1)
+        for pi in range(len(self.arr.components[j].vote_points)):
+            acc = 1
             for idx, m in zip(block.indices, block.mults):
                 acc *= self.values[j][idx][pi] ** m
             out.append(acc)

@@ -1,10 +1,13 @@
-"""Homogeneous polynomials in x, y, z over Q, and small projective geometry.
+"""Homogeneous polynomials in x, y, z over the integers, and small projective geometry.
 
 Forms are stored as monomial dictionaries and always kept homogeneous; the
 text grammar is signed sums of terms ``c*x^a*y^b*z^c`` with rational
-coefficients.  All exact division goes through `divide`, one lex-order
-division loop whose remainder decides both divisibility and pencil
-membership.
+coefficients.  Every form the program builds is integral (components are
+primitive integer forms, and Gauss's lemma keeps their cofactors integral),
+so an integral coefficient is a plain ``int`` and only parsed input can
+carry a ``Fraction``.  All exact division goes through `divide`, one
+lex-order division loop whose remainder decides both divisibility and
+pencil membership.
 
 Every restriction of a form to a line goes through
 `TernaryForm.restrict_span`, which returns g(t) = F(p + t*q) as a plain
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd
 from typing import Iterator, Sequence
 
 from .exactalg import (
@@ -57,12 +61,22 @@ def _monomial_key(exps: tuple[int, int, int]) -> tuple[int, int, int]:
 
 
 class TernaryForm:
-    """A homogeneous polynomial in x, y, z with Fraction coefficients."""
+    """A homogeneous polynomial in x, y, z with int or Fraction coefficients.
+
+    An integral coefficient is stored as an ``int``, whatever type it came
+    in as, so a ``Fraction`` always has denominator > 1; zero coefficients
+    are dropped.
+    """
 
     __slots__ = ("terms", "degree")
 
-    def __init__(self, terms: dict[tuple[int, int, int], Fraction]) -> None:
-        clean = {k: Fraction(v) for k, v in terms.items() if v != 0}
+    def __init__(self, terms: dict[tuple[int, int, int], Fraction | int]) -> None:
+        clean = {}
+        for k, v in terms.items():
+            if v:
+                if type(v) is not int and v.denominator == 1:
+                    v = v.numerator
+                clean[k] = v
         degs = {sum(k) for k in clean}
         if len(degs) > 1:
             raise ValueError(f"not homogeneous: degrees {sorted(degs)}")
@@ -77,7 +91,7 @@ class TernaryForm:
 
     @classmethod
     def constant(cls, c: Fraction | int) -> "TernaryForm":
-        return cls({(0, 0, 0): Fraction(c)})
+        return cls({(0, 0, 0): c})
 
     @classmethod
     def variable(cls, name: str) -> "TernaryForm":
@@ -85,7 +99,7 @@ class TernaryForm:
             raise ValueError(f"unknown variable {name!r}")
         e = [0, 0, 0]
         e[_VARS.index(name)] = 1
-        return cls({tuple(e): Fraction(1)})
+        return cls({tuple(e): 1})
 
     @classmethod
     def parse(cls, text: str) -> "TernaryForm":
@@ -105,20 +119,20 @@ class TernaryForm:
             else:
                 cur += ch
         chunks.append(cur)
-        terms: dict[tuple[int, int, int], Fraction] = {}
+        terms: dict[tuple[int, int, int], Fraction | int] = {}
         for chunk in chunks:
             if not chunk or chunk in "+-":
                 raise PolyParseError(f"empty term in {text!r}")
             coeff, exps = cls._parse_term(chunk)
             key = tuple(exps)
-            terms[key] = terms.get(key, Fraction(0)) + coeff
+            terms[key] = terms.get(key, 0) + coeff
         try:
             return cls(terms)
         except ValueError as exc:
             raise PolyParseError(f"{exc} in {text!r}") from None
 
     @staticmethod
-    def _parse_term(chunk: str) -> tuple[Fraction, list[int]]:
+    def _parse_term(chunk: str) -> tuple[Fraction | int, list[int]]:
         sign = 1
         while chunk and chunk[0] in "+-":
             if chunk[0] == "-":
@@ -126,7 +140,7 @@ class TernaryForm:
             chunk = chunk[1:]
         if not chunk:
             raise PolyParseError("sign with no term")
-        coeff = Fraction(sign)
+        coeff: Fraction | int = sign
         exps = [0, 0, 0]
         for factor in chunk.split("*"):
             if not factor:
@@ -158,13 +172,13 @@ class TernaryForm:
     def is_constant(self) -> bool:
         return self.degree <= 0
 
-    def sorted_terms(self) -> list[tuple[tuple[int, int, int], Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, int, int], Fraction | int]]:
         return sorted(self.terms.items(), key=lambda kv: _monomial_key(kv[0]))
 
-    def coefficient(self, exps: tuple[int, int, int]) -> Fraction:
-        return self.terms.get(exps, Fraction(0))
+    def coefficient(self, exps: tuple[int, int, int]) -> Fraction | int:
+        return self.terms.get(exps, 0)
 
-    def leading_term(self) -> tuple[tuple[int, int, int], Fraction]:
+    def leading_term(self) -> tuple[tuple[int, int, int], Fraction | int]:
         if not self.terms:
             raise ValueError("zero form has no leading term")
         key = min(self.terms, key=_monomial_key)
@@ -179,7 +193,7 @@ class TernaryForm:
             return self
         out = dict(self.terms)
         for k, v in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + v
+            out[k] = out.get(k, 0) + v
         return TernaryForm(out)
 
     def __sub__(self, other: "TernaryForm") -> "TernaryForm":
@@ -189,15 +203,14 @@ class TernaryForm:
         return TernaryForm({k: -v for k, v in self.terms.items()})
 
     def __mul__(self, other: "TernaryForm") -> "TernaryForm":
-        out: dict[tuple[int, int, int], Fraction] = {}
+        out: dict[tuple[int, int, int], Fraction | int] = {}
         for k1, v1 in self.terms.items():
             for k2, v2 in other.terms.items():
                 k = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2])
-                out[k] = out.get(k, Fraction(0)) + v1 * v2
+                out[k] = out.get(k, 0) + v1 * v2
         return TernaryForm(out)
 
     def scale(self, c: Fraction | int) -> "TernaryForm":
-        c = Fraction(c)
         if c == 0:
             return TernaryForm.zero()
         return TernaryForm({k: v * c for k, v in self.terms.items()})
@@ -208,11 +221,10 @@ class TernaryForm:
             out = out * self
         return out
 
-    def evaluate(self, point: Sequence[Fraction | int]) -> Fraction:
-        # integer coordinates stay integers until each monomial meets its coefficient
-        px, py, pz = (c if isinstance(c, int) else Fraction(c) for c in point)
-        total = sum(coef * (px**a * py**b * pz**c) for (a, b, c), coef in self.terms.items())
-        return Fraction(total)
+    def evaluate(self, point: Sequence[Fraction | int]) -> Fraction | int:
+        """F(point); an integer form at an integer point gives an int."""
+        px, py, pz = point
+        return sum(coef * (px**a * py**b * pz**c) for (a, b, c), coef in self.terms.items())
 
     # -- normalization -------------------------------------------------------
 
@@ -243,7 +255,7 @@ class TernaryForm:
         ]
         return sorted(out, key=_monomial_key)
 
-    def coefficient_vector(self, degree: int | None = None) -> tuple[Fraction, ...]:
+    def coefficient_vector(self, degree: int | None = None) -> tuple[Fraction | int, ...]:
         d = self.degree if degree is None else degree
         if not self.is_zero() and d != self.degree:
             raise ValueError("degree mismatch")
@@ -261,8 +273,8 @@ class TernaryForm:
         is a root at t = infinity, the point q.  g comes back as its
         ``self.degree + 1`` coefficients, lowest first and trailing zeros
         kept, so g[-1] == 0 exactly when q lies on the curve; g is all zero
-        when the line lies on it.  Integral coefficients multiply as ints,
-        so a primitive form at integer points gives integers.
+        when the line lies on it.  An integer form at integer points gives
+        integers.
         """
         powers = []  # powers[i][e] = (p_i + t*q_i)^e
         for i in range(3):
@@ -272,8 +284,6 @@ class TernaryForm:
             powers.append(row)
         out = [0] * (self.degree + 1)
         for (a, b, c), coef in self.terms.items():
-            if coef.denominator == 1:
-                coef = coef.numerator
             term = coeffs_mul(coeffs_mul(powers[0][a], powers[1][b]), powers[2][c])
             for k, v in enumerate(term):
                 out[k] += coef * v
@@ -400,9 +410,7 @@ class ProjLine:
 
     @classmethod
     def from_coefficients(cls, a: int, b: int, c: int) -> "ProjLine":
-        return cls(
-            TernaryForm({(1, 0, 0): Fraction(a), (0, 1, 0): Fraction(b), (0, 0, 1): Fraction(c)})
-        )
+        return cls(TernaryForm({(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c}))
 
     def _two_points(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         a = self.form.coefficient_vector()
@@ -479,21 +487,40 @@ def divide(f: TernaryForm, g: TernaryForm) -> tuple[TernaryForm, TernaryForm]:
     remainder.  One form is a Groebner basis of its ideal, so the remainder
     is the normal form of f: linear in f, and zero exactly when g divides f.
     """
+    quotient, remainder = _division(f, g, exact=False)
+    return TernaryForm(quotient), TernaryForm(remainder)
+
+
+def _division(f: TernaryForm, g: TernaryForm, exact: bool) -> tuple[dict, dict] | None:
+    """The one division loop: quotient and remainder terms of f by g.
+
+    A quotient step is ``coef // g_coef`` when that division is exact and
+    a `Fraction` otherwise.  With ``exact`` the loop returns None as soon
+    as it proves that g does not divide f (see `exact_divide`).
+    """
     if g.is_zero():
         raise ZeroDivisionError("division by the zero form")
     (ga, gb, gc), g_coef = g.leading_term()
     g_tail = [(k, v) for k, v in g.terms.items() if k != (ga, gb, gc)]
+    gauss = exact and _integral(f) and _integral(g) and gcd(*g.terms.values()) == 1
     work = dict(f.terms)
-    quotient: dict[tuple[int, int, int], Fraction] = {}
-    remainder: dict[tuple[int, int, int], Fraction] = {}
+    quotient: dict[tuple[int, int, int], Fraction | int] = {}
+    remainder: dict[tuple[int, int, int], Fraction | int] = {}
     while work:
         lead = max(work)  # exponent tuples compare in lex order x > y > z
         coef = work.pop(lead)
         a, b, c = lead[0] - ga, lead[1] - gb, lead[2] - gc
         if a < 0 or b < 0 or c < 0:
+            if exact:
+                return None
             remainder[lead] = coef
             continue
-        q = coef / g_coef
+        if type(coef) is int and type(g_coef) is int and not coef % g_coef:
+            q = coef // g_coef
+        elif gauss:
+            return None
+        else:
+            q = Fraction(coef, g_coef)
         quotient[(a, b, c)] = q
         for (ka, kb, kc), v in g_tail:
             k = (ka + a, kb + b, kc + c)
@@ -502,13 +529,30 @@ def divide(f: TernaryForm, g: TernaryForm) -> tuple[TernaryForm, TernaryForm]:
                 work[k] = left
             else:
                 del work[k]
-    return TernaryForm(quotient), TernaryForm(remainder)
+    return quotient, remainder
+
+
+def _integral(f: TernaryForm) -> bool:
+    return all(type(v) is int for v in f.terms.values())
 
 
 def exact_divide(f: TernaryForm, g: TernaryForm) -> TernaryForm | None:
-    """The cofactor h with f = g * h, or None when g does not divide f."""
-    q, r = divide(f, g)
-    return q if r.is_zero() else None
+    """The cofactor h with f = g * h, or None when g does not divide f.
+
+    The division stops at the first remainder term: later terms are lower
+    in lex order, so a remainder term, once set, is final.  When f is
+    integral and g primitive integral, it also stops at the first quotient
+    coefficient that is not an integer.  That is sound by Gauss's lemma.
+    Suppose f = g*h and write h = c*h0, with c rational and h0 primitive
+    integral.  Then g*h0 is primitive, and c*(g*h0) = f is integral, so c
+    is an integer and h is integral.  Division by one form is unique (f =
+    q*g + r with no term of r divisible by g's leading monomial fixes q),
+    and each step of the loop fixes one coefficient of q for good, so the
+    loop computes h.  A quotient coefficient that is not an integer
+    therefore proves that g does not divide f.
+    """
+    out = _division(f, g, exact=True)
+    return None if out is None else TernaryForm(out[0])
 
 
 def divisibility_multiplicity(f: TernaryForm, g: TernaryForm) -> int:

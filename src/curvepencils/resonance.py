@@ -140,7 +140,7 @@ class CupStructure:
         for row, pivot in zip(self._relation_rows, self._relation_pivots):
             c = coords[pivot]
             if c:
-                f = c / row[pivot]
+                f = Fraction(c, row[pivot])
                 coords = [a - f * b for a, b in zip(coords, row)]
         return tuple(coords)
 
@@ -244,7 +244,7 @@ def pencil_from_subspace(arr: Arrangement, subspace: IsotropicSubspace) -> Penci
         for members, ratios in blocks:
             rep = functionals[members[0]]
             pivot = next(i for i, e in enumerate(rep) if e)
-            ratio = func[pivot] / rep[pivot]
+            ratio = Fraction(func[pivot], rep[pivot])
             if all(a == ratio * b for a, b in zip(func, rep)):
                 members.append(j)
                 ratios.append(ratio)

@@ -304,6 +304,25 @@ def test_python_dash_m_runs_the_command_line():
     assert proc.stdout == (GOLDEN / "validate_deletedB3.txt").read_text()
 
 
+def test_closed_stdout_exits_quietly():
+    # stdout is a pipe whose read end is closed before the report is written
+    src = str(Path(curvepencils.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "curvepencils", "catalog", str(FIXTURES / "deletedB3.json"),
+             "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, check=False,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli_module.EXIT_BROKEN_PIPE == 141
+    assert proc.stderr == ""
+
+
 # ---------------------------------------------------------------------------
 # invariant violations (exit 3)
 

@@ -1,5 +1,5 @@
 """Source hygiene: every module-level import, private helper and public function is used,
-no float enters the arithmetic, and no random source feeds it."""
+no float enters the arithmetic, no true division can make one, and no random source feeds it."""
 
 from __future__ import annotations
 
@@ -247,6 +247,38 @@ def test_float_use_is_caught():
         "float (line 5)",
         "float (line 6)",
     ]
+
+
+def _true_divisions(tree: ast.Module) -> list[str]:
+    """Every ``/`` and ``/=`` in the module, nested ones included."""
+    return sorted(
+        f"line {node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+    )
+
+
+def test_no_true_division():
+    # int / int is a float, which test_no_floats cannot see: exact code
+    # divides as Fraction(a, b), or as // where the division is exact
+    uses = [
+        f"{path.name} {use}"
+        for path in SOURCES
+        for use in _true_divisions(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not uses, f"true divisions: {', '.join(uses)}"
+
+
+def test_true_division_is_caught():
+    tree = ast.parse(
+        "a = 7 // 2 + 7 / 2\n"
+        "s = 'x / y'\n"
+        "def f(x, y):\n"
+        "    x //= y\n"
+        "    x /= y\n"
+        "    return x\n"
+    )
+    assert _true_divisions(tree) == ["line 1", "line 5"]
 
 
 # modules whose draws would make a result depend on a seed rather than the input

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 import sympy
@@ -59,6 +61,8 @@ from curvepencils.pencil import (
     self_intersection,
 )
 from curvepencils.polyform import P1Point, ProjLine, TernaryForm, cross
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def P1(b0, b1) -> P1Point:
@@ -140,6 +144,24 @@ def test_pencil_from_json_later_blocks():
 
 
 # -- classification ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "b3", "ceva2", "ceva3", "ex2", "exfin3"])
+def test_pencil_layer_forms_are_integer(name):
+    # components are primitive integer forms, so block products, fibers at
+    # integer points and cofactors by components are integer forms
+    arr = Arrangement.from_json(json.loads((FIXTURES / f"{name}.json").read_text()))
+    pencil = Pencil.from_json(json.loads((FIXTURES / f"{name}pencil.json").read_text()), arr)
+    classification = classify(arr, pencil)
+    forms = [arr.block_form((j, 2) for j in range(arr.size))]
+    for b, data in classification.fibers.items():
+        forms += [arr.block_form(data.members), pencil.fiber(b), data.cofactor]
+    for form in forms:
+        assert all(type(c) is int for c in form.terms.values()), form
+    for comp in arr.components:
+        assert comp.vote_points is comp.vote_points
+        assert all(type(c) is int for p in comp.vote_points for c in p)
+        assert len(comp.vote_points) == (4 if comp.degree == 1 else 0)
 
 
 def test_classify_fw():

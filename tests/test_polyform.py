@@ -280,6 +280,51 @@ def test_divide_matches_sympy_reduced():
         assert sym(r) == sympy.expand(sr), (f, g)
 
 
+def _integral(form: TernaryForm) -> bool:
+    return all(type(c) is int for c in form.terms.values())
+
+
+def test_integer_division_matches_sympy():
+    # on integer forms and a primitive divisor the quotient is an int form,
+    # and one extra monomial makes the division fail
+    x, y, z = sympy.symbols("x y z")
+    rng = random.Random(1818)
+    failed = 0
+    for trial in range(40):
+        g = random_form(rng, rng.randint(1, 3)).primitive()
+        h = random_form(rng, rng.randint(0, 3))
+        f = g * h
+        q, r = divide(f, g)
+        assert sympy.div(sym(f), sym(g), x, y, z, domain="QQ") == (sym(h), 0)
+        assert q == h and r.is_zero() and exact_divide(f, g) == h
+        assert _integral(f) and _integral(q)
+        m = rng.choice(TernaryForm.monomials_of_degree(f.degree))
+        f = f + TernaryForm({m: rng.choice((-1, 1))})
+        if sympy.div(sym(f), sym(g), x, y, z, domain="QQ")[1] == 0:
+            continue  # g is a monomial dividing m
+        failed += 1
+        assert exact_divide(f, g) is None
+        assert not divide(f, g)[1].is_zero()
+    assert failed >= 30
+
+
+def test_exact_divide_quotient_off_the_integers():
+    # no integrality exit unless the dividend is integral and the divisor
+    # primitive: then an exact quotient may have Fraction coefficients
+    rng = random.Random(2323)
+    for trial in range(20):
+        g0 = random_form(rng, rng.randint(1, 2)).primitive()
+        h0 = random_form(rng, rng.randint(1, 2)).primitive()
+        c = rng.randint(2, 5)
+        g, h = g0.scale(c), h0.scale(Fraction(1, c))
+        f = g * h
+        assert _integral(f) and not _integral(h)
+        assert exact_divide(f, g) == h
+        assert divide(f, g) == (h, TernaryForm.zero())
+        assert exact_divide(f.scale(Fraction(1, c)), g0) == h
+        assert exact_divide(f.scale(Fraction(1, c)), g) == h0.scale(Fraction(1, c * c))
+
+
 def test_divisibility_multiplicity():
     f = TernaryForm.parse("x^2*y - 2*x*y^2 + y^3")  # y*(x-y)^2
     assert divisibility_multiplicity(f, TernaryForm.parse("x - y")) == 2
@@ -390,6 +435,22 @@ def test_member_of_pencil_matches_sympy_division():
             assert member_of_pencil_dividing(form, P, Q) == _oracle_fiber(form, P, Q)
         point, e = member_of_pencil_dividing(fj, P, Q)
         assert point == b and e >= 1 + trial % 2
+
+
+def test_member_of_pencil_integer_forms_match_sympy():
+    rng = random.Random(9191)
+    for trial in range(20):
+        d = rng.randint(2, 4)
+        b0, e = rng.randint(-3, 3), 1 + trial % 2
+        fj = random_form(rng, 1).primitive()
+        Q = random_form(rng, d)
+        P = fj.power(e) * random_form(rng, d - e) + Q.scale(b0)  # fiber over (b0:1)
+        if P.is_zero() or P.proportional_to(Q):
+            continue
+        assert _integral(P) and _integral(Q)
+        found = member_of_pencil_dividing(fj, P, Q)
+        assert found == _oracle_fiber(fj, P, Q)
+        assert found[0] == P1Point(b0, 1) and found[1] >= e
 
 
 def test_member_of_pencil_degenerate_rejected():
