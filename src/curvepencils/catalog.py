@@ -36,6 +36,7 @@ from .pencil import (
     PencilClassification,
     PencilError,
     _Block,
+    _BlockTable,
     classify,
     detect_special_fibers,
     iter_block_pairs,
@@ -267,8 +268,8 @@ _SCREEN_PRIMES = (7, 11, 13)
 class _SweepTables:
     """S, L and their residues for every block of the sweep, on one probe.
 
-    A block's entry is built once, from the entry of the block without its
-    last component, and holds:
+    ``entry`` is a `_BlockTable` whose `_step` builds a block's entry from
+    that of the block without its last component.  An entry holds:
 
     - codes: one integer bitmask over all primes.  Slot t of prime p has
       p + 1 bits: bit L(t)/S(t) mod p when S(t) != 0, bit p when S(t) = 0
@@ -300,17 +301,10 @@ class _SweepTables:
             self.primes.append((p, offset, ((1 << width) - 1) << offset, values))
             offset += width
         empty = b"".join(bytes([1]) * p + bytes(p) for p in _SCREEN_PRIMES)
-        self._entries: dict[tuple[int, tuple[int, ...]], tuple] = {
-            (0, ()): (0, (1, 0, 0, 0), (1,), (), empty)
-        }
+        self.entry = _BlockTable((0, (1, 0, 0, 0), (1,), (), empty), self._step)
 
-    def _entry(self, mask: int, mults: tuple[int, ...]) -> tuple:
-        entry = self._entries.get((mask, mults))
-        if entry is not None:
-            return entry
-        j = mask.bit_length() - 1
-        m = mults[-1]
-        _, _, S, L, residues = self._entry(mask ^ (1 << j), mults[:-1])
+    def _step(self, prev: tuple, j: int, m: int) -> tuple:
+        _, _, S, L, residues = prev
         r = self.restrictions[j]
         term = tuple(m * c for c in coeffs_mul(S, self.derivatives[j]))  # m*S*R'
         L = tuple(x + y for x, y in zip(coeffs_mul(L, r), term)) if L else term
@@ -335,22 +329,20 @@ class _SweepTables:
                     codes |= ((1 << (p + 1)) - 1) << slot
             out += row
             base += 2 * p
-        entry = (codes, tops, S, L, bytes(out))
-        self._entries[(mask, mults)] = entry
-        return entry
+        return codes, tops, S, L, bytes(out)
 
     def screen(self, a: _Block, b: _Block) -> bool:
         """False when the residues prove that W has no rational root."""
-        codes_a, (s0a, s1a, l1a, l2a), *_ = self._entry(a.mask, a.mults)
-        codes_b, (s0b, s1b, l1b, l2b), *_ = self._entry(b.mask, b.mults)
+        codes_a, (s0a, s1a, l1a, l2a), *_ = self.entry(a)
+        codes_b, (s0b, s1b, l1b, l2b), *_ = self.entry(b)
         w = l1a * s1b + l2a * s0b - s0a * l2b - s1a * l1b
         meet = codes_a & codes_b
         return not any(w % p and not meet & span for p, _, span, _ in self.primes)
 
     def wronskian(self, a: _Block, b: _Block) -> tuple[tuple[int, ...], int]:
         """W = L_a*S_b - S_a*L_b, zeros trimmed, and deg_e = deg S_a + deg S_b."""
-        _, _, S_a, L_a, _ = self._entry(a.mask, a.mults)
-        _, _, S_b, L_b, _ = self._entry(b.mask, b.mults)
+        _, _, S_a, L_a, _ = self.entry(a)
+        _, _, S_b, L_b, _ = self.entry(b)
         # both products have formal degree deg_e - 1
         wron = [x - y for x, y in zip(coeffs_mul(L_a, S_b), coeffs_mul(S_a, L_b))]
         while wron and wron[-1] == 0:
@@ -375,17 +367,21 @@ def _fiber_value(block: _Block, restrictions: Sequence[tuple[int, ...]], u: int,
     return out
 
 
-def _candidate_parameters(sweep: _SweepTables, a: _Block, b: _Block) -> Optional[list[Fraction]]:
+def _candidate_parameters(sweep: _SweepTables, a: _Block, b: _Block) -> list[Fraction]:
     """Rational parameters that can carry a repeated root on the first probe.
 
     W is built from the cached S and L of the two blocks (`_SweepTables`).
-    None means only that W vanishes identically; the caller must keep the
-    pair in that case.  A root of W is never a base point of the pencil:
-    the probe misses every point where two components meet (`_probe_lines`).
+    A root of W is never a base point of the pencil: the probe misses every
+    point where two components meet (`_probe_lines`).  W never vanishes
+    identically: the restrictions have full degree and are pairwise coprime
+    (`_probe_lines`), so L_a/S_a = sum m_j R_j'/R_j has its poles exactly at
+    the roots of block a's restrictions, which block b's sum does not
+    share, and W = 0 would make the two sums equal.  A zero W raises
+    `CatalogError` as a broken invariant.
     """
     wron, degree_e = sweep.wronskian(a, b)
     if not wron:
-        return None
+        raise CatalogError("the sweep Wronskian of two disjoint blocks vanishes identically")
     # finite repeated-root positions are rational roots u/v of W
     roots = rational_roots(wron).roots if len(wron) > 1 else ()
     points = [(rho.numerator, rho.denominator) for rho, _ in roots]
@@ -403,32 +399,20 @@ def _candidate_parameters(sweep: _SweepTables, a: _Block, b: _Block) -> Optional
     return sorted(found)
 
 
-class _BlockProducts:
-    """The product prod R_j^m_j of every block on one probe (the sweep's second).
+def _block_products(restrictions: Sequence[tuple[int, ...]]) -> _BlockTable:
+    """The product prod R_j^m_j of every block on one probe (the sweep's second)."""
 
-    Each block's product is built once, from that of the block without its
-    last component, as in `_SweepTables`.
-    """
+    def step(prev: tuple[int, ...], j: int, m: int) -> tuple[int, ...]:
+        for _ in range(m):
+            prev = coeffs_mul(prev, restrictions[j])
+        return prev
 
-    def __init__(self, restrictions: Sequence[tuple[int, ...]]) -> None:
-        self.restrictions = restrictions
-        self._products: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {(0, ()): (1,)}
-
-    def product(self, mask: int, mults: tuple[int, ...]) -> tuple[int, ...]:
-        out = self._products.get((mask, mults))
-        if out is None:
-            j = mask.bit_length() - 1
-            out = self.product(mask ^ (1 << j), mults[:-1])
-            for _ in range(mults[-1]):
-                out = coeffs_mul(out, self.restrictions[j])
-            self._products[(mask, mults)] = out
-        return out
+    return _BlockTable((1,), step)
 
 
-def _repeated_root_at(products: _BlockProducts, a: _Block, b: _Block, lam: Fraction) -> bool:
+def _repeated_root_at(products: _BlockTable, a: _Block, b: _Block, lam: Fraction) -> bool:
     """Whether the fiber V_a - lam*V_b of the two blocks has a repeated root on the probe."""
-    va = products.product(a.mask, a.mults)
-    vb = products.product(b.mask, b.mults)
+    va, vb = products(a), products(b)
     u = [lam.denominator * x - lam.numerator * y for x, y in zip(va, vb)]
     while u and u[-1] == 0:
         u.pop()
@@ -617,12 +601,14 @@ def build_catalog(
     per block: each block's S = prod R_j and L = sum m_j R_j' prod_{i != j}
     R_i on the first probe, and their values mod 7, 11 and 13, are built
     once (`_SweepTables`), and a pair's Wronskian is L_a*S_b - S_a*L_b.
-    The screen rejects a pair whose Wronskian has no zero mod some prime
-    that keeps its degree, before any polynomial of the pair is built; the
-    comment above `_SCREEN_PRIMES` proves it loses no candidate.  Caps that
-    would leave the global stage empty raise `CatalogError`, and so does a
-    component that the irreducibility probe of
-    `Arrangement.irreducibility_warnings` shows to be reducible.
+    These, and the block products on the second probe (`_block_products`),
+    are `_BlockTable`s, as in the search.  The screen rejects a pair whose
+    Wronskian has no zero mod some prime that keeps its degree, before any
+    polynomial of the pair is built; the comment above `_SCREEN_PRIMES`
+    proves it loses no candidate.  Caps that would leave the global stage
+    empty raise `CatalogError`, and so does a component that the
+    irreducibility probe of `Arrangement.irreducibility_warnings` shows to
+    be reducible.
     """
     if max_multiplicity < 1:
         raise CatalogError(f"max_multiplicity (--max-mult) must be >= 1, got {max_multiplicity}")
@@ -684,7 +670,7 @@ def build_catalog(
 
         first, second = (r for _, _, _, r in _probe_lines(work))
         sweep = _SweepTables(first)
-        products = _BlockProducts(second)
+        products = _block_products(second)
         # any two lines meet at a multiple point, so a support is concurrent
         # exactly when it lies among the lines through one of them
         concurrent_masks = [mp.mask for mp in multiple_points if mp.degree == 1]
@@ -699,21 +685,11 @@ def build_catalog(
                 continue  # composed with the point pencil: not connected
             if not sweep.screen(blk_a, blk_b):
                 continue  # no rational root of W on the first probe
-            blocks = (
-                tuple(zip(blk_a.indices, blk_a.mults)),
-                tuple(zip(blk_b.indices, blk_b.mults)),
-            )
             params = _candidate_parameters(sweep, blk_a, blk_b)
-            if params is not None:
-                if not params:
-                    continue
-                confirmed = [
-                    lam for lam in params if _repeated_root_at(products, blk_a, blk_b, lam)
-                ]
-                if not confirmed:
-                    continue
+            if not any(_repeated_root_at(products, blk_a, blk_b, lam) for lam in params):
+                continue  # no candidate repeats its root on the second probe
             try:
-                pencil = Pencil(work.block_form(blocks[0]), work.block_form(blocks[1]))
+                pencil = Pencil(*(work.block_form(zip(b.indices, b.mults)) for b in (blk_a, blk_b)))
             except PencilError:
                 continue
             span = pencil.span_key()

@@ -310,9 +310,7 @@ def _cmd_check(args: argparse.Namespace) -> tuple[list[str], dict]:
     pencil = _load_pencil(args.pencil, arr)
     cl = _classified(arr, pencil)
     report = fy_identities(arr, cl)
-    clusters = "auto"
-    if args.clusters is not None:
-        clusters = [BlowupCluster(m) for m in args.clusters]
+    clusters = None if args.clusters is None else [BlowupCluster(m) for m in args.clusters]
     si = self_intersection(arr, cl, clusters)
     checks = [
         ("(i) base multiplicity constant per point", report.constant_multiplicity),

@@ -593,7 +593,11 @@ def _certified_profile(form: TernaryForm) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True)
 class FYReport:
-    """Outcome of the three base-locus counting identities."""
+    """Outcome of the three base-locus counting identities.
+
+    With ``profile`` set (the resultant path) (i) and (ii) hold for every
+    pencil, so they check the computation only (`fy_identities`).
+    """
 
     degree: int
     k: int
@@ -623,6 +627,11 @@ def fy_identities(arr: Arrangement, classification: PencilClassification) -> FYR
     enumeration; once a member has degree >= 2 the n_p multiset is read off
     projected resultants from two `ProbeSequence.points()` centers that
     agree (`_fy_resultant_profile`), which is evidence, not proof.
+
+    On the exact path (i) compares fiber multiplicities, a real test.  On
+    the resultant path (i) and (ii) hold for every pencil, so they check
+    the computation, not the pencil: (i) by the proof in
+    `_fy_resultant_profile`, (ii) since `projective_profile` counts to D^2.
     """
     if any(p.kind == "type2" for p in classification.placements):
         raise PencilError(
@@ -649,7 +658,7 @@ def fy_identities(arr: Arrangement, classification: PencilClassification) -> FYR
         table = tuple(points)
         total = sum(n for _, n in table)
     else:
-        profile, constant = _fy_resultant_profile(classification)
+        profile, constant = _fy_resultant_profile(classification), True
         total = sum(n * count for n, count in profile)
     return FYReport(
         degree=D,
@@ -698,46 +707,47 @@ def _fy_exact_points(
     return table, constant
 
 
-def _fy_resultant_profile(
-    classification: PencilClassification,
-) -> tuple[tuple[tuple[int, int], ...], bool]:
-    """Multiset {n_p} read from resultants against two agreeing centers.
+def _fy_resultant_profile(classification: PencilClassification) -> tuple[tuple[int, int], ...]:
+    """Multiset {n_p} read from resultants of two full fibers at two agreeing centers.
 
-    The centers are the `ProbeSequence.points()` entries off every full
-    fiber.  A center off both curves and off every line through two of
-    their common points gives the intersection numbers exactly; two
+    The centers are the `ProbeSequence.points()` entries off the first two
+    full fibers.  A center off both curves and off every line through two
+    of their common points gives the intersection numbers exactly; two
     centers that agree are evidence of that, not proof.  After 12 usable
     centers without two agreeing profiles, `ProbeDegeneracyError`.
+
+    One pair of fibers is enough.  Any two distinct fibers are an
+    invertible combination of P and Q, and for binary forms f, g of one
+    degree D, Res(alpha*f + beta*g, gamma*f + delta*g) =
+    (alpha*delta - beta*gamma)^D * Res(f, g).  So at a center off both
+    fibers every pair's projected resultant is a constant multiple of one
+    polynomial: all pairs give one profile, and identity (i) holds on this
+    path for every pencil.
     """
-    B = classification.base_points
     pencil = classification.pencil
-    fibers = [pencil.fiber(b) for b in B]
+    fibers = [pencil.fiber(b) for b in classification.base_points[:2]]
     profiles: list[tuple[tuple[int, int], ...]] = []
     centers_used = 0
     # a fiber of degree D vanishes at at most D(D + 3)/2 probe points, so
-    # 12 centers lie within 12 + k*D(D + 3)/2 draws
-    draws = 12 + len(fibers) * pencil.degree * (pencil.degree + 3) // 2
+    # 12 centers lie within 12 + D(D + 3) draws
+    draws = 12 + pencil.degree * (pencil.degree + 3)
     for center in itertools.islice(ProbeSequence.points(), draws):
         if centers_used >= 12:
             break
         if any(f.evaluate(center.coords) == 0 for f in fibers):
             continue
         centers_used += 1
-        pair_profiles = [
-            _projected_resultant_profile(f1, f2, center.coords)
-            for f1, f2 in itertools.combinations(fibers, 2)
-        ]
-        if None in pair_profiles:
+        profile = _projected_resultant_profile(*fibers, center.coords)
+        if profile is None:
             continue
-        profiles.append(tuple(pair_profiles))
+        profiles.append(profile)
         if len(profiles) == 2:
             break
     if len(profiles) < 2:
         raise ProbeDegeneracyError("probe degeneracy: no usable projection centers")
     if profiles[0] != profiles[1]:
         raise ProbeDegeneracyError("probe degeneracy: projection centers disagree")
-    # each pair profile is already merged by multiplicity
-    return profiles[0][0], len(set(profiles[0])) == 1
+    return profiles[0]
 
 
 def _projected_resultant_profile(
@@ -783,20 +793,18 @@ class SelfIntersectionReport:
 def self_intersection(
     arr: Arrangement,
     classification: PencilClassification,
-    clusters: Sequence[BlowupCluster] | str = "auto",
+    clusters: Sequence[BlowupCluster] | None = None,
 ) -> SelfIntersectionReport:
     """(deg C)^2 minus the cluster multiplicities squared, C the type-1 union.
 
-    With clusters="auto" the base points are enumerated exactly; this needs
+    With clusters None the base points are enumerated exactly; this needs
     every type-1 member to be a line (one blow-up per base point resolves).
     """
     type1 = [
         (j, p) for j, p in enumerate(classification.placements) if p.kind == "type1"
     ]
     deg_c = sum(arr.components[j].degree for j, _ in type1)
-    if isinstance(clusters, str):
-        if clusters != "auto":
-            raise ValueError(f"unknown cluster mode {clusters!r}")
+    if clusters is None:
         if any(arr.components[j].degree != 1 for j, _ in type1):
             raise PencilError(
                 "auto clusters need every fiber member to be a line; "
@@ -839,54 +847,73 @@ class _Block:
     content: int  # gcd of the multiplicities
 
 
+class _BlockTable:
+    """A memoized per-block value, built one component at a time.
+
+    The empty block has the value ``base``; any other block has the value
+    ``step(prev, j, m)``, where j is its last (highest) component, m the
+    multiplicity of j, and prev the value of the block without j.  Values
+    are keyed by (mask, mults), so a block and its prefixes are built once
+    however many pairs read them.  Call the table on a `_Block`.
+    """
+
+    def __init__(self, base, step) -> None:
+        self._step = step
+        self._values = {(0, ()): base}
+
+    def __call__(self, block: _Block):
+        return self._value(block.mask, block.mults)
+
+    def _value(self, mask: int, mults: tuple[int, ...]):
+        value = self._values.get((mask, mults))
+        if value is None:
+            j = mask.bit_length() - 1
+            value = self._step(self._value(mask ^ (1 << j), mults[:-1]), j, mults[-1])
+            self._values[(mask, mults)] = value
+        return value
+
+
 class _SearchTables:
-    """Per-arrangement precomputation shared across all candidate pairs."""
+    """Per-arrangement precomputation shared across all candidate pairs.
+
+    Three `_BlockTable`s: ``block_form`` is the block product;
+    ``block_values`` holds, per voter i, the block product at the vote
+    points of component i; ``point_counts`` (line arrangements only) holds
+    n_X(block) at each multiple point X, the multiplicities of the block's
+    lines through X.
+    """
 
     def __init__(self, arr: Arrangement):
         self.arr = arr
-        # values[j][i] = evaluations of component i at the vote points of j
-        self.values = [
-            [[c.form.evaluate(p) for p in cj.vote_points] for c in arr.components]
-            for cj in arr.components
+        # at[j][i] = values of component j at the vote points of component i
+        at = [
+            [[c.form.evaluate(p) for p in ci.vote_points] for ci in arr.components]
+            for c in arr.components
         ]
-        self._forms: dict[tuple[int, tuple[int, ...]], TernaryForm] = {}
-        self._values_cache: dict[tuple[int, tuple[int, ...], int], list[int]] = {}
+        self.block_form = _BlockTable(
+            TernaryForm.constant(1),
+            lambda prev, j, m: prev * arr.components[j].form.power(m),
+        )
+        self.block_values = _BlockTable(
+            tuple((1,) * len(c.vote_points) for c in arr.components),
+            lambda prev, j, m: tuple(
+                tuple(v * w**m for v, w in zip(vs, ws)) for vs, ws in zip(prev, at[j])
+            ),
+        )
         # incidence masks of the multiple points, for the multinet screen
         self.point_masks: list[int] | None = None
         if arr.is_line_arrangement():
             self.point_masks = [mp.mask for mp in local_pencil_points(arr)]
-        self._counts: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
-
-    def block_values_at(self, block: _Block, j: int) -> list[int]:
-        """Evaluations of the block product at the vote points of component j."""
-        key = (block.mask, block.mults, j)
-        cached = self._values_cache.get(key)
-        if cached is not None:
-            return cached
-        out = []
-        for pi in range(len(self.arr.components[j].vote_points)):
-            acc = 1
-            for idx, m in zip(block.indices, block.mults):
-                acc *= self.values[j][idx][pi] ** m
-            out.append(acc)
-        self._values_cache[key] = out
-        return out
+            self.point_counts = _BlockTable(
+                (0,) * len(self.point_masks),
+                lambda prev, j, m: tuple(
+                    n + m if mask >> j & 1 else n for n, mask in zip(prev, self.point_masks)
+                ),
+            )
 
     def vote(self, a: _Block, b: _Block, j: int) -> Vote:
         """`_vote` of component j against the pencil of two blocks."""
-        return _vote(zip(self.block_values_at(a, j), self.block_values_at(b, j)))
-
-    def point_counts(self, block: _Block) -> tuple[int, ...]:
-        """n_X(block) at each multiple point X: multiplicities of its lines through X."""
-        key = (block.mask, block.mults)
-        counts = self._counts.get(key)
-        if counts is None:
-            counts = tuple(
-                sum(m for j, m in zip(block.indices, block.mults) if mask >> j & 1)
-                for mask in self.point_masks
-            )
-            self._counts[key] = counts
-        return counts
+        return _vote(zip(self.block_values(a)[j], self.block_values(b)[j]))
 
     def multinet_screen(self, a: _Block, b: _Block) -> bool:
         """Whether two blocks of lines can be fibers of a pencil with k >= 3.
@@ -934,14 +961,6 @@ class _SearchTables:
             for j in range(self.arr.size)
             if not union >> j & 1
         )
-
-    def block_form(self, block: _Block) -> TernaryForm:
-        key = (block.mask, block.mults)
-        form = self._forms.get(key)
-        if form is None:
-            form = self.arr.block_form(zip(block.indices, block.mults))
-            self._forms[key] = form
-        return form
 
 
 def _enumerate_blocks(arr: Arrangement, max_multiplicity: int) -> dict[int, list[_Block]]:
@@ -1054,6 +1073,9 @@ def pencil_search(
     - exact classification, kept when the count k of fully-arrangement
       fibers lies in [3, max_blocks], every fiber multiplicity is within the
       cap, and the partition is saturated (`_partition_saturated`).
+
+    Every per-block value the stages read is a `_BlockTable` of
+    `_SearchTables`, as are those of the catalog's translated sweep.
 
     Both screens only reject pairs of a pencil with k = 2, and any two full
     fibers of a result pass them, so the first pair to reach a result's

@@ -17,7 +17,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from arrfixtures import F, ceva3, deleted_b3, ex2, exfin3
+from arrfixtures import F, ceva2, ceva3, deleted_b3, ex2, exfin3
 from curvepencils import catalog as catalog_module
 from curvepencils.arrangement import (
     Arrangement,
@@ -27,8 +27,10 @@ from curvepencils.arrangement import (
     meeting_points,
 )
 from curvepencils.catalog import (
+    _SCREEN_PRIMES,
     CatalogError,
-    _BlockProducts,
+    _block_products,
+    _candidate_parameters,
     _character_in_subtorus,
     _integer_restrictions,
     _probe_candidates,
@@ -37,8 +39,15 @@ from curvepencils.catalog import (
     _SweepTables,
     build_catalog,
 )
-from curvepencils.exactalg import lattice_key, saturate_lattice
-from curvepencils.pencil import _Block
+from curvepencils.exactalg import (
+    coeffs_derivative,
+    coeffs_evaluate,
+    coeffs_mul,
+    lattice_key,
+    saturate_lattice,
+)
+from curvepencils.pencil import _Block, _enumerate_blocks, _SearchTables
+from curvepencils.polyform import TernaryForm
 
 GOLDEN = Path(__file__).parent / "golden"
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -389,7 +398,7 @@ def test_ceva3_sweep_classifies_two_spans(monkeypatch):
 
 def test_second_probe_sees_a_repeated_root_at_infinity():
     # (3 + t^2) - (1 + t^2) = 2 falls two degrees short: a double root at t = infinity
-    products = _BlockProducts([(3, 0, 1), (1, 0, 1)])
+    products = _block_products([(3, 0, 1), (1, 0, 1)])
     a, b = _Block(1, (0,), (1,), 2, 1), _Block(2, (1,), (1,), 2, 1)
     assert _repeated_root_at(products, a, b, Fraction(1))
     # (3 + t^2) - 2*(1 + t^2) = 1 - t^2 has simple roots only
@@ -447,6 +456,87 @@ def test_block_algebra_wronskian_and_screen(case):
         assert len(wron) - 1 == degree_e - 2
         _, factors = sympy.factor_list(direct, t)
         assert all(sympy.degree(f, t) != 1 for f, _ in factors)
+
+
+def test_identically_vanishing_wronskian_is_a_broken_invariant():
+    # equal restrictions break the coprimality that `_probe_lines` certifies:
+    # W = R_0'*R_1 - R_0*R_1' = 0
+    sweep = _SweepTables([(1, 1), (1, 1)])
+    a, b = _Block(1, (0,), (1,), 1, 1), _Block(2, (1,), (1,), 1, 1)
+    with pytest.raises(CatalogError, match="vanishes identically"):
+        _candidate_parameters(sweep, a, b)
+
+
+# -- the block tables of the search and the sweep ----------------------------------
+
+
+def _check_block_tables(arr):
+    """Every value of the five block tables equals its definition, from scratch."""
+    tables = _SearchTables(arr)
+    first, second = (r for _, _, _, r in _probe_lines(arr))
+    sweep, products = _SweepTables(first), _block_products(second)
+    for blocks in _enumerate_blocks(arr, 2).values():
+        for block in blocks:
+            pairs = list(zip(block.indices, block.mults))
+            form = arr.block_form(pairs)
+            assert tables.block_form(block) == form
+            assert tables.block_values(block) == tuple(
+                tuple(form.evaluate(p) for p in c.vote_points) for c in arr.components
+            )
+            if tables.point_masks is not None:
+                assert tables.point_counts(block) == tuple(
+                    sum(m for j, m in pairs if mask >> j & 1) for mask in tables.point_masks
+                )
+            S = (1,)
+            for j in block.indices:
+                S = coeffs_mul(S, first[j])
+            L = [0] * (len(S) - 1)
+            for j, m in pairs:
+                term = coeffs_derivative(first[j])
+                for i in block.indices:
+                    if i != j:
+                        term = coeffs_mul(term, first[i])
+                L = [x + m * y for x, y in zip(L, term)]
+            _, tops, S_t, L_t, residues = sweep.entry(block)
+            assert (S_t, L_t) == (S, tuple(L))
+            assert tops == (S[-1], S[-2], L[-1], L[-2] if len(L) > 1 else 0)
+            assert residues == b"".join(
+                bytes(coeffs_evaluate(poly, t) % p for poly in (S, L) for t in range(p))
+                for p in _SCREEN_PRIMES
+            )
+            V = (1,)
+            for j, m in pairs:
+                for _ in range(m):
+                    V = coeffs_mul(V, second[j])
+            assert products(block) == V
+
+
+@pytest.mark.parametrize("make", [ceva2, ex2])
+def test_block_tables_match_their_definitions(make):
+    _check_block_tables(make())
+
+
+_CONICS = ("x^2 + y^2 - z^2", "x^2 - y*z", "x*y + y*z + z*x")
+
+
+@st.composite
+def _small_arrangement(draw):
+    """Two to four random lines, sometimes with one smooth conic."""
+    line = st.tuples(*[st.integers(-2, 2)] * 3).filter(any)
+    forms = [
+        TernaryForm({(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c})
+        for a, b, c in draw(st.lists(line, min_size=2, max_size=4))
+    ]
+    if draw(st.booleans()):
+        forms.append(F(draw(st.sampled_from(_CONICS))))
+    assume(not any(f.proportional_to(g) for f, g in itertools.combinations(forms, 2)))
+    return Arrangement([CurveComponent(f"C{i}", f) for i, f in enumerate(forms)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(_small_arrangement())
+def test_block_tables_match_their_definitions_on_random_arrangements(arr):
+    _check_block_tables(arr)
 
 
 def test_screen_cuts_the_sweep_rational_root_calls(monkeypatch):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arrfixtures import (
@@ -52,6 +52,7 @@ from curvepencils.pencil import (
     _finish_classification,
     _formal_discriminant,
     _partition_saturated,
+    _projected_resultant_profile,
     _vote,
     classify,
     detect_special_fibers,
@@ -527,6 +528,47 @@ def test_fy_gives_up_after_twelve_centers(monkeypatch):
     with pytest.raises(ProbeDegeneracyError, match="no usable projection centers"):
         fy_identities(arr, classify(arr, ceva3_pencil()))
     assert len(set(calls)) == 12
+
+
+@st.composite
+def _pencil_with_fibers(draw):
+    """Two random forms of degree 2 or 3 and three or four distinct fiber points."""
+    D = draw(st.integers(2, 3))
+    monomials = TernaryForm.monomials_of_degree(D)
+    coeffs = st.lists(st.integers(-3, 3), min_size=len(monomials), max_size=len(monomials))
+    P, Q = (TernaryForm(dict(zip(monomials, draw(coeffs)))) for _ in range(2))
+    points = draw(
+        st.lists(
+            st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any).map(lambda b: P1Point(*b)),
+            min_size=3,
+            max_size=4,
+            unique=True,
+        )
+    )
+    return P, Q, points
+
+
+@settings(max_examples=40, deadline=None)
+@given(_pencil_with_fibers())
+def test_every_fiber_pair_gives_one_projected_resultant_profile(case):
+    # why `_fy_resultant_profile` reads one pair: distinct fibers are invertible
+    # combinations of P and Q, and Res scales by the determinant to the D
+    P, Q, points = case
+    try:
+        pencil = Pencil(P, Q)
+    except PencilError:
+        assume(False)
+    fibers = [pencil.fiber(b) for b in points]
+    center = next(
+        p.coords
+        for p in ProbeSequence.points()
+        if all(f.evaluate(p.coords) for f in fibers)
+    )
+    profiles = {
+        _projected_resultant_profile(f1, f2, center)
+        for f1, f2 in itertools.combinations(fibers, 2)
+    }
+    assert len(profiles) == 1
 
 
 def test_fy_rejects_incomplete():
