@@ -257,16 +257,28 @@ def _integer_restrictions(
 # parametrization's infinity is not taken.  A rational root u/v of W in
 # lowest terms has v | w, so p does not divide v, and v^(deg_e - 2)*W(u/v) = 0
 # reduces to W(u/v mod p) = 0 on F_p.  So a rejected pair has no candidate
-# parameter at all, as if W had been built.  The tables hold, per block and
-# prime, S(t) and L(t) mod p at every t in F_p, and the top two
-# coefficients of S and of L, from which w comes.
+# parameter at all, as if W had been built.
+#
+# State bytes.  The screen needs, per block, prime and t in F_p, only the
+# state sigma of (S(t), L(t)) mod p: sigma = L/S when S != 0, sigma = p when
+# S = 0 and L != 0, sigma = p + 1 when S = L = 0.  Adding component j with
+# multiplicity m, with r = R_j(t) and d = R_j'(t) mod p, maps (S, L) to
+# (S*r, L*r + m*S*d), so the state moves by
+#   r != 0:  sigma < p to sigma + m*d/r (as L*r/(S*r) + m*d/r); p and p + 1 stay
+#            (S*r = 0, and L*r = 0 iff L = 0);
+#   r = 0:   sigma < p to p when m*d != 0 and to p + 1 otherwise (S*r = 0,
+#            L*r + m*S*d = m*S*d); p to p + 1 (S = 0 gives L*r + m*S*d = 0).
+# Slot t of prime p holds the byte t*(p + 2) + sigma, below p*(p + 2) <= 256,
+# so one 256-byte table per (j, m, p) moves a block's whole row with
+# `bytes.translate`.  The tables also keep the top two coefficients of S and
+# of L, from which w comes.
 
 
 _SCREEN_PRIMES = (7, 11, 13)
 
 
 class _SweepTables:
-    """S, L and their residues for every block of the sweep, on one probe.
+    """The residue screen's state bytes, and S and L, for every block of the sweep.
 
     ``entry`` is a `_BlockTable` whose `_step` builds a block's entry from
     that of the block without its last component.  An entry holds:
@@ -278,71 +290,90 @@ class _SweepTables:
       slot t, so W has a zero on F_p exactly when their codes meet in
       p's range.
     - tops: S[d], S[d - 1], L[d - 1], L[d - 2] with d = deg S (0 below
-      degree 0).
-    - S and L, with L of formal degree d - 1.
-    - residues: per prime, S(t) mod p then L(t) mod p for t in F_p, for
-      the entries built on top of this one.
+      degree 0), updated from the top two coefficients of R_j.
+    - rows: per prime, the state bytes of the slots (the comment above
+      `_SCREEN_PRIMES`), moved by one `bytes.translate` per prime.
+
+    ``polys`` is a second `_BlockTable`, of S and L with L of formal degree
+    d - 1; only `wronskian` reads it, on the pairs that pass the screen.
     """
 
     def __init__(self, restrictions: Sequence[tuple[int, ...]]) -> None:
         self.restrictions = restrictions
         self.derivatives = [coeffs_derivative(r) for r in restrictions]
-        # per prime: p, bit offset of its codes, range mask, and per component
-        # R_j(t) mod p then R_j'(t) mod p for t in F_p
-        self.primes: list[tuple[int, int, int, list[bytes]]] = []
+        # per prime: p, the range mask of its codes, and the code bits of
+        # every state byte
+        self.primes: list[tuple[int, int, list[int]]] = []
         offset = 0
         for p in _SCREEN_PRIMES:
+            bits = [0] * 256
+            for t in range(p):
+                slot = offset + t * (p + 1)
+                for sigma in range(p + 1):
+                    bits[t * (p + 2) + sigma] = 1 << (slot + sigma)
+                bits[t * (p + 2) + p + 1] = ((1 << (p + 1)) - 1) << slot
             width = p * (p + 1)
-            values = [
-                bytes(coeffs_evaluate(r, t) % p for t in range(p))
-                + bytes(coeffs_evaluate(dr, t) % p for t in range(p))
-                for r, dr in zip(restrictions, self.derivatives)
-            ]
-            self.primes.append((p, offset, ((1 << width) - 1) << offset, values))
+            self.primes.append((p, ((1 << width) - 1) << offset, bits))
             offset += width
-        empty = b"".join(bytes([1]) * p + bytes(p) for p in _SCREEN_PRIMES)
-        self.entry = _BlockTable((0, (1, 0, 0, 0), (1,), (), empty), self._step)
+        self._moves: dict[tuple[int, int], tuple[bytes, ...]] = {}
+        rows = tuple(bytes(range(0, p * (p + 2), p + 2)) for p in _SCREEN_PRIMES)
+        self.entry = _BlockTable((0, (1, 0, 0, 0), rows), self._step)
+        self.polys = _BlockTable(((1,), ()), self._poly_step)
+
+    def _move(self, j: int, m: int) -> tuple[bytes, ...]:
+        """The state-byte tables of adding component j with multiplicity m, per prime."""
+        r, dr = self.restrictions[j], self.derivatives[j]
+        out = []
+        for p in _SCREEN_PRIMES:
+            table = bytearray(range(256))
+            for t in range(p):
+                base = t * (p + 2)
+                rt, shift = coeffs_evaluate(r, t) % p, m * coeffs_evaluate(dr, t) % p
+                if rt:
+                    step = shift * pow(rt, -1, p)
+                    table[base : base + p] = bytes(base + (s + step) % p for s in range(p))
+                else:
+                    table[base : base + p] = bytes([base + (p if shift else p + 1)]) * p
+                    table[base + p] = base + p + 1
+            out.append(bytes(table))
+        return tuple(out)
 
     def _step(self, prev: tuple, j: int, m: int) -> tuple:
-        _, _, S, L, residues = prev
+        _, (s0, s1, l1, l2), rows = prev
+        moves = self._moves.get((j, m))
+        if moves is None:
+            moves = self._moves[j, m] = self._move(j, m)
+        rows = tuple(row.translate(move) for row, move in zip(rows, moves))
+        codes = sum(sum(map(bits.__getitem__, row)) for (*_, bits), row in zip(self.primes, rows))
+        r = self.restrictions[j]  # of full degree e >= 1 (`_integer_restrictions`)
+        e, r0, r1 = len(r) - 1, r[-1], r[-2]
+        tops = (
+            s0 * r0,
+            s0 * r1 + s1 * r0,
+            l1 * r0 + m * e * s0 * r0,
+            l1 * r1 + l2 * r0 + m * ((e - 1) * s0 * r1 + e * s1 * r0),
+        )
+        return codes, tops, rows
+
+    def _poly_step(self, prev: tuple, j: int, m: int) -> tuple:
+        S, L = prev
         r = self.restrictions[j]
         term = tuple(m * c for c in coeffs_mul(S, self.derivatives[j]))  # m*S*R'
         L = tuple(x + y for x, y in zip(coeffs_mul(L, r), term)) if L else term
-        S = coeffs_mul(S, r)
-        tops = (S[-1], S[-2], L[-1], L[-2] if len(L) > 1 else 0)
-        codes = 0
-        out = bytearray()
-        base = 0
-        for p, offset, _, values in self.primes:
-            rv = values[j]
-            row = bytearray(2 * p)
-            for t in range(p):
-                s, ls = residues[base + t], residues[base + p + t]
-                row[t] = sn = s * rv[t] % p
-                row[p + t] = ln = (ls * rv[t] + m * s * rv[p + t]) % p
-                slot = offset + t * (p + 1)
-                if sn:
-                    codes |= 1 << (slot + ln * pow(sn, -1, p) % p)
-                elif ln:
-                    codes |= 1 << (slot + p)
-                else:
-                    codes |= ((1 << (p + 1)) - 1) << slot
-            out += row
-            base += 2 * p
-        return codes, tops, S, L, bytes(out)
+        return coeffs_mul(S, r), L
 
     def screen(self, a: _Block, b: _Block) -> bool:
         """False when the residues prove that W has no rational root."""
-        codes_a, (s0a, s1a, l1a, l2a), *_ = self.entry(a)
-        codes_b, (s0b, s1b, l1b, l2b), *_ = self.entry(b)
+        codes_a, (s0a, s1a, l1a, l2a), _ = self.entry(a)
+        codes_b, (s0b, s1b, l1b, l2b), _ = self.entry(b)
         w = l1a * s1b + l2a * s0b - s0a * l2b - s1a * l1b
         meet = codes_a & codes_b
-        return not any(w % p and not meet & span for p, _, span, _ in self.primes)
+        return not any(w % p and not meet & span for p, span, _ in self.primes)
 
     def wronskian(self, a: _Block, b: _Block) -> tuple[tuple[int, ...], int]:
         """W = L_a*S_b - S_a*L_b, zeros trimmed, and deg_e = deg S_a + deg S_b."""
-        _, _, S_a, L_a, _ = self.entry(a)
-        _, _, S_b, L_b, _ = self.entry(b)
+        S_a, L_a = self.polys(a)
+        S_b, L_b = self.polys(b)
         # both products have formal degree deg_e - 1
         wron = [x - y for x, y in zip(coeffs_mul(L_a, S_b), coeffs_mul(S_a, L_b))]
         while wron and wron[-1] == 0:
@@ -587,28 +618,32 @@ def build_catalog(
     maximal isotropy are dropped when the cup structure exists.  One
     `cup_structure` serves every candidate pencil.
 
-    The global stage is `pencil_search`, whose block pairs pass, in order,
-    one screen (the multinet screen on line arrangements, the vote screen
-    on the others), span dedup and exact classification.  The sweep walks
-    the block pairs through these stages, in order: content (both blocks
-    primitive, so the two fibers span a saturated lattice), concurrency (a
-    support of lines through one of step 2's multiple points, the
-    `meeting_points` of the components, only gives pencils composed with
-    that point's pencil; two single lines always meet at one), the
-    residue screen, the Wronskian prefilter on two probe lines that miss
-    every meeting point, span dedup against the searched and already swept
-    pencils, and exact classification.  The screen and the prefilter work
-    per block: each block's S = prod R_j and L = sum m_j R_j' prod_{i != j}
-    R_i on the first probe, and their values mod 7, 11 and 13, are built
-    once (`_SweepTables`), and a pair's Wronskian is L_a*S_b - S_a*L_b.
-    These, and the block products on the second probe (`_block_products`),
-    are `_BlockTable`s, as in the search.  The screen rejects a pair whose
-    Wronskian has no zero mod some prime that keeps its degree, before any
-    polynomial of the pair is built; the comment above `_SCREEN_PRIMES`
-    proves it loses no candidate.  Caps that would leave the global stage
-    empty raise `CatalogError`, and so does a component that the
-    irreducibility probe of `Arrangement.irreducibility_warnings` shows to
-    be reducible.
+    The global stage is `pencil_search`, whose walk on line arrangements
+    skips the pairs with a double point between the blocks, and whose block
+    pairs pass, in order, one screen (the multinet screen on line
+    arrangements, the vote screen on the others), span dedup and exact
+    classification.  The sweep walks every block pair through these
+    stages, in order: content (both blocks primitive, so the two fibers
+    span a saturated lattice), concurrency (a support of lines through one
+    of step 2's multiple points, the `meeting_points` of the components,
+    only gives pencils composed with that point's pencil; two single lines
+    always meet at one; one lookup in the set of the submasks of those
+    points), the residue screen, the Wronskian prefilter on two probe lines
+    that miss every meeting point, span dedup against the searched and
+    already swept pencils, and exact classification.  The screen and the
+    prefilter work per block on the first probe (`_SweepTables`): the
+    screen reads each block's state bytes mod 7, 11 and 13 and the top
+    coefficients of S = prod R_j and L = sum m_j R_j' prod_{i != j} R_i;
+    S and L themselves are built only for the pairs that pass it, whose
+    Wronskian is L_a*S_b - S_a*L_b.  These, and the block products on the
+    second probe (`_block_products`), are `_BlockTable`s, as in the
+    search.  The screen rejects a pair whose Wronskian has no zero mod some
+    prime that keeps its degree, before any polynomial of the pair is
+    built; the comment above `_SCREEN_PRIMES` proves it loses no candidate
+    and that the state bytes follow S and L.  Caps that would leave the
+    global stage empty raise `CatalogError`, and so does a component that
+    the irreducibility probe of `Arrangement.irreducibility_warnings` shows
+    to be reducible.
     """
     if max_multiplicity < 1:
         raise CatalogError(f"max_multiplicity (--max-mult) must be >= 1, got {max_multiplicity}")
@@ -673,15 +708,19 @@ def build_catalog(
         products = _block_products(second)
         # any two lines meet at a multiple point, so a support is concurrent
         # exactly when it lies among the lines through one of them
-        concurrent_masks = [mp.mask for mp in multiple_points if mp.degree == 1]
+        concurrent: set[int] = set()
+        for mp in multiple_points:
+            sub = mp.mask if mp.degree == 1 else 0
+            while sub:  # the nonempty submasks, descending
+                concurrent.add(sub)
+                sub = (sub - 1) & mp.mask
         survivor_spans: set[tuple] = set()
         for blk_a, blk_b in iter_block_pairs(work, max_multiplicity):
             # the two fibers span the homology cokernel, the lattice
             # Z*a + Z*b on disjoint supports, iff both blocks are primitive
             if blk_a.content != 1 or blk_b.content != 1:
                 continue
-            support = blk_a.mask | blk_b.mask
-            if any(support | mask == mask for mask in concurrent_masks):
+            if (blk_a.mask | blk_b.mask) in concurrent:
                 continue  # composed with the point pencil: not connected
             if not sweep.screen(blk_a, blk_b):
                 continue  # no rational root of W on the first probe

@@ -862,7 +862,8 @@ class _BlockTable:
         self._values = {(0, ()): base}
 
     def __call__(self, block: _Block):
-        return self._value(block.mask, block.mults)
+        value = self._values.get((block.mask, block.mults))
+        return self._value(block.mask, block.mults) if value is None else value
 
     def _value(self, mask: int, mults: tuple[int, ...]):
         value = self._values.get((mask, mults))
@@ -880,7 +881,8 @@ class _SearchTables:
     ``block_values`` holds, per voter i, the block product at the vote
     points of component i; ``point_counts`` (line arrangements only) holds
     n_X(block) at each multiple point X, the multiplicities of the block's
-    lines through X.
+    lines through X.  On line arrangements ``avoid[j]`` masks the lines
+    that meet line j at a double point, for `iter_block_pairs`.
     """
 
     def __init__(self, arr: Arrangement):
@@ -902,8 +904,16 @@ class _SearchTables:
         )
         # incidence masks of the multiple points, for the multinet screen
         self.point_masks: list[int] | None = None
+        self.avoid: list[int] | None = None
         if arr.is_line_arrangement():
-            self.point_masks = [mp.mask for mp in local_pencil_points(arr)]
+            points = local_pencil_points(arr)
+            self.point_masks = [mp.mask for mp in points]
+            self.avoid = [0] * arr.size
+            for mp in points:
+                if mp.count == 2:
+                    i, j = mp.incident
+                    self.avoid[i] |= 1 << j
+                    self.avoid[j] |= 1 << i
             self.point_counts = _BlockTable(
                 (0,) * len(self.point_masks),
                 lambda prev, j, m: tuple(
@@ -942,6 +952,11 @@ class _SearchTables:
         spans a pencil with k = 2.  Curves can be tangent at X, which breaks
         the unique factorization step, so only line arrangements are
         screened.
+
+        At a double point X of a line of a and a line of b both counts are
+        nonzero and no other line passes through X, so the second condition
+        rejects the pair; `iter_block_pairs` with ``avoid`` never yields
+        such a pair.
         """
         union = a.mask | b.mask
         for mask, na, nb in zip(self.point_masks, self.point_counts(a), self.point_counts(b)):
@@ -979,13 +994,21 @@ def _enumerate_blocks(arr: Arrangement, max_multiplicity: int) -> dict[int, list
 
 
 def iter_block_pairs(
-    arr: Arrangement, max_multiplicity: int
+    arr: Arrangement, max_multiplicity: int, avoid: Sequence[int] | None = None
 ) -> Iterator[tuple[_Block, _Block]]:
     """Unordered pairs of disjoint equal-degree blocks with coprime content.
 
     Blocks whose combined multiplicity vector has content > 1 generate
     non-primitive maps (powers of a smaller pencil) and are dropped.  This
     is the k = 2 case of the saturation rule of `_partition_saturated`.
+
+    ``avoid[j]``, when given, masks the components that may not be paired
+    with component j: a pair (a, b) is left out when b meets ``avoid[j]``
+    for some j in a, by taking a's partners from its complement minus those
+    masks.  The pairs kept come in the order below, since the ascending
+    submasks of the smaller complement are those of the full one with the
+    left-out masks removed.  `pencil_search` passes `_SearchTables.avoid`,
+    whose left-out pairs the multinet screen would reject.
 
     Yield order: by degree, ascending; within a degree, exactly the order of
     ``itertools.combinations`` over the blocks in enumeration order (by
@@ -1005,6 +1028,9 @@ def iter_block_pairs(
             buckets.setdefault(block.mask, []).append(block)
         for a in by_degree[degree]:
             rest = full ^ a.mask
+            if avoid is not None:
+                for j in a.indices:
+                    rest &= ~avoid[j]
             s = rest & -(1 << a.mask.bit_length())  # complement bits above a's
             s &= -s  # the least submask of rest above a.mask
             while s:
@@ -1064,7 +1090,10 @@ def pencil_search(
 
     Each pair of blocks goes through these stages, in order:
 
-    - `iter_block_pairs`: disjoint, equal degree, coprime contents;
+    - `iter_block_pairs`: disjoint, equal degree, coprime contents, and on
+      line arrangements no line of one block meeting a line of the other
+      at a double point (`_SearchTables.avoid`), a pair that the multinet
+      screen would reject;
     - one screen, by arrangement kind: the multinet screen
       (`_SearchTables.multinet_screen`, integer counts at the multiple
       points) on line arrangements, the vote screen
@@ -1089,7 +1118,7 @@ def pencil_search(
     lines = tables.point_masks is not None
     seen: set[tuple] = set()
     results: list[SearchResult] = []
-    for a, b in iter_block_pairs(arr, max_multiplicity):
+    for a, b in iter_block_pairs(arr, max_multiplicity, tables.avoid):
         if not (tables.multinet_screen(a, b) if lines else tables.vote_screen(a, b)):
             continue
         # disjoint supports of irreducibles are never proportional

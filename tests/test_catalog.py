@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import os
@@ -17,7 +18,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from arrfixtures import F, ceva2, ceva3, deleted_b3, ex2, exfin3
+from arrfixtures import F, a3, b3, ceva2, ceva3, deleted_b3, ex2, exfin3
 from curvepencils import catalog as catalog_module
 from curvepencils.arrangement import (
     Arrangement,
@@ -470,6 +471,43 @@ def test_identically_vanishing_wronskian_is_a_broken_invariant():
 # -- the block tables of the search and the sweep ----------------------------------
 
 
+def _check_sweep_entry(sweep, restrictions, block):
+    """The sweep's entry and polynomials of the block equal their definitions, from scratch."""
+    S = (1,)
+    for j in block.indices:
+        S = coeffs_mul(S, restrictions[j])
+    L = [0] * (len(S) - 1)
+    for j, m in zip(block.indices, block.mults):
+        term = coeffs_derivative(restrictions[j])
+        for i in block.indices:
+            if i != j:
+                term = coeffs_mul(term, restrictions[i])
+        L = [x + m * y for x, y in zip(L, term)]
+    codes, tops, rows = sweep.entry(block)
+    assert sweep.polys(block) == (S, tuple(L))
+    assert tops == (S[-1], S[-2], L[-1], L[-2] if len(L) > 1 else 0)
+    expected_codes, expected_rows, offset = 0, [], 0
+    for p in _SCREEN_PRIMES:
+        row = bytearray()
+        for t in range(p):
+            s, l = coeffs_evaluate(S, t) % p, coeffs_evaluate(L, t) % p
+            slot = offset + t * (p + 1)
+            if s:
+                sigma = l * pow(s, -1, p) % p
+                expected_codes |= 1 << (slot + sigma)
+            elif l:
+                sigma = p
+                expected_codes |= 1 << (slot + p)
+            else:
+                sigma = p + 1
+                expected_codes |= ((1 << (p + 1)) - 1) << slot
+            row.append(t * (p + 2) + sigma)
+        expected_rows.append(bytes(row))
+        offset += p * (p + 1)
+    assert codes == expected_codes
+    assert rows == tuple(expected_rows)
+
+
 def _check_block_tables(arr):
     """Every value of the five block tables equals its definition, from scratch."""
     tables = _SearchTables(arr)
@@ -487,23 +525,7 @@ def _check_block_tables(arr):
                 assert tables.point_counts(block) == tuple(
                     sum(m for j, m in pairs if mask >> j & 1) for mask in tables.point_masks
                 )
-            S = (1,)
-            for j in block.indices:
-                S = coeffs_mul(S, first[j])
-            L = [0] * (len(S) - 1)
-            for j, m in pairs:
-                term = coeffs_derivative(first[j])
-                for i in block.indices:
-                    if i != j:
-                        term = coeffs_mul(term, first[i])
-                L = [x + m * y for x, y in zip(L, term)]
-            _, tops, S_t, L_t, residues = sweep.entry(block)
-            assert (S_t, L_t) == (S, tuple(L))
-            assert tops == (S[-1], S[-2], L[-1], L[-2] if len(L) > 1 else 0)
-            assert residues == b"".join(
-                bytes(coeffs_evaluate(poly, t) % p for poly in (S, L) for t in range(p))
-                for p in _SCREEN_PRIMES
-            )
+            _check_sweep_entry(sweep, first, block)
             V = (1,)
             for j, m in pairs:
                 for _ in range(m):
@@ -539,6 +561,27 @@ def test_block_tables_match_their_definitions_on_random_arrangements(arr):
     _check_block_tables(arr)
 
 
+def test_a_slot_state_fits_one_byte():
+    # slot t of prime p holds t*(p + 2) + sigma with sigma <= p + 1
+    assert all(p * (p + 2) <= 256 for p in _SCREEN_PRIMES)
+
+
+@pytest.mark.parametrize("m", [7, 11, 13, 14])
+def test_sweep_entries_at_multiplicities_zero_mod_a_screen_prime(m):
+    # m = 0 mod p (7, 11, 13, and 14 for p = 7) leaves the state of a slot
+    # with R_j(t) != 0 as it was and sends one with R_j(t) = 0 to S = L = 0;
+    # t and t^2 + 7t vanish at t = 0, t^2 + 7t also at t = -7, and (t - 1)^2
+    # has a double root
+    restrictions = [(0, 1), (0, 7, 1), (1, -2, 1), (3, 5, 2)]
+    sweep = _SweepTables(restrictions)
+    for mask in range(1, 1 << len(restrictions)):
+        members = tuple(j for j in range(len(restrictions)) if mask >> j & 1)
+        for mults in itertools.product((1, m), repeat=len(members)):
+            degree = sum((len(restrictions[j]) - 1) * k for j, k in zip(members, mults))
+            block = _Block(mask, members, mults, degree, gcd(*mults))
+            _check_sweep_entry(sweep, restrictions, block)
+
+
 def test_screen_cuts_the_sweep_rational_root_calls(monkeypatch):
     # deleted B3: 1,218 sweep calls of `rational_roots` with the 7/11 check
     # on built Wronskians; 646 once the residue screen runs on every pair
@@ -559,6 +602,24 @@ def test_caps_that_empty_the_global_stage_are_rejected():
         build_catalog(ex2(), max_multiplicity=0)
     with pytest.raises(CatalogError, match="max_blocks"):
         build_catalog(ex2(), max_blocks=2)
+
+
+# -- catalogs without a golden file -------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "make, digest",
+    [
+        (a3, "c977710f18fe65bb5fb9852257f710a44bb2e0bf449627660eade1b9f4ab52e8"),
+        (b3, "2ef1c2ec0f3f47ac72e6607708abb8caf8e5aee58e293299216de012f1ff99fb"),
+        (ceva2, "91ea15f195d876c07530aa029de8245cc5cc3c8c28ee5bae677a16c928847e83"),
+        (ceva3, "757c4f3fee821dfea7881de82c193531396b31a01637e6c214755b2afaff2058"),
+    ],
+    ids=["a3", "b3", "ceva2", "ceva3"],
+)
+def test_catalog_json_digest(make, digest):
+    text = json.dumps(build_catalog(make()).to_json(), indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # -- invariants across every catalog ------------------------------------------------

@@ -36,7 +36,12 @@ from arrfixtures import (
     fw_pencil,
     triangle,
 )
-from curvepencils.arrangement import Arrangement, CurveComponent, pullback_subtorus
+from curvepencils.arrangement import (
+    Arrangement,
+    CurveComponent,
+    local_pencil_points,
+    pullback_subtorus,
+)
 from curvepencils.exactalg import lattice_key, projective_profile, saturate_lattice
 from curvepencils import pencil as pencil_module
 from curvepencils.pencil import (
@@ -902,7 +907,57 @@ def test_multinet_screen_keeps_every_pair_of_full_fibers():
 
 
 def test_multinet_screen_skips_curve_arrangements():
-    assert _SearchTables(exfin3()).point_masks is None
+    tables = _SearchTables(exfin3())
+    assert tables.point_masks is None and tables.avoid is None
+
+
+def _pruned_and_full_walks(arr, cap):
+    """The walk with and without the double-point masks, each with its multinet survivors."""
+    tables = _SearchTables(arr)
+    out = []
+    for avoid in (tables.avoid, None):
+        walked = list(iter_block_pairs(arr, cap, avoid))
+        out.append((walked, [(a, b) for a, b in walked if tables.multinet_screen(a, b)]))
+    return out
+
+
+@pytest.mark.parametrize(
+    "make, walked", [(deleted_b3, 3466), (a2, 3466), (b3, 7450), (ceva2, 186)]
+)
+def test_double_point_masks_keep_every_multinet_survivor_in_order(make, walked):
+    # a line of each block through a double point fails the multinet screen,
+    # so the pruned walk loses no survivor and keeps the walk's order
+    (pruned, kept), (full, reference) = _pruned_and_full_walks(make(), 2)
+    assert kept == reference and kept
+    assert len(pruned) == walked < len(full)
+
+
+@st.composite
+def _line_arrangement(draw):
+    """Three to seven distinct random lines with small coefficients."""
+    line = st.tuples(*[st.integers(-2, 2)] * 3).filter(any)
+    coefficients = draw(st.lists(line, min_size=3, max_size=7))
+    forms = [
+        TernaryForm({(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c}) for a, b, c in coefficients
+    ]
+    assume(not any(f.proportional_to(g) for f, g in itertools.combinations(forms, 2)))
+    return Arrangement([CurveComponent(f"L{i}", f) for i, f in enumerate(forms)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_line_arrangement(), st.integers(1, 2))
+def test_double_point_masks_keep_every_multinet_survivor_on_random_lines(arr, cap):
+    tables = _SearchTables(arr)
+    wide = [mp.mask for mp in local_pencil_points(arr) if mp.count > 2]
+    for j, mask in enumerate(tables.avoid):
+        # two lines meet at one point, a double point unless a third line passes
+        assert mask == sum(
+            1 << i
+            for i in range(arr.size)
+            if i != j and not any(w >> i & w >> j & 1 for w in wide)
+        )
+    (_, kept), (_, reference) = _pruned_and_full_walks(arr, cap)
+    assert kept == reference
 
 
 def test_unplaced_component_raises():
