@@ -30,6 +30,7 @@ from .arrangement import (
     pullback_subtorus,
 )
 from .catalog import CatalogError, build_catalog
+from .exactalg import primitive_vector
 from .pencil import (
     BlowupCluster,
     Pencil,
@@ -366,13 +367,13 @@ def _cmd_reconstruct(args: argparse.Namespace) -> tuple[list[str], dict]:
     arr = _load_arrangement(args.arrangement)
     doc = _load_doc(args.subspace)
     try:
-        rows = [
-            ResidueVector(tuple(Fraction(str(e)) for e in row)) for row in doc["basis"]
-        ]
+        parsed = [[Fraction(str(e)) for e in row] for row in doc["basis"]]
     except (TypeError, KeyError, ValueError, ZeroDivisionError):
         raise CliFailure(
             EXIT_PARSE, "parse", f"{args.subspace}: needs a 'basis' list of rational rows"
         ) from None
+    # a basis vector stands for its span, so a primitive integer multiple replaces it
+    rows = [ResidueVector(primitive_vector(r) if any(r) else (0,) * len(r)) for r in parsed]
     for row in rows:
         if len(row.entries) != arr.size:
             raise CliFailure(

@@ -718,9 +718,11 @@ def _primes() -> Iterator[int]:
             yield n
 
 
-def _root_candidates(h: Sequence[int]) -> list[Fraction]:
+def _root_candidates(h: Sequence[int]) -> list[tuple[int, int]]:
     """Rationals among which every root of h lies, by p-adic lifting.
 
+    Each candidate u/v is the integer pair (u, v) in lowest terms with
+    v > 0; only a confirmed root becomes a Fraction, in `rational_roots`.
     h is primitive over Z of degree >= 1, with leading coefficient a and
     B = |a| + max |c_i| over the other coefficients.  A root r of h reduces
     to a root mod every prime p not dividing a, so a rootless residue ring
@@ -754,7 +756,9 @@ def _root_candidates(h: Sequence[int]) -> list[Fraction]:
             m *= m
             x = (x - coeffs_evaluate(h, x) * pow(coeffs_evaluate(dh, x), -1, m)) % m
         n = a * x % m
-        out.append(Fraction(n - m if 2 * n > m else n, a))
+        u = n - m if 2 * n > m else n
+        g = gcd(u, a) if a > 0 else -gcd(u, a)
+        out.append((u // g, a // g))
     return out
 
 
@@ -762,7 +766,7 @@ def rational_roots(f: Sequence[Fraction | int]) -> RationalRoots:
     """All rational roots of a coefficient sequence with multiplicities, plus the leftover degree.
 
     ``remaining_degree`` counts the rootless factor; it is zero exactly when
-    f splits over Q into linear factors.  Candidates come from
+    f splits over Q into linear factors.  Candidates (u, v) come from
     `_root_candidates` on f made primitive over Z; `coeffs_divide` by
     v*t - u confirms each root u/v and counts its multiplicity.
     """
@@ -773,12 +777,12 @@ def rational_roots(f: Sequence[Fraction | int]) -> RationalRoots:
     h = h[k:]
     roots: list[tuple[Fraction, int]] = [(Fraction(0), k)] if k else []
     if len(h) > 1:
-        for r in _root_candidates(h):
+        for u, v in _root_candidates(h):
             mult = 0
-            while len(h) > 1 and (q := coeffs_divide(h, (-r.numerator, r.denominator))) is not None:
+            while len(h) > 1 and (q := coeffs_divide(h, (-u, v))) is not None:
                 h = q
                 mult += 1
             if mult:
-                roots.append((r, mult))
+                roots.append((Fraction(u, v), mult))
     roots.sort(key=lambda rm: rm[0])
     return RationalRoots(tuple(roots), len(h) - 1)

@@ -1,22 +1,23 @@
 """Residue classes, cup-product isotropy, and pencil reconstruction.
 
 Degree-one cohomology classes of the complement are written as residue
-vectors: one rational entry per component, summing to zero against the
-component degrees.  For line arrangements with a designated infinity line
+vectors: one integer entry per component, summing to zero against the
+component degrees.  Only spans are read, so an integer multiple stands for
+any rational class.  For line arrangements with a designated infinity line
 the cup product is available through `CupStructure`, and isotropy of a
-subspace can be decided exactly; reconstruction of a pencil from a
-subspace and of a map from a single ray work for any arrangement.
+subspace can be decided exactly in integers; reconstruction of a pencil
+from a subspace and of a map from a single ray work for any arrangement.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from math import lcm
+from numbers import Rational
 from typing import NamedTuple, Optional, Sequence
 
-from .arrangement import Arrangement, local_pencil_points
+from .arrangement import Arrangement, local_pencil_points, pullback_subtorus
 from .exactalg import echelon_rows, primitive_vector
 from .pencil import Pencil, PencilClassification, PencilError
 from .polyform import TernaryForm
@@ -42,15 +43,15 @@ class ResonanceError(ValueError):
 
 @dataclass(frozen=True)
 class ResidueVector:
-    """Rational residues along the components, one entry per component."""
+    """Integer residues along the components, one entry per component.
 
-    entries: tuple[Fraction, ...]
+    A rational class enters as an integer multiple; only its span is read.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(Fraction(e) for e in self.entries))
+    entries: tuple[int, ...]
 
-    def degree_pairing(self, degrees: Sequence[int]) -> Fraction:
-        return sum((d * a for d, a in zip(degrees, self.entries)), Fraction(0))
+    def degree_pairing(self, degrees: Sequence[int]) -> int:
+        return sum(d * a for d, a in zip(degrees, self.entries))
 
 
 class IsotropyFlags(NamedTuple):
@@ -82,8 +83,20 @@ class CupStructure:
     """Degree-two relations of the complement of an affine line arrangement.
 
     Wedge coordinates run over pairs of affine lines.  A pair meeting on
-    the designated infinity line wedges to zero; three lines through a
-    common affine point impose the standard triple relation.
+    the designated infinity line wedges to zero; three lines i < j < k
+    through a common affine point impose e_ij - e_ik + e_jk = 0.
+
+    Reduction runs in integers because every reduced echelon row of the
+    relations has pivot 1 and entries in {0, +-1}.  Two lines meet in one
+    point, so the rows split into blocks on disjoint sets of pairs, one
+    block per multiple point, and the reduced echelon form is that of each
+    block.  A point on the infinity line gives unit rows e_ij.  An affine
+    point on r lines gives the boundaries of all triangles of the complete
+    graph K_r, which span its cycle space.  The pivot columns of a reduced
+    echelon basis of a cycle space are the edges outside a spanning tree
+    T, and the row of a pivot edge e is the one cycle with coefficient 1 on
+    e and 0 on every other edge outside T: the fundamental cycle of e in
+    T, whose entries lie in {0, +-1}.
     """
 
     def __init__(self, arr: Arrangement) -> None:
@@ -128,23 +141,24 @@ class CupStructure:
         self._relation_pivots = [
             next(j for j, e in enumerate(row) if e) for row in self._relation_rows
         ]
+        if any(row[p] != 1 for row, p in zip(self._relation_rows, self._relation_pivots)):
+            raise ResonanceError("cup relations have a reduced row with pivot other than 1")
 
-    def _affine_part(self, v: ResidueVector) -> list[Fraction]:
+    def _affine_part(self, v: ResidueVector) -> list[int]:
         if len(v.entries) != self.arrangement.size:
             raise ResonanceError(
                 f"residue vector has {len(v.entries)} entries, expected {self.arrangement.size}"
             )
         return [v.entries[j] for j in self.affine_indices]
 
-    def _reduce(self, coords: list[Fraction]) -> tuple[Fraction, ...]:
+    def _reduce(self, coords: list[int]) -> tuple[int, ...]:
         for row, pivot in zip(self._relation_rows, self._relation_pivots):
             c = coords[pivot]
             if c:
-                f = Fraction(c, row[pivot])
-                coords = [a - f * b for a, b in zip(coords, row)]
+                coords = [a - c * b for a, b in zip(coords, row)]
         return tuple(coords)
 
-    def wedge_class(self, v: ResidueVector, w: ResidueVector) -> tuple[Fraction, ...]:
+    def wedge_class(self, v: ResidueVector, w: ResidueVector) -> tuple[int, ...]:
         """Class of v wedge w in degree two, in reduced coordinates."""
         x, y = self._affine_part(v), self._affine_part(w)
         coords = [x[i] * y[j] - x[j] * y[i] for i, j in self.pairs]
@@ -169,12 +183,12 @@ def is_maximal_isotropic(cs: CupStructure, subspace: IsotropicSubspace) -> Isotr
         return IsotropyFlags(False, False)
     # annihilator of the subspace inside the affine coordinates
     n = len(cs.affine_indices)
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     for v in basis:
         y = cs._affine_part(v)
         unit_classes = []
         for a in range(n):
-            coords = [Fraction(0)] * len(cs.pairs)
+            coords = [0] * len(cs.pairs)
             for p, (i, j) in enumerate(cs.pairs):
                 if i == a:
                     coords[p] = y[j]
@@ -196,26 +210,16 @@ def subspace_from_pencil(
 ) -> IsotropicSubspace:
     """Pullback of degree-one classes of the punctured target line.
 
-    One basis vector per base point past the first: positive member
-    multiplicities on that fiber, negative ones on the reference fiber.
+    The basis is the columns of `pullback_subtorus`, the pencil's exponent
+    lattice: one vector per base point except the last, holding that
+    fiber's member multiplicities minus those of the last fiber.
     Isotropy flags are filled in when ``cup``, the arrangement's
     `cup_structure`, exists; one structure serves every pencil.
     """
-    base = classification.base_points
-    if len(base) < 2:
+    if len(classification.base_points) < 2:
         raise ResonanceError("need at least two fully-arrangement fibers")
-    reference = base[0]
-    vectors = []
-    for b in base[1:]:
-        entries = [Fraction(0)] * arr.size
-        for j, m in classification.fiber_members(b):
-            entries[j] = Fraction(m)
-        for j, m in classification.fiber_members(reference):
-            entries[j] = Fraction(-m)
-        vectors.append(ResidueVector(tuple(entries)))
-    if any(v.degree_pairing(arr.degrees) != 0 for v in vectors):
-        raise ResonanceError("degree relation failed on a pencil residue vector")
-    subspace = IsotropicSubspace(tuple(vectors))
+    columns = pullback_subtorus(arr, classification).columns()
+    subspace = IsotropicSubspace(tuple(ResidueVector(c) for c in columns))
     if cup is not None:
         flags = is_maximal_isotropic(cup, subspace)
         subspace = replace(subspace, isotropic=flags.isotropic, maximal=flags.maximal)
@@ -226,9 +230,10 @@ def pencil_from_subspace(arr: Arrangement, subspace: IsotropicSubspace) -> Penci
     """Reconstruct the pencil whose pullback subspace was given.
 
     Components are grouped by proportionality of their residue functionals
-    (the per-component coordinate evaluations on the subspace basis);
-    proportionality ratios give the fiber multiplicities, and the fiber
-    products of the first two groups span the pencil.
+    (the per-component coordinate evaluations on the subspace basis),
+    tested by integer cross-multiplication; the functionals' entries at
+    the group's pivot coordinate give the fiber multiplicities, and the
+    fiber products of the first two groups span the pencil.
     """
     basis = subspace.basis
     if len(basis) < 2 or subspace.dimension < 2:
@@ -236,41 +241,33 @@ def pencil_from_subspace(arr: Arrangement, subspace: IsotropicSubspace) -> Penci
     functionals = [
         tuple(v.entries[j] for v in basis) for j in range(arr.size)
     ]
-    blocks: list[tuple[list[int], list[Fraction]]] = []
+    blocks: list[tuple[int, list[int]]] = []
     for j, func in enumerate(functionals):
         if not any(func):
             continue
-        placed = False
-        for members, ratios in blocks:
+        for pivot, members in blocks:
             rep = functionals[members[0]]
-            pivot = next(i for i, e in enumerate(rep) if e)
-            ratio = Fraction(func[pivot], rep[pivot])
-            if all(a == ratio * b for a, b in zip(func, rep)):
+            if all(a * rep[pivot] == b * func[pivot] for a, b in zip(func, rep)):
                 members.append(j)
-                ratios.append(ratio)
-                placed = True
                 break
-        if not placed:
-            blocks.append(([j], [Fraction(1)]))
+        else:
+            blocks.append((next(i for i, e in enumerate(func) if e), [j]))
     if len(blocks) < 3:
         raise ResonanceError("not a pencil subspace: fewer than three fiber groups")
-    block_mults: list[tuple[int, ...]] = []
-    block_degrees: list[int] = []
-    for members, ratios in blocks:
-        if any(r <= 0 for r in ratios):
+    groups: list[tuple[list[int], tuple[int, ...], int]] = []
+    for pivot, members in blocks:
+        entries = [functionals[j][pivot] for j in members]
+        if any((e > 0) != (entries[0] > 0) for e in entries):
             raise ResonanceError("not a pencil subspace: mixed signs inside a fiber group")
-        mults = primitive_vector(ratios)
-        block_mults.append(mults)
-        block_degrees.append(
-            sum(arr.components[j].degree * m for j, m in zip(members, mults))
-        )
-    # the per-group ratios only fix multiplicities up to a group scalar;
+        mults = primitive_vector(entries)
+        groups.append((members, mults, sum(arr.degrees[j] * m for j, m in zip(members, mults))))
+    # proportionality only fixes multiplicities up to a group scalar;
     # equal fiber degrees pin the scalars down
-    degree = lcm(*block_degrees)
-    forms: list[TernaryForm] = []
-    for (members, _ratios), mults, block_degree in zip(blocks, block_mults, block_degrees):
-        scale = degree // block_degree
-        forms.append(arr.block_form((j, m * scale) for j, m in zip(members, mults)))
+    degree = lcm(*(d for _, _, d in groups))
+    forms = [
+        arr.block_form((j, m * (degree // d)) for j, m in zip(members, mults))
+        for members, mults, d in groups
+    ]
     try:
         pencil = Pencil(forms[0], forms[1])
     except PencilError as exc:
@@ -296,18 +293,14 @@ class RayMap:
 
 
 def ray_to_map(
-    arr: Arrangement, direction: ResidueVector | Sequence[Fraction | int]
+    arr: Arrangement, direction: ResidueVector | Sequence[Rational]
 ) -> RayMap:
     """Scale a rational ray to coprime integers and form the defining map.
 
     The sign is fixed by making the first nonzero exponent positive; the
     note records why the generic fiber of the resulting map is connected.
     """
-    entries = (
-        direction.entries
-        if isinstance(direction, ResidueVector)
-        else tuple(Fraction(e) for e in direction)
-    )
+    entries = direction.entries if isinstance(direction, ResidueVector) else tuple(direction)
     if len(entries) != arr.size:
         raise ResonanceError(
             f"direction has {len(entries)} entries, expected {arr.size}"

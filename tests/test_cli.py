@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -64,6 +65,25 @@ def test_golden_report(capsys, golden, argv):
     assert code == 0
     assert err == ""
     assert out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize(
+    "rescale",
+    [
+        lambda basis: [[str(Fraction(e) / 2) for e in basis[0]], basis[1]],
+        lambda basis: [basis[0], [str(3 * Fraction(e)) for e in basis[1]]],
+        lambda basis: [*basis, ["0"] * len(basis[0])],
+    ],
+    ids=["halved", "tripled", "zero-row"],
+)
+def test_reconstruct_reads_a_basis_up_to_scale(capsys, tmp_path, rescale):
+    # rational rows become primitive integer rows, which span the same subspace
+    basis = json.loads((FIXTURES / "ceva2subspace.json").read_text())["basis"]
+    path = tmp_path / "sub.json"
+    path.write_text(json.dumps({"basis": rescale(basis)}))
+    code, out, err = run(capsys, "reconstruct", FIXTURES / "ceva2.json", "--subspace", path)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "reconstruct_ceva2.txt").read_text()
 
 
 def test_main_twice_in_one_process(capsys, monkeypatch):

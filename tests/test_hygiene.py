@@ -349,3 +349,45 @@ def test_assert_is_caught():
         "check = lambda y: y\n"
     )
     assert _asserts(tree) == ["line 1", "line 5"]
+
+
+def _fraction_uses(tree: ast.Module) -> list[str]:
+    """Imports of the ``fractions`` module and every read of the name ``Fraction``."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.extend(
+                f"import {alias.name} (line {node.lineno})"
+                for alias in node.names
+                if alias.name.split(".")[0] == "fractions"
+            )
+        elif isinstance(node, ast.ImportFrom) and node.module == "fractions":
+            out.append(f"from fractions (line {node.lineno})")
+        elif isinstance(node, ast.Name) and node.id == "Fraction":
+            out.append(f"Fraction (line {node.lineno})")
+        elif isinstance(node, ast.Attribute) and node.attr == "Fraction":
+            out.append(f".Fraction (line {node.lineno})")
+    return sorted(out)
+
+
+def test_resonance_is_fraction_free():
+    # residue classes are integer vectors: every reduced cup relation has pivot 1
+    path = ROOT / "src" / "curvepencils" / "resonance.py"
+    uses = _fraction_uses(ast.parse(path.read_text(), filename=str(path)))
+    assert not uses, f"resonance.py: Fraction uses: {', '.join(uses)}"
+
+
+def test_fraction_use_is_caught():
+    tree = ast.parse(
+        "import fractions\n"
+        "from fractions import Fraction as Q\n"
+        "s = 'Fraction(1, 2)'\n"
+        "def f(x: int) -> int:\n"
+        "    return fractions.Fraction(x, 2) + Fraction(x)\n"
+    )
+    assert _fraction_uses(tree) == [
+        ".Fraction (line 5)",
+        "Fraction (line 5)",
+        "from fractions (line 2)",
+        "import fractions (line 1)",
+    ]

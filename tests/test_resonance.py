@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrfixtures import (
     F,
@@ -22,9 +25,10 @@ from arrfixtures import (
     fw_pencil,
     triangle,
 )
-from curvepencils.arrangement import Arrangement, CurveComponent
-from curvepencils.exactalg import echelon_rows
+from curvepencils.arrangement import Arrangement, CurveComponent, pullback_subtorus
+from curvepencils.exactalg import echelon_rows, primitive_vector
 from curvepencils.pencil import Pencil, classify
+from curvepencils.polyform import TernaryForm
 from curvepencils.resonance import (
     CupStructure,
     IsotropicSubspace,
@@ -133,6 +137,145 @@ def test_isotropy_flags_distinguish_subspaces():
     assert is_maximal_isotropic(cs, crossing) == (False, False)
 
 
+# -- integer reduction against a Fraction reference ----------------------------------
+
+
+@st.composite
+def _line_arrangement_with_infinity(draw):
+    """Three to eight distinct lines, many through (0:0:1), one of them at infinity."""
+    coefficient = st.integers(-2, 2)
+    through_origin = st.tuples(coefficient, coefficient, st.just(0)).filter(any)
+    line = st.tuples(coefficient, coefficient, coefficient).filter(any)
+    coeffs = draw(
+        st.lists(
+            st.one_of(through_origin, line), min_size=3, max_size=8, unique_by=primitive_vector
+        )
+    )
+    forms = [TernaryForm({(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c}) for a, b, c in coeffs]
+    infinity = draw(st.integers(0, len(forms) - 1))
+    return Arrangement([CurveComponent(f"L{i}", f) for i, f in enumerate(forms)], infinity)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_line_arrangement_with_infinity())
+def test_relation_rows_have_unit_pivots(arr):
+    cs = CupStructure(arr)
+    for row, pivot in zip(cs._relation_rows, cs._relation_pivots):
+        assert row[pivot] == 1
+        assert set(row) <= {-1, 0, 1}
+
+
+def _rref(rows):
+    """Reduced row echelon form over Q by plain Gaussian elimination."""
+    out = []
+    for row in rows:
+        row = [Fraction(e) for e in row]
+        for done in out:
+            p = next(k for k, e in enumerate(done) if e)
+            row = [a - row[p] * b for a, b in zip(row, done)]
+        j = next((k for k, e in enumerate(row) if e), None)
+        if j is None:
+            continue
+        row = [e / row[j] for e in row]
+        out = [[a - done[j] * b for a, b in zip(done, row)] for done in out]
+        out.append(row)
+    return out
+
+
+def _rank(rows):
+    return len(_rref(rows))
+
+
+class _ReferenceCup:
+    """The cup relations rebuilt from the line equations, reduced with Fractions."""
+
+    def __init__(self, arr):
+        units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        lines = [[c.form.evaluate(e) for e in units] for c in arr.components]
+        self.affine = [j for j in range(arr.size) if j != arr.infinity_index]
+        self.pairs = list(itertools.combinations(range(len(self.affine)), 2))
+        relations = []
+        for s, t in self.pairs:
+            a, b = lines[self.affine[s]], lines[self.affine[t]]
+            point = [a[i] * b[k] - a[k] * b[i] for i, k in ((1, 2), (2, 0), (0, 1))]
+            through = [sum(x * y for x, y in zip(line, point)) == 0 for line in lines]
+            if through[arr.infinity_index]:
+                relations.append([int(q == (s, t)) for q in self.pairs])
+                continue
+            for u in range(len(self.affine)):
+                if u not in (s, t) and through[self.affine[u]]:
+                    i, j, k = sorted((s, t, u))
+                    signs = {(i, j): 1, (i, k): -1, (j, k): 1}
+                    relations.append([signs.get(q, 0) for q in self.pairs])
+        self.rows = _rref(relations)
+
+    def reduce(self, coords):
+        coords = [Fraction(c) for c in coords]
+        for row in self.rows:
+            c = coords[next(k for k, e in enumerate(row) if e)]
+            coords = [a - c * b for a, b in zip(coords, row)]
+        return tuple(coords)
+
+    def wedge(self, v, w):
+        x, y = [v[j] for j in self.affine], [w[j] for j in self.affine]
+        return self.reduce([x[i] * y[j] - x[j] * y[i] for i, j in self.pairs])
+
+    def flags(self, basis):
+        if any(any(self.wedge(v, w)) for v, w in itertools.combinations(basis, 2)):
+            return (False, False)
+        n = len(self.affine)
+        units = [[int(j == self.affine[a]) for j in range(len(basis[0]))] for a in range(n)]
+        rows = []
+        for v in basis:
+            products = [self.wedge(v, u) for u in units]
+            rows.extend([products[a][p] for a in range(n)] for p in range(len(self.pairs)))
+        annihilator = n - _rank(rows)
+        return (True, annihilator == _rank([[v[j] for j in self.affine] for v in basis]))
+
+
+_ORACLE_CASES = {
+    "deleted_b3": (deleted_b3, [braid_pencil(), fw_pencil()]),
+    "a2": (a2, [a2_pencil()]),
+    "b3": (lambda: b3().with_infinity(0), [b3_pencil()]),
+    "ceva2": (lambda: ceva2().with_infinity(0), [ceva2_pencil()]),
+}
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_CASES))
+def test_integer_cup_matches_fraction_reference(name):
+    make, pencils = _ORACLE_CASES[name]
+    arr = make()
+    cs, ref = CupStructure(arr), _ReferenceCup(arr)
+    rng = random.Random(name)
+
+    def rand_vector():
+        return tuple(rng.randint(-3, 3) for _ in range(arr.size))
+
+    def combination(vectors):
+        coeffs = [rng.randint(-2, 2) for _ in vectors]
+        return tuple(sum(c * v[j] for c, v in zip(coeffs, vectors)) for j in range(arr.size))
+
+    for _ in range(20):
+        v, w = rand_vector(), rand_vector()
+        assert cs.wedge_class(ResidueVector(v), ResidueVector(w)) == ref.wedge(v, w)
+    # isotropic subspaces: pencil subspaces, their rays, and local ones at multiple points
+    isotropic = [
+        [v.entries for v in subspace_from_pencil(arr, classify(arr, p), None).basis]
+        for p in pencils
+    ]
+    for group in cs.concurrency_classes:
+        units = [tuple(int(j == g) for j in range(arr.size)) for g in group]
+        isotropic.append([tuple(a - b for a, b in zip(u, units[0])) for u in units[1:]])
+    bases = [[rand_vector()] for _ in range(5)] + [[rand_vector(), rand_vector()] for _ in range(5)]
+    for vectors in isotropic:
+        bases += [vectors, [combination(vectors)], [combination(vectors), combination(vectors)]]
+    for basis in bases:
+        if not any(map(any, basis)):
+            continue
+        subspace = IsotropicSubspace(tuple(ResidueVector(v) for v in basis))
+        assert tuple(is_maximal_isotropic(cs, subspace)) == ref.flags(basis)
+
+
 # -- subspaces from pencils --------------------------------------------------------
 
 
@@ -147,12 +290,13 @@ def test_subspace_from_fw_pencil():
 
 def test_subspace_from_a2_pencil():
     arr = a2()
-    subspace = subspace_from_pencil(arr, classify(arr, a2_pencil()), cup_structure(arr))
+    cl = classify(arr, a2_pencil())
+    subspace = subspace_from_pencil(arr, cl, cup_structure(arr))
     assert subspace.dimension == 1
     assert subspace.isotropic is True and subspace.maximal is True
-    assert subspace.basis[0].entries == tuple(
-        Fraction(e) for e in (-2, 2, 0, 0, 1, 1, -1, -1)
-    )
+    # the reference fiber is the last base point, as in pullback_subtorus
+    assert subspace.basis[0].entries == (2, -2, 0, 0, -1, -1, 1, 1)
+    assert subspace.basis[0].entries == pullback_subtorus(arr, cl).columns()[0]
 
 
 def test_three_point_subspaces_are_maximal_isotropic():
