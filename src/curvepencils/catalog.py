@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Iterator, Optional, Sequence, Union
 
@@ -21,7 +20,6 @@ from .arrangement import (
     ExponentSubtorus,
     MultiplePoint,
     TorsionCharacter,
-    local_pencil_points,
     pullback_subtorus,
 )
 from .exactalg import (
@@ -37,6 +35,7 @@ from .pencil import (
     PencilError,
     _Block,
     _BlockTable,
+    _SearchTables,
     classify,
     detect_special_fibers,
     iter_block_pairs,
@@ -398,8 +397,9 @@ def _fiber_value(block: _Block, restrictions: Sequence[tuple[int, ...]], u: int,
     return out
 
 
-def _candidate_parameters(sweep: _SweepTables, a: _Block, b: _Block) -> list[Fraction]:
-    """Rational parameters that can carry a repeated root on the first probe.
+def _candidate_parameters(sweep: _SweepTables, a: _Block, b: _Block) -> set[tuple[int, int]]:
+    """Reduced pairs (va, vb), vb > 0, of the parameters va/vb that can carry
+    a repeated root on the first probe.
 
     W is built from the cached S and L of the two blocks (`_SweepTables`).
     A root of W is never a base point of the pencil: the probe misses every
@@ -420,14 +420,15 @@ def _candidate_parameters(sweep: _SweepTables, a: _Block, b: _Block) -> list[Fra
     # extra degree drop past the one forced by the equal block degrees
     if len(wron) - 1 < degree_e - 2:
         points.append((1, 0))
-    found: set[Fraction] = set()
+    found: set[tuple[int, int]] = set()
     for u, v in points:
         va = _fiber_value(a, sweep.restrictions, u, v)
         vb = _fiber_value(b, sweep.restrictions, u, v)
         if va == 0 or vb == 0:
             continue  # the repeated root sits inside a block fiber
-        found.add(Fraction(va, vb))
-    return sorted(found)
+        g = gcd(va, vb) if vb > 0 else -gcd(va, vb)
+        found.add((va // g, vb // g))
+    return found
 
 
 def _block_products(restrictions: Sequence[tuple[int, ...]]) -> _BlockTable:
@@ -441,10 +442,10 @@ def _block_products(restrictions: Sequence[tuple[int, ...]]) -> _BlockTable:
     return _BlockTable((1,), step)
 
 
-def _repeated_root_at(products: _BlockTable, a: _Block, b: _Block, lam: Fraction) -> bool:
-    """Whether the fiber V_a - lam*V_b of the two blocks has a repeated root on the probe."""
+def _repeated_root_at(products: _BlockTable, a: _Block, b: _Block, lam: tuple[int, int]) -> bool:
+    """Whether the fiber V_a - lam*V_b, lam = u/v, has a repeated root on the probe."""
     va, vb = products(a), products(b)
-    u = [lam.denominator * x - lam.numerator * y for x, y in zip(va, vb)]
+    u = [lam[1] * x - lam[0] * y for x, y in zip(va, vb)]
     while u and u[-1] == 0:
         u.pop()
     # a degree drop of two or more is a repeated root at infinity
@@ -615,35 +616,36 @@ def build_catalog(
     the first line component is used and a warning records the choice.  The
     sweep finds translated components whose repeated fiber part meets a
     probe line rationally (every repeated line does); k = 2 rays that fail
-    maximal isotropy are dropped when the cup structure exists.  One
-    `cup_structure` serves every candidate pencil.
+    maximal isotropy are dropped when the cup structure exists.
 
-    The global stage is `pencil_search`, whose walk on line arrangements
-    skips the pairs with a double point between the blocks, and whose block
-    pairs pass, in order, one screen (the multinet screen on line
-    arrangements, the vote screen on the others), span dedup and exact
-    classification.  The sweep walks every block pair through these
-    stages, in order: content (both blocks primitive, so the two fibers
-    span a saturated lattice), concurrency (a support of lines through one
-    of step 2's multiple points, the `meeting_points` of the components,
-    only gives pencils composed with that point's pencil; two single lines
-    always meet at one; one lookup in the set of the submasks of those
-    points), the residue screen, the Wronskian prefilter on two probe lines
-    that miss every meeting point, span dedup against the searched and
-    already swept pencils, and exact classification.  The screen and the
-    prefilter work per block on the first probe (`_SweepTables`): the
-    screen reads each block's state bytes mod 7, 11 and 13 and the top
-    coefficients of S = prod R_j and L = sum m_j R_j' prod_{i != j} R_i;
-    S and L themselves are built only for the pairs that pass it, whose
-    Wronskian is L_a*S_b - S_a*L_b.  These, and the block products on the
-    second probe (`_block_products`), are `_BlockTable`s, as in the
-    search.  The screen rejects a pair whose Wronskian has no zero mod some
-    prime that keeps its degree, before any polynomial of the pair is
-    built; the comment above `_SCREEN_PRIMES` proves it loses no candidate
-    and that the state bytes follow S and L.  Caps that would leave the
-    global stage empty raise `CatalogError`, and so does a component that
-    the irreducibility probe of `Arrangement.irreducibility_warnings` shows
-    to be reducible.
+    One `_SearchTables`, built here and dropped on return, serves the call:
+    its multiple points give the local records, the sweep's concurrency
+    masks and the one `cup_structure`; both walks draw their pairs from its
+    blocks, enumerated once, and its block forms span every pencil.  The
+    global stage is `pencil_search`, whose walk on line arrangements skips
+    the pairs with a double point between the blocks, and whose block pairs
+    pass, in order, one screen (the multinet screen on line arrangements,
+    the vote screen on the others), span dedup and exact classification.
+    The sweep walks every block pair through these stages, in order: content
+    (both blocks primitive, so the two fibers span a saturated lattice),
+    concurrency (a support of lines through one multiple point only gives
+    pencils composed with that point's pencil; two single lines always meet
+    at one; one lookup in the set of the submasks of those points), the
+    residue screen, the Wronskian prefilter on two probe lines that miss
+    every meeting point, span dedup against the searched and already swept
+    pencils, and exact classification.  The screen and the prefilter work
+    per block on the first probe (`_SweepTables`): the screen reads each
+    block's state bytes mod 7, 11 and 13 and the top coefficients of
+    S = prod R_j and L = sum m_j R_j' prod_{i != j} R_i; S and L themselves
+    are built only for the pairs that pass it, whose Wronskian is
+    L_a*S_b - S_a*L_b.  These, and the block products on the second probe
+    (`_block_products`), are `_BlockTable`s, as in the search.  The screen
+    rejects a pair whose Wronskian has no zero mod some prime that keeps its
+    degree, before any polynomial of the pair is built; the comment above
+    `_SCREEN_PRIMES` proves it loses no candidate and that the state bytes
+    follow S and L.  Caps that would leave the global stage empty raise
+    `CatalogError`, and so does a component that the irreducibility probe of
+    `Arrangement.irreducibility_warnings` shows to be reducible.
     """
     if max_multiplicity < 1:
         raise CatalogError(f"max_multiplicity (--max-mult) must be >= 1, got {max_multiplicity}")
@@ -669,20 +671,20 @@ def build_catalog(
             work = None
             warnings.append("no line component; translated sweep skipped")
     base_arr = work if work is not None else arr
+    tables = _SearchTables(base_arr, max_multiplicity)
 
     # --- Step 2: local components from multiple points ---
     # curves of degree >= 2 through a point that span a pencil are full
     # fibers of that pencil: step 3 lists it once as a global pencil, where
     # local records would list it again at each rational base point
-    multiple_points = local_pencil_points(base_arr)
     locals_: list[ComponentRecord] = []
-    for mp in multiple_points:
+    for mp in tables.points:
         if mp.yields_local_pencil and mp.degree == 1:
             locals_.append(_local_record(base_arr, mp))
     known_keys = {rec.subtorus.saturated_key() for rec in locals_}
 
     # --- Step 3: global components from the partition search ---
-    results = pencil_search(base_arr, max_multiplicity, max_blocks)
+    results = pencil_search(tables, max_blocks)
     globals_: list[ComponentRecord] = []
     searched_spans: set[tuple] = set()
     for res in results:
@@ -709,13 +711,13 @@ def build_catalog(
         # any two lines meet at a multiple point, so a support is concurrent
         # exactly when it lies among the lines through one of them
         concurrent: set[int] = set()
-        for mp in multiple_points:
+        for mp in tables.points:
             sub = mp.mask if mp.degree == 1 else 0
             while sub:  # the nonempty submasks, descending
                 concurrent.add(sub)
                 sub = (sub - 1) & mp.mask
         survivor_spans: set[tuple] = set()
-        for blk_a, blk_b in iter_block_pairs(work, max_multiplicity):
+        for blk_a, blk_b in iter_block_pairs(tables):
             # the two fibers span the homology cokernel, the lattice
             # Z*a + Z*b on disjoint supports, iff both blocks are primitive
             if blk_a.content != 1 or blk_b.content != 1:
@@ -728,7 +730,7 @@ def build_catalog(
             if not any(_repeated_root_at(products, blk_a, blk_b, lam) for lam in params):
                 continue  # no candidate repeats its root on the second probe
             try:
-                pencil = Pencil(*(work.block_form(zip(b.indices, b.mults)) for b in (blk_a, blk_b)))
+                pencil = Pencil(tables.block_form(blk_a), tables.block_form(blk_b))
             except PencilError:
                 continue
             span = pencil.span_key()
@@ -739,7 +741,7 @@ def build_catalog(
             cl = detect_special_fibers(pencil, cl)
             candidates.append(cl)
 
-        cup = cup_structure(work)
+        cup = cup_structure(work, tables.points)
         for cl in candidates:
             for w in cl.warnings:
                 if w not in warnings:

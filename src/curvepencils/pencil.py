@@ -875,18 +875,25 @@ class _BlockTable:
 
 
 class _SearchTables:
-    """Per-arrangement precomputation shared across all candidate pairs.
+    """The one per-arrangement table of a catalog, built once per `build_catalog` call.
 
-    Three `_BlockTable`s: ``block_form`` is the block product;
-    ``block_values`` holds, per voter i, the block product at the vote
-    points of component i; ``point_counts`` (line arrangements only) holds
-    n_X(block) at each multiple point X, the multiplicities of the block's
-    lines through X.  On line arrangements ``avoid[j]`` masks the lines
-    that meet line j at a double point, for `iter_block_pairs`.
+    The local records, the search walk, the sweep walk and the cup
+    structure all read it.  ``points`` holds the `local_pencil_points` (of
+    any arrangement), ``blocks`` every block up to ``max_multiplicity``,
+    enumerated once (`_enumerate_blocks`).  Three `_BlockTable`s:
+    ``block_form`` is the block product; ``block_values`` holds, per voter
+    i, the block product at the vote points of component i;
+    ``point_counts`` (line arrangements only) holds n_X(block) at each
+    multiple point X, the multiplicities of the block's lines through X.
+    On line arrangements ``avoid[j]`` masks the lines that meet line j at a
+    double point, for the search walk.
     """
 
-    def __init__(self, arr: Arrangement):
+    def __init__(self, arr: Arrangement, max_multiplicity: int):
         self.arr = arr
+        self.max_multiplicity = max_multiplicity
+        self.points = local_pencil_points(arr)
+        self.blocks = _enumerate_blocks(arr, max_multiplicity)
         # at[j][i] = values of component j at the vote points of component i
         at = [
             [[c.form.evaluate(p) for p in ci.vote_points] for ci in arr.components]
@@ -906,19 +913,14 @@ class _SearchTables:
         self.point_masks: list[int] | None = None
         self.avoid: list[int] | None = None
         if arr.is_line_arrangement():
-            points = local_pencil_points(arr)
-            self.point_masks = [mp.mask for mp in points]
-            self.avoid = [0] * arr.size
-            for mp in points:
-                if mp.count == 2:
-                    i, j = mp.incident
-                    self.avoid[i] |= 1 << j
-                    self.avoid[j] |= 1 << i
+            # the step closes over a local, not self, so the table holds no cycle
+            masks = self.point_masks = [mp.mask for mp in self.points]
+            # a sum of distinct bits: two lines share one point only
+            doubles = [mp.mask for mp in self.points if mp.count == 2]
+            self.avoid = [sum(m ^ 1 << j for m in doubles if m >> j & 1) for j in range(arr.size)]
             self.point_counts = _BlockTable(
-                (0,) * len(self.point_masks),
-                lambda prev, j, m: tuple(
-                    n + m if mask >> j & 1 else n for n, mask in zip(prev, self.point_masks)
-                ),
+                (0,) * len(masks),
+                lambda prev, j, m: tuple(n + m if x >> j & 1 else n for n, x in zip(prev, masks)),
             )
 
     def vote(self, a: _Block, b: _Block, j: int) -> Vote:
@@ -978,27 +980,26 @@ class _SearchTables:
         )
 
 
-def _enumerate_blocks(arr: Arrangement, max_multiplicity: int) -> dict[int, list[_Block]]:
-    """All multiplicity-weighted blocks, grouped by total degree."""
+def _enumerate_blocks(arr: Arrangement, max_multiplicity: int) -> dict[int, dict[int, list[_Block]]]:
+    """All multiplicity-weighted blocks by total degree, then by mask, in enumeration order."""
     degrees = arr.degrees
-    r = arr.size
-    by_degree: dict[int, list[_Block]] = {}
-    indices = list(range(r))
-    for mask in range(1, 1 << r):
-        members = tuple(j for j in indices if mask >> j & 1)
+    blocks: dict[int, dict[int, list[_Block]]] = {}
+    for mask in range(1, 1 << arr.size):
+        members = tuple(j for j in range(arr.size) if mask >> j & 1)
         for mults in itertools.product(range(1, max_multiplicity + 1), repeat=len(members)):
             degree = sum(degrees[j] * m for j, m in zip(members, mults))
             block = _Block(mask, members, mults, degree, gcd(*mults))
-            by_degree.setdefault(degree, []).append(block)
-    return by_degree
+            blocks.setdefault(degree, {}).setdefault(mask, []).append(block)
+    return blocks
 
 
 def iter_block_pairs(
-    arr: Arrangement, max_multiplicity: int, avoid: Sequence[int] | None = None
+    tables: _SearchTables, avoid: Sequence[int] | None = None
 ) -> Iterator[tuple[_Block, _Block]]:
     """Unordered pairs of disjoint equal-degree blocks with coprime content.
 
-    Blocks whose combined multiplicity vector has content > 1 generate
+    Both catalog walks draw from the one index ``tables.blocks``.  Blocks
+    whose combined multiplicity vector has content > 1 generate
     non-primitive maps (powers of a smaller pencil) and are dropped.  This
     is the k = 2 case of the saturation rule of `_partition_saturated`.
 
@@ -1020,24 +1021,21 @@ def iter_block_pairs(
     mask's blocks come in enumeration order.  Catalog `source` strings
     name the first pair to reach a span, so the order is part of the output.
     """
-    full = (1 << arr.size) - 1
-    by_degree = _enumerate_blocks(arr, max_multiplicity)
-    for degree in sorted(by_degree):
-        buckets: dict[int, list[_Block]] = {}
-        for block in by_degree[degree]:
-            buckets.setdefault(block.mask, []).append(block)
-        for a in by_degree[degree]:
-            rest = full ^ a.mask
-            if avoid is not None:
-                for j in a.indices:
-                    rest &= ~avoid[j]
-            s = rest & -(1 << a.mask.bit_length())  # complement bits above a's
-            s &= -s  # the least submask of rest above a.mask
-            while s:
-                for b in buckets.get(s, ()):
-                    if gcd(a.content, b.content) == 1:
-                        yield a, b
-                s = (s - rest) & rest  # next submask of rest, ascending
+    full = (1 << tables.arr.size) - 1
+    for _, by_mask in sorted(tables.blocks.items()):
+        for bucket in by_mask.values():
+            for a in bucket:
+                rest = full ^ a.mask
+                if avoid is not None:
+                    for j in a.indices:
+                        rest &= ~avoid[j]
+                s = rest & -(1 << a.mask.bit_length())  # complement bits above a's
+                s &= -s  # the least submask of rest above a.mask
+                while s:
+                    for b in by_mask.get(s, ()):
+                        if gcd(a.content, b.content) == 1:
+                            yield a, b
+                    s = (s - rest) & rest  # next submask of rest, ascending
 
 
 def _partition_saturated(partition: Sequence[Sequence[tuple[int, int]]]) -> bool:
@@ -1081,14 +1079,12 @@ def _classify_pair(
     )
 
 
-def pencil_search(
-    arr: Arrangement,
-    max_multiplicity: int,
-    max_blocks: int,
-) -> list[SearchResult]:
+def pencil_search(tables: _SearchTables, max_blocks: int) -> list[SearchResult]:
     """All pencils realizing partitions of components into k >= 3 full fibers.
 
-    Each pair of blocks goes through these stages, in order:
+    The pencils are those of ``tables.arr`` with fiber multiplicities up to
+    ``tables.max_multiplicity``.  Each pair of blocks goes through these
+    stages, in order:
 
     - `iter_block_pairs`: disjoint, equal degree, coprime contents, and on
       line arrangements no line of one block meeting a line of the other
@@ -1104,7 +1100,7 @@ def pencil_search(
       cap, and the partition is saturated (`_partition_saturated`).
 
     Every per-block value the stages read is a `_BlockTable` of
-    `_SearchTables`, as are those of the catalog's translated sweep.
+    ``tables``, whose blocks the catalog's translated sweep walks too.
 
     Both screens only reject pairs of a pencil with k = 2, and any two full
     fibers of a result pass them, so the first pair to reach a result's
@@ -1114,11 +1110,11 @@ def pencil_search(
     produced it.  Pencils with k = 2 are not searched for here: the
     catalog's translated sweep covers them.
     """
-    tables = _SearchTables(arr)
+    arr, max_multiplicity = tables.arr, tables.max_multiplicity
     lines = tables.point_masks is not None
     seen: set[tuple] = set()
     results: list[SearchResult] = []
-    for a, b in iter_block_pairs(arr, max_multiplicity, tables.avoid):
+    for a, b in iter_block_pairs(tables, tables.avoid):
         if not (tables.multinet_screen(a, b) if lines else tables.vote_screen(a, b)):
             continue
         # disjoint supports of irreducibles are never proportional

@@ -5,9 +5,9 @@ text grammar is signed sums of terms ``c*x^a*y^b*z^c`` with rational
 coefficients.  Every form the program builds is integral (components are
 primitive integer forms, and Gauss's lemma keeps their cofactors integral),
 so an integral coefficient is a plain ``int`` and only parsed input can
-carry a ``Fraction``.  All exact division goes through `divide`, one
-lex-order division loop whose remainder decides both divisibility and
-pencil membership.
+carry a ``Fraction``.  All division goes through `_division`, one
+lex-order loop: `exact_divide` decides divisibility, and `divide`, whose
+remainder decides pencil membership, serves `member_of_pencil_dividing`.
 
 Every restriction of a form to a line goes through
 `TernaryForm.restrict_span`, which returns g(t) = F(p + t*q) as a plain

@@ -17,7 +17,7 @@ from math import lcm
 from numbers import Rational
 from typing import NamedTuple, Optional, Sequence
 
-from .arrangement import Arrangement, local_pencil_points, pullback_subtorus
+from .arrangement import Arrangement, MultiplePoint, pullback_subtorus
 from .exactalg import echelon_rows, primitive_vector
 from .pencil import Pencil, PencilClassification, PencilError
 from .polyform import TernaryForm
@@ -82,9 +82,10 @@ class IsotropicSubspace:
 class CupStructure:
     """Degree-two relations of the complement of an affine line arrangement.
 
-    Wedge coordinates run over pairs of affine lines.  A pair meeting on
-    the designated infinity line wedges to zero; three lines i < j < k
-    through a common affine point impose e_ij - e_ik + e_jk = 0.
+    ``points`` are the arrangement's `local_pencil_points`, found once per
+    catalog.  Wedge coordinates run over pairs of affine lines.  A pair
+    meeting on the designated infinity line wedges to zero; three lines
+    i < j < k through a common affine point impose e_ij - e_ik + e_jk = 0.
 
     Reduction runs in integers because every reduced echelon row of the
     relations has pivot 1 and entries in {0, +-1}.  Two lines meet in one
@@ -99,7 +100,7 @@ class CupStructure:
     T, whose entries lie in {0, +-1}.
     """
 
-    def __init__(self, arr: Arrangement) -> None:
+    def __init__(self, arr: Arrangement, points: Sequence[MultiplePoint]) -> None:
         if not arr.is_line_arrangement():
             raise ResonanceError("cup product implemented for line arrangements only")
         if arr.infinity_index is None:
@@ -113,7 +114,7 @@ class CupStructure:
 
         parallel: list[tuple[int, ...]] = []
         concurrent: list[tuple[int, ...]] = []
-        for mp in local_pencil_points(arr):
+        for mp in points:
             if arr.infinity_index in mp.incident:
                 affine = tuple(j for j in mp.incident if j != arr.infinity_index)
                 if len(affine) >= 2:
@@ -165,10 +166,10 @@ class CupStructure:
         return self._reduce(coords)
 
 
-def cup_structure(arr: Arrangement) -> CupStructure | None:
+def cup_structure(arr: Arrangement, points: Sequence[MultiplePoint]) -> CupStructure | None:
     """The arrangement's `CupStructure`; None without one (curves, or no infinity line)."""
     if arr.is_line_arrangement() and arr.infinity_index is not None:
-        return CupStructure(arr)
+        return CupStructure(arr, points)
     return None
 
 

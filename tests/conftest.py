@@ -10,7 +10,7 @@ import pytest
 
 from arrfixtures import a2, deleted_b3, ex2, exfin3, triangle
 from curvepencils.catalog import build_catalog
-from curvepencils.pencil import pencil_search
+from curvepencils.pencil import _SearchTables, pencil_search
 
 
 @pytest.fixture(scope="session")
@@ -40,4 +40,4 @@ def triangle_catalog():
 
 @pytest.fixture(scope="session")
 def db3_search():
-    return pencil_search(deleted_b3(), 2, 3)
+    return pencil_search(_SearchTables(deleted_b3(), 2), 3)

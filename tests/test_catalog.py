@@ -19,7 +19,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arrfixtures import F, a3, b3, ceva2, ceva3, deleted_b3, ex2, exfin3
+from curvepencils import arrangement as arrangement_module
 from curvepencils import catalog as catalog_module
+from curvepencils import pencil as pencil_module
+from curvepencils import resonance as resonance_module
 from curvepencils.arrangement import (
     Arrangement,
     CurveComponent,
@@ -47,7 +50,7 @@ from curvepencils.exactalg import (
     lattice_key,
     saturate_lattice,
 )
-from curvepencils.pencil import _Block, _enumerate_blocks, _SearchTables
+from curvepencils.pencil import _Block, _SearchTables
 from curvepencils.polyform import TernaryForm
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -397,13 +400,41 @@ def test_ceva3_sweep_classifies_two_spans(monkeypatch):
     assert [r.kind for r in cat.records] == ["local", "global"]
 
 
+def test_one_table_per_catalog(monkeypatch):
+    # the local records, both walks and the cup structure read one
+    # `_SearchTables`: the multiple points are found once, the blocks are
+    # enumerated once, and the sweep still draws every block pair
+    calls = {"local_pencil_points": 0, "_enumerate_blocks": 0}
+    for name in calls:
+        original = getattr(pencil_module, name)
+
+        def counting(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        for module in (arrangement_module, pencil_module, resonance_module, catalog_module):
+            if vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, counting)
+    walk, swept = catalog_module.iter_block_pairs, []
+
+    def drawing(*args):
+        for pair in walk(*args):
+            swept.append(pair)
+            yield pair
+
+    monkeypatch.setattr(catalog_module, "iter_block_pairs", drawing)
+    build_catalog(deleted_b3())
+    assert calls == {"local_pencil_points": 1, "_enumerate_blocks": 1}
+    assert len(swept) == 18529
+
+
 def test_second_probe_sees_a_repeated_root_at_infinity():
     # (3 + t^2) - (1 + t^2) = 2 falls two degrees short: a double root at t = infinity
     products = _block_products([(3, 0, 1), (1, 0, 1)])
     a, b = _Block(1, (0,), (1,), 2, 1), _Block(2, (1,), (1,), 2, 1)
-    assert _repeated_root_at(products, a, b, Fraction(1))
+    assert _repeated_root_at(products, a, b, (1, 1))
     # (3 + t^2) - 2*(1 + t^2) = 1 - t^2 has simple roots only
-    assert not _repeated_root_at(products, a, b, Fraction(2))
+    assert not _repeated_root_at(products, a, b, (2, 1))
 
 
 # -- the sweep's per-block algebra and residue screen --------------------------------
@@ -510,11 +541,11 @@ def _check_sweep_entry(sweep, restrictions, block):
 
 def _check_block_tables(arr):
     """Every value of the five block tables equals its definition, from scratch."""
-    tables = _SearchTables(arr)
+    tables = _SearchTables(arr, 2)
     first, second = (r for _, _, _, r in _probe_lines(arr))
     sweep, products = _SweepTables(first), _block_products(second)
-    for blocks in _enumerate_blocks(arr, 2).values():
-        for block in blocks:
+    for by_mask in tables.blocks.values():
+        for block in itertools.chain(*by_mask.values()):
             pairs = list(zip(block.indices, block.mults))
             form = arr.block_form(pairs)
             assert tables.block_form(block) == form

@@ -370,11 +370,13 @@ def _fraction_uses(tree: ast.Module) -> list[str]:
     return sorted(out)
 
 
-def test_resonance_is_fraction_free():
-    # residue classes are integer vectors: every reduced cup relation has pivot 1
-    path = ROOT / "src" / "curvepencils" / "resonance.py"
+@pytest.mark.parametrize("name", ["resonance.py", "catalog.py"])
+def test_module_is_fraction_free(name):
+    # residue classes are integer vectors (every reduced cup relation has
+    # pivot 1), and sweep parameters are reduced integer pairs
+    path = ROOT / "src" / "curvepencils" / name
     uses = _fraction_uses(ast.parse(path.read_text(), filename=str(path)))
-    assert not uses, f"resonance.py: Fraction uses: {', '.join(uses)}"
+    assert not uses, f"{name}: Fraction uses: {', '.join(uses)}"
 
 
 def test_fraction_use_is_caught():

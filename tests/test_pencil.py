@@ -291,7 +291,7 @@ def test_reducible_component_raises():
     with pytest.raises(PencilError, match=r"over \(0:1\) exceed the fiber"):
         classify(arr, Pencil(F("x*y"), F("z^2")))
     with pytest.raises(PencilError, match=r"fiber degrees failed to add up over"):
-        pencil_search(arr, 2, 3)
+        pencil_search(_SearchTables(arr, 2), 3)
 
 
 # -- special fibers -------------------------------------------------------------
@@ -819,7 +819,7 @@ def test_search_roundtrip_classification(db3_search):
 
 def test_search_b3_k3():
     arr = b3()
-    results = pencil_search(arr, 2, 3)
+    results = pencil_search(_SearchTables(arr, 2), 3)
     assert len(results) == 16
     assert all(r.k == 3 for r in results)
     for result in results:
@@ -829,13 +829,13 @@ def test_search_b3_k3():
 
 
 def test_search_four_generic_lines_empty():
-    assert pencil_search(four_generic_lines(), 2, 3) == []
+    assert pencil_search(_SearchTables(four_generic_lines(), 2), 3) == []
 
 
 def test_search_rejects_composed():
     # blocks {T1^2} | {T2^2} span the squares of the pencil (x : y); no pair
     # with a common multiplicity factor is ever enumerated
-    pairs = list(iter_block_pairs(triangle(), 2))
+    pairs = list(iter_block_pairs(_SearchTables(triangle(), 2)))
     assert pairs
     for a, b in pairs:
         assert gcd(*a.mults, *b.mults) == 1
@@ -859,11 +859,11 @@ def test_block_pair_walk_keeps_the_combinations_order(make, cap):
     reference = [
         (a, b)
         for degree in sorted(blocks)
-        for a, b in itertools.combinations(blocks[degree], 2)
+        for a, b in itertools.combinations(itertools.chain(*blocks[degree].values()), 2)
         if not a.mask & b.mask and gcd(a.content, b.content) == 1
     ]
     assert reference
-    assert list(iter_block_pairs(arr, cap)) == reference
+    assert list(iter_block_pairs(_SearchTables(arr, cap))) == reference
 
 
 # -- the multinet screen ----------------------------------------------------------
@@ -874,8 +874,8 @@ def test_block_pair_walk_keeps_the_combinations_order(make, cap):
 )
 def test_multinet_screen_survivor_counts(make, pairs, spans):
     arr = make()
-    tables = _SearchTables(arr)
-    kept = [(a, b) for a, b in iter_block_pairs(arr, 2) if tables.multinet_screen(a, b)]
+    tables = _SearchTables(arr, 2)
+    kept = [(a, b) for a, b in iter_block_pairs(tables) if tables.multinet_screen(a, b)]
     assert len(kept) == pairs
     keys = {Pencil(tables.block_form(a), tables.block_form(b)).span_key() for a, b in kept}
     assert len(keys) == spans
@@ -885,8 +885,8 @@ def test_multinet_screen_survivor_counts(make, pairs, spans):
 def test_vote_screen_passes_every_multinet_survivor(make):
     # why `pencil_search` runs only the multinet screen on line arrangements
     arr = make()
-    tables = _SearchTables(arr)
-    kept = [(a, b) for a, b in iter_block_pairs(arr, 2) if tables.multinet_screen(a, b)]
+    tables = _SearchTables(arr, 2)
+    kept = [(a, b) for a, b in iter_block_pairs(tables) if tables.multinet_screen(a, b)]
     assert kept and all(tables.vote_screen(a, b) for a, b in kept)
 
 
@@ -894,9 +894,9 @@ def test_multinet_screen_keeps_every_pair_of_full_fibers():
     # exact classification is the oracle: a pair it gives k >= 3 must pass
     for make in (deleted_b3, a2, ceva2):
         arr = make()
-        tables = _SearchTables(arr)
+        tables = _SearchTables(arr, 2)
         full = 0
-        for a, b in iter_block_pairs(arr, 2):
+        for a, b in iter_block_pairs(tables):
             if not tables.vote_screen(a, b):
                 continue
             pencil = Pencil(tables.block_form(a), tables.block_form(b))
@@ -907,16 +907,16 @@ def test_multinet_screen_keeps_every_pair_of_full_fibers():
 
 
 def test_multinet_screen_skips_curve_arrangements():
-    tables = _SearchTables(exfin3())
+    tables = _SearchTables(exfin3(), 2)
     assert tables.point_masks is None and tables.avoid is None
 
 
 def _pruned_and_full_walks(arr, cap):
     """The walk with and without the double-point masks, each with its multinet survivors."""
-    tables = _SearchTables(arr)
+    tables = _SearchTables(arr, cap)
     out = []
     for avoid in (tables.avoid, None):
-        walked = list(iter_block_pairs(arr, cap, avoid))
+        walked = list(iter_block_pairs(tables, avoid))
         out.append((walked, [(a, b) for a, b in walked if tables.multinet_screen(a, b)]))
     return out
 
@@ -947,7 +947,7 @@ def _line_arrangement(draw):
 @settings(max_examples=40, deadline=None)
 @given(_line_arrangement(), st.integers(1, 2))
 def test_double_point_masks_keep_every_multinet_survivor_on_random_lines(arr, cap):
-    tables = _SearchTables(arr)
+    tables = _SearchTables(arr, cap)
     wide = [mp.mask for mp in local_pencil_points(arr) if mp.count > 2]
     for j, mask in enumerate(tables.avoid):
         # two lines meet at one point, a double point unless a third line passes

@@ -25,7 +25,12 @@ from arrfixtures import (
     fw_pencil,
     triangle,
 )
-from curvepencils.arrangement import Arrangement, CurveComponent, pullback_subtorus
+from curvepencils.arrangement import (
+    Arrangement,
+    CurveComponent,
+    local_pencil_points,
+    pullback_subtorus,
+)
 from curvepencils.exactalg import echelon_rows, primitive_vector
 from curvepencils.pencil import Pencil, classify
 from curvepencils.polyform import TernaryForm
@@ -55,14 +60,16 @@ def same_span(p1, p2):
 
 
 def test_cup_structure_rejects_unsuitable_arrangements():
+    curves, no_infinity = ex2().with_infinity(0), b3()
     with pytest.raises(ResonanceError, match="line arrangements only"):
-        CupStructure(ex2().with_infinity(0))
+        CupStructure(curves, local_pencil_points(curves))
     with pytest.raises(ResonanceError, match="no line designated"):
-        CupStructure(b3())
+        CupStructure(no_infinity, local_pencil_points(no_infinity))
 
 
 def test_triangle_cup_product_is_nonzero():
-    cs = CupStructure(triangle().with_infinity(2))
+    arr = triangle().with_infinity(2)
+    cs = CupStructure(arr, local_pencil_points(arr))
     assert len(cs.pairs) - len(cs._relation_pivots) == 1
     assert cs.concurrency_classes == ((0, 1),)
     assert cs.parallel_classes == ()
@@ -74,7 +81,8 @@ def test_triangle_cup_product_is_nonzero():
 
 
 def test_triangle_rays_are_maximal_isotropic():
-    cs = CupStructure(triangle().with_infinity(2))
+    arr = triangle().with_infinity(2)
+    cs = CupStructure(arr, local_pencil_points(arr))
     rng = random.Random(41)
     for _ in range(5):
         a, b = rng.randint(-3, 3), rng.randint(-3, 3)
@@ -85,7 +93,8 @@ def test_triangle_rays_are_maximal_isotropic():
 
 
 def test_cup_product_is_bilinear():
-    cs = CupStructure(deleted_b3())
+    arr = deleted_b3()
+    cs = CupStructure(arr, local_pencil_points(arr))
     rng = random.Random(97)
 
     def rand_vector():
@@ -104,7 +113,8 @@ def test_cup_product_is_bilinear():
 
 
 def test_cup_relations_deleted_b3():
-    cs = CupStructure(deleted_b3())
+    arr = deleted_b3()
+    cs = CupStructure(arr, local_pencil_points(arr))
     assert cs.parallel_classes == ((0, 1), (2, 3), (4, 5, 6))
     assert (0, 2, 5) in cs.concurrency_classes
     assert (1, 3, 5) in cs.concurrency_classes
@@ -123,7 +133,7 @@ def test_cup_relations_deleted_b3():
 
 def test_isotropy_flags_distinguish_subspaces():
     arr = deleted_b3()
-    cs = CupStructure(arr)
+    cs = CupStructure(arr, local_pencil_points(arr))
     pencil_subspace = subspace_from_pencil(arr, classify(arr, braid_pencil()), cs)
     # one ray inside a two-dimensional isotropic subspace cannot be maximal
     ray = IsotropicSubspace((pencil_subspace.basis[0],))
@@ -159,7 +169,7 @@ def _line_arrangement_with_infinity(draw):
 @settings(max_examples=60, deadline=None)
 @given(_line_arrangement_with_infinity())
 def test_relation_rows_have_unit_pivots(arr):
-    cs = CupStructure(arr)
+    cs = CupStructure(arr, local_pencil_points(arr))
     for row, pivot in zip(cs._relation_rows, cs._relation_pivots):
         assert row[pivot] == 1
         assert set(row) <= {-1, 0, 1}
@@ -245,7 +255,7 @@ _ORACLE_CASES = {
 def test_integer_cup_matches_fraction_reference(name):
     make, pencils = _ORACLE_CASES[name]
     arr = make()
-    cs, ref = CupStructure(arr), _ReferenceCup(arr)
+    cs, ref = CupStructure(arr, local_pencil_points(arr)), _ReferenceCup(arr)
     rng = random.Random(name)
 
     def rand_vector():
@@ -281,7 +291,8 @@ def test_integer_cup_matches_fraction_reference(name):
 
 def test_subspace_from_fw_pencil():
     arr = deleted_b3()
-    subspace = subspace_from_pencil(arr, classify(arr, fw_pencil()), cup_structure(arr))
+    cup = cup_structure(arr, local_pencil_points(arr))
+    subspace = subspace_from_pencil(arr, classify(arr, fw_pencil()), cup)
     assert subspace.dimension == 1
     assert subspace.isotropic is True and subspace.maximal is True
     pattern = ResidueVector((1, -1, -1, 1, 2, 0, -2, 0))
@@ -291,7 +302,7 @@ def test_subspace_from_fw_pencil():
 def test_subspace_from_a2_pencil():
     arr = a2()
     cl = classify(arr, a2_pencil())
-    subspace = subspace_from_pencil(arr, cl, cup_structure(arr))
+    subspace = subspace_from_pencil(arr, cl, cup_structure(arr, local_pencil_points(arr)))
     assert subspace.dimension == 1
     assert subspace.isotropic is True and subspace.maximal is True
     # the reference fiber is the last base point, as in pullback_subtorus
@@ -306,7 +317,8 @@ def test_three_point_subspaces_are_maximal_isotropic():
         (b3().with_infinity(0), b3_pencil()),
     ]
     for arr, pencil in cases:
-        subspace = subspace_from_pencil(arr, classify(arr, pencil), cup_structure(arr))
+        cup = cup_structure(arr, local_pencil_points(arr))
+        subspace = subspace_from_pencil(arr, classify(arr, pencil), cup)
         assert subspace.dimension == len(classify(arr, pencil).base_points) - 1 == 2
         assert subspace.isotropic is True and subspace.maximal is True
         for v in subspace.basis:
@@ -315,7 +327,8 @@ def test_three_point_subspaces_are_maximal_isotropic():
 
 def test_subspace_skips_isotropy_for_curve_components():
     arr = ex2()
-    subspace = subspace_from_pencil(arr, classify(arr, ex2_pencil()), cup_structure(arr))
+    cup = cup_structure(arr, local_pencil_points(arr))
+    subspace = subspace_from_pencil(arr, classify(arr, ex2_pencil()), cup)
     assert subspace.dimension == 2
     assert subspace.isotropic is None and subspace.maximal is None
 
@@ -326,8 +339,9 @@ def test_subspace_needs_two_base_points():
         2,
     )
     pencil = Pencil(F("x^2 + y^2"), F("x*z"))
+    cup = cup_structure(arr, local_pencil_points(arr))
     with pytest.raises(ResonanceError, match="two fully-arrangement fibers"):
-        subspace_from_pencil(arr, classify(arr, pencil), cup_structure(arr))
+        subspace_from_pencil(arr, classify(arr, pencil), cup)
 
 
 # -- pencil reconstruction ----------------------------------------------------------
@@ -335,7 +349,8 @@ def test_subspace_needs_two_base_points():
 
 def test_pencil_from_braid_subspace_is_exact():
     arr = deleted_b3()
-    subspace = subspace_from_pencil(arr, classify(arr, braid_pencil()), cup_structure(arr))
+    cup = cup_structure(arr, local_pencil_points(arr))
+    subspace = subspace_from_pencil(arr, classify(arr, braid_pencil()), cup)
     pencil = pencil_from_subspace(arr, subspace)
     assert pencil.P == F("x") * F("x - y - z")
     assert pencil.Q == F("x - z") * F("x - y")
@@ -343,7 +358,8 @@ def test_pencil_from_braid_subspace_is_exact():
 
 def test_pencil_from_subspace_recovers_fiber_multiplicities():
     arr = ex2()
-    subspace = subspace_from_pencil(arr, classify(arr, ex2_pencil()), cup_structure(arr))
+    cup = cup_structure(arr, local_pencil_points(arr))
+    subspace = subspace_from_pencil(arr, classify(arr, ex2_pencil()), cup)
     pencil = pencil_from_subspace(arr, subspace)
     assert pencil.P == F("x^2") and pencil.Q == F("y*z")
 
@@ -356,7 +372,8 @@ def test_pencil_subspace_round_trips():
         (ex2(), ex2_pencil()),
     ]
     for arr, pencil in cases:
-        subspace = subspace_from_pencil(arr, classify(arr, pencil), cup_structure(arr))
+        cup = cup_structure(arr, local_pencil_points(arr))
+        subspace = subspace_from_pencil(arr, classify(arr, pencil), cup)
         assert same_span(pencil_from_subspace(arr, subspace), pencil)
 
 
@@ -364,7 +381,8 @@ def test_pencil_from_subspace_errors():
     arr = deleted_b3()
     with pytest.raises(ResonanceError, match="dimension below two"):
         pencil_from_subspace(arr, IsotropicSubspace(()))
-    ray = subspace_from_pencil(arr, classify(arr, fw_pencil()), cup_structure(arr))
+    cup = cup_structure(arr, local_pencil_points(arr))
+    ray = subspace_from_pencil(arr, classify(arr, fw_pencil()), cup)
     with pytest.raises(ResonanceError, match="dimension below two"):
         pencil_from_subspace(arr, ray)
     junk = IsotropicSubspace((ResidueVector((1, -1, 0)), ResidueVector((0, 1, -1))))
