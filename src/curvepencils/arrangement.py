@@ -17,14 +17,7 @@ from fractions import Fraction
 from math import lcm
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .exactalg import (
-    IntMatrix,
-    echelon_rows,
-    integer_kernel_basis,
-    lattice_key,
-    rational_roots,
-    saturate_lattice,
-)
+from .exactalg import IntMatrix, echelon_rows, integer_kernel_basis, rational_roots
 from .polyform import (
     PolyParseError,
     ProjLine,
@@ -220,13 +213,14 @@ def _points_on_line(
     form: TernaryForm, p: Sequence[Fraction | int], q: Sequence[Fraction | int]
 ) -> list[ProjPoint]:
     """Rational points of the curve on the line p + t*q: q if the restriction
-    drops degree, then the rational roots t in order; none if the line lies on it."""
+    drops degree, then the rational roots t = u/v in order, as v*p + u*q;
+    none if the line lies on it."""
     poly = form.restrict_span(p, q)
     if not any(poly):
         return []
     out = [ProjPoint(q)] if poly[-1] == 0 else []
     roots = rational_roots(poly).roots
-    return out + [ProjPoint([a + t * b for a, b in zip(p, q)]) for t, _ in roots]
+    return out + [ProjPoint([v * a + u * b for a, b in zip(p, q)]) for (u, v), _ in roots]
 
 
 def _rational_points_on_curve(form: TernaryForm, want: int) -> list[ProjPoint]:
@@ -345,7 +339,8 @@ def meeting_points(a: CurveComponent, b: CurveComponent) -> list[ProjPoint]:
         R, r0, r1 = projected_resultant(f, g, center)
         if R:
             through = [r1] if len(R) <= f.degree * g.degree else []
-            through += [[u + t * w for u, w in zip(r0, r1)] for t, _ in rational_roots(R).roots]
+            roots = rational_roots(R).roots
+            through += [[v * a + u * b for a, b in zip(r0, r1)] for (u, v), _ in roots]
             found = {p for r in through for p in _points_on_line(f, r, center)}
             return sorted(p for p in found if g.evaluate(p.coords) == 0)
     raise ArrangementError(f"components {a.label!r} and {b.label!r} share a factor")
@@ -403,15 +398,40 @@ class ExponentSubtorus:
         return tuple(i for i, r in enumerate(self.rows) if all(e == 0 for e in r))
 
     def saturated_key(self) -> tuple:
-        """Canonical key of the saturated exponent lattice; the dedup identity."""
-        cols = self.columns()
-        return lattice_key(saturate_lattice(cols, self.size), self.size)
+        """Canonical key of the saturated exponent lattice; the dedup identity.
+
+        The saturation of the column lattice L is span_Q(L) meet Z^n: an
+        integer vector x with d*x in L for some d >= 1 lies in span_Q(L),
+        and an integer x = sum q_i c_i over the columns has d*x in L for d
+        the common denominator of the q_i.  So two subtori have equal
+        saturations exactly when their columns span the same rational
+        space, whose `echelon_rows` are the key.
+        """
+        return echelon_rows(self.columns())
 
     def perp_lattice_key(self) -> tuple:
-        """Canonical key of the lattice of characters constant on the subtorus."""
+        """Canonical key of the lattice of characters constant on the subtorus.
+
+        `integer_kernel_basis` returns the kernel in column Hermite form,
+        which is already canonical.
+        """
         E = IntMatrix.from_columns(self.columns(), self.size)
-        perp = integer_kernel_basis(E.transpose())
-        return lattice_key(perp.columns(), self.size)
+        return tuple(integer_kernel_basis(E.transpose()).columns())
+
+    def coset(self, character: TorsionCharacter) -> tuple[Fraction, ...]:
+        """The class of a torsion character modulo the subtorus.
+
+        The pairings u.e mod 1 of its exponents e with the `perp_lattice_key`
+        basis u.  The subtorus is connected, so it is the common zero set of
+        the characters trivial on it: the point lies on it exactly when its
+        class is all zero, and two points differ by a point of it exactly
+        when their classes agree.  Equal spans have equal perp lattices, so
+        (`saturated_key`, coset) names one translated component.
+        """
+        return tuple(
+            sum(u * e for u, e in zip(vector, character.exponents)) % 1
+            for vector in self.perp_lattice_key()
+        )
 
     def monomial_strings(self) -> tuple[str, ...]:
         """Row j as a monomial in the parameters, e.g. ``t^2`` or ``s*t^-1``."""

@@ -43,14 +43,7 @@ from .pencil import (
 )
 from .polyform import ProjLine, TernaryForm
 from .resonance import cup_structure, subspace_from_pencil
-from .torsion import (
-    characters_of_Tf,
-    compute_Tf,
-    epsilon_count,
-    kernel_fstar,
-    lift_character,
-    theta,
-)
+from .torsion import compute_Tf, epsilon_count, kernel_fstar, lift_character, theta
 
 __all__ = [
     "CatalogError",
@@ -276,10 +269,29 @@ def _integer_restrictions(
 _SCREEN_PRIMES = (7, 11, 13)
 
 
+def _state_moves(r: tuple[int, ...], dr: tuple[int, ...], m: int) -> tuple[bytes, ...]:
+    """The state-byte tables of adding a component with restriction r, derivative
+    dr and multiplicity m, per prime."""
+    out = []
+    for p in _SCREEN_PRIMES:
+        table = bytearray(range(256))
+        for t in range(p):
+            base = t * (p + 2)
+            rt, shift = coeffs_evaluate(r, t) % p, m * coeffs_evaluate(dr, t) % p
+            if rt:
+                step = shift * pow(rt, -1, p)
+                table[base : base + p] = bytes(base + (s + step) % p for s in range(p))
+            else:
+                table[base : base + p] = bytes([base + (p if shift else p + 1)]) * p
+                table[base + p] = base + p + 1
+        out.append(bytes(table))
+    return tuple(out)
+
+
 class _SweepTables:
     """The residue screen's state bytes, and S and L, for every block of the sweep.
 
-    ``entry`` is a `_BlockTable` whose `_step` builds a block's entry from
+    ``entry`` is a `_BlockTable` whose step builds a block's entry from
     that of the block without its last component.  An entry holds:
 
     - codes: one integer bitmask over all primes.  Slot t of prime p has
@@ -295,14 +307,16 @@ class _SweepTables:
 
     ``polys`` is a second `_BlockTable`, of S and L with L of formal degree
     d - 1; only `wronskian` reads it, on the pairs that pass the screen.
+    The steps close over locals, not over the tables, so the memos go with
+    the last reference to the tables.
     """
 
     def __init__(self, restrictions: Sequence[tuple[int, ...]]) -> None:
         self.restrictions = restrictions
-        self.derivatives = [coeffs_derivative(r) for r in restrictions]
+        derivatives = [coeffs_derivative(r) for r in restrictions]
         # per prime: p, the range mask of its codes, and the code bits of
         # every state byte
-        self.primes: list[tuple[int, int, list[int]]] = []
+        primes: list[tuple[int, int, list[int]]] = []
         offset = 0
         for p in _SCREEN_PRIMES:
             bits = [0] * 256
@@ -312,54 +326,38 @@ class _SweepTables:
                     bits[t * (p + 2) + sigma] = 1 << (slot + sigma)
                 bits[t * (p + 2) + p + 1] = ((1 << (p + 1)) - 1) << slot
             width = p * (p + 1)
-            self.primes.append((p, ((1 << width) - 1) << offset, bits))
+            primes.append((p, ((1 << width) - 1) << offset, bits))
             offset += width
-        self._moves: dict[tuple[int, int], tuple[bytes, ...]] = {}
+        self.primes = primes
+        moves: dict[tuple[int, int], tuple[bytes, ...]] = {}
+
+        def step(prev: tuple, j: int, m: int) -> tuple:
+            _, (s0, s1, l1, l2), rows = prev
+            move = moves.get((j, m))
+            if move is None:
+                move = moves[j, m] = _state_moves(restrictions[j], derivatives[j], m)
+            rows = tuple(row.translate(table) for row, table in zip(rows, move))
+            codes = sum(sum(map(bits.__getitem__, row)) for (*_, bits), row in zip(primes, rows))
+            r = restrictions[j]  # of full degree e >= 1 (`_integer_restrictions`)
+            e, r0, r1 = len(r) - 1, r[-1], r[-2]
+            tops = (
+                s0 * r0,
+                s0 * r1 + s1 * r0,
+                l1 * r0 + m * e * s0 * r0,
+                l1 * r1 + l2 * r0 + m * ((e - 1) * s0 * r1 + e * s1 * r0),
+            )
+            return codes, tops, rows
+
+        def poly_step(prev: tuple, j: int, m: int) -> tuple:
+            S, L = prev
+            r = restrictions[j]
+            term = tuple(m * c for c in coeffs_mul(S, derivatives[j]))  # m*S*R'
+            L = tuple(x + y for x, y in zip(coeffs_mul(L, r), term)) if L else term
+            return coeffs_mul(S, r), L
+
         rows = tuple(bytes(range(0, p * (p + 2), p + 2)) for p in _SCREEN_PRIMES)
-        self.entry = _BlockTable((0, (1, 0, 0, 0), rows), self._step)
-        self.polys = _BlockTable(((1,), ()), self._poly_step)
-
-    def _move(self, j: int, m: int) -> tuple[bytes, ...]:
-        """The state-byte tables of adding component j with multiplicity m, per prime."""
-        r, dr = self.restrictions[j], self.derivatives[j]
-        out = []
-        for p in _SCREEN_PRIMES:
-            table = bytearray(range(256))
-            for t in range(p):
-                base = t * (p + 2)
-                rt, shift = coeffs_evaluate(r, t) % p, m * coeffs_evaluate(dr, t) % p
-                if rt:
-                    step = shift * pow(rt, -1, p)
-                    table[base : base + p] = bytes(base + (s + step) % p for s in range(p))
-                else:
-                    table[base : base + p] = bytes([base + (p if shift else p + 1)]) * p
-                    table[base + p] = base + p + 1
-            out.append(bytes(table))
-        return tuple(out)
-
-    def _step(self, prev: tuple, j: int, m: int) -> tuple:
-        _, (s0, s1, l1, l2), rows = prev
-        moves = self._moves.get((j, m))
-        if moves is None:
-            moves = self._moves[j, m] = self._move(j, m)
-        rows = tuple(row.translate(move) for row, move in zip(rows, moves))
-        codes = sum(sum(map(bits.__getitem__, row)) for (*_, bits), row in zip(self.primes, rows))
-        r = self.restrictions[j]  # of full degree e >= 1 (`_integer_restrictions`)
-        e, r0, r1 = len(r) - 1, r[-1], r[-2]
-        tops = (
-            s0 * r0,
-            s0 * r1 + s1 * r0,
-            l1 * r0 + m * e * s0 * r0,
-            l1 * r1 + l2 * r0 + m * ((e - 1) * s0 * r1 + e * s1 * r0),
-        )
-        return codes, tops, rows
-
-    def _poly_step(self, prev: tuple, j: int, m: int) -> tuple:
-        S, L = prev
-        r = self.restrictions[j]
-        term = tuple(m * c for c in coeffs_mul(S, self.derivatives[j]))  # m*S*R'
-        L = tuple(x + y for x, y in zip(coeffs_mul(L, r), term)) if L else term
-        return coeffs_mul(S, r), L
+        self.entry = _BlockTable((0, (1, 0, 0, 0), rows), step)
+        self.polys = _BlockTable(((1,), ()), poly_step)
 
     def screen(self, a: _Block, b: _Block) -> bool:
         """False when the residues prove that W has no rational root."""
@@ -415,7 +413,7 @@ def _candidate_parameters(sweep: _SweepTables, a: _Block, b: _Block) -> set[tupl
         raise CatalogError("the sweep Wronskian of two disjoint blocks vanishes identically")
     # finite repeated-root positions are rational roots u/v of W
     roots = rational_roots(wron).roots if len(wron) > 1 else ()
-    points = [(rho.numerator, rho.denominator) for rho, _ in roots]
+    points = [root for root, _ in roots]
     # a repeated root at the parametrization's infinity (1 : 0) shows as an
     # extra degree drop past the one forced by the equal block degrees
     if len(wron) - 1 < degree_e - 2:
@@ -456,20 +454,6 @@ def _repeated_root_at(products: _BlockTable, a: _Block, b: _Block, lam: tuple[in
 
 # ---------------------------------------------------------------------------
 # flags
-
-
-def _character_in_subtorus(subtorus: ExponentSubtorus, character: TorsionCharacter) -> bool:
-    """Whether the torsion character is a torsion point of the subtorus.
-
-    The subtorus is the common zero set of the characters trivial on it, so
-    the point lies on it exactly when every annihilator u pairs it into Z.
-    """
-    if character.is_trivial():
-        return True
-    return all(
-        sum(u * e for u, e in zip(vector, character.exponents)) % 1 == 0
-        for vector in subtorus.perp_lattice_key()
-    )
 
 
 def _component_flags(
@@ -576,12 +560,11 @@ def _translated_records(
     subtorus = pullback_subtorus(arr, cl)
     certification = _translated_certification(arr, cl, maximal)
     out = []
-    for chi in characters_of_Tf(tf):
+    for chi in tf.group.characters():
         if not any(chi):
             continue
-        lifted = lift_character(arr, cl, tf, chi)
-        rho = lifted.rho
-        if _character_in_subtorus(subtorus, rho):
+        rho = lift_character(arr, cl, tf, chi)
+        if not any(subtorus.coset(rho)):
             continue  # not translated: the lift already sits on the subtorus
         flags, witness = _component_flags(arr, subtorus, rho)
         flags.append(certification)
@@ -643,9 +626,14 @@ def build_catalog(
     rejects a pair whose Wronskian has no zero mod some prime that keeps its
     degree, before any polynomial of the pair is built; the comment above
     `_SCREEN_PRIMES` proves it loses no candidate and that the state bytes
-    follow S and L.  Caps that would leave the global stage empty raise
-    `CatalogError`, and so does a component that the irreducibility probe of
-    `Arrangement.irreducibility_warnings` shows to be reducible.
+    follow S and L.  Translated records are kept once per component: one
+    set of (`ExponentSubtorus.saturated_key`, `ExponentSubtorus.coset`)
+    keys, the rational span of the subtorus and the class of the character
+    modulo it, keeps the first record of each class; the records then sort
+    by that span key and their characters.  Caps that would leave the
+    global stage empty raise `CatalogError`, and so does a component that
+    the irreducibility probe of `Arrangement.irreducibility_warnings` shows
+    to be reducible.
     """
     if max_multiplicity < 1:
         raise CatalogError(f"max_multiplicity (--max-mult) must be >= 1, got {max_multiplicity}")
@@ -698,7 +686,7 @@ def build_catalog(
 
     # --- Step 4: translated sweep over the found pencils ---
     translated: list[ComponentRecord] = []
-    seen_classes: list[tuple[tuple, TorsionCharacter, ExponentSubtorus]] = []
+    seen_classes: set[tuple[tuple, tuple]] = set()
     if work is not None:
         candidates: list[PencilClassification] = []
         for res in results:
@@ -753,20 +741,10 @@ def build_catalog(
                 if cl.k == 2 and maximal is False:
                     continue
             for rec in _translated_records(work, cl, maximal):
-                duplicate = False
-                for key, rho, sub in seen_classes:
-                    if key != rec.subtorus.saturated_key():
-                        continue
-                    diff = TorsionCharacter(
-                        [a - b for a, b in zip(rec.torsion.exponents, rho.exponents)]
-                    )
-                    if _character_in_subtorus(sub, diff):
-                        duplicate = True
-                        break
-                if duplicate:
-                    continue
-                seen_classes.append((rec.subtorus.saturated_key(), rec.torsion, rec.subtorus))
-                translated.append(rec)
+                key = (rec.subtorus.saturated_key(), rec.subtorus.coset(rec.torsion))
+                if key not in seen_classes:
+                    seen_classes.add(key)
+                    translated.append(rec)
 
     # --- Step 5: cross-reference and deterministic order ---
     for rec in translated:

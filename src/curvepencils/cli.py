@@ -50,14 +50,7 @@ from .resonance import (
     pencil_from_subspace,
     ray_to_map,
 )
-from .torsion import (
-    TorsionError,
-    characters_of_Tf,
-    compute_Tf,
-    kernel_fstar,
-    lift_character,
-    theta,
-)
+from .torsion import TorsionError, compute_Tf, kernel_fstar, lift_character, theta
 
 __all__ = ["main"]
 
@@ -147,16 +140,10 @@ def _classified(arr: Arrangement, pencil: Pencil) -> PencilClassification:
 def _tf_report(arr: Arrangement, cl: PencilClassification) -> tuple[list[str], dict, bool]:
     kernel = kernel_fstar(arr, cl)
     tf = compute_Tf(theta(arr, cl, kernel))
-    lifts = [
-        lift_character(arr, cl, tf, chi)
-        for chi in characters_of_Tf(tf)
-        if any(chi)
-    ]
+    lifts = [lift_character(arr, cl, tf, chi) for chi in tf.group.characters() if any(chi)]
     head = f"T(f) = {tf.group}"
     if lifts:
-        head += "; " + "; ".join(
-            "rho = " + _character_tuple(l.rho.value_strings()) for l in lifts
-        )
+        head += "; " + "; ".join("rho = " + _character_tuple(rho.value_strings()) for rho in lifts)
     else:
         head += "; no nontrivial characters"
     subtorus = pullback_subtorus(arr, cl)
@@ -169,10 +156,10 @@ def _tf_report(arr: Arrangement, cl: PencilClassification) -> tuple[list[str], d
         "invariant_factors": list(tf.group.invariant_factors),
         "characters": [
             {
-                "rho": list(l.rho.value_strings()),
-                "exponents": [str(e) for e in l.rho.exponents],
+                "rho": list(rho.value_strings()),
+                "exponents": [str(e) for e in rho.exponents],
             }
-            for l in lifts
+            for rho in lifts
         ],
         "subtorus": list(subtorus.monomial_strings()),
         "conditional": conditional,

@@ -23,6 +23,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from fractions import Fraction
+from functools import cmp_to_key
 from math import factorial, gcd
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -684,7 +685,7 @@ def projective_profile(f: Sequence[Fraction | int], degree: int) -> tuple[tuple[
 
 
 class RationalRoots(NamedTuple):
-    roots: tuple[tuple[Fraction, int], ...]
+    roots: tuple[tuple[tuple[int, int], int], ...]
     remaining_degree: int
 
 
@@ -722,7 +723,7 @@ def _root_candidates(h: Sequence[int]) -> list[tuple[int, int]]:
     """Rationals among which every root of h lies, by p-adic lifting.
 
     Each candidate u/v is the integer pair (u, v) in lowest terms with
-    v > 0; only a confirmed root becomes a Fraction, in `rational_roots`.
+    v > 0, the form in which `rational_roots` returns a confirmed root.
     h is primitive over Z of degree >= 1, with leading coefficient a and
     B = |a| + max |c_i| over the other coefficients.  A root r of h reduces
     to a root mod every prime p not dividing a, so a rootless residue ring
@@ -765,6 +766,8 @@ def _root_candidates(h: Sequence[int]) -> list[tuple[int, int]]:
 def rational_roots(f: Sequence[Fraction | int]) -> RationalRoots:
     """All rational roots of a coefficient sequence with multiplicities, plus the leftover degree.
 
+    Each root u/v is the reduced integer pair (u, v) with v > 0, and the
+    roots come in increasing order of u/v, compared by cross-multiplication.
     ``remaining_degree`` counts the rootless factor; it is zero exactly when
     f splits over Q into linear factors.  Candidates (u, v) come from
     `_root_candidates` on f made primitive over Z; `coeffs_divide` by
@@ -775,7 +778,7 @@ def rational_roots(f: Sequence[Fraction | int]) -> RationalRoots:
     h = _trimmed(primitive_vector(f))
     k = next(i for i, c in enumerate(h) if c)
     h = h[k:]
-    roots: list[tuple[Fraction, int]] = [(Fraction(0), k)] if k else []
+    roots: list[tuple[tuple[int, int], int]] = [((0, 1), k)] if k else []
     if len(h) > 1:
         for u, v in _root_candidates(h):
             mult = 0
@@ -783,6 +786,6 @@ def rational_roots(f: Sequence[Fraction | int]) -> RationalRoots:
                 h = q
                 mult += 1
             if mult:
-                roots.append((Fraction(u, v), mult))
-    roots.sort(key=lambda rm: rm[0])
+                roots.append(((u, v), mult))
+    roots.sort(key=cmp_to_key(lambda a, b: a[0][0] * b[0][1] - b[0][0] * a[0][1]))
     return RationalRoots(tuple(roots), len(h) - 1)

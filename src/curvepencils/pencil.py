@@ -464,8 +464,8 @@ def detect_special_fibers(
             rr = rational_roots(common)
             if rr.remaining_degree == 0 or valid == max_valid:
                 break
-        for root, _ in rr.roots:
-            candidates.add(P1Point(1, root))
+        for (u, v), _ in rr.roots:
+            candidates.add(P1Point(v, u))
         if rr.remaining_degree > 0:
             warnings.append(
                 f"discriminant keeps a degree-{rr.remaining_degree} factor "

@@ -7,9 +7,9 @@ so an exponent vector of length ``len(affine_indices)`` always refers to
 that slot order.
 
 The pipeline is `kernel_fstar` -> `theta` -> `compute_Tf` ->
-`characters_of_Tf` -> `lift_character`.  Each stage only consumes the
-output of the previous one, so intermediate data can be inspected or
-serialised between steps.  `compute_Tf` has one algorithm: the relation
+`lift_character`, the last on each character of ``tf.group.characters()``.
+Each stage only consumes the output of the previous one, so intermediate
+data can be inspected or serialised between steps.  `compute_Tf` has one algorithm: the relation
 lattice of the kernel images inside the product of the special-fiber
 cyclic groups, with a trivial exit when every special fiber is reduced.
 
@@ -44,11 +44,9 @@ __all__ = [
     "TorsionError",
     "ThetaData",
     "TfGroup",
-    "LiftedCharacter",
     "kernel_fstar",
     "theta",
     "compute_Tf",
-    "characters_of_Tf",
     "lift_character",
     "epsilon_count",
 ]
@@ -304,26 +302,7 @@ def compute_Tf(data: ThetaData) -> TfGroup:
     return _general_tf(data)
 
 
-def characters_of_Tf(tf: TfGroup) -> list[tuple[Fraction, ...]]:
-    """All characters of the torsion group, trivial one first."""
-    return list(tf.group.characters())
-
-
 # -- lifting characters to the ambient torus ---------------------------------
-
-
-@dataclass(frozen=True)
-class LiftedCharacter:
-    """A character of the torsion group written on the arrangement torus.
-
-    ``rho`` assigns a root-of-unity exponent to every component of the
-    arrangement, the designated infinity line included; its restriction to
-    the kernel factors through the torsion group as the character that
-    `lift_character` was given.
-    """
-
-    rho: TorsionCharacter
-    conditional: bool
 
 
 def lift_character(
@@ -331,8 +310,12 @@ def lift_character(
     classification: PencilClassification,
     tf: TfGroup,
     rho_tilde: Iterable[Fraction | int],
-) -> LiftedCharacter:
+) -> TorsionCharacter:
     """Exponent vector on the ambient torus inducing a torsion character.
+
+    The result assigns a root-of-unity exponent to every component of the
+    arrangement, the designated infinity line included; its restriction to
+    the kernel factors through the torsion group as ``rho_tilde``.
 
     The lift is made canonical fiberwise: for every base point other than
     the infinity side, the member with the smallest (multiplicity, index)
@@ -419,8 +402,7 @@ def lift_character(
         acc = sum(c * full[j] for j, c in zip(affine, data.kernel_basis.column(t)))
         if (acc - chi[t] * scale) % N:
             raise TorsionError("lifted character misses its value on the kernel")
-    rho = TorsionCharacter(Fraction(a, N) for a in full)
-    return LiftedCharacter(rho=rho, conditional=tf.conditional)
+    return TorsionCharacter(Fraction(a, N) for a in full)
 
 
 def epsilon_count(classification: PencilClassification, rho: TorsionCharacter) -> int:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
 import json
@@ -9,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -18,11 +20,13 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from arrfixtures import F, a3, b3, ceva2, ceva3, deleted_b3, ex2, exfin3
+from arrfixtures import F, a3, b3, ceva2, ceva3, deleted_b3, ex2, exfin3, triangle
 from curvepencils import arrangement as arrangement_module
 from curvepencils import catalog as catalog_module
+from curvepencils import exactalg as exactalg_module
 from curvepencils import pencil as pencil_module
 from curvepencils import resonance as resonance_module
+from curvepencils import torsion as torsion_module
 from curvepencils.arrangement import (
     Arrangement,
     CurveComponent,
@@ -35,7 +39,6 @@ from curvepencils.catalog import (
     CatalogError,
     _block_products,
     _candidate_parameters,
-    _character_in_subtorus,
     _integer_restrictions,
     _probe_candidates,
     _probe_lines,
@@ -141,7 +144,7 @@ def test_deleted_b3_translated_component(db3_catalog):
     assert rec.witness == "L6"
     assert rec.expected_generic_h1 == 1
     assert "witness L6" in rec.describe()
-    assert not _character_in_subtorus(rec.subtorus, rec.torsion)
+    assert any(rec.subtorus.coset(rec.torsion))
 
 
 def _lattice_membership_oracle(subtorus, character):
@@ -157,27 +160,61 @@ def _lattice_membership_oracle(subtorus, character):
     return lattice_key(cols + [scaled], size) == lattice_key(cols, size)
 
 
-def test_character_in_subtorus_matches_lattice_oracle():
+def _random_torsion_point(rng, rows, size, den):
+    """A torsion point of order dividing den, on the subtorus half the time."""
+    if rng.randrange(2):
+        # a torsion point of the subtorus: t_i = e(k_i / den)
+        params = [Fraction(rng.randrange(den), den) for _ in range(len(rows[0]))]
+        return [sum(e * t for e, t in zip(row, params)) for row in rows]
+    return [Fraction(rng.randrange(den), den) for _ in range(size)]
+
+
+def test_subtorus_keys_match_lattice_oracles():
+    # `saturated_key` and `coset` against the Smith/Hermite oracles of
+    # `exactalg` on random integer column sets: equal keys iff equal
+    # saturated lattices, an all-zero coset iff the point lies on the
+    # subtorus, and equal cosets iff the two points differ by one
     rng = random.Random(4417)
-    inside = outside = 0
+    inside = outside = same_span = same_coset = 0
     for _ in range(300):
         size = rng.randint(2, 5)
         dim = rng.randint(1, size - 1)
         rows = tuple(tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(size))
         subtorus = ExponentSubtorus(rows)
-        den = rng.choice((2, 3, 4, 6))
+        # a second column set: an integer recombination of the first (same
+        # span unless it drops rank) or a fresh one
         if rng.randrange(2):
-            # a torsion point of the subtorus: t_i = e(k_i / den)
-            params = [Fraction(rng.randrange(den), den) for _ in range(dim)]
-            exponents = [sum(e * t for e, t in zip(row, params)) for row in rows]
+            mix = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(dim)]
+            other_rows = tuple(
+                tuple(sum(a * b for a, b in zip(row, col)) for col in mix) for row in rows
+            )
         else:
-            exponents = [Fraction(rng.randrange(den), den) for _ in range(size)]
+            other_rows = tuple(tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(size))
+        other = ExponentSubtorus(other_rows)
+        oracle = [
+            lattice_key(saturate_lattice(sub.columns(), size), size) for sub in (subtorus, other)
+        ]
+        assert (subtorus.saturated_key() == other.saturated_key()) == (oracle[0] == oracle[1])
+        same_span += oracle[0] == oracle[1]
+
+        den = rng.choice((2, 3, 4, 6))
+        exponents = _random_torsion_point(rng, rows, size, den)
         character = TorsionCharacter(exponents)
         expected = _lattice_membership_oracle(subtorus, character)
-        assert _character_in_subtorus(subtorus, character) == expected, (rows, exponents)
+        assert (not any(subtorus.coset(character))) == expected, (rows, exponents)
         inside += expected
         outside += not expected
+
+        shift = TorsionCharacter(_random_torsion_point(rng, rows, size, den))
+        second = TorsionCharacter(a + b for a, b in zip(character.exponents, shift.exponents))
+        difference = TorsionCharacter(
+            a - b for a, b in zip(character.exponents, second.exponents)
+        )
+        expected = _lattice_membership_oracle(subtorus, difference)
+        assert (subtorus.coset(character) == subtorus.coset(second)) == expected
+        same_coset += expected
     assert inside > 100 and outside > 100
+    assert 50 < same_span < 250 and 100 < same_coset < 200
 
 
 # -- small arrangements -----------------------------------------------------------
@@ -428,6 +465,45 @@ def test_one_table_per_catalog(monkeypatch):
     assert len(swept) == 18529
 
 
+def test_smith_calls_per_catalog(monkeypatch):
+    # the span key of a subtorus is `echelon_rows` and its coset key pairs
+    # with the perp basis, so the Smith decompositions left on deleted B3
+    # are those of the kernels, the T(f) groups and the perp lattices
+    calls = []
+    original = exactalg_module.smith_normal_form
+
+    def counting(A):
+        calls.append(A)
+        return original(A)
+
+    for module in (exactalg_module, torsion_module, arrangement_module, catalog_module):
+        if vars(module).get("smith_normal_form") is original:
+            monkeypatch.setattr(module, "smith_normal_form", counting)
+    build_catalog(deleted_b3())
+    assert len(calls) == 20
+
+
+def test_sweep_tables_die_with_their_catalog(monkeypatch):
+    # the sweep's block-table steps close over locals, not over the tables,
+    # so reference counting alone frees the memo when `build_catalog` returns
+    made = []
+
+    class Tracked(_SweepTables):
+        def __init__(self, restrictions):
+            super().__init__(restrictions)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(catalog_module, "_SweepTables", Tracked)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        build_catalog(deleted_b3())
+        assert len(made) == 1 and made[0]() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_second_probe_sees_a_repeated_root_at_infinity():
     # (3 + t^2) - (1 + t^2) = 2 falls two degrees short: a double root at t = infinity
     products = _block_products([(3, 0, 1), (1, 0, 1)])
@@ -645,8 +721,9 @@ def test_caps_that_empty_the_global_stage_are_rejected():
         (b3, "2ef1c2ec0f3f47ac72e6607708abb8caf8e5aee58e293299216de012f1ff99fb"),
         (ceva2, "91ea15f195d876c07530aa029de8245cc5cc3c8c28ee5bae677a16c928847e83"),
         (ceva3, "757c4f3fee821dfea7881de82c193531396b31a01637e6c214755b2afaff2058"),
+        (triangle, "6d17d38907c1529cb93adb4662f26867f41f0bccec7c7fa5130663a55d5087ca"),
     ],
-    ids=["a3", "b3", "ceva2", "ceva3"],
+    ids=["a3", "b3", "ceva2", "ceva3", "triangle"],
 )
 def test_catalog_json_digest(make, digest):
     text = json.dumps(build_catalog(make()).to_json(), indent=2, sort_keys=True)
@@ -671,6 +748,6 @@ def test_catalog_invariants(db3_catalog, a2_catalog, ex2_catalog, exfin3_catalog
                 assert rec.torsion.is_trivial()
             else:
                 assert not rec.torsion.is_trivial()
-                assert not _character_in_subtorus(rec.subtorus, rec.torsion)
+                assert any(rec.subtorus.coset(rec.torsion))
                 if rec.dimension >= 2:
                     assert rec.subtorus.saturated_key() in global_keys

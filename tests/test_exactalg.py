@@ -365,7 +365,7 @@ def test_multiplicity_profile_frozen():
 def test_rational_roots_frozen():
     # 2t^2 - 3t + 1 = (2t - 1)(t - 1)
     rr = rational_roots((1, -3, 2))
-    assert rr.roots == ((Fraction(1, 2), 1), (Fraction(1), 1))
+    assert rr.roots == (((1, 2), 1), ((1, 1), 1))
     assert rr.remaining_degree == 0
     # t^2 + 1 has no rational roots
     rr = rational_roots((1, 0, 1))
@@ -373,11 +373,11 @@ def test_rational_roots_frozen():
     assert rr.remaining_degree == 2
     # (t - 1)^3
     rr = rational_roots((-1, 3, -3, 1))
-    assert rr.roots == ((Fraction(1), 3),)
+    assert rr.roots == (((1, 1), 3),)
     assert rr.remaining_degree == 0
     # t^2 * (t + 5/3)
     rr = rational_roots((0, 0, Fraction(5, 3), 1))
-    assert rr.roots == ((Fraction(-5, 3), 1), (Fraction(0), 2))
+    assert rr.roots == (((-5, 3), 1), ((0, 1), 2))
     assert rr.remaining_degree == 0
 
 
@@ -393,11 +393,19 @@ def test_rational_roots_random():
         if tail:
             poly = coeffs_mul(poly, (1, 0, 1))
         rr = rational_roots(poly)
-        expected: dict[Fraction, int] = {}
+        expected: dict[tuple[int, int], int] = {}
         for r in roots:
-            expected[r] = expected.get(r, 0) + 1
+            key = (r.numerator, r.denominator)
+            expected[key] = expected.get(key, 0) + 1
         assert dict(rr.roots) == expected
         assert rr.remaining_degree == (2 if tail else 0)
+        _assert_reduced_and_increasing(rr.roots)
+
+
+def _assert_reduced_and_increasing(roots):
+    assert all(v > 0 and gcd(u, v) == 1 for (u, v), _ in roots)
+    values = [Fraction(u, v) for (u, v), _ in roots]
+    assert values == sorted(set(values))
 
 
 def _random_root(rng):
@@ -428,18 +436,20 @@ def test_rational_roots_match_sympy():
                 poly = coeffs_mul(poly, q)
         if len(poly) < 2:
             continue
-        expected: dict[Fraction, int] = {}
+        expected: dict[tuple[int, int], int] = {}
         rest = 0
         oracle = sympy.Poly([sympy.Rational(str(c)) for c in reversed(poly)], t)
         for factor, mult in oracle.factor_list()[1]:
             if factor.degree() == 1:
                 a, b = (int(c) for c in factor.all_coeffs())
-                expected[Fraction(-b, a)] = mult
+                root = Fraction(-b, a)
+                expected[root.numerator, root.denominator] = mult
             else:
                 rest += factor.degree() * mult
         rr = rational_roots(poly)
         assert dict(rr.roots) == expected, poly
         assert rr.remaining_degree == rest, poly
+        _assert_reduced_and_increasing(rr.roots)
         repeated += any(m > 1 for m in expected.values())
     assert repeated > 50
 

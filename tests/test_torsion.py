@@ -36,7 +36,6 @@ from curvepencils.exactalg import FinAbelianGroup
 from curvepencils.pencil import Pencil, classify, detect_special_fibers
 from curvepencils.torsion import (
     TorsionError,
-    characters_of_Tf,
     compute_Tf,
     epsilon_count,
     kernel_fstar,
@@ -53,9 +52,9 @@ def pipeline(arr, pencil):
     return cls, compute_Tf(data)
 
 
-def exponent_values(lift):
-    assert all(type(e) is Fraction and 0 <= e < 1 for e in lift.rho.exponents)
-    return lift.rho.exponents
+def exponent_values(rho):
+    assert all(type(e) is Fraction and 0 <= e < 1 for e in rho.exponents)
+    return rho.exponents
 
 
 # -- kernel of the induced map -------------------------------------------------
@@ -141,7 +140,7 @@ def test_tf_deleted_b3_is_order_two():
     assert str(tf.group) == "Z/2"
     assert tf.order == 2
     assert not tf.conditional
-    assert characters_of_Tf(tf) == [(Fraction(0),), (HALF,)]
+    assert list(tf.group.characters()) == [(Fraction(0),), (HALF,)]
     # loop around the sixth line, and the sum of the first two, both lie in
     # the kernel and map to the generator; the first loop alone does not
     data = tf.theta
@@ -160,9 +159,9 @@ def test_tf_trivial_on_reduced_pencils():
     arr, pencil = ex2().with_infinity(0), ex2_pencil()
     cls, tf = pipeline(arr, pencil)
     assert tf.group.is_trivial()
-    assert characters_of_Tf(tf) == [()]
+    assert list(tf.group.characters()) == [()]
     lift = lift_character(arr, cls, tf, ())
-    assert lift.rho.is_trivial()
+    assert lift.is_trivial()
 
     arr, pencil = deleted_b3(), braid_pencil()
     _, tf = pipeline(arr, pencil)
@@ -183,14 +182,14 @@ def test_tf_double_line_minimal_and_general_agree():
     # the kernel generator maps to 1 mod 2 in the one special-fiber group
     assert tf.generator_images == ((1,),)
     lifts = {
-        lift_character(arr, cls, tf, ch).rho.value_strings()
-        for ch in characters_of_Tf(tf)
+        lift_character(arr, cls, tf, ch).value_strings()
+        for ch in tf.group.characters()
     }
     assert lifts == {("1", "1", "1", "1"), ("-1", "-1", "1", "1")}
     # the double line carries no member loop, so no special point is detected
     # by the character
     nontrivial = lift_character(arr, cls, tf, (HALF,))
-    assert epsilon_count(cls, nontrivial.rho) == 0
+    assert epsilon_count(cls, nontrivial) == 0
 
 
 # -- lifted characters -------------------------------------------------------------
@@ -199,14 +198,14 @@ def test_tf_double_line_minimal_and_general_agree():
 def test_lift_deleted_b3_canonical_and_pinned():
     arr, pencil = deleted_b3(), fw_pencil()
     cls, tf = pipeline(arr, pencil)
-    trivial, generator = characters_of_Tf(tf)
-    assert lift_character(arr, cls, tf, trivial).rho.is_trivial()
+    trivial, generator = list(tf.group.characters())
+    assert lift_character(arr, cls, tf, trivial).is_trivial()
 
     lift = lift_character(arr, cls, tf, generator)
     assert exponent_values(lift) == (0, HALF, HALF, 0, 0, HALF, 0, HALF)
-    assert lift.rho.value_strings() == ("1", "-1", "-1", "1", "1", "-1", "1", "-1")
-    assert not lift.conditional
-    assert epsilon_count(cls, lift.rho) == 1
+    assert lift.value_strings() == ("1", "-1", "-1", "1", "1", "-1", "1", "-1")
+    assert not tf.conditional
+    assert epsilon_count(cls, lift) == 1
 
 
 def test_lift_rejects_inconsistent_characters():
@@ -227,23 +226,23 @@ def test_lift_a2_a3_pattern():
         assert str(tf.group) == f"Z/{m}"
         lifts = {
             exponent_values(lift_character(arr, cls, tf, ch))
-            for ch in characters_of_Tf(tf)
+            for ch in tf.group.characters()
         }
         expected = {
             tuple(Fraction(v) % 1 for v in (0, 0, -q, -q, q, q, 0, 0))
             for q in (Fraction(k, m) for k in range(m))
         }
         assert lifts == expected
-        for ch in characters_of_Tf(tf)[1:]:
+        for ch in list(tf.group.characters())[1:]:
             lift = lift_character(arr, cls, tf, ch)
-            assert epsilon_count(cls, lift.rho) == 1
+            assert epsilon_count(cls, lift) == 1
 
 
 def test_lift_exfin3_three_torsion_factors():
     arr, pencil = exfin3(), exfin3_pencil()
     cls, tf = pipeline(arr, pencil)
     assert tf.group.invariant_factors == (2, 2, 2)
-    lifts = [lift_character(arr, cls, tf, ch) for ch in characters_of_Tf(tf)]
+    lifts = [lift_character(arr, cls, tf, ch) for ch in tf.group.characters()]
     observed = {exponent_values(lift) for lift in lifts}
     expected = set()
     for t1 in (Fraction(0), HALF):
@@ -259,9 +258,9 @@ def test_lift_exfin3_three_torsion_factors():
     # each special fiber is detected exactly when the character is nontrivial
     # on its members: L5/L6 over (0:1), L3/L4 over (1:0), L1/L2 over (1:1)
     for lift in lifts:
-        values = lift.rho.exponents
+        values = lift.exponents
         detected = sum(1 for v in (values[4], values[2], values[1]) if v != 0)
-        assert epsilon_count(cls, lift.rho) == detected
+        assert epsilon_count(cls, lift) == detected
 
 
 def test_lift_round_trip_and_degree_relation():
@@ -279,17 +278,17 @@ def test_lift_round_trip_and_degree_relation():
         for b in cls.base_points:
             for _, mult in cls.fiber_members(b):
                 base_lcm = lcm(base_lcm, mult)
-        for ch in characters_of_Tf(tf):
+        for ch in tf.group.characters():
             lift = lift_character(arr, cls, tf, ch)
-            assert lift.rho.satisfies_degree_relation(arr.degrees)
+            assert lift.satisfies_degree_relation(arr.degrees)
             # sections land back on the prescribed generator values
             for value, section in zip(ch, tf.section_columns):
                 acc = sum(
-                    coeff * lift.rho.exponents[j]
+                    coeff * lift.exponents[j]
                     for j, coeff in zip(tf.theta.affine_indices, section)
                 )
                 assert (acc - value) % 1 == 0
-            for exponent in lift.rho.exponents:
+            for exponent in lift.exponents:
                 assert (tf.order * base_lcm) % exponent.denominator == 0
 
 
@@ -323,9 +322,9 @@ def test_lift_breaks_ties_at_a_multiple_pivot(d, images, value, expected):
         tf, group=FinAbelianGroup([d]), basis_classes=tuple((c,) for c in images)
     )
     lift = lift_character(arr, cls, fake, (value,))
-    assert str(lift.rho) == expected
+    assert str(lift) == expected
     assert exponent_values(lift)[0] == 0
-    assert lift.rho.satisfies_degree_relation(arr.degrees)
+    assert lift.satisfies_degree_relation(arr.degrees)
 
 
 def test_lift_rejects_unsaturated_kernel_under_optimization():
