@@ -447,13 +447,14 @@ class ExponentSubtorus:
         return tuple(out)
 
 
-def pullback_subtorus(arr: Arrangement, classification: "PencilClassification") -> ExponentSubtorus:
+def pullback_subtorus(classification: "PencilClassification") -> ExponentSubtorus:
     """Exponent subtorus pulled back from the base of the pencil.
 
     One parameter per base point except the last in canonical order, which
     is eliminated against the product-is-constant relation.  Every column
     satisfies the degree relation sum_j d_j E[j][i] = 0.
     """
+    arr = classification.arrangement
     B = classification.base_points
     if len(B) < 2:
         raise ArrangementError("pullback needs at least two fully-arrangement fibers")

@@ -32,7 +32,6 @@ from .exactalg import (
 from .pencil import (
     Pencil,
     PencilClassification,
-    PencilError,
     _Block,
     _BlockTable,
     _SearchTables,
@@ -43,7 +42,7 @@ from .pencil import (
 )
 from .polyform import ProjLine, TernaryForm
 from .resonance import cup_structure, subspace_from_pencil
-from .torsion import compute_Tf, epsilon_count, kernel_fstar, lift_character, theta
+from .torsion import epsilon_count, lifted_characters
 
 __all__ = [
     "CatalogError",
@@ -512,11 +511,9 @@ def _local_record(arr: Arrangement, mp: MultiplePoint) -> ComponentRecord:
     )
 
 
-def _untranslated_record(
-    arr: Arrangement, cl: PencilClassification, subtorus: ExponentSubtorus
-) -> ComponentRecord:
-    trivial = TorsionCharacter([0] * arr.size)
-    flags, witness = _component_flags(arr, subtorus, trivial)
+def _untranslated_record(cl: PencilClassification, subtorus: ExponentSubtorus) -> ComponentRecord:
+    trivial = TorsionCharacter([0] * cl.arrangement.size)
+    flags, witness = _component_flags(cl.arrangement, subtorus, trivial)
     flags.append("certified")
     dimension = cl.k - 1
     return ComponentRecord(
@@ -532,13 +529,12 @@ def _untranslated_record(
     )
 
 
-def _translated_certification(
-    arr: Arrangement, cl: PencilClassification, maximal: Optional[bool]
-) -> str:
+def _translated_certification(cl: PencilClassification, maximal: Optional[bool]) -> str:
     if cl.conditional:
         return "candidate (special fiber list is conditional)"
     if cl.k >= 3:
         return "certified"
+    arr = cl.arrangement
     if not (arr.is_line_arrangement() and arr.infinity_index is not None):
         return "candidate (no cup-product structure on this arrangement)"
     if any(sp.m_prime != 1 for sp in cl.special_points):
@@ -549,24 +545,17 @@ def _translated_certification(
     return "certified (m'(c) = 1 for all c in C(f))"
 
 
-def _translated_records(
-    arr: Arrangement, cl: PencilClassification, maximal: Optional[bool]
-) -> list[ComponentRecord]:
-    kernel = kernel_fstar(arr, cl)
-    data = theta(arr, cl, kernel)
-    tf = compute_Tf(data)
-    if tf.group.is_trivial():
+def _translated_records(cl: PencilClassification, maximal: Optional[bool]) -> list[ComponentRecord]:
+    _, lifts = lifted_characters(cl)
+    if not lifts:
         return []
-    subtorus = pullback_subtorus(arr, cl)
-    certification = _translated_certification(arr, cl, maximal)
+    subtorus = pullback_subtorus(cl)
+    certification = _translated_certification(cl, maximal)
     out = []
-    for chi in tf.group.characters():
-        if not any(chi):
-            continue
-        rho = lift_character(arr, cl, tf, chi)
+    for rho in lifts:
         if not any(subtorus.coset(rho)):
             continue  # not translated: the lift already sits on the subtorus
-        flags, witness = _component_flags(arr, subtorus, rho)
+        flags, witness = _component_flags(cl.arrangement, subtorus, rho)
         flags.append(certification)
         dimension = cl.k - 1
         out.append(
@@ -675,23 +664,20 @@ def build_catalog(
     results = pencil_search(tables, max_blocks)
     globals_: list[ComponentRecord] = []
     searched_spans: set[tuple] = set()
-    for res in results:
-        searched_spans.add(res.pencil.span_key())
-        subtorus = pullback_subtorus(base_arr, res.classification)
+    for cl in results:
+        searched_spans.add(cl.pencil.span_key())
+        subtorus = pullback_subtorus(cl)
         key = subtorus.saturated_key()
         if key in known_keys:
             continue  # the point pencil of a multiple point, already listed
         known_keys.add(key)
-        globals_.append(_untranslated_record(base_arr, res.classification, subtorus))
+        globals_.append(_untranslated_record(cl, subtorus))
 
     # --- Step 4: translated sweep over the found pencils ---
     translated: list[ComponentRecord] = []
     seen_classes: set[tuple[tuple, tuple]] = set()
     if work is not None:
-        candidates: list[PencilClassification] = []
-        for res in results:
-            cl = detect_special_fibers(res.pencil, res.classification)
-            candidates.append(cl)
+        candidates = [detect_special_fibers(cl) for cl in results]
 
         first, second = (r for _, _, _, r in _probe_lines(work))
         sweep = _SweepTables(first)
@@ -717,17 +703,13 @@ def build_catalog(
             params = _candidate_parameters(sweep, blk_a, blk_b)
             if not any(_repeated_root_at(products, blk_a, blk_b, lam) for lam in params):
                 continue  # no candidate repeats its root on the second probe
-            try:
-                pencil = Pencil(tables.block_form(blk_a), tables.block_form(blk_b))
-            except PencilError:
-                continue
+            # disjoint supports of irreducibles are never proportional
+            pencil = Pencil(tables.block_form(blk_a), tables.block_form(blk_b))
             span = pencil.span_key()
             if span in searched_spans or span in survivor_spans:
                 continue
             survivor_spans.add(span)
-            cl = classify(work, pencil)
-            cl = detect_special_fibers(pencil, cl)
-            candidates.append(cl)
+            candidates.append(detect_special_fibers(classify(work, pencil)))
 
         cup = cup_structure(work, tables.points)
         for cl in candidates:
@@ -736,11 +718,11 @@ def build_catalog(
                     warnings.append(w)
             maximal: Optional[bool] = None
             if cup is not None:
-                subspace = subspace_from_pencil(work, cl, cup)
+                subspace = subspace_from_pencil(cl, cup)
                 maximal = subspace.maximal
                 if cl.k == 2 and maximal is False:
                     continue
-            for rec in _translated_records(work, cl, maximal):
+            for rec in _translated_records(cl, maximal):
                 key = (rec.subtorus.saturated_key(), rec.subtorus.coset(rec.torsion))
                 if key not in seen_classes:
                     seen_classes.add(key)
@@ -750,7 +732,7 @@ def build_catalog(
     for rec in translated:
         if rec.dimension >= 2 and rec.subtorus.saturated_key() not in known_keys:
             known_keys.add(rec.subtorus.saturated_key())
-            globals_.append(_untranslated_record(base_arr, rec.source, rec.subtorus))
+            globals_.append(_untranslated_record(rec.source, rec.subtorus))
 
     locals_.sort(key=lambda r: (r.source.point.sort_key(), r.source.degree))
     translated.sort(key=lambda r: (r.subtorus.saturated_key(), r.torsion.sort_key()))

@@ -50,7 +50,7 @@ from .resonance import (
     pencil_from_subspace,
     ray_to_map,
 )
-from .torsion import TorsionError, compute_Tf, kernel_fstar, lift_character, theta
+from .torsion import TorsionError, lifted_characters
 
 __all__ = ["main"]
 
@@ -134,22 +134,19 @@ def _character_tuple(values: Sequence[str]) -> str:
 
 
 def _classified(arr: Arrangement, pencil: Pencil) -> PencilClassification:
-    return detect_special_fibers(pencil, classify(arr, pencil))
+    return detect_special_fibers(classify(arr, pencil))
 
 
-def _tf_report(arr: Arrangement, cl: PencilClassification) -> tuple[list[str], dict, bool]:
-    kernel = kernel_fstar(arr, cl)
-    tf = compute_Tf(theta(arr, cl, kernel))
-    lifts = [lift_character(arr, cl, tf, chi) for chi in tf.group.characters() if any(chi)]
+def _tf_report(cl: PencilClassification) -> tuple[list[str], dict]:
+    tf, lifts = lifted_characters(cl)
     head = f"T(f) = {tf.group}"
     if lifts:
         head += "; " + "; ".join("rho = " + _character_tuple(rho.value_strings()) for rho in lifts)
     else:
         head += "; no nontrivial characters"
-    subtorus = pullback_subtorus(arr, cl)
+    subtorus = pullback_subtorus(cl)
     lines = [head, "subtorus = (" + ", ".join(subtorus.monomial_strings()) + ")"]
-    conditional = bool(cl.conditional or tf.conditional)
-    if conditional:
+    if cl.conditional:
         lines.append("conditional: special fiber parameters may be irrational")
     doc = {
         "group": str(tf.group),
@@ -162,9 +159,9 @@ def _tf_report(arr: Arrangement, cl: PencilClassification) -> tuple[list[str], d
             for rho in lifts
         ],
         "subtorus": list(subtorus.monomial_strings()),
-        "conditional": conditional,
+        "conditional": cl.conditional,
     }
-    return lines, doc, conditional
+    return lines, doc
 
 
 def _warn_lines(notes: Sequence[str]) -> list[str]:
@@ -285,8 +282,8 @@ def _cmd_tf(args: argparse.Namespace) -> tuple[list[str], dict]:
     arr, notes = _ensure_infinity(arr)
     pencil = _load_pencil(args.pencil, arr)
     cl = _classified(arr, pencil)
-    lines, doc, conditional = _tf_report(arr, cl)
-    if args.strict and conditional:
+    lines, doc = _tf_report(cl)
+    if args.strict and cl.conditional:
         raise CliFailure(EXIT_CONDITIONAL, "conditional", "T(f) result is conditional")
     lines += _warn_lines(notes + list(cl.warnings))
     doc["warnings"] = notes + list(cl.warnings)
@@ -297,9 +294,9 @@ def _cmd_check(args: argparse.Namespace) -> tuple[list[str], dict]:
     arr = _load_arrangement(args.arrangement)
     pencil = _load_pencil(args.pencil, arr)
     cl = _classified(arr, pencil)
-    report = fy_identities(arr, cl)
+    report = fy_identities(cl)
     clusters = None if args.clusters is None else [BlowupCluster(m) for m in args.clusters]
-    si = self_intersection(arr, cl, clusters)
+    si = self_intersection(cl, clusters)
     checks = [
         ("(i) base multiplicity constant per point", report.constant_multiplicity),
         (
@@ -416,8 +413,8 @@ def _cmd_ray(args: argparse.Namespace) -> tuple[list[str], dict]:
         work, notes = _ensure_infinity(arr)
         pencil = Pencil(ray.numerator, ray.denominator)
         cl = _classified(work, pencil)
-        tf_lines, tf_doc, conditional = _tf_report(work, cl)
-        if args.strict and conditional:
+        tf_lines, tf_doc = _tf_report(cl)
+        if args.strict and cl.conditional:
             raise CliFailure(
                 EXIT_CONDITIONAL, "conditional", "T(f) result is conditional"
             )

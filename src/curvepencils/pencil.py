@@ -57,7 +57,6 @@ __all__ = [
     "BlowupCluster",
     "SelfIntersectionReport",
     "self_intersection",
-    "SearchResult",
     "pencil_search",
 ]
 
@@ -278,25 +277,22 @@ def _place(pencil: Pencil, comp: CurveComponent, vote: Vote) -> tuple[P1Point, i
     one `divisibility_multiplicity` at the voted point.  Without a vote,
     `member_of_pencil_dividing` decides by the remainders of the two
     generators on division by the component.  A component dividing both
-    generators never votes (all its points are base points) and divides
-    every fiber; once a fiber is found, one division of a second generator
-    rejects it.  Testing after the remainders spares the common horizontal
-    case that division.
+    generators never votes (all its points are base points) and leaves
+    both remainders zero, which that rung reports as a `ValueError`.
     """
     if vote == "horizontal":
         return None
     if vote is not None:
         e = divisibility_multiplicity(pencil.fiber(vote), comp.form)
         return (vote, e) if e >= 1 else None
-    found = member_of_pencil_dividing(comp.form, pencil.P, pencil.Q)
-    if found is not None:
-        # the fiber over (0:1) is P; any other fiber and P span the pencil
-        other = pencil.Q if found[0] == P1Point(0, 1) else pencil.P
-        if exact_divide(other, comp.form) is not None:
-            raise PencilError(
-                f"degenerate pencil: common factor {comp.label!r} in both generators"
-            )
-    return found
+    try:
+        return member_of_pencil_dividing(comp.form, pencil.P, pencil.Q)
+    except ValueError:
+        # a Pencil has independent generators of one degree and a component
+        # is nonconstant, so only a common factor is left to raise
+        raise PencilError(
+            f"degenerate pencil: common factor {comp.label!r} in both generators"
+        ) from None
 
 
 def _finish_classification(
@@ -405,9 +401,7 @@ class ProbeSequence:
 # special fibers
 
 
-def detect_special_fibers(
-    pencil: Pencil, classification: PencilClassification
-) -> PencilClassification:
+def detect_special_fibers(classification: PencilClassification) -> PencilClassification:
     """Fill in C(f): special fibers outside B with their m', m'' data.
 
     Candidates are the type-2 fiber points, both end fibers, and the
@@ -425,6 +419,7 @@ def detect_special_fibers(
     algebraic proxy; Milnor-number jumps concentrated at base points are
     not examined.
     """
+    pencil = classification.pencil
     warnings: list[str] = []
     conditional = False
     candidates: set[P1Point] = set(classification.type2_points)
@@ -618,7 +613,7 @@ class FYReport:
         )
 
 
-def fy_identities(arr: Arrangement, classification: PencilClassification) -> FYReport:
+def fy_identities(classification: PencilClassification) -> FYReport:
     """Check the base-locus identities of the classification.
 
     (i) every base point meets all fibers with one multiplicity, (ii) the
@@ -637,6 +632,7 @@ def fy_identities(arr: Arrangement, classification: PencilClassification) -> FYR
         raise PencilError(
             "type-2 members present: fiber decompositions are incomplete"
         )
+    arr = classification.arrangement
     B = classification.base_points
     if len(B) < 2:
         raise PencilError("base-locus identities need at least two full fibers")
@@ -654,7 +650,7 @@ def fy_identities(arr: Arrangement, classification: PencilClassification) -> FYR
     )
     table = profile = None
     if all_lines:
-        points, constant = _fy_exact_points(arr, classification)
+        points, constant = _fy_exact_points(classification)
         table = tuple(points)
         total = sum(n for _, n in table)
     else:
@@ -673,10 +669,9 @@ def fy_identities(arr: Arrangement, classification: PencilClassification) -> FYR
     )
 
 
-def _cross_fiber_points(
-    arr: Arrangement, classification: PencilClassification
-) -> list[ProjPoint]:
+def _cross_fiber_points(classification: PencilClassification) -> list[ProjPoint]:
     """Sorted meeting points of full-fiber members that lie in different fibers."""
+    arr = classification.arrangement
     fibers = [
         [arr.components[j] for j, _ in classification.fiber_members(b)]
         for b in classification.base_points
@@ -688,16 +683,17 @@ def _cross_fiber_points(
 
 
 def _fy_exact_points(
-    arr: Arrangement, classification: PencilClassification
+    classification: PencilClassification,
 ) -> tuple[list[tuple[ProjPoint, int]], bool]:
+    components = classification.arrangement.components
     table: list[tuple[ProjPoint, int]] = []
     constant = True
-    for p in _cross_fiber_points(arr, classification):
+    for p in _cross_fiber_points(classification):
         mults = [
             sum(
                 m
                 for j, m in classification.fiber_members(b)
-                if arr.components[j].form.evaluate(p.coords) == 0
+                if components[j].form.evaluate(p.coords) == 0
             )
             for b in classification.base_points
         ]
@@ -791,15 +787,14 @@ class SelfIntersectionReport:
 
 
 def self_intersection(
-    arr: Arrangement,
-    classification: PencilClassification,
-    clusters: Sequence[BlowupCluster] | None = None,
+    classification: PencilClassification, clusters: Sequence[BlowupCluster] | None = None
 ) -> SelfIntersectionReport:
     """(deg C)^2 minus the cluster multiplicities squared, C the type-1 union.
 
     With clusters None the base points are enumerated exactly; this needs
     every type-1 member to be a line (one blow-up per base point resolves).
     """
+    arr = classification.arrangement
     type1 = [
         (j, p) for j, p in enumerate(classification.placements) if p.kind == "type1"
     ]
@@ -812,7 +807,7 @@ def self_intersection(
             )
         # the type-1 members are exactly the members of the full fibers
         cluster_list = []
-        for p in _cross_fiber_points(arr, classification):
+        for p in _cross_fiber_points(classification):
             mult = sum(
                 1 for j, _ in type1 if arr.components[j].form.evaluate(p.coords) == 0
             )
@@ -825,17 +820,6 @@ def self_intersection(
 
 # ---------------------------------------------------------------------------
 # pencil search
-
-
-@dataclass(frozen=True)
-class SearchResult:
-    pencil: Pencil
-    classification: PencilClassification
-    partition: tuple[tuple[tuple[int, int], ...], ...]  # per fiber: (index, mult)
-
-    @property
-    def k(self) -> int:
-        return self.classification.k
 
 
 @dataclass(frozen=True)
@@ -1059,7 +1043,7 @@ def _partition_saturated(partition: Sequence[Sequence[tuple[int, int]]]) -> bool
 
 
 def _classify_pair(
-    arr: Arrangement, tables: _SearchTables, pencil: Pencil, a: _Block, b: _Block
+    tables: _SearchTables, pencil: Pencil, a: _Block, b: _Block
 ) -> PencilClassification:
     """Exact classification of the pencil spanned by two block products.
 
@@ -1069,9 +1053,9 @@ def _classify_pair(
     hits = [(j, P1Point(0, 1), m) for j, m in zip(a.indices, a.mults)]
     hits += [(j, P1Point(1, 0), m) for j, m in zip(b.indices, b.mults)]
     union = a.mask | b.mask
-    votes = {j: tables.vote(a, b, j) for j in range(arr.size) if not union >> j & 1}
+    votes = {j: tables.vote(a, b, j) for j in range(tables.arr.size) if not union >> j & 1}
     return _finish_classification(
-        arr,
+        tables.arr,
         pencil,
         votes,
         hits,
@@ -1079,7 +1063,7 @@ def _classify_pair(
     )
 
 
-def pencil_search(tables: _SearchTables, max_blocks: int) -> list[SearchResult]:
+def pencil_search(tables: _SearchTables, max_blocks: int) -> list[PencilClassification]:
     """All pencils realizing partitions of components into k >= 3 full fibers.
 
     The pencils are those of ``tables.arr`` with fiber multiplicities up to
@@ -1110,10 +1094,10 @@ def pencil_search(tables: _SearchTables, max_blocks: int) -> list[SearchResult]:
     produced it.  Pencils with k = 2 are not searched for here: the
     catalog's translated sweep covers them.
     """
-    arr, max_multiplicity = tables.arr, tables.max_multiplicity
+    max_multiplicity = tables.max_multiplicity
     lines = tables.point_masks is not None
     seen: set[tuple] = set()
-    results: list[SearchResult] = []
+    results: list[PencilClassification] = []
     for a, b in iter_block_pairs(tables, tables.avoid):
         if not (tables.multinet_screen(a, b) if lines else tables.vote_screen(a, b)):
             continue
@@ -1123,7 +1107,7 @@ def pencil_search(tables: _SearchTables, max_blocks: int) -> list[SearchResult]:
         if key in seen:
             continue
         seen.add(key)
-        classification = _classify_pair(arr, tables, pencil, a, b)
+        classification = _classify_pair(tables, pencil, a, b)
         k = classification.k
         if not (3 <= k <= max_blocks):
             continue
@@ -1133,15 +1117,13 @@ def pencil_search(tables: _SearchTables, max_blocks: int) -> list[SearchResult]:
             for _, m in classification.fiber_members(bp)
         ):
             continue
-        partition = tuple(
-            classification.fiber_members(bp) for bp in classification.base_points
-        )
+        partition = [classification.fiber_members(bp) for bp in classification.base_points]
         if not _partition_saturated(partition):
             continue
-        results.append(SearchResult(classification.pencil, classification, partition))
+        results.append(classification)
 
-    def order(res: SearchResult) -> tuple:  # RREF entries (row over pivot) as strings
-        rows = res.pencil.span_key()
-        return res.k, tuple(str(Fraction(c, next(filter(None, r)))) for r in rows for c in r)
+    def order(cl: PencilClassification) -> tuple:  # RREF entries (row over pivot) as strings
+        rows = cl.pencil.span_key()
+        return cl.k, tuple(str(Fraction(c, next(filter(None, r)))) for r in rows for c in r)
 
     return sorted(results, key=order)

@@ -581,8 +581,8 @@ def member_of_pencil_dividing(
     The last rung of the placement ladder in `pencil`, for components with
     no vote: the remainders rP, rQ of P and Q on division by fj are linear
     in the dividend, so fj divides the fiber exactly when b1*rP = b0*rQ.
-    When fj divides both P and Q the fiber (0:1) is returned, and callers
-    that must reject a common factor test for it.
+    Both remainders vanish exactly when fj divides both P and Q; then fj
+    divides every fiber, and `ValueError` reports the common factor.
     """
     if P.is_zero() or Q.is_zero() or P.degree != Q.degree:
         raise ValueError("pencil generators must be nonzero of equal degree")
@@ -592,6 +592,8 @@ def member_of_pencil_dividing(
         raise ValueError("members are nonconstant forms")
     _, rP = divide(P, fj)
     _, rQ = divide(Q, fj)
+    if rP.is_zero() and rQ.is_zero():
+        raise ValueError("degenerate pencil: the member divides both generators")
     if rP.is_zero():
         b = P1Point(0, 1)
     elif rQ.is_zero():

@@ -207,7 +207,7 @@ def is_maximal_isotropic(cs: CupStructure, subspace: IsotropicSubspace) -> Isotr
 
 
 def subspace_from_pencil(
-    arr: Arrangement, classification: PencilClassification, cup: CupStructure | None
+    classification: PencilClassification, cup: CupStructure | None
 ) -> IsotropicSubspace:
     """Pullback of degree-one classes of the punctured target line.
 
@@ -219,7 +219,7 @@ def subspace_from_pencil(
     """
     if len(classification.base_points) < 2:
         raise ResonanceError("need at least two fully-arrangement fibers")
-    columns = pullback_subtorus(arr, classification).columns()
+    columns = pullback_subtorus(classification).columns()
     subspace = IsotropicSubspace(tuple(ResidueVector(c) for c in columns))
     if cup is not None:
         flags = is_maximal_isotropic(cup, subspace)

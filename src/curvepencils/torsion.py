@@ -3,13 +3,14 @@
 Everything here works in the affine chart obtained by deleting a designated
 line of the arrangement.  First-homology classes of the complement are
 written in coordinates dual to the loops around the remaining components,
-so an exponent vector of length ``len(affine_indices)`` always refers to
-that slot order.
+so an exponent vector of length ``len(arr.affine_indices())`` always
+refers to that slot order.
 
 The pipeline is `kernel_fstar` -> `theta` -> `compute_Tf` ->
-`lift_character`, the last on each character of ``tf.group.characters()``.
-Each stage only consumes the output of the previous one, so intermediate
-data can be inspected or serialised between steps.  `compute_Tf` has one algorithm: the relation
+`lift_character`, the last on each nontrivial character of ``tf.group``;
+`lifted_characters` runs it.  The pencil's classification is the only
+input: `kernel_fstar` and `theta` take it, and the later stages read it
+as ``ThetaData.classification``.  `compute_Tf` has one algorithm: the relation
 lattice of the kernel images inside the product of the special-fiber
 cyclic groups, with a trivial exit when every special fiber is reduced.
 
@@ -27,7 +28,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
-from .arrangement import Arrangement, TorsionCharacter
+from .arrangement import TorsionCharacter, pullback_subtorus
 from .exactalg import (
     FinAbelianGroup,
     IntMatrix,
@@ -37,7 +38,7 @@ from .exactalg import (
     product_relation_lattice,
     smith_normal_form,
 )
-from .pencil import PencilClassification, SpecialPoint
+from .pencil import PencilClassification
 from .polyform import P1Point
 
 __all__ = [
@@ -48,6 +49,7 @@ __all__ = [
     "theta",
     "compute_Tf",
     "lift_character",
+    "lifted_characters",
     "epsilon_count",
 ]
 
@@ -59,23 +61,29 @@ class TorsionError(ValueError):
 # -- affine chart ------------------------------------------------------------
 
 
-def _affine_chart(
-    arr: Arrangement, classification: PencilClassification
-) -> tuple[tuple[int, ...], dict[int, int], tuple[P1Point, ...], list[int], list[list[int]]]:
-    """Slot order, base points and fiber relation rows of the affine chart.
-
-    The last base point in canonical order is the one placed at infinity on
-    the target line; each remaining base point contributes one relation row
-    (its member multiplicities minus those of the infinity side, restricted
-    to affine components).
-    """
+def _affine_indices(classification: PencilClassification) -> tuple[int, ...]:
+    """The components of the affine chart, once the chart is known to exist."""
+    arr = classification.arrangement
     if arr.infinity_index is None:
         raise TorsionError("no line designated as infinity")
     if arr.components[arr.infinity_index].degree != 1:
         raise TorsionError("designated infinity component is not a line")
     if not classification.base_points:
         raise TorsionError("need at least one fully-arrangement fiber")
-    affine = arr.affine_indices()
+    return arr.affine_indices()
+
+
+def _affine_chart(
+    classification: PencilClassification,
+) -> tuple[dict[int, int], list[int], list[list[int]]]:
+    """Slots, infinity-side member vector and fiber relation rows of the affine chart.
+
+    The last base point in canonical order is the one placed at infinity on
+    the target line; each remaining base point contributes one relation row
+    (its member multiplicities minus those of the infinity side, restricted
+    to affine components).
+    """
+    affine = _affine_indices(classification)
     slot = {j: i for i, j in enumerate(affine)}
 
     def member_vector(point: P1Point) -> list[int]:
@@ -90,20 +98,24 @@ def _affine_chart(
     rows = [
         [a - b for a, b in zip(member_vector(b), inf_vec)] for b in base[:-1]
     ]
-    return affine, slot, base, inf_vec, rows
+    return slot, inf_vec, rows
 
 
-def kernel_fstar(arr: Arrangement, classification: PencilClassification) -> IntMatrix:
+def kernel_fstar(classification: PencilClassification) -> IntMatrix:
     """Basis of the kernel of the map induced by the pencil on first homology.
 
     Coordinates run over the affine components in slot order; the returned
     matrix holds one basis vector per column.  With a single base point the
-    map on homology is zero and the kernel is everything.
+    map on homology is zero and the kernel is everything.  Otherwise f_* is
+    dual to the pullback f^*, so its rows are the columns of
+    `pullback_subtorus` on the affine components: the relation rows of
+    `_affine_chart`, which `theta` builds once.
     """
-    affine, _slot, _base, _inf, rows = _affine_chart(arr, classification)
-    if not rows:
+    affine = _affine_indices(classification)
+    if classification.k == 1:
         return IntMatrix.identity(len(affine))
-    return integer_kernel_basis(IntMatrix(rows))
+    columns = pullback_subtorus(classification).columns()
+    return integer_kernel_basis(IntMatrix([[c[j] for j in affine] for c in columns]))
 
 
 # -- theta data --------------------------------------------------------------
@@ -113,28 +125,24 @@ def kernel_fstar(arr: Arrangement, classification: PencilClassification) -> IntM
 class ThetaData:
     """Target data of the torsion computation.
 
-    ``theta_rows`` has one row per special point, giving the value of the
-    corresponding cyclic coordinate on each affine loop, reduced modulo that
-    point's new-part multiplicity.  ``kernel_images`` packs the images of
-    the kernel basis vectors as columns.
+    ``classification`` is the pencil's, with its special points detected;
+    its arrangement fixes the affine chart.  ``relation_rows`` has one row
+    per base point but the last.  ``theta_rows`` has one row per special
+    point, giving the value of the corresponding cyclic coordinate on each
+    affine loop, reduced modulo that point's new-part multiplicity.
+    ``kernel_images`` packs the images of the kernel basis vectors as
+    columns.
     """
 
-    affine_indices: tuple[int, ...]
-    infinity_index: int
-    base_points: tuple[P1Point, ...]
+    classification: PencilClassification
     relation_rows: IntMatrix
     kernel_basis: IntMatrix
-    infinity_fiber_row: tuple[int, ...]
-    special_points: tuple[SpecialPoint, ...]
     moduli: tuple[int, ...]
     theta_rows: IntMatrix
     kernel_images: IntMatrix
-    conditional: bool
 
 
-def theta(
-    arr: Arrangement, classification: PencilClassification, kernel: IntMatrix
-) -> ThetaData:
+def theta(classification: PencilClassification, kernel: IntMatrix) -> ThetaData:
     """Connecting map from the pencil kernel into the special-fiber cyclic groups.
 
     Requires `detect_special_fibers` to have run: the classification must
@@ -145,8 +153,8 @@ def theta(
     """
     if classification.special_points is None:
         raise TorsionError("special fiber data not computed")
-    affine, slot, base, inf_vec, rows = _affine_chart(arr, classification)
-    specials = tuple(classification.special_points)
+    slot, inf_vec, rows = _affine_chart(classification)
+    specials = classification.special_points
     moduli = tuple(sp.m_dprime for sp in specials)
     if any(m < 1 for m in moduli):
         raise TorsionError("special fiber multiplicities must be positive")
@@ -169,17 +177,12 @@ def theta(
             )
         )
     return ThetaData(
-        affine_indices=affine,
-        infinity_index=arr.infinity_index,
-        base_points=base,
+        classification=classification,
         relation_rows=IntMatrix(rows),
         kernel_basis=kernel,
-        infinity_fiber_row=tuple(inf_vec),
-        special_points=specials,
         moduli=moduli,
         theta_rows=IntMatrix(theta_rows),
         kernel_images=IntMatrix.from_columns(images, nrows=len(specials)),
-        conditional=classification.conditional,
     )
 
 
@@ -203,7 +206,6 @@ class TfGroup:
     generator_images: tuple[tuple[int, ...], ...]
     section_columns: tuple[tuple[int, ...], ...]
     basis_classes: tuple[tuple[int, ...], ...]
-    conditional: bool
 
     @property
     def order(self) -> int:
@@ -222,7 +224,6 @@ def _trivial_tf(data: ThetaData) -> TfGroup:
         generator_images=(),
         section_columns=(),
         basis_classes=tuple(() for _ in range(data.kernel_basis.ncols)),
-        conditional=data.conditional,
     )
 
 
@@ -266,7 +267,6 @@ def _general_tf(data: ThetaData) -> TfGroup:
         generator_images=tuple(images),
         section_columns=tuple(sections),
         basis_classes=basis_classes,
-        conditional=data.conditional,
     )
     _verify_tf(tf)
     return tf
@@ -305,12 +305,7 @@ def compute_Tf(data: ThetaData) -> TfGroup:
 # -- lifting characters to the ambient torus ---------------------------------
 
 
-def lift_character(
-    arr: Arrangement,
-    classification: PencilClassification,
-    tf: TfGroup,
-    rho_tilde: Iterable[Fraction | int],
-) -> TorsionCharacter:
+def lift_character(tf: TfGroup, rho_tilde: Iterable[Fraction | int]) -> TorsionCharacter:
     """Exponent vector on the ambient torus inducing a torsion character.
 
     The result assigns a root-of-unity exponent to every component of the
@@ -325,7 +320,9 @@ def lift_character(
     work runs on integer numerators over one denominator N.
     """
     data = tf.theta
-    affine = data.affine_indices
+    classification = data.classification
+    arr = classification.arrangement
+    affine = arr.affine_indices()
     slot = {j: i for i, j in enumerate(affine)}
     n = len(affine)
     factors = tf.group.invariant_factors
@@ -369,7 +366,7 @@ def lift_character(
     # over N * m the pivot exponent p / N becomes p * m, and the shift by
     # -p / (N * m) times the relation row zeroes it; the m lifts of that
     # shift differ by k / m = k * N / (N * m) times the row
-    for b, row in zip(data.base_points[:-1], data.relation_rows.rows):
+    for b, row in zip(classification.base_points[:-1], data.relation_rows.rows):
         members = [
             (m, j) for j, m in classification.fiber_members(b) if j in slot
         ]
@@ -391,7 +388,7 @@ def lift_character(
     full = [0] * arr.size
     for j, e in zip(affine, exps):
         full[j] = e
-    full[data.infinity_index] = -sum(
+    full[arr.infinity_index] = -sum(
         arr.components[j].degree * e for j, e in zip(affine, exps)
     ) % N
 
@@ -403,6 +400,18 @@ def lift_character(
         if (acc - chi[t] * scale) % N:
             raise TorsionError("lifted character misses its value on the kernel")
     return TorsionCharacter(Fraction(a, N) for a in full)
+
+
+def lifted_characters(
+    classification: PencilClassification,
+) -> tuple[TfGroup, list[TorsionCharacter]]:
+    """T(f) of the pencil and the lift of each of its nontrivial characters.
+
+    The one path through the stages; the classification must carry its
+    special points (`detect_special_fibers`).
+    """
+    tf = compute_Tf(theta(classification, kernel_fstar(classification)))
+    return tf, [lift_character(tf, chi) for chi in tf.group.characters() if any(chi)]
 
 
 def epsilon_count(classification: PencilClassification, rho: TorsionCharacter) -> int:

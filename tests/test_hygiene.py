@@ -393,3 +393,85 @@ def test_fraction_use_is_caught():
         "from fractions (line 2)",
         "import fractions (line 1)",
     ]
+
+
+# a classification holds its arrangement and pencil; a second argument
+# beside it would be a second source of truth that nothing checks
+HANDLE = "PencilClassification"
+HELD = frozenset({"Arrangement", "Pencil"})
+
+
+def _annotation_names(annotation: ast.expr | None) -> set[str]:
+    """Names an annotation mentions, inside string annotations too."""
+    out: set[str] = set()
+    for node in ast.walk(annotation) if annotation is not None else ():
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out |= _annotation_names(ast.parse(node.value, mode="eval").body)
+    return out
+
+
+def _classification_beside_its_parts(tree: ast.Module) -> list[str]:
+    """Functions with a parameter annotated by the handle beside one annotated by a held part."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        every = args.posonlyargs + args.args + args.kwonlyargs
+        params = [_annotation_names(a.annotation) for a in every]
+        if any(HANDLE in names for names in params) and any(names & HELD for names in params):
+            out.append(f"{node.name} (line {node.lineno})")
+    return out
+
+
+def test_no_classification_beside_its_arrangement_or_pencil():
+    uses = [
+        f"{path.name}: {use}"
+        for path in SOURCES
+        for use in _classification_beside_its_parts(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not uses, f"read these from the classification instead: {', '.join(uses)}"
+
+
+def test_classification_beside_its_parts_is_caught():
+    tree = ast.parse(
+        "def classify(arr: Arrangement, pencil: Pencil) -> PencilClassification: pass\n"
+        "def record(arr: Arrangement, cl: PencilClassification): pass\n"
+        "def detect(pencil: 'Pencil', cl: 'PencilClassification'): pass\n"
+        "def tf(cl: pencil.PencilClassification, *, arr: Arrangement | None = None): pass\n"
+        "def report(cl: PencilClassification, clusters: list[int] | None = None): pass\n"
+        "class Tables:\n"
+        "    def pair(self, pencil: Pencil, cl: PencilClassification | None): pass\n"
+    )
+    assert _classification_beside_its_parts(tree) == [
+        "record (line 2)",
+        "detect (line 3)",
+        "tf (line 4)",
+        "pair (line 7)",
+    ]
+
+
+# the benchmark keeps its own copy of the fixtures and goldens it replays;
+# a regenerated golden must be copied there too, or the benchmark counts
+# every report of it as an incorrect output
+SNAPSHOTS = [
+    (ROOT / "perfbench" / "data" / kind / path.name, ROOT / "tests" / kind / path.name)
+    for kind in ("golden", "fixtures")
+    for path in sorted((ROOT / "perfbench" / "data" / kind).iterdir())
+]
+
+
+def test_benchmark_snapshot_is_not_empty():
+    assert {copy.parent.name for copy, _ in SNAPSHOTS} == {"golden", "fixtures"}
+
+
+@pytest.mark.parametrize(
+    "copy, source", SNAPSHOTS, ids=[f"{c.parent.name}/{c.name}" for c, _ in SNAPSHOTS]
+)
+def test_benchmark_snapshot_matches_tests(copy, source):
+    assert source.is_file(), f"{source.relative_to(ROOT)} is missing"
+    assert copy.read_bytes() == source.read_bytes(), f"{copy.relative_to(ROOT)} differs"

@@ -299,7 +299,7 @@ def test_reducible_component_raises():
 
 def test_detect_fw():
     arr = deleted_b3()
-    c = detect_special_fibers(fw_pencil(), classify(arr, fw_pencil()))
+    c = detect_special_fibers(classify(arr, fw_pencil()))
     assert len(c.special_points) == 1
     sp = c.special_points[0]
     assert sp.point == P1(1, 1)
@@ -312,21 +312,21 @@ def test_detect_fw():
 
 def test_detect_braid_and_ex2_empty():
     arr = deleted_b3()
-    c = detect_special_fibers(braid_pencil(), classify(arr, braid_pencil()))
+    c = detect_special_fibers(classify(arr, braid_pencil()))
     assert c.special_points == ()
     arr = ex2()
-    c = detect_special_fibers(ex2_pencil(), classify(arr, ex2_pencil()))
+    c = detect_special_fibers(classify(arr, ex2_pencil()))
     assert c.special_points == ()
 
 
 def test_detect_a2_a3():
     arr = a2()
-    c = detect_special_fibers(a2_pencil(), classify(arr, a2_pencil()))
+    c = detect_special_fibers(classify(arr, a2_pencil()))
     assert [(sp.point, sp.m_prime, sp.m_dprime) for sp in c.special_points] == [
         (P1(1, 1), 1, 2)
     ]
     arr = a3()
-    c = detect_special_fibers(a3_pencil(), classify(arr, a3_pencil()))
+    c = detect_special_fibers(classify(arr, a3_pencil()))
     assert [(sp.point, sp.m_prime, sp.m_dprime) for sp in c.special_points] == [
         (P1(1, 1), 1, 3)
     ]
@@ -334,7 +334,7 @@ def test_detect_a2_a3():
 
 def test_detect_exfin3():
     arr = exfin3()
-    c = detect_special_fibers(exfin3_pencil(), classify(arr, exfin3_pencil()))
+    c = detect_special_fibers(classify(arr, exfin3_pencil()))
     got = [
         (sp.point, sp.members, sp.m_prime, sp.m_dprime) for sp in c.special_points
     ]
@@ -350,12 +350,12 @@ def test_detect_conic_fibers():
     # which holds every point of a moment curve
     arr = triangle()
     pencil = Pencil(F("x*y^2 - x^2*z"), F("y^3 + z^3"))
-    c = detect_special_fibers(pencil, classify(arr, pencil))
+    c = detect_special_fibers(classify(arr, pencil))
     assert [(sp.point, sp.members, sp.m_dprime, sp.new_part_profile) for sp in c.special_points] == [
         (P1(0, 1), ((0, 1),), 1, ((1, 2),))
     ]
     pencil = Pencil(F("x*z - y^2").power(2), F("x*y") * F("x^2 + y^2 + z^2 + x*z"))
-    c = detect_special_fibers(pencil, classify(arr, pencil))
+    c = detect_special_fibers(classify(arr, pencil))
     assert [(sp.point, sp.members, sp.m_dprime, sp.new_part_profile) for sp in c.special_points] == [
         (P1(0, 1), (), 2, ((2, 2),)),
         (P1(1, 0), ((0, 1), (1, 1)), 1, ((1, 2),)),
@@ -376,9 +376,9 @@ def test_conic_pencil_through_the_probe_conic():
     pencil = Pencil(F("x^2 - y*z"), F("y^2 - x*z"))
     c = classify(arr, pencil)
     assert c.base_points == (P1(0, 1), P1(1, -2), P1(1, 0))
-    report = fy_identities(arr, c)
+    report = fy_identities(c)
     assert report.passed and report.profile == ((1, 4),)
-    c = detect_special_fibers(pencil, c)
+    c = detect_special_fibers(c)
     assert c.special_points == () and not c.conditional
 
 
@@ -397,7 +397,7 @@ def test_detect_irrational_double_fibers(monkeypatch):
     monkeypatch.setattr(pencil_module, "_family_discriminant", counting)
     arr = triangle()
     pencil = Pencil(F("x^2 + 2*y^2"), F("x*y"))
-    c = detect_special_fibers(pencil, classify(arr, pencil))
+    c = detect_special_fibers(classify(arr, pencil))
     assert c.special_points == ()
     assert c.warnings == (
         "discriminant keeps a degree-2 factor without rational roots; "
@@ -436,7 +436,7 @@ def test_discriminant_degree_bound_violation_raises(monkeypatch):
     )
     arr = deleted_b3()
     with pytest.raises(PencilError, match="degree bound"):
-        detect_special_fibers(fw_pencil(), classify(arr, fw_pencil()))
+        detect_special_fibers(classify(arr, fw_pencil()))
 
 
 def test_certified_profile_walks_past_a_special_first_line():
@@ -487,7 +487,7 @@ def test_certified_profile_matches_sympy(form):
 
 def test_fy_b3():
     arr = b3()
-    report = fy_identities(arr, classify(arr, b3_pencil()))
+    report = fy_identities(classify(arr, b3_pencil()))
     assert report.passed
     assert report.total == 16 and report.total_expected == 16
     assert report.member_degree_sum == 12 and report.member_degree_expected == 12
@@ -497,21 +497,21 @@ def test_fy_b3():
 
 def test_fy_ceva2():
     arr = ceva2()
-    report = fy_identities(arr, classify(arr, ceva2_pencil()))
+    report = fy_identities(classify(arr, ceva2_pencil()))
     assert report.passed
     assert sorted(n for _, n in report.point_table) == [1, 1, 1, 1]
 
 
 def test_fy_braid():
     arr = deleted_b3()
-    report = fy_identities(arr, classify(arr, braid_pencil()))
+    report = fy_identities(classify(arr, braid_pencil()))
     assert report.passed
     assert sorted(n for _, n in report.point_table) == [1, 1, 1, 1]
 
 
 def test_fy_ceva3_resultant_path():
     arr = ceva3()
-    report = fy_identities(arr, classify(arr, ceva3_pencil()))
+    report = fy_identities(classify(arr, ceva3_pencil()))
     assert report.passed
     assert report.point_table is None
     assert report.profile == ((1, 9),)
@@ -531,7 +531,7 @@ def test_fy_gives_up_after_twelve_centers(monkeypatch):
     monkeypatch.setattr(pencil_module, "_projected_resultant_profile", failing_profile)
     arr = ceva3()
     with pytest.raises(ProbeDegeneracyError, match="no usable projection centers"):
-        fy_identities(arr, classify(arr, ceva3_pencil()))
+        fy_identities(classify(arr, ceva3_pencil()))
     assert len(set(calls)) == 12
 
 
@@ -579,11 +579,11 @@ def test_every_fiber_pair_gives_one_projected_resultant_profile(case):
 def test_fy_rejects_incomplete():
     arr = deleted_b3()
     with pytest.raises(PencilError, match="type-2"):
-        fy_identities(arr, classify(arr, fw_pencil()))
+        fy_identities(classify(arr, fw_pencil()))
     arr = triangle()
     c = classify(arr, Pencil(F("x^2 + y^2"), F("x*z")))
     with pytest.raises(PencilError, match="two full fibers"):
-        fy_identities(arr, c)
+        fy_identities(c)
 
 
 # -- self-intersection ----------------------------------------------------------
@@ -591,7 +591,7 @@ def test_fy_rejects_incomplete():
 
 def test_self_intersection_b3_auto():
     arr = b3()
-    report = self_intersection(arr, classify(arr, b3_pencil()))
+    report = self_intersection(classify(arr, b3_pencil()))
     assert report.value == -3
     assert report.curve_degree == 9
     mults = sorted(c.multiplicity for c in report.clusters)
@@ -601,14 +601,14 @@ def test_self_intersection_b3_auto():
 
 def test_self_intersection_ceva2_auto():
     arr = ceva2()
-    report = self_intersection(arr, classify(arr, ceva2_pencil()))
+    report = self_intersection(classify(arr, ceva2_pencil()))
     assert report.value == 0
     assert report.curve_degree == 6
 
 
 def test_self_intersection_braid_auto():
     arr = deleted_b3()
-    report = self_intersection(arr, classify(arr, braid_pencil()))
+    report = self_intersection(classify(arr, braid_pencil()))
     assert report.value == 0
     assert report.curve_degree == 6
 
@@ -617,13 +617,11 @@ def test_self_intersection_with_clusters():
     arr = ceva3()
     c = classify(arr, ceva3_pencil())
     with pytest.raises(PencilError):
-        self_intersection(arr, c)  # conic members: no auto clusters
-    report = self_intersection(arr, c, [BlowupCluster(3)] * 9)
+        self_intersection(c)  # conic members: no auto clusters
+    report = self_intersection(c, [BlowupCluster(3)] * 9)
     assert report.value == 0
     arr = ex2()
-    report = self_intersection(
-        arr, classify(arr, ex2_pencil()), [BlowupCluster(3)] * 4
-    )
+    report = self_intersection(classify(arr, ex2_pencil()), [BlowupCluster(3)] * 4)
     assert report.value == -11
     assert report.curve_degree == 5
 
@@ -774,8 +772,12 @@ def test_partition_saturated_matches_smith_form():
 # -- search ----------------------------------------------------------------------
 
 
+def fiber_partition(cl):
+    return tuple(cl.fiber_members(b) for b in cl.base_points)
+
+
 def partition_key(result):
-    return frozenset(frozenset(fiber) for fiber in result.partition)
+    return frozenset(frozenset(fiber) for fiber in fiber_partition(result))
 
 
 BRAID_PARTITIONS = [
@@ -811,10 +813,7 @@ def test_search_roundtrip_classification(db3_search):
     arr = deleted_b3()
     for result in db3_search:
         redo = classify(arr, result.pencil)
-        partition = tuple(
-            redo.fiber_members(b) for b in redo.base_points
-        )
-        assert partition == result.partition
+        assert fiber_partition(redo) == fiber_partition(result)
 
 
 def test_search_b3_k3():
@@ -824,8 +823,7 @@ def test_search_b3_k3():
     assert all(r.k == 3 for r in results)
     for result in results:
         redo = classify(arr, result.pencil)
-        partition = tuple(redo.fiber_members(b) for b in redo.base_points)
-        assert partition == result.partition
+        assert fiber_partition(redo) == fiber_partition(result)
 
 
 def test_search_four_generic_lines_empty():
@@ -900,7 +898,7 @@ def test_multinet_screen_keeps_every_pair_of_full_fibers():
             if not tables.vote_screen(a, b):
                 continue
             pencil = Pencil(tables.block_form(a), tables.block_form(b))
-            if _classify_pair(arr, tables, pencil, a, b).k >= 3:
+            if _classify_pair(tables, pencil, a, b).k >= 3:
                 full += 1
                 assert tables.multinet_screen(a, b), (make.__name__, a, b)
         assert full > 0
@@ -971,7 +969,7 @@ def test_unplaced_component_raises():
 
 def test_pullback_subtorus_fw():
     arr = deleted_b3()
-    sub = pullback_subtorus(arr, classify(arr, fw_pencil()))
+    sub = pullback_subtorus(classify(arr, fw_pencil()))
     assert sub.rows == tuple(
         (v,) for v in (1, -1, -1, 1, 2, 0, -2, 0)
     )
@@ -982,14 +980,14 @@ def test_pullback_subtorus_fw():
 
 def test_pullback_subtorus_ex2():
     arr = ex2()
-    sub = pullback_subtorus(arr, classify(arr, ex2_pencil()))
+    sub = pullback_subtorus(classify(arr, ex2_pencil()))
     assert sub.rows == ((2, 0), (0, 1), (0, 1), (-1, -1))
     assert sub.dimension == 2
 
 
 def test_pullback_subtorus_a2():
     arr = a2()
-    sub = pullback_subtorus(arr, classify(arr, a2_pencil()))
+    sub = pullback_subtorus(classify(arr, a2_pencil()))
     assert sub.rows == tuple(
         (v,) for v in (2, -2, 0, 0, -1, -1, 1, 1)
     )

@@ -459,6 +459,9 @@ def test_member_of_pencil_degenerate_rejected():
         member_of_pencil_dividing(X, P, P.scale(3))
     with pytest.raises(ValueError):
         member_of_pencil_dividing(X, P, TernaryForm.parse("x*y*z"))
+    # a common factor leaves both remainders zero: it divides every fiber
+    with pytest.raises(ValueError, match="divides both generators"):
+        member_of_pencil_dividing(X, P, TernaryForm.parse("x*y"))
 
 
 def test_member_votes_respect_base_points():

@@ -134,7 +134,7 @@ def test_cup_relations_deleted_b3():
 def test_isotropy_flags_distinguish_subspaces():
     arr = deleted_b3()
     cs = CupStructure(arr, local_pencil_points(arr))
-    pencil_subspace = subspace_from_pencil(arr, classify(arr, braid_pencil()), cs)
+    pencil_subspace = subspace_from_pencil(classify(arr, braid_pencil()), cs)
     # one ray inside a two-dimensional isotropic subspace cannot be maximal
     ray = IsotropicSubspace((pencil_subspace.basis[0],))
     assert is_maximal_isotropic(cs, ray) == (True, False)
@@ -270,7 +270,7 @@ def test_integer_cup_matches_fraction_reference(name):
         assert cs.wedge_class(ResidueVector(v), ResidueVector(w)) == ref.wedge(v, w)
     # isotropic subspaces: pencil subspaces, their rays, and local ones at multiple points
     isotropic = [
-        [v.entries for v in subspace_from_pencil(arr, classify(arr, p), None).basis]
+        [v.entries for v in subspace_from_pencil(classify(arr, p), None).basis]
         for p in pencils
     ]
     for group in cs.concurrency_classes:
@@ -292,7 +292,7 @@ def test_integer_cup_matches_fraction_reference(name):
 def test_subspace_from_fw_pencil():
     arr = deleted_b3()
     cup = cup_structure(arr, local_pencil_points(arr))
-    subspace = subspace_from_pencil(arr, classify(arr, fw_pencil()), cup)
+    subspace = subspace_from_pencil(classify(arr, fw_pencil()), cup)
     assert subspace.dimension == 1
     assert subspace.isotropic is True and subspace.maximal is True
     pattern = ResidueVector((1, -1, -1, 1, 2, 0, -2, 0))
@@ -302,12 +302,12 @@ def test_subspace_from_fw_pencil():
 def test_subspace_from_a2_pencil():
     arr = a2()
     cl = classify(arr, a2_pencil())
-    subspace = subspace_from_pencil(arr, cl, cup_structure(arr, local_pencil_points(arr)))
+    subspace = subspace_from_pencil(cl, cup_structure(arr, local_pencil_points(arr)))
     assert subspace.dimension == 1
     assert subspace.isotropic is True and subspace.maximal is True
     # the reference fiber is the last base point, as in pullback_subtorus
     assert subspace.basis[0].entries == (2, -2, 0, 0, -1, -1, 1, 1)
-    assert subspace.basis[0].entries == pullback_subtorus(arr, cl).columns()[0]
+    assert subspace.basis[0].entries == pullback_subtorus(cl).columns()[0]
 
 
 def test_three_point_subspaces_are_maximal_isotropic():
@@ -318,7 +318,7 @@ def test_three_point_subspaces_are_maximal_isotropic():
     ]
     for arr, pencil in cases:
         cup = cup_structure(arr, local_pencil_points(arr))
-        subspace = subspace_from_pencil(arr, classify(arr, pencil), cup)
+        subspace = subspace_from_pencil(classify(arr, pencil), cup)
         assert subspace.dimension == len(classify(arr, pencil).base_points) - 1 == 2
         assert subspace.isotropic is True and subspace.maximal is True
         for v in subspace.basis:
@@ -328,7 +328,7 @@ def test_three_point_subspaces_are_maximal_isotropic():
 def test_subspace_skips_isotropy_for_curve_components():
     arr = ex2()
     cup = cup_structure(arr, local_pencil_points(arr))
-    subspace = subspace_from_pencil(arr, classify(arr, ex2_pencil()), cup)
+    subspace = subspace_from_pencil(classify(arr, ex2_pencil()), cup)
     assert subspace.dimension == 2
     assert subspace.isotropic is None and subspace.maximal is None
 
@@ -341,7 +341,7 @@ def test_subspace_needs_two_base_points():
     pencil = Pencil(F("x^2 + y^2"), F("x*z"))
     cup = cup_structure(arr, local_pencil_points(arr))
     with pytest.raises(ResonanceError, match="two fully-arrangement fibers"):
-        subspace_from_pencil(arr, classify(arr, pencil), cup)
+        subspace_from_pencil(classify(arr, pencil), cup)
 
 
 # -- pencil reconstruction ----------------------------------------------------------
@@ -350,7 +350,7 @@ def test_subspace_needs_two_base_points():
 def test_pencil_from_braid_subspace_is_exact():
     arr = deleted_b3()
     cup = cup_structure(arr, local_pencil_points(arr))
-    subspace = subspace_from_pencil(arr, classify(arr, braid_pencil()), cup)
+    subspace = subspace_from_pencil(classify(arr, braid_pencil()), cup)
     pencil = pencil_from_subspace(arr, subspace)
     assert pencil.P == F("x") * F("x - y - z")
     assert pencil.Q == F("x - z") * F("x - y")
@@ -359,7 +359,7 @@ def test_pencil_from_braid_subspace_is_exact():
 def test_pencil_from_subspace_recovers_fiber_multiplicities():
     arr = ex2()
     cup = cup_structure(arr, local_pencil_points(arr))
-    subspace = subspace_from_pencil(arr, classify(arr, ex2_pencil()), cup)
+    subspace = subspace_from_pencil(classify(arr, ex2_pencil()), cup)
     pencil = pencil_from_subspace(arr, subspace)
     assert pencil.P == F("x^2") and pencil.Q == F("y*z")
 
@@ -373,7 +373,7 @@ def test_pencil_subspace_round_trips():
     ]
     for arr, pencil in cases:
         cup = cup_structure(arr, local_pencil_points(arr))
-        subspace = subspace_from_pencil(arr, classify(arr, pencil), cup)
+        subspace = subspace_from_pencil(classify(arr, pencil), cup)
         assert same_span(pencil_from_subspace(arr, subspace), pencil)
 
 
@@ -382,7 +382,7 @@ def test_pencil_from_subspace_errors():
     with pytest.raises(ResonanceError, match="dimension below two"):
         pencil_from_subspace(arr, IsotropicSubspace(()))
     cup = cup_structure(arr, local_pencil_points(arr))
-    ray = subspace_from_pencil(arr, classify(arr, fw_pencil()), cup)
+    ray = subspace_from_pencil(classify(arr, fw_pencil()), cup)
     with pytest.raises(ResonanceError, match="dimension below two"):
         pencil_from_subspace(arr, ray)
     junk = IsotropicSubspace((ResidueVector((1, -1, 0)), ResidueVector((0, 1, -1))))

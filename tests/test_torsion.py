@@ -31,15 +31,18 @@ from arrfixtures import (
     random_line_pencil,
     random_special_pencil,
 )
+from curvepencils import torsion
 from curvepencils.arrangement import Arrangement, CurveComponent
-from curvepencils.exactalg import FinAbelianGroup
+from curvepencils.exactalg import FinAbelianGroup, integer_kernel_basis
 from curvepencils.pencil import Pencil, classify, detect_special_fibers
 from curvepencils.torsion import (
     TorsionError,
+    _affine_chart,
     compute_Tf,
     epsilon_count,
     kernel_fstar,
     lift_character,
+    lifted_characters,
     theta,
 )
 
@@ -47,8 +50,8 @@ HALF = Fraction(1, 2)
 
 
 def pipeline(arr, pencil):
-    cls = detect_special_fibers(pencil, classify(arr, pencil))
-    data = theta(arr, cls, kernel_fstar(arr, cls))
+    cls = detect_special_fibers(classify(arr, pencil))
+    data = theta(cls, kernel_fstar(cls))
     return cls, compute_Tf(data)
 
 
@@ -63,23 +66,24 @@ def exponent_values(rho):
 def test_kernel_relations_deleted_b3():
     arr, pencil = deleted_b3(), fw_pencil()
     cls = classify(arr, pencil)
-    kernel = kernel_fstar(arr, cls)
+    kernel = kernel_fstar(cls)
     assert kernel.ncols == 6
-    cls = detect_special_fibers(pencil, cls)
-    data = theta(arr, cls, kernel)
+    cls = detect_special_fibers(cls)
+    data = theta(cls, kernel)
     assert data.relation_rows.to_lists() == [[1, -1, -1, 1, 2, 0, -2]]
-    assert data.infinity_fiber_row == (0, 1, 1, 0, 0, 0, 2)
+    _slot, infinity_fiber_row, _rows = _affine_chart(cls)
+    assert infinity_fiber_row == [0, 1, 1, 0, 0, 0, 2]
     for t in range(kernel.ncols):
         column = kernel.column(t)
         assert sum(a * b for a, b in zip(data.relation_rows.rows[0], column)) == 0
-    assert [str(b) for b in data.base_points] == ["(0:1)", "(1:0)"]
-    assert str(data.base_points[-1]) == "(1:0)"
+    assert [str(b) for b in data.classification.base_points] == ["(0:1)", "(1:0)"]
+    assert str(data.classification.base_points[-1]) == "(1:0)"
 
 
 def test_kernel_requires_designated_line():
     arr, pencil = ex2(), ex2_pencil()
     with pytest.raises(TorsionError, match="no line designated"):
-        kernel_fstar(arr, classify(arr, pencil))
+        kernel_fstar(classify(arr, pencil))
 
 
 def test_kernel_with_single_base_point_is_everything():
@@ -90,10 +94,10 @@ def test_kernel_with_single_base_point_is_everything():
     pencil = Pencil(F("x^2 + y^2"), F("x*z"))
     cls = classify(arr, pencil)
     assert [str(b) for b in cls.base_points] == ["(1:0)"]
-    kernel = kernel_fstar(arr, cls)
+    kernel = kernel_fstar(cls)
     assert kernel.to_lists() == [[1, 0], [0, 1]]
-    cls = detect_special_fibers(pencil, cls)
-    _, tf = cls, compute_Tf(theta(arr, cls, kernel))
+    cls = detect_special_fibers(cls)
+    _, tf = cls, compute_Tf(theta(cls, kernel))
     assert tf.group.is_trivial()
 
 
@@ -101,7 +105,7 @@ def test_theta_requires_special_fiber_data():
     arr, pencil = deleted_b3(), fw_pencil()
     cls = classify(arr, pencil)
     with pytest.raises(TorsionError, match="special fiber data not computed"):
-        theta(arr, cls, kernel_fstar(arr, cls))
+        theta(cls, kernel_fstar(cls))
 
 
 # -- theta data ------------------------------------------------------------------
@@ -109,21 +113,25 @@ def test_theta_requires_special_fiber_data():
 
 def test_theta_rows_deleted_b3():
     arr, pencil = deleted_b3(), fw_pencil()
-    cls = detect_special_fibers(pencil, classify(arr, pencil))
-    data = theta(arr, cls, kernel_fstar(arr, cls))
+    cls = detect_special_fibers(classify(arr, pencil))
+    data = theta(cls, kernel_fstar(cls))
     assert data.moduli == (2,)
     assert data.theta_rows.to_lists() == [[0, 1, 1, 0, 0, 1, 0]]
-    (sp,) = data.special_points
+    (sp,) = data.classification.special_points
     assert str(sp.point) == "(1:1)"
     assert sp.members == ((5, 1), (7, 1)) and sp.m_prime == 1 and sp.m_dprime == 2
 
 
 def test_theta_rows_exfin3():
     arr, pencil = exfin3(), exfin3_pencil()
-    cls = detect_special_fibers(pencil, classify(arr, pencil))
-    data = theta(arr, cls, kernel_fstar(arr, cls))
+    cls = detect_special_fibers(classify(arr, pencil))
+    data = theta(cls, kernel_fstar(cls))
     assert data.moduli == (2, 2, 2)
-    assert [str(sp.point) for sp in data.special_points] == ["(0:1)", "(1:0)", "(1:1)"]
+    assert [str(sp.point) for sp in data.classification.special_points] == [
+        "(0:1)",
+        "(1:0)",
+        "(1:1)",
+    ]
     assert data.theta_rows.to_lists() == [
         [0, 0, 0, 1, 1, 0, 1],
         [0, 1, 1, 0, 0, 0, 1],
@@ -139,7 +147,7 @@ def test_tf_deleted_b3_is_order_two():
     cls, tf = pipeline(arr, pencil)
     assert str(tf.group) == "Z/2"
     assert tf.order == 2
-    assert not tf.conditional
+    assert not tf.theta.classification.conditional
     assert list(tf.group.characters()) == [(Fraction(0),), (HALF,)]
     # loop around the sixth line, and the sum of the first two, both lie in
     # the kernel and map to the generator; the first loop alone does not
@@ -160,7 +168,7 @@ def test_tf_trivial_on_reduced_pencils():
     cls, tf = pipeline(arr, pencil)
     assert tf.group.is_trivial()
     assert list(tf.group.characters()) == [()]
-    lift = lift_character(arr, cls, tf, ())
+    lift = lift_character(tf, ())
     assert lift.is_trivial()
 
     arr, pencil = deleted_b3(), braid_pencil()
@@ -170,25 +178,25 @@ def test_tf_trivial_on_reduced_pencils():
 
 def test_tf_double_line_minimal_and_general_agree():
     arr, pencil = double_line_pencil()
-    cls = detect_special_fibers(pencil, classify(arr, pencil))
+    cls = detect_special_fibers(classify(arr, pencil))
     assert cls.minimal
     assert [str(b) for b in cls.base_points] == ["(0:1)", "(1:0)", "(1:2)"]
     (sp,) = cls.special_points
     assert str(sp.point) == "(1:1)" and sp.members == () and sp.m_dprime == 2
-    data = theta(arr, cls, kernel_fstar(arr, cls))
+    data = theta(cls, kernel_fstar(cls))
     assert data.kernel_basis.to_lists() == [[1], [1], [1]]
     tf = compute_Tf(data)
     assert str(tf.group) == "Z/2"
     # the kernel generator maps to 1 mod 2 in the one special-fiber group
     assert tf.generator_images == ((1,),)
     lifts = {
-        lift_character(arr, cls, tf, ch).value_strings()
+        lift_character(tf, ch).value_strings()
         for ch in tf.group.characters()
     }
     assert lifts == {("1", "1", "1", "1"), ("-1", "-1", "1", "1")}
     # the double line carries no member loop, so no special point is detected
     # by the character
-    nontrivial = lift_character(arr, cls, tf, (HALF,))
+    nontrivial = lift_character(tf, (HALF,))
     assert epsilon_count(cls, nontrivial) == 0
 
 
@@ -199,12 +207,12 @@ def test_lift_deleted_b3_canonical_and_pinned():
     arr, pencil = deleted_b3(), fw_pencil()
     cls, tf = pipeline(arr, pencil)
     trivial, generator = list(tf.group.characters())
-    assert lift_character(arr, cls, tf, trivial).is_trivial()
+    assert lift_character(tf, trivial).is_trivial()
 
-    lift = lift_character(arr, cls, tf, generator)
+    lift = lift_character(tf, generator)
     assert exponent_values(lift) == (0, HALF, HALF, 0, 0, HALF, 0, HALF)
     assert lift.value_strings() == ("1", "-1", "-1", "1", "1", "-1", "1", "-1")
-    assert not tf.conditional
+    assert not tf.theta.classification.conditional
     assert epsilon_count(cls, lift) == 1
 
 
@@ -212,9 +220,9 @@ def test_lift_rejects_inconsistent_characters():
     arr, pencil = deleted_b3(), fw_pencil()
     cls, tf = pipeline(arr, pencil)
     with pytest.raises(TorsionError, match="not killed by the generator order"):
-        lift_character(arr, cls, tf, (Fraction(1, 3),))
+        lift_character(tf, (Fraction(1, 3),))
     with pytest.raises(TorsionError, match="expected 1 generator values"):
-        lift_character(arr, cls, tf, ())
+        lift_character(tf, ())
 
 
 def test_lift_a2_a3_pattern():
@@ -225,7 +233,7 @@ def test_lift_a2_a3_pattern():
         assert sp.m_prime == 1 and sp.m_dprime == m
         assert str(tf.group) == f"Z/{m}"
         lifts = {
-            exponent_values(lift_character(arr, cls, tf, ch))
+            exponent_values(lift_character(tf, ch))
             for ch in tf.group.characters()
         }
         expected = {
@@ -234,7 +242,7 @@ def test_lift_a2_a3_pattern():
         }
         assert lifts == expected
         for ch in list(tf.group.characters())[1:]:
-            lift = lift_character(arr, cls, tf, ch)
+            lift = lift_character(tf, ch)
             assert epsilon_count(cls, lift) == 1
 
 
@@ -242,7 +250,7 @@ def test_lift_exfin3_three_torsion_factors():
     arr, pencil = exfin3(), exfin3_pencil()
     cls, tf = pipeline(arr, pencil)
     assert tf.group.invariant_factors == (2, 2, 2)
-    lifts = [lift_character(arr, cls, tf, ch) for ch in tf.group.characters()]
+    lifts = [lift_character(tf, ch) for ch in tf.group.characters()]
     observed = {exponent_values(lift) for lift in lifts}
     expected = set()
     for t1 in (Fraction(0), HALF):
@@ -279,17 +287,36 @@ def test_lift_round_trip_and_degree_relation():
             for _, mult in cls.fiber_members(b):
                 base_lcm = lcm(base_lcm, mult)
         for ch in tf.group.characters():
-            lift = lift_character(arr, cls, tf, ch)
+            lift = lift_character(tf, ch)
             assert lift.satisfies_degree_relation(arr.degrees)
             # sections land back on the prescribed generator values
             for value, section in zip(ch, tf.section_columns):
                 acc = sum(
                     coeff * lift.exponents[j]
-                    for j, coeff in zip(tf.theta.affine_indices, section)
+                    for j, coeff in zip(arr.affine_indices(), section)
                 )
                 assert (acc - value) % 1 == 0
             for exponent in lift.exponents:
                 assert (tf.order * base_lcm) % exponent.denominator == 0
+
+
+def test_lifted_characters_build_the_chart_once(monkeypatch):
+    calls = []
+    chart = torsion._affine_chart
+    monkeypatch.setattr(torsion, "_affine_chart", lambda cl: calls.append(cl) or chart(cl))
+    cases = [(deleted_b3(), fw_pencil()), (exfin3(), exfin3_pencil()), double_line_pencil()]
+    for arr, pencil in cases:
+        cls = detect_special_fibers(classify(arr, pencil))
+        tf, lifts = lifted_characters(cls)
+        assert calls == [cls]
+        calls.clear()
+        assert tf.theta.classification is cls
+        assert lifts == [lift_character(tf, ch) for ch in tf.group.characters() if any(ch)]
+        assert len(lifts) == tf.order - 1
+        # kernel_fstar reads the pullback, theta the chart: the same rows
+        data = tf.theta
+        assert len(data.relation_rows.rows) == cls.k - 1
+        assert data.kernel_basis.to_lists() == integer_kernel_basis(data.relation_rows).to_lists()
 
 
 def pivot_pencil():
@@ -321,7 +348,7 @@ def test_lift_breaks_ties_at_a_multiple_pivot(d, images, value, expected):
     fake = dataclasses.replace(
         tf, group=FinAbelianGroup([d]), basis_classes=tuple((c,) for c in images)
     )
-    lift = lift_character(arr, cls, fake, (value,))
+    lift = lift_character(fake, (value,))
     assert str(lift) == expected
     assert exponent_values(lift)[0] == 0
     assert lift.satisfies_degree_relation(arr.degrees)
@@ -336,12 +363,12 @@ from curvepencils.exactalg import IntMatrix
 from curvepencils.pencil import classify, detect_special_fibers
 from curvepencils.torsion import TorsionError, compute_Tf, kernel_fstar, lift_character, theta
 arr, pencil = deleted_b3(), fw_pencil()
-cls = detect_special_fibers(pencil, classify(arr, pencil))
-tf = compute_Tf(theta(arr, cls, kernel_fstar(arr, cls)))
+cls = detect_special_fibers(classify(arr, pencil))
+tf = compute_Tf(theta(cls, kernel_fstar(cls)))
 doubled = IntMatrix([[2 * e for e in row] for row in tf.theta.kernel_basis.rows])
 tf = dataclasses.replace(tf, theta=dataclasses.replace(tf.theta, kernel_basis=doubled))
 try:
-    lift_character(arr, cls, tf, (0,))
+    lift_character(tf, (0,))
 except TorsionError as exc:
     print(exc)
 """
@@ -373,8 +400,8 @@ def test_random_line_pencils_reduced_implies_trivial():
     orders = []
     special = 0
     for arr, pencil in cases:
-        cls = detect_special_fibers(pencil, classify(arr, pencil))
-        data = theta(arr, cls, kernel_fstar(arr, cls))
+        cls = detect_special_fibers(classify(arr, pencil))
+        data = theta(cls, kernel_fstar(cls))
         tf = compute_Tf(data)
         if all(m == 1 for m in data.moduli):
             assert tf.group.is_trivial()
