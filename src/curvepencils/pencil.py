@@ -287,9 +287,11 @@ def _place(pencil: Pencil, comp: CurveComponent, vote: Vote) -> tuple[P1Point, i
         return (vote, e) if e >= 1 else None
     try:
         return member_of_pencil_dividing(comp.form, pencil.P, pencil.Q)
-    except ValueError:
+    except ValueError as exc:
         # a Pencil has independent generators of one degree and a component
-        # is nonconstant, so only a common factor is left to raise
+        # is nonconstant, so any other ValueError is a broken invariant
+        if "divides both generators" not in str(exc):
+            raise
         raise PencilError(
             f"degenerate pencil: common factor {comp.label!r} in both generators"
         ) from None

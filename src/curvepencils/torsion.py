@@ -9,8 +9,9 @@ refers to that slot order.
 The pipeline is `kernel_fstar` -> `theta` -> `compute_Tf` ->
 `lift_character`, the last on each nontrivial character of ``tf.group``;
 `lifted_characters` runs it.  The pencil's classification is the only
-input: `kernel_fstar` and `theta` take it, and the later stages read it
-as ``ThetaData.classification``.  `compute_Tf` has one algorithm: the relation
+input: `kernel_fstar` and `theta` take it and read the fiber relation
+rows from `pullback_subtorus`, and the later stages read it as
+``ThetaData.classification``.  `compute_Tf` has one algorithm: the relation
 lattice of the kernel images inside the product of the special-fiber
 cyclic groups, with a trivial exit when every special fiber is reduced.
 
@@ -39,7 +40,6 @@ from .exactalg import (
     smith_normal_form,
 )
 from .pencil import PencilClassification
-from .polyform import P1Point
 
 __all__ = [
     "TorsionError",
@@ -61,8 +61,14 @@ class TorsionError(ValueError):
 # -- affine chart ------------------------------------------------------------
 
 
-def _affine_indices(classification: PencilClassification) -> tuple[int, ...]:
-    """The components of the affine chart, once the chart is known to exist."""
+def _relation_rows(classification: PencilClassification) -> IntMatrix:
+    """Fiber relation rows of the affine chart, one per base point but the last.
+
+    A row is that base point's member multiplicities minus those of the
+    last base point in canonical order, the one placed at infinity on the
+    target line, on the affine components: a column of `pullback_subtorus`
+    restricted to them.  With a single base point there are none.
+    """
     arr = classification.arrangement
     if arr.infinity_index is None:
         raise TorsionError("no line designated as infinity")
@@ -70,35 +76,22 @@ def _affine_indices(classification: PencilClassification) -> tuple[int, ...]:
         raise TorsionError("designated infinity component is not a line")
     if not classification.base_points:
         raise TorsionError("need at least one fully-arrangement fiber")
-    return arr.affine_indices()
+    if classification.k == 1:
+        return IntMatrix([])
+    affine = arr.affine_indices()
+    columns = pullback_subtorus(classification).columns()
+    return IntMatrix([[c[j] for j in affine] for c in columns])
 
 
-def _affine_chart(
-    classification: PencilClassification,
-) -> tuple[dict[int, int], list[int], list[list[int]]]:
-    """Slots, infinity-side member vector and fiber relation rows of the affine chart.
-
-    The last base point in canonical order is the one placed at infinity on
-    the target line; each remaining base point contributes one relation row
-    (its member multiplicities minus those of the infinity side, restricted
-    to affine components).
-    """
-    affine = _affine_indices(classification)
+def _affine_chart(classification: PencilClassification) -> tuple[dict[int, int], list[int]]:
+    """Slot of each affine component and the member vector of the infinity side."""
+    affine = classification.arrangement.affine_indices()
     slot = {j: i for i, j in enumerate(affine)}
-
-    def member_vector(point: P1Point) -> list[int]:
-        vec = [0] * len(affine)
-        for j, mult in classification.fiber_members(point):
-            if j in slot:
-                vec[slot[j]] = mult
-        return vec
-
-    base = classification.base_points
-    inf_vec = member_vector(base[-1])
-    rows = [
-        [a - b for a, b in zip(member_vector(b), inf_vec)] for b in base[:-1]
-    ]
-    return slot, inf_vec, rows
+    inf_vec = [0] * len(affine)
+    for j, mult in classification.fiber_members(classification.base_points[-1]):
+        if j in slot:
+            inf_vec[slot[j]] = mult
+    return slot, inf_vec
 
 
 def kernel_fstar(classification: PencilClassification) -> IntMatrix:
@@ -107,15 +100,12 @@ def kernel_fstar(classification: PencilClassification) -> IntMatrix:
     Coordinates run over the affine components in slot order; the returned
     matrix holds one basis vector per column.  With a single base point the
     map on homology is zero and the kernel is everything.  Otherwise f_* is
-    dual to the pullback f^*, so its rows are the columns of
-    `pullback_subtorus` on the affine components: the relation rows of
-    `_affine_chart`, which `theta` builds once.
+    dual to the pullback f^*, so its rows are `_relation_rows`.
     """
-    affine = _affine_indices(classification)
-    if classification.k == 1:
-        return IntMatrix.identity(len(affine))
-    columns = pullback_subtorus(classification).columns()
-    return integer_kernel_basis(IntMatrix([[c[j] for j in affine] for c in columns]))
+    rows = _relation_rows(classification)
+    if not rows.rows:
+        return IntMatrix.identity(len(classification.arrangement.affine_indices()))
+    return integer_kernel_basis(rows)
 
 
 # -- theta data --------------------------------------------------------------
@@ -153,7 +143,8 @@ def theta(classification: PencilClassification, kernel: IntMatrix) -> ThetaData:
     """
     if classification.special_points is None:
         raise TorsionError("special fiber data not computed")
-    slot, inf_vec, rows = _affine_chart(classification)
+    rows = _relation_rows(classification)
+    slot, inf_vec = _affine_chart(classification)
     specials = classification.special_points
     moduli = tuple(sp.m_dprime for sp in specials)
     if any(m < 1 for m in moduli):
@@ -178,7 +169,7 @@ def theta(classification: PencilClassification, kernel: IntMatrix) -> ThetaData:
         )
     return ThetaData(
         classification=classification,
-        relation_rows=IntMatrix(rows),
+        relation_rows=rows,
         kernel_basis=kernel,
         moduli=moduli,
         theta_rows=IntMatrix(theta_rows),

@@ -101,6 +101,16 @@ def test_validate_pencil_common_factor():
     classify(arr, Pencil(F("x*y"), F("z^2")))
 
 
+def test_place_reraises_other_value_errors(monkeypatch):
+    # only a common factor becomes the PencilError; a broken invariant stays loud
+    def broken(fj, P, Q):
+        raise ValueError("members are nonconstant forms")
+
+    monkeypatch.setattr(pencil_module, "member_of_pencil_dividing", broken)
+    with pytest.raises(ValueError, match="members are nonconstant forms"):
+        pencil_module._place(Pencil(F("x*y"), F("x*z")), triangle().components[0], None)
+
+
 def test_pencil_from_json_blocks():
     arr = triangle()
     pencil = Pencil.from_json(
