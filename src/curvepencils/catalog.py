@@ -287,6 +287,38 @@ def _state_moves(r: tuple[int, ...], dr: tuple[int, ...], m: int) -> tuple[bytes
     return tuple(out)
 
 
+# Base-point screen.  The sweep keeps a pencil only for its translated
+# records, and T(f) is trivial unless some special fiber has new-part
+# multiplicity m'' >= 2 (`compute_Tf`).  Let F = A*G^m'' be a special fiber,
+# A its arrangement members and G its new part; F is neither P nor Q, so
+# F = alpha*P + beta*Q with beta != 0.  Let X be a multiple point that meets
+# both blocks and whose lines all lie in a u b.  P and Q vanish at X, so F
+# does; two fibers share no component, so A has no line of a u b and misses
+# X, and X lies on G.  Intersection numbers (Fulton, Algebraic Curves, 3.3)
+# then give
+#   I_X(P, Q) = I_X(P, F) = I_X(P, A) + m''*I_X(P, G) = m''*I_X(P, G),
+# so m'' divides I_X(P, Q), which for lines is n_X(a)*n_X(b): the tangent
+# cones of P and Q at X share no line.  So m'' divides the gcd of
+# these products over any subset of the points: a gcd of 1 over some of them
+# makes every m'' 1, T(f) trivial and the pair recordless, which is why the
+# screen stops at the first partial gcd of 1.  A pair with no such point
+# (gcd 0) passes.  Curves can be tangent at X, so only line arrangements are
+# screened.
+
+
+def _base_point_gcd(tables: _SearchTables, a: _Block, b: _Block) -> int:
+    """The gcd of n_X(a)*n_X(b) over the multiple points X of the comment
+    above, up to its first partial value of 1; 0 when there is no such X."""
+    union = a.mask | b.mask
+    g = 0
+    for mask, na, nb in zip(tables.point_masks, tables.point_counts(a), tables.point_counts(b)):
+        if na and nb and mask | union == union:
+            g = gcd(g, na * nb)
+            if g == 1:
+                break
+    return g
+
+
 class _SweepTables:
     """The residue screen's state bytes, and S and L, for every block of the sweep.
 
@@ -603,26 +635,35 @@ def build_catalog(
     concurrency (a support of lines through one multiple point only gives
     pencils composed with that point's pencil; two single lines always meet
     at one; one lookup in the set of the submasks of those points), the
-    residue screen, the Wronskian prefilter on two probe lines that miss
-    every meeting point, span dedup against the searched and already swept
-    pencils, and exact classification.  The screen and the prefilter work
-    per block on the first probe (`_SweepTables`): the screen reads each
-    block's state bytes mod 7, 11 and 13 and the top coefficients of
-    S = prod R_j and L = sum m_j R_j' prod_{i != j} R_i; S and L themselves
-    are built only for the pairs that pass it, whose Wronskian is
-    L_a*S_b - S_a*L_b.  These, and the block products on the second probe
-    (`_block_products`), are `_BlockTable`s, as in the search.  The screen
-    rejects a pair whose Wronskian has no zero mod some prime that keeps its
-    degree, before any polynomial of the pair is built; the comment above
-    `_SCREEN_PRIMES` proves it loses no candidate and that the state bytes
-    follow S and L.  Translated records are kept once per component: one
-    set of (`ExponentSubtorus.saturated_key`, `ExponentSubtorus.coset`)
-    keys, the rational span of the subtorus and the class of the character
-    modulo it, keeps the first record of each class; the records then sort
-    by that span key and their characters.  Caps that would leave the
-    global stage empty raise `CatalogError`, and so does a component that
-    the irreducibility probe of `Arrangement.irreducibility_warnings` shows
-    to be reducible.
+    base-point screen (line arrangements only: the gcd of n_X(a)*n_X(b)
+    over the multiple points X whose lines all lie in the support, read
+    from the table's ``point_counts``; when it is 1 every special fiber has
+    m'' = 1 and T(f) is trivial, as the comment above `_base_point_gcd`
+    proves), the residue screen, the Wronskian prefilter on two probe lines
+    that miss every meeting point, span dedup against the searched and
+    already swept pencils, and exact classification.  The residue screen
+    and the prefilter work per block on the first probe (`_SweepTables`):
+    the screen reads each block's state bytes mod 7, 11 and 13 and the top
+    coefficients of S = prod R_j and L = sum m_j R_j' prod_{i != j} R_i; S
+    and L themselves are built only for the pairs that pass it, whose
+    Wronskian is L_a*S_b - S_a*L_b.  These, and the block products on the
+    second probe (`_block_products`), are `_BlockTable`s, as in the search.
+    The residue screen rejects a pair whose Wronskian has no zero mod some
+    prime that keeps its degree, before any polynomial of the pair is built;
+    the comment above `_SCREEN_PRIMES` proves it loses no candidate and that
+    the state bytes follow S and L.  Translated records are kept once per
+    component: one set of (`ExponentSubtorus.saturated_key`,
+    `ExponentSubtorus.coset`) keys, the rational span of the subtorus and the
+    class of the character modulo it, keeps the first record of each class;
+    the records then sort by that span key and their characters.  The
+    catalog's warnings are its own and those of every searched pencil and
+    every swept pencil that reaches classification.  A pair that the
+    base-point screen rejects adds none: the one warning a pencil carries
+    flags possible special fibers over irrational points, and every such
+    fiber of a rejected pair has m'' = 1, so it carries no record.  Caps
+    that would leave the global stage empty raise `CatalogError`, and so
+    does a component that the irreducibility probe of
+    `Arrangement.irreducibility_warnings` shows to be reducible.
     """
     if max_multiplicity < 1:
         raise CatalogError(f"max_multiplicity (--max-mult) must be >= 1, got {max_multiplicity}")
@@ -690,6 +731,7 @@ def build_catalog(
             while sub:  # the nonempty submasks, descending
                 concurrent.add(sub)
                 sub = (sub - 1) & mp.mask
+        lines = tables.point_masks is not None
         survivor_spans: set[tuple] = set()
         for blk_a, blk_b in iter_block_pairs(tables):
             # the two fibers span the homology cokernel, the lattice
@@ -698,6 +740,8 @@ def build_catalog(
                 continue
             if (blk_a.mask | blk_b.mask) in concurrent:
                 continue  # composed with the point pencil: not connected
+            if lines and _base_point_gcd(tables, blk_a, blk_b) == 1:
+                continue  # every m'' is 1: T(f) is trivial
             if not sweep.screen(blk_a, blk_b):
                 continue  # no rational root of W on the first probe
             params = _candidate_parameters(sweep, blk_a, blk_b)

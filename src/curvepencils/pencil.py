@@ -870,7 +870,9 @@ class _SearchTables:
     ``block_form`` is the block product; ``block_values`` holds, per voter
     i, the block product at the vote points of component i;
     ``point_counts`` (line arrangements only) holds n_X(block) at each
-    multiple point X, the multiplicities of the block's lines through X.
+    multiple point X, the multiplicities of the block's lines through X;
+    with ``point_masks`` it feeds the search's multinet screen and the
+    sweep's base-point screen (`catalog._base_point_gcd`).
     On line arrangements ``avoid[j]`` masks the lines that meet line j at a
     double point, for the search walk.
     """
@@ -895,7 +897,8 @@ class _SearchTables:
                 tuple(v * w**m for v, w in zip(vs, ws)) for vs, ws in zip(prev, at[j])
             ),
         )
-        # incidence masks of the multiple points, for the multinet screen
+        # incidence masks of the multiple points, for the multinet and
+        # base-point screens
         self.point_masks: list[int] | None = None
         self.avoid: list[int] | None = None
         if arr.is_line_arrangement():

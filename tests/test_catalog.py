@@ -20,7 +20,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from arrfixtures import F, a3, b3, ceva2, ceva3, deleted_b3, ex2, exfin3, triangle
+from arrfixtures import F, a3, b3, ceva2, ceva3, deleted_b3, ex2, exfin3, fw_pencil, triangle
 from curvepencils import arrangement as arrangement_module
 from curvepencils import catalog as catalog_module
 from curvepencils import exactalg as exactalg_module
@@ -37,6 +37,7 @@ from curvepencils.arrangement import (
 from curvepencils.catalog import (
     _SCREEN_PRIMES,
     CatalogError,
+    _base_point_gcd,
     _block_products,
     _candidate_parameters,
     _integer_restrictions,
@@ -53,8 +54,16 @@ from curvepencils.exactalg import (
     lattice_key,
     saturate_lattice,
 )
-from curvepencils.pencil import _Block, _SearchTables
+from curvepencils.pencil import (
+    Pencil,
+    _Block,
+    _SearchTables,
+    classify,
+    detect_special_fibers,
+    iter_block_pairs,
+)
 from curvepencils.polyform import TernaryForm
+from curvepencils.torsion import lifted_characters
 
 GOLDEN = Path(__file__).parent / "golden"
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -480,7 +489,9 @@ def test_smith_calls_per_catalog(monkeypatch):
         if vars(module).get("smith_normal_form") is original:
             monkeypatch.setattr(module, "smith_normal_form", counting)
     build_catalog(deleted_b3())
-    assert len(calls) == 20
+    # 19 since the base-point screen: the one swept pencil it drops had a
+    # trivial T(f) and no longer reaches `compute_Tf`
+    assert len(calls) == 19
 
 
 def test_sweep_tables_die_with_their_catalog(monkeypatch):
@@ -702,6 +713,89 @@ def test_screen_cuts_the_sweep_rational_root_calls(monkeypatch):
     monkeypatch.setattr(catalog_module, "rational_roots", counting)
     build_catalog(deleted_b3())
     assert len(calls) < 1218
+
+
+def test_base_point_screen_counts_on_deleted_b3(monkeypatch):
+    # the base-point screen runs before the residue screen: of the pairs
+    # past the content and concurrency tests, 3,138 reach the residue screen
+    # (14,258 without it), 208 Wronskians reach `rational_roots` (646) and
+    # 3 swept pencils reach `classify` (4)
+    calls = {"screen": 0, "rational_roots": 0, "classify": 0}
+
+    def counted(name, original):
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counting
+
+    monkeypatch.setattr(_SweepTables, "screen", counted("screen", _SweepTables.screen))
+    for name in ("rational_roots", "classify"):
+        monkeypatch.setattr(catalog_module, name, counted(name, getattr(catalog_module, name)))
+    build_catalog(deleted_b3())
+    assert calls == {"screen": 3138, "rational_roots": 208, "classify": 3}
+
+
+def test_base_point_screen_keeps_the_translated_pencil():
+    # the deleted B3 pencil of the translated torus, L1 + L4 + 2*L5 |
+    # L2 + L3 + 2*L7, whose special fiber has m'' = 2: the multiple points
+    # with all their lines in the support are L1.L4.L7 and L2.L3.L5, each
+    # with n_X(a) = n_X(b) = 2, so the gcd is 4
+    tables = _SearchTables(deleted_b3(), 2)
+    a = _Block(0b0011001, (0, 3, 4), (1, 1, 2), 4, 1)
+    b = _Block(0b1000110, (1, 2, 6), (1, 1, 2), 4, 1)
+    assert tables.block_form(a) == fw_pencil().P and tables.block_form(b) == fw_pencil().Q
+    assert _base_point_gcd(tables, a, b) == 4
+
+
+def test_base_point_screen_rejects_no_multiple_fiber_on_deleted_b3():
+    # the pairs the base-point screen takes from the residue screen on
+    # deleted B3 (646 - 208 = 438 Wronskians no longer built) all span
+    # pencils whose special fibers have m'' = 1
+    arr = deleted_b3()
+    tables = _SearchTables(arr, 2)
+    sweep = _SweepTables(_probe_lines(arr)[0][3])
+    checked = 0
+    for a, b in iter_block_pairs(tables):
+        if a.content == b.content == 1 and _base_point_gcd(tables, a, b) == 1:
+            if sweep.screen(a, b):
+                cl = classify(arr, Pencil(tables.block_form(a), tables.block_form(b)))
+                assert all(sp.m_dprime == 1 for sp in detect_special_fibers(cl).special_points)
+                checked += 1
+    assert checked == 438
+
+
+@st.composite
+def _lines_with_infinity(draw):
+    """Four to seven distinct random lines with small coefficients, the first at infinity."""
+    line = st.tuples(*[st.integers(-2, 2)] * 3).filter(any)
+    coefficients = draw(st.lists(line, min_size=4, max_size=7))
+    forms = [
+        TernaryForm({(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c}) for a, b, c in coefficients
+    ]
+    assume(not any(f.proportional_to(g) for f, g in itertools.combinations(forms, 2)))
+    return Arrangement([CurveComponent(f"L{i}", f) for i, f in enumerate(forms)], 0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_lines_with_infinity(), st.data())
+def test_base_point_screen_rejects_only_trivial_tf(arr, data):
+    # exact classification is the oracle: a content-1 pair with a base-point
+    # gcd of 1 spans a pencil whose special fibers all have m'' = 1, so its
+    # T(f) lifts no character.  A 7-line arrangement has thousands of such
+    # pairs at about 2 ms each, so each example checks up to 15 of them,
+    # drawn by hypothesis
+    tables = _SearchTables(arr, 2)
+    rejected = [
+        (a, b)
+        for a, b in iter_block_pairs(tables)
+        if a.content == b.content == 1 and _base_point_gcd(tables, a, b) == 1
+    ]
+    assume(rejected)
+    for a, b in data.draw(st.lists(st.sampled_from(rejected), max_size=15, unique=True)):
+        cl = detect_special_fibers(classify(arr, Pencil(tables.block_form(a), tables.block_form(b))))
+        assert all(sp.m_dprime == 1 for sp in cl.special_points), (a, b)
+        assert not lifted_characters(cl)[1], (a, b)
 
 
 def test_caps_that_empty_the_global_stage_are_rejected():
