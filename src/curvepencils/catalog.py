@@ -250,91 +250,53 @@ def _integer_restrictions(
 # reduces to W(u/v mod p) = 0 on F_p.  So a rejected pair has no candidate
 # parameter at all, as if W had been built.
 #
-# State bytes.  The screen needs, per block, prime and t in F_p, only the
-# state sigma of (S(t), L(t)) mod p: sigma = L/S when S != 0, sigma = p when
-# S = 0 and L != 0, sigma = p + 1 when S = L = 0.  Adding component j with
-# multiplicity m, with r = R_j(t) and d = R_j'(t) mod p, maps (S, L) to
-# (S*r, L*r + m*S*d), so the state moves by
-#   r != 0:  sigma < p to sigma + m*d/r (as L*r/(S*r) + m*d/r); p and p + 1 stay
-#            (S*r = 0, and L*r = 0 iff L = 0);
-#   r = 0:   sigma < p to p when m*d != 0 and to p + 1 otherwise (S*r = 0,
-#            L*r + m*S*d = m*S*d); p to p + 1 (S = 0 gives L*r + m*S*d = 0).
-# Slot t of prime p holds the byte t*(p + 2) + sigma, below p*(p + 2) <= 256,
-# so one 256-byte table per (j, m, p) moves a block's whole row with
-# `bytes.translate`.  The tables also keep the top two coefficients of S and
-# of L, from which w comes.
+# Residue table.  The screen reads, per block, prime p and t in F_p, the
+# residues (S(t), L(t)) mod p, built by the step above mod p, and tests
+# W(t) = L_a(t)*S_b(t) - S_a(t)*L_b(t) mod p at every t.  The table also
+# keeps the top two coefficients of S and of L, from which w comes.
 
 
 _SCREEN_PRIMES = (7, 11, 13)
 
 
-def _state_moves(r: tuple[int, ...], dr: tuple[int, ...], m: int) -> tuple[bytes, ...]:
-    """The state-byte tables of adding a component with restriction r, derivative
-    dr and multiplicity m, per prime."""
-    out = []
-    for p in _SCREEN_PRIMES:
-        table = bytearray(range(256))
-        for t in range(p):
-            base = t * (p + 2)
-            rt, shift = coeffs_evaluate(r, t) % p, m * coeffs_evaluate(dr, t) % p
-            if rt:
-                step = shift * pow(rt, -1, p)
-                table[base : base + p] = bytes(base + (s + step) % p for s in range(p))
-            else:
-                table[base : base + p] = bytes([base + (p if shift else p + 1)]) * p
-                table[base + p] = base + p + 1
-        out.append(bytes(table))
-    return tuple(out)
-
-
 # Base-point screen.  The sweep keeps a pencil only for its translated
 # records, and T(f) is trivial unless some special fiber has new-part
-# multiplicity m'' >= 2 (`compute_Tf`).  Let F = A*G^m'' be a special fiber,
-# A its arrangement members and G its new part; F is neither P nor Q, so
-# F = alpha*P + beta*Q with beta != 0.  Let X be a multiple point that meets
-# both blocks and whose lines all lie in a u b.  P and Q vanish at X, so F
-# does; two fibers share no component, so A has no line of a u b and misses
-# X, and X lies on G.  Intersection numbers (Fulton, Algebraic Curves, 3.3)
-# then give
-#   I_X(P, Q) = I_X(P, F) = I_X(P, A) + m''*I_X(P, G) = m''*I_X(P, G),
-# so m'' divides I_X(P, Q), which for lines is n_X(a)*n_X(b): the tangent
-# cones of P and Q at X share no line.  So m'' divides the gcd of
-# these products over any subset of the points: a gcd of 1 over some of them
+# multiplicity m'' >= 2 (`compute_Tf`).  Such a fiber F = A*G^m'', A its
+# arrangement members and G its new part, is neither P nor Q.  Let X be a
+# multiple point that meets both blocks and whose lines all lie in a u b.
+# A shares no component with P or Q, so it misses X, and the tangent-cone
+# lemma (`pencil`, the comment above `_SearchTables`) gives m'' | h_X.  So
+# m'' divides the gcd of h_X over any subset of these points: a gcd of 1
 # makes every m'' 1, T(f) trivial and the pair recordless, which is why the
 # screen stops at the first partial gcd of 1.  A pair with no such point
-# (gcd 0) passes.  Curves can be tangent at X, so only line arrangements are
-# screened.
+# (gcd 0) passes.
 
 
 def _base_point_gcd(tables: _SearchTables, a: _Block, b: _Block) -> int:
-    """The gcd of n_X(a)*n_X(b) over the multiple points X of the comment
-    above, up to its first partial value of 1; 0 when there is no such X."""
+    """The gcd of h_X over the multiple points X of the comment above, up to
+    its first partial value of 1; 0 when there is no such X."""
     union = a.mask | b.mask
+    (counts_a, gcds_a), (counts_b, gcds_b) = tables.point_counts(a), tables.point_counts(b)
     g = 0
-    for mask, na, nb in zip(tables.point_masks, tables.point_counts(a), tables.point_counts(b)):
+    for mask, na, nb, ga, gb in zip(tables.point_masks, counts_a, counts_b, gcds_a, gcds_b):
         if na and nb and mask | union == union:
-            g = gcd(g, na * nb)
+            g = gcd(g, na if na == nb else ga if na < nb else gb)
             if g == 1:
                 break
     return g
 
 
 class _SweepTables:
-    """The residue screen's state bytes, and S and L, for every block of the sweep.
+    """The residue screen's table, and S and L, for every block of the sweep.
 
     ``entry`` is a `_BlockTable` whose step builds a block's entry from
     that of the block without its last component.  An entry holds:
 
-    - codes: one integer bitmask over all primes.  Slot t of prime p has
-      p + 1 bits: bit L(t)/S(t) mod p when S(t) != 0, bit p when S(t) = 0
-      and L(t) != 0, all of them when S(t) = L(t) = 0.  W(t) = L_a*S_b -
-      S_a*L_b vanishes mod p exactly when the two blocks share a bit in
-      slot t, so W has a zero on F_p exactly when their codes meet in
-      p's range.
     - tops: S[d], S[d - 1], L[d - 1], L[d - 2] with d = deg S (0 below
-      degree 0), updated from the top two coefficients of R_j.
-    - rows: per prime, the state bytes of the slots (the comment above
-      `_SCREEN_PRIMES`), moved by one `bytes.translate` per prime.
+      degree 0), updated from the top two coefficients of R_j;
+    - residues: per prime p of `_SCREEN_PRIMES`, the pairs (S(t), L(t))
+      mod p for t = 0, ..., p - 1, updated by (S, L) <- (S*r, L*r + m*S*r')
+      with r and r' the values of R_j and R_j' at t mod p.
 
     ``polys`` is a second `_BlockTable`, of S and L with L of formal degree
     d - 1; only `wronskian` reads it, on the pairs that pass the screen.
@@ -345,30 +307,17 @@ class _SweepTables:
     def __init__(self, restrictions: Sequence[tuple[int, ...]]) -> None:
         self.restrictions = restrictions
         derivatives = [coeffs_derivative(r) for r in restrictions]
-        # per prime: p, the range mask of its codes, and the code bits of
-        # every state byte
-        primes: list[tuple[int, int, list[int]]] = []
-        offset = 0
-        for p in _SCREEN_PRIMES:
-            bits = [0] * 256
-            for t in range(p):
-                slot = offset + t * (p + 1)
-                for sigma in range(p + 1):
-                    bits[t * (p + 2) + sigma] = 1 << (slot + sigma)
-                bits[t * (p + 2) + p + 1] = ((1 << (p + 1)) - 1) << slot
-            width = p * (p + 1)
-            primes.append((p, ((1 << width) - 1) << offset, bits))
-            offset += width
-        self.primes = primes
-        moves: dict[tuple[int, int], tuple[bytes, ...]] = {}
+        # per component and prime: (R_j(t), R_j'(t)) mod p for t in F_p
+        values = [
+            tuple(
+                tuple((coeffs_evaluate(r, t) % p, coeffs_evaluate(dr, t) % p) for t in range(p))
+                for p in _SCREEN_PRIMES
+            )
+            for r, dr in zip(restrictions, derivatives)
+        ]
 
         def step(prev: tuple, j: int, m: int) -> tuple:
-            _, (s0, s1, l1, l2), rows = prev
-            move = moves.get((j, m))
-            if move is None:
-                move = moves[j, m] = _state_moves(restrictions[j], derivatives[j], m)
-            rows = tuple(row.translate(table) for row, table in zip(rows, move))
-            codes = sum(sum(map(bits.__getitem__, row)) for (*_, bits), row in zip(primes, rows))
+            (s0, s1, l1, l2), residues = prev
             r = restrictions[j]  # of full degree e >= 1 (`_integer_restrictions`)
             e, r0, r1 = len(r) - 1, r[-1], r[-2]
             tops = (
@@ -377,7 +326,11 @@ class _SweepTables:
                 l1 * r0 + m * e * s0 * r0,
                 l1 * r1 + l2 * r0 + m * ((e - 1) * s0 * r1 + e * s1 * r0),
             )
-            return codes, tops, rows
+            residues = tuple(
+                tuple((S * x % p, (L * x + m * S * d) % p) for (S, L), (x, d) in zip(row, at))
+                for p, row, at in zip(_SCREEN_PRIMES, residues, values[j])
+            )
+            return tops, residues
 
         def poly_step(prev: tuple, j: int, m: int) -> tuple:
             S, L = prev
@@ -386,17 +339,19 @@ class _SweepTables:
             L = tuple(x + y for x, y in zip(coeffs_mul(L, r), term)) if L else term
             return coeffs_mul(S, r), L
 
-        rows = tuple(bytes(range(0, p * (p + 2), p + 2)) for p in _SCREEN_PRIMES)
-        self.entry = _BlockTable((0, (1, 0, 0, 0), rows), step)
+        residues = tuple(((1, 0),) * p for p in _SCREEN_PRIMES)
+        self.entry = _BlockTable(((1, 0, 0, 0), residues), step)
         self.polys = _BlockTable(((1,), ()), poly_step)
 
     def screen(self, a: _Block, b: _Block) -> bool:
         """False when the residues prove that W has no rational root."""
-        codes_a, (s0a, s1a, l1a, l2a), _ = self.entry(a)
-        codes_b, (s0b, s1b, l1b, l2b), _ = self.entry(b)
+        (s0a, s1a, l1a, l2a), rows_a = self.entry(a)
+        (s0b, s1b, l1b, l2b), rows_b = self.entry(b)
         w = l1a * s1b + l2a * s0b - s0a * l2b - s1a * l1b
-        meet = codes_a & codes_b
-        return not any(w % p and not meet & span for p, span, _ in self.primes)
+        return not any(
+            w % p and all((La * Sb - Sa * Lb) % p for (Sa, La), (Sb, Lb) in zip(row_a, row_b))
+            for p, row_a, row_b in zip(_SCREEN_PRIMES, rows_a, rows_b)
+        )
 
     def wronskian(self, a: _Block, b: _Block) -> tuple[tuple[int, ...], int]:
         """W = L_a*S_b - S_a*L_b, zeros trimmed, and deg_e = deg S_a + deg S_b."""
@@ -635,35 +590,37 @@ def build_catalog(
     concurrency (a support of lines through one multiple point only gives
     pencils composed with that point's pencil; two single lines always meet
     at one; one lookup in the set of the submasks of those points), the
-    base-point screen (line arrangements only: the gcd of n_X(a)*n_X(b)
-    over the multiple points X whose lines all lie in the support, read
-    from the table's ``point_counts``; when it is 1 every special fiber has
-    m'' = 1 and T(f) is trivial, as the comment above `_base_point_gcd`
-    proves), the residue screen, the Wronskian prefilter on two probe lines
-    that miss every meeting point, span dedup against the searched and
-    already swept pencils, and exact classification.  The residue screen
-    and the prefilter work per block on the first probe (`_SweepTables`):
-    the screen reads each block's state bytes mod 7, 11 and 13 and the top
-    coefficients of S = prod R_j and L = sum m_j R_j' prod_{i != j} R_i; S
-    and L themselves are built only for the pairs that pass it, whose
-    Wronskian is L_a*S_b - S_a*L_b.  These, and the block products on the
-    second probe (`_block_products`), are `_BlockTable`s, as in the search.
-    The residue screen rejects a pair whose Wronskian has no zero mod some
-    prime that keeps its degree, before any polynomial of the pair is built;
-    the comment above `_SCREEN_PRIMES` proves it loses no candidate and that
-    the state bytes follow S and L.  Translated records are kept once per
-    component: one set of (`ExponentSubtorus.saturated_key`,
-    `ExponentSubtorus.coset`) keys, the rational span of the subtorus and the
-    class of the character modulo it, keeps the first record of each class;
-    the records then sort by that span key and their characters.  The
-    catalog's warnings are its own and those of every searched pencil and
-    every swept pencil that reaches classification.  A pair that the
-    base-point screen rejects adds none: the one warning a pencil carries
-    flags possible special fibers over irrational points, and every such
-    fiber of a rejected pair has m'' = 1, so it carries no record.  Caps
-    that would leave the global stage empty raise `CatalogError`, and so
-    does a component that the irreducibility probe of
-    `Arrangement.irreducibility_warnings` shows to be reducible.
+    base-point screen (line arrangements only: the gcd of h_X over the
+    multiple points X whose lines all lie in the support, h_X being the gcd
+    of the lower block's multiplicities at X, or n_X when both blocks count
+    n_X there, read from the table's ``point_counts``; when it is 1 every
+    special fiber has m'' = 1 and T(f) is trivial, as the comment above
+    `_base_point_gcd` proves), the residue screen, the Wronskian prefilter
+    on two probe lines that miss every meeting point, span dedup against
+    the searched and already swept pencils, and exact classification.  The
+    residue screen and the prefilter work per block on the first probe
+    (`_SweepTables`): the screen reads each block's direct residue table,
+    (S(t), L(t)) mod 7, 11 and 13 at every t, and the top coefficients of
+    S = prod R_j and L = sum m_j R_j' prod_{i != j} R_i; S and L themselves
+    are built only for the pairs that pass it, whose Wronskian is
+    L_a*S_b - S_a*L_b.  These, and the block products on the second probe
+    (`_block_products`), are `_BlockTable`s, as in the search.  The residue
+    screen rejects a pair whose Wronskian has no zero mod some prime that
+    keeps its degree, before any polynomial of the pair is built; the
+    comment above `_SCREEN_PRIMES` proves it loses no candidate.
+    Translated records are kept once per component: one set of
+    (`ExponentSubtorus.saturated_key`, `ExponentSubtorus.coset`) keys, the
+    rational span of the subtorus and the class of the character modulo
+    it, keeps the first record of each class; the records then sort by
+    that span key and their characters.  The catalog's warnings are its
+    own and those of every searched pencil and every swept pencil that
+    reaches classification.  A pair that the base-point screen rejects adds
+    none: the one warning a pencil carries flags possible special fibers
+    over irrational points, and every such fiber of a rejected pair has
+    m'' = 1, so it carries no record.  Caps that would leave the global
+    stage empty raise `CatalogError`, and so does a component that the
+    irreducibility probe of `Arrangement.irreducibility_warnings` shows to
+    be reducible.
     """
     if max_multiplicity < 1:
         raise CatalogError(f"max_multiplicity (--max-mult) must be >= 1, got {max_multiplicity}")

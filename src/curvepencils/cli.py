@@ -137,7 +137,13 @@ def _classified(arr: Arrangement, pencil: Pencil) -> PencilClassification:
     return detect_special_fibers(classify(arr, pencil))
 
 
-def _tf_report(cl: PencilClassification) -> tuple[list[str], dict]:
+def _tf_report(arr: Arrangement, pencil: Pencil, strict: bool) -> tuple[list[str], dict]:
+    """The T(f) section of `tf` and `ray --tf`: the group, the lifted
+    characters, the subtorus and the warnings, on the arrangement with an
+    infinity line (`_ensure_infinity`); a conditional result under
+    ``--strict`` exits."""
+    arr, notes = _ensure_infinity(arr)
+    cl = _classified(arr, pencil)
     tf, lifts = lifted_characters(cl)
     head = f"T(f) = {tf.group}"
     if lifts:
@@ -160,8 +166,11 @@ def _tf_report(cl: PencilClassification) -> tuple[list[str], dict]:
         ],
         "subtorus": list(subtorus.monomial_strings()),
         "conditional": cl.conditional,
+        "warnings": notes + list(cl.warnings),
     }
-    return lines, doc
+    if strict and cl.conditional:
+        raise CliFailure(EXIT_CONDITIONAL, "conditional", "T(f) result is conditional")
+    return lines + _warn_lines(doc["warnings"]), doc
 
 
 def _warn_lines(notes: Sequence[str]) -> list[str]:
@@ -279,15 +288,7 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[list[str], dict]:
 
 def _cmd_tf(args: argparse.Namespace) -> tuple[list[str], dict]:
     arr = _load_arrangement(args.arrangement)
-    arr, notes = _ensure_infinity(arr)
-    pencil = _load_pencil(args.pencil, arr)
-    cl = _classified(arr, pencil)
-    lines, doc = _tf_report(cl)
-    if args.strict and cl.conditional:
-        raise CliFailure(EXIT_CONDITIONAL, "conditional", "T(f) result is conditional")
-    lines += _warn_lines(notes + list(cl.warnings))
-    doc["warnings"] = notes + list(cl.warnings)
-    return lines, doc
+    return _tf_report(arr, _load_pencil(args.pencil, arr), args.strict)
 
 
 def _cmd_check(args: argparse.Namespace) -> tuple[list[str], dict]:
@@ -410,17 +411,8 @@ def _cmd_ray(args: argparse.Namespace) -> tuple[list[str], dict]:
         "note": ray.note,
     }
     if args.tf:
-        work, notes = _ensure_infinity(arr)
-        pencil = Pencil(ray.numerator, ray.denominator)
-        cl = _classified(work, pencil)
-        tf_lines, tf_doc = _tf_report(cl)
-        if args.strict and cl.conditional:
-            raise CliFailure(
-                EXIT_CONDITIONAL, "conditional", "T(f) result is conditional"
-            )
-        lines += tf_lines + _warn_lines(notes + list(cl.warnings))
-        tf_doc["warnings"] = notes + list(cl.warnings)
-        doc["tf"] = tf_doc
+        tf_lines, doc["tf"] = _tf_report(arr, Pencil(ray.numerator, ray.denominator), args.strict)
+        lines += tf_lines
     return lines, doc
 
 

@@ -860,6 +860,36 @@ class _BlockTable:
         return value
 
 
+# The tangent-cone lemma.  Let a and b be disjoint blocks of lines with
+# products P and Q, and X a multiple point where a line of a meets a line of
+# b.  With n_X(block) the sum of the block's multiplicities over its lines
+# through X, P has order n_X(a) at X, and its tangent cone TC_P is the
+# product of a's lines through X, each to its multiplicity; likewise Q.  The
+# two cones share no line.  Any other fiber F = alpha*P + beta*Q has
+# alpha, beta != 0, and at X
+#   n_X(a) < n_X(b):      TC_F = alpha*TC_P,
+#   n_X(a) > n_X(b):      TC_F = beta*TC_Q,
+#   n_X(a) = n_X(b) = n:  TC_F = alpha*TC_P + beta*TC_Q, nonzero of degree n
+#                         and sharing no line with TC_P or TC_Q (a line of
+#                         both would divide beta*TC_Q).
+# Tangent cones multiply (Fulton, Algebraic Curves, 3.1), and a binary form
+# factors uniquely into lines.  Two fibers share no component, so F has no
+# line of a or b.  Two screens follow:
+#   - a third full fiber F, made of arrangement lines, has as tangent cone
+#     the product of its own lines through X, which would share a line with
+#     TC_P or TC_Q in the first two cases: so n_X(a) = n_X(b), and since X
+#     lies on F, some line outside a and b passes through X
+#     (`_SearchTables.multinet_screen`);
+#   - a fiber F = A*G^m'' whose arrangement part A misses X (every line
+#     through X lies in a or b) has TC_F = A(X)*TC_G^m''.  When the counts
+#     differ, that is a constant times the lower block's cone, so m''
+#     divides each multiplicity of its lines through X; when they are equal,
+#     m'' divides the degree n.  So m'' divides h_X: the gcd of the lower
+#     block's multiplicities at X, or n (`catalog._base_point_gcd`).
+# Curves can be tangent at X, which breaks the factorization into lines, so
+# only line arrangements are screened.
+
+
 class _SearchTables:
     """The one per-arrangement table of a catalog, built once per `build_catalog` call.
 
@@ -869,12 +899,14 @@ class _SearchTables:
     enumerated once (`_enumerate_blocks`).  Three `_BlockTable`s:
     ``block_form`` is the block product; ``block_values`` holds, per voter
     i, the block product at the vote points of component i;
-    ``point_counts`` (line arrangements only) holds n_X(block) at each
-    multiple point X, the multiplicities of the block's lines through X;
-    with ``point_masks`` it feeds the search's multinet screen and the
-    sweep's base-point screen (`catalog._base_point_gcd`).
-    On line arrangements ``avoid[j]`` masks the lines that meet line j at a
-    double point, for the search walk.
+    ``point_counts`` (line arrangements only) holds two tuples over the
+    multiple points X: n_X(block), the sum of the multiplicities of the
+    block's lines through X, and the gcd of those multiplicities (0 when no
+    line passes), from which h_X comes.  With ``point_masks`` they feed the
+    search's multinet screen and the sweep's base-point screen
+    (`catalog._base_point_gcd`), the two uses of the tangent-cone lemma
+    above.  On line arrangements ``avoid[j]`` masks the lines that meet
+    line j at a double point, for the search walk.
     """
 
     def __init__(self, arr: Arrangement, max_multiplicity: int):
@@ -908,8 +940,11 @@ class _SearchTables:
             doubles = [mp.mask for mp in self.points if mp.count == 2]
             self.avoid = [sum(m ^ 1 << j for m in doubles if m >> j & 1) for j in range(arr.size)]
             self.point_counts = _BlockTable(
-                (0,) * len(masks),
-                lambda prev, j, m: tuple(n + m if x >> j & 1 else n for n, x in zip(prev, masks)),
+                ((0,) * len(masks),) * 2,
+                lambda prev, j, m: (
+                    tuple(n + m if x >> j & 1 else n for n, x in zip(prev[0], masks)),
+                    tuple(gcd(g, m) if x >> j & 1 else g for g, x in zip(prev[1], masks)),
+                ),
             )
 
     def vote(self, a: _Block, b: _Block, j: int) -> Vote:
@@ -923,26 +958,14 @@ class _SearchTables:
         plane curves", Compositio Math. 2007) show that the k >= 3
         completely reducible fibers of a pencil of a line arrangement form a
         multinet on their lines.  The screen checks two of its conditions at
-        each multiple point X where a line of a meets a line of b, with
-        n_X(block) the sum of the block's multiplicities over its lines
-        through X:
+        each multiple point X where a line of a meets a line of b:
 
         - n_X(a) = n_X(b), and
         - some line outside a and b passes through X.
 
-        Both are necessary.  X lies on P = 0 and Q = 0, so it is a base point
-        and every fiber passes through it.  A third full fiber
-        F3 = alpha*P + beta*Q has alpha, beta != 0, and its lines lie outside
-        a and b, since two fibers share no component; one of them passes
-        through X.  Suppose n_X(a) < n_X(b).  P vanishes to order n_X(a) at X
-        and Q to a higher order, so the tangent cone of F3 at X is alpha
-        times that of P: the product of a's lines through X.  It is also the
-        product of F3's own lines through X.  A binary form factors uniquely
-        into lines, so F3 and P would share a line, which is impossible.
-        n_X(a) > n_X(b) is the same with beta and Q.  A rejected pair thus
-        spans a pencil with k = 2.  Curves can be tangent at X, which breaks
-        the unique factorization step, so only line arrangements are
-        screened.
+        The tangent-cone lemma (the comment above `_SearchTables`) shows
+        both necessary for a third full fiber, so a rejected pair spans a
+        pencil with k = 2.
 
         At a double point X of a line of a and a line of b both counts are
         nonzero and no other line passes through X, so the second condition
@@ -950,7 +973,8 @@ class _SearchTables:
         such a pair.
         """
         union = a.mask | b.mask
-        for mask, na, nb in zip(self.point_masks, self.point_counts(a), self.point_counts(b)):
+        counts_a, counts_b = self.point_counts(a)[0], self.point_counts(b)[0]
+        for mask, na, nb in zip(self.point_masks, counts_a, counts_b):
             if na and nb and (na != nb or mask | union == union):
                 return False
         return True
