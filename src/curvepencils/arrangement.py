@@ -14,7 +14,6 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import lcm
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .exactalg import IntMatrix, echelon_rows, integer_kernel_basis, rational_roots
@@ -259,13 +258,6 @@ class TorsionCharacter:
 
     def is_trivial(self) -> bool:
         return not any(self.exponents)
-
-    @property
-    def order(self) -> int:
-        return lcm(*(e.denominator for e in self.exponents))
-
-    def satisfies_degree_relation(self, degrees: Sequence[int]) -> bool:
-        return sum(d * e for d, e in zip(degrees, self.exponents)) % 1 == 0
 
     def value_strings(self) -> tuple[str, ...]:
         """Each value rendered as ``1``, ``-1``, or ``e(a/b)``."""

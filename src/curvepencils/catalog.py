@@ -3,9 +3,10 @@
 Three sources feed the catalog: pencils of curves through a multiple point
 (local), pencils found by the block-partition search with three or more
 fully-arrangement fibers (global), and translated components detected
-through the torsion quotient of a pencil map.  Records carry the exponent
-subtorus, the translation character, coordinate/essential flags, and the
-expected generic first Betti number along the component.
+through the torsion quotient of a pencil map.  A record holds its source,
+exponent subtorus, translation character and certification; its kind,
+dimension, coordinate/essential flags, witness, exceptional note and
+expected generic first Betti number are derived from these four.
 """
 
 from __future__ import annotations
@@ -66,27 +67,78 @@ class ComponentRecord:
 
     ``source`` is the multiple point (local records) or the pencil
     classification (global and translated records) that produced the
-    component; ``torsion`` is the trivial character unless the record is
-    translated.  ``flags`` carries ``"coordinate component"`` and/or
-    ``"translated coordinate component"`` (one per kind of vanishing
-    exponent row), or ``"essential"`` when neither applies, plus exactly
-    one certification flag, ``"certified"`` or ``"candidate"``, followed
-    in parentheses by the hypothesis that was checked or failed.
+    component, ``subtorus`` its exponent subtorus, ``torsion`` the character
+    rho that translates it (trivial unless the record is translated), and
+    ``certification`` the flag ``"certified"`` or ``"candidate"``, followed
+    in parentheses by the hypothesis that was checked or failed.  The other
+    six values follow from these four:
+
+    - ``kind``: ``"local"`` for a point source, ``"global"`` for a trivial
+      rho, ``"translated"`` otherwise;
+    - ``dimension``: that of the subtorus, k - 1 for a pencil with k
+      members through a point or k full fibers;
+    - ``flags``: ``"coordinate component"`` when the subtorus has a zero
+      row where rho is 1, ``"translated coordinate component"`` when it has
+      one where rho is not, ``"essential"`` when it has none, then the
+      certification;
+    - ``witness``: the label of the first zero row where rho is not 1, if
+      any;
+    - ``exceptional_note``: h1 exceeds its generic value at finitely many
+      characters, which pull back from the quotient of the subtorus when
+      the dimension is 2 or more;
+    - ``expected_generic_h1``: dimension - 1, plus `epsilon_count` for a
+      translated record, that is k - 2 + epsilon(rho).
     """
 
-    kind: str
-    dimension: int
     source: Union[MultiplePoint, PencilClassification]
     subtorus: ExponentSubtorus
     torsion: TorsionCharacter
-    flags: tuple[str, ...]
-    witness: Optional[str]
-    expected_generic_h1: int
-    exceptional_note: str
+    certification: str = "certified"
 
     @property
-    def certified(self) -> bool:
-        return any(f.startswith("certified") for f in self.flags)
+    def kind(self) -> str:
+        if isinstance(self.source, MultiplePoint):
+            return "local"
+        return "global" if self.torsion.is_trivial() else "translated"
+
+    @property
+    def dimension(self) -> int:
+        return self.subtorus.dimension
+
+    def _zero_rows(self) -> tuple[list[int], list[int]]:
+        """The subtorus's zero rows where rho is 1, and those where it is not."""
+        rows = self.subtorus.zero_rows()
+        exponents = self.torsion.exponents
+        return [j for j in rows if not exponents[j]], [j for j in rows if exponents[j]]
+
+    @property
+    def flags(self) -> tuple[str, ...]:
+        plain, translated = self._zero_rows()
+        flags = []
+        if plain:
+            flags.append("coordinate component")
+        if translated:
+            flags.append("translated coordinate component")
+        return (*(flags or ["essential"]), self.certification)
+
+    @property
+    def witness(self) -> Optional[str]:
+        _, translated = self._zero_rows()
+        # rho is nontrivial there, so the source is a classification
+        return self.source.arrangement.labels[translated[0]] if translated else None
+
+    @property
+    def exceptional_note(self) -> str:
+        note = "h1 exceeds the generic value at only finitely many characters"
+        if self.dimension >= 2:
+            note += "; the exceptions pull back from the quotient of the subtorus"
+        return note
+
+    @property
+    def expected_generic_h1(self) -> int:
+        if self.torsion.is_trivial():
+            return self.dimension - 1
+        return self.dimension - 1 + epsilon_count(self.source, self.torsion)
 
     def source_string(self) -> str:
         if isinstance(self.source, MultiplePoint):
@@ -126,9 +178,6 @@ class Catalog:
     arrangement: Arrangement
     records: tuple[ComponentRecord, ...]
     warnings: tuple[str, ...]
-
-    def by_kind(self, kind: str) -> tuple[ComponentRecord, ...]:
-        return tuple(r for r in self.records if r.kind == kind)
 
     def to_json(self) -> dict:
         return {
@@ -439,81 +488,17 @@ def _repeated_root_at(products: _BlockTable, a: _Block, b: _Block, lam: tuple[in
 
 
 # ---------------------------------------------------------------------------
-# flags
-
-
-def _component_flags(
-    arr: Arrangement, subtorus: ExponentSubtorus, torsion: TorsionCharacter
-) -> tuple[list[str], Optional[str]]:
-    plain = []
-    translated = []
-    for j in subtorus.zero_rows():
-        if torsion.exponents[j] == 0:
-            plain.append(j)
-        else:
-            translated.append(j)
-    flags: list[str] = []
-    witness: Optional[str] = None
-    if plain:
-        flags.append("coordinate component")
-    if translated:
-        flags.append("translated coordinate component")
-        witness = arr.labels[min(translated)]
-    if not flags:
-        flags.append("essential")
-    return flags, witness
-
-
-def _exceptional_note(dimension: int) -> str:
-    note = "h1 exceeds the generic value at only finitely many characters"
-    if dimension >= 2:
-        note += "; the exceptions pull back from the quotient of the subtorus"
-    return note
-
-
-# ---------------------------------------------------------------------------
 # building the catalog
 
 
-def _local_record(arr: Arrangement, mp: MultiplePoint) -> ComponentRecord:
+def _point_subtorus(size: int, mp: MultiplePoint) -> ExponentSubtorus:
+    """The subtorus of the pencil of the k lines through a multiple point."""
     k = mp.count
-    rows = [[0] * (k - 1) for _ in range(arr.size)]
+    rows = [[0] * (k - 1) for _ in range(size)]
     for i, j in enumerate(mp.incident[:-1]):
         rows[j][i] = 1
     rows[mp.incident[-1]] = [-1] * (k - 1)
-    subtorus = ExponentSubtorus(tuple(tuple(r) for r in rows))
-    trivial = TorsionCharacter([0] * arr.size)
-    flags, witness = _component_flags(arr, subtorus, trivial)
-    flags.append("certified")
-    return ComponentRecord(
-        kind="local",
-        dimension=k - 1,
-        source=mp,
-        subtorus=subtorus,
-        torsion=trivial,
-        flags=tuple(flags),
-        witness=witness,
-        expected_generic_h1=k - 2,
-        exceptional_note=_exceptional_note(k - 1),
-    )
-
-
-def _untranslated_record(cl: PencilClassification, subtorus: ExponentSubtorus) -> ComponentRecord:
-    trivial = TorsionCharacter([0] * cl.arrangement.size)
-    flags, witness = _component_flags(cl.arrangement, subtorus, trivial)
-    flags.append("certified")
-    dimension = cl.k - 1
-    return ComponentRecord(
-        kind="global",
-        dimension=dimension,
-        source=cl,
-        subtorus=subtorus,
-        torsion=trivial,
-        flags=tuple(flags),
-        witness=witness,
-        expected_generic_h1=dimension - 1,
-        exceptional_note=_exceptional_note(dimension),
-    )
+    return ExponentSubtorus(tuple(tuple(r) for r in rows))
 
 
 def _translated_certification(cl: PencilClassification, maximal: Optional[bool]) -> str:
@@ -530,35 +515,6 @@ def _translated_certification(cl: PencilClassification, maximal: Optional[bool])
         return "candidate (pullback rays are not maximal isotropic)"
     # the m'(c) hypothesis is checked over C(f), the detected special fibers
     return "certified (m'(c) = 1 for all c in C(f))"
-
-
-def _translated_records(cl: PencilClassification, maximal: Optional[bool]) -> list[ComponentRecord]:
-    _, lifts = lifted_characters(cl)
-    if not lifts:
-        return []
-    subtorus = pullback_subtorus(cl)
-    certification = _translated_certification(cl, maximal)
-    out = []
-    for rho in lifts:
-        if not any(subtorus.coset(rho)):
-            continue  # not translated: the lift already sits on the subtorus
-        flags, witness = _component_flags(cl.arrangement, subtorus, rho)
-        flags.append(certification)
-        dimension = cl.k - 1
-        out.append(
-            ComponentRecord(
-                kind="translated",
-                dimension=dimension,
-                source=cl,
-                subtorus=subtorus,
-                torsion=rho,
-                flags=tuple(flags),
-                witness=witness,
-                expected_generic_h1=cl.k - 2 + epsilon_count(cl, rho),
-                exceptional_note=_exceptional_note(dimension),
-            )
-        )
-    return out
 
 
 def build_catalog(
@@ -608,11 +564,23 @@ def build_catalog(
     screen rejects a pair whose Wronskian has no zero mod some prime that
     keeps its degree, before any polynomial of the pair is built; the
     comment above `_SCREEN_PRIMES` proves it loses no candidate.
+
+    Every record is one `ComponentRecord` of source, subtorus, character
+    and certification.  A local record is a multiple point with the
+    subtorus of its point pencil (`_point_subtorus`) and the trivial
+    character; a global record is a searched classification with its
+    `pullback_subtorus` and the trivial character, unless its subtorus is
+    already listed; a translated record is a swept or searched
+    classification with its pullback subtorus, one lifted character off
+    that subtorus, and the certification of `_translated_certification`.
     Translated records are kept once per component: one set of
     (`ExponentSubtorus.saturated_key`, `ExponentSubtorus.coset`) keys, the
     rational span of the subtorus and the class of the character modulo
-    it, keeps the first record of each class; the records then sort by
-    that span key and their characters.  The catalog's warnings are its
+    it, keeps the first record of each class.  A translated subtorus of
+    dimension 2 or more whose span no record lists adds a global record of
+    its source with the trivial character.  Local records sort by point,
+    global ones keep the order found, and translated ones sort by span key
+    and character.  The catalog's warnings are its
     own and those of every searched pencil and every swept pencil that
     reaches classification.  A pair that the base-point screen rejects adds
     none: the one warning a pencil carries flags possible special fibers
@@ -652,10 +620,11 @@ def build_catalog(
     # curves of degree >= 2 through a point that span a pencil are full
     # fibers of that pencil: step 3 lists it once as a global pencil, where
     # local records would list it again at each rational base point
+    trivial = TorsionCharacter([0] * base_arr.size)
     locals_: list[ComponentRecord] = []
     for mp in tables.points:
         if mp.yields_local_pencil and mp.degree == 1:
-            locals_.append(_local_record(base_arr, mp))
+            locals_.append(ComponentRecord(mp, _point_subtorus(base_arr.size, mp), trivial))
     known_keys = {rec.subtorus.saturated_key() for rec in locals_}
 
     # --- Step 3: global components from the partition search ---
@@ -669,7 +638,7 @@ def build_catalog(
         if key in known_keys:
             continue  # the point pencil of a multiple point, already listed
         known_keys.add(key)
-        globals_.append(_untranslated_record(cl, subtorus))
+        globals_.append(ComponentRecord(cl, subtorus, trivial))
 
     # --- Step 4: translated sweep over the found pencils ---
     translated: list[ComponentRecord] = []
@@ -723,17 +692,25 @@ def build_catalog(
                 maximal = subspace.maximal
                 if cl.k == 2 and maximal is False:
                     continue
-            for rec in _translated_records(cl, maximal):
-                key = (rec.subtorus.saturated_key(), rec.subtorus.coset(rec.torsion))
+            _, lifts = lifted_characters(cl)
+            if not lifts:
+                continue
+            subtorus = pullback_subtorus(cl)
+            certification = _translated_certification(cl, maximal)
+            for rho in lifts:
+                coset = subtorus.coset(rho)
+                if not any(coset):
+                    continue  # not translated: the lift already sits on the subtorus
+                key = (subtorus.saturated_key(), coset)
                 if key not in seen_classes:
                     seen_classes.add(key)
-                    translated.append(rec)
+                    translated.append(ComponentRecord(cl, subtorus, rho, certification))
 
     # --- Step 5: cross-reference and deterministic order ---
     for rec in translated:
         if rec.dimension >= 2 and rec.subtorus.saturated_key() not in known_keys:
             known_keys.add(rec.subtorus.saturated_key())
-            globals_.append(_untranslated_record(rec.source, rec.subtorus))
+            globals_.append(ComponentRecord(rec.source, rec.subtorus, trivial))
 
     locals_.sort(key=lambda r: (r.source.point.sort_key(), r.source.degree))
     translated.sort(key=lambda r: (r.subtorus.saturated_key(), r.torsion.sort_key()))

@@ -120,9 +120,6 @@ class IntMatrix:
             raise ValueError("shape mismatch")
         return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.rows)
 
-    def is_zero(self) -> bool:
-        return all(e == 0 for row in self.rows for e in row)
-
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.rows]
 
@@ -344,9 +341,6 @@ class FinAbelianGroup:
         for d in self.invariant_factors:
             out *= d
         return out
-
-    def is_trivial(self) -> bool:
-        return not self.invariant_factors
 
     def characters(self) -> Iterator[tuple[Fraction, ...]]:
         """All characters, as exponent tuples in [0, 1) on the invariant-factor generators."""

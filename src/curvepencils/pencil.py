@@ -109,7 +109,7 @@ class Pencil:
         return rows is None or rows == self._span
 
     @classmethod
-    def from_json(cls, doc: dict, arr: Arrangement | None = None) -> "Pencil":
+    def from_json(cls, doc: dict, arr: Arrangement) -> "Pencil":
         if not isinstance(doc, dict):
             raise PencilError("pencil file must hold a JSON object")
         if "P" in doc and "Q" in doc:
@@ -118,8 +118,6 @@ class Pencil:
             except PolyParseError as exc:
                 raise PencilError(str(exc)) from None
         if "blocks" in doc:
-            if arr is None:
-                raise PencilError("block form of a pencil file needs the arrangement")
             blocks = doc["blocks"]
             if not isinstance(blocks, (list, tuple)) or len(blocks) < 2:
                 raise PencilError("need a list of at least two blocks")

@@ -94,14 +94,6 @@ class TernaryForm:
         return cls({(0, 0, 0): c})
 
     @classmethod
-    def variable(cls, name: str) -> "TernaryForm":
-        if name not in _VARS:
-            raise ValueError(f"unknown variable {name!r}")
-        e = [0, 0, 0]
-        e[_VARS.index(name)] = 1
-        return cls({tuple(e): 1})
-
-    @classmethod
     def parse(cls, text: str) -> "TernaryForm":
         """Parse the grammar: signed sums of terms ``c*x^a*y^b*z^c``."""
         if not isinstance(text, str):

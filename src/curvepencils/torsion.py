@@ -198,10 +198,6 @@ class TfGroup:
     section_columns: tuple[tuple[int, ...], ...]
     basis_classes: tuple[tuple[int, ...], ...]
 
-    @property
-    def order(self) -> int:
-        return self.group.order
-
     @cached_property
     def kernel_smith(self) -> SmithDecomposition:
         """Smith decomposition of the transposed kernel basis."""

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -230,10 +231,11 @@ def test_rational_points_lie_on_the_curve():
 def test_torsion_character_basics():
     chi = TorsionCharacter([0, Fraction(1, 2), Fraction(1, 3)])
     assert not chi.is_trivial()
-    assert chi.order == 6
+    assert lcm(*(e.denominator for e in chi.exponents)) == 6
     assert chi.value_strings() == ("1", "-1", "e(1/3)")
-    assert chi.satisfies_degree_relation([1, 2, 3])
-    assert not chi.satisfies_degree_relation([1, 1, 1])
+    # the degree relation sum_j d_j e_j = 0 mod 1
+    assert sum(d * e for d, e in zip([1, 2, 3], chi.exponents)) % 1 == 0
+    assert sum(d * e for d, e in zip([1, 1, 1], chi.exponents)) % 1 != 0
 
 
 def test_torsion_character_normalizes_exponents():
@@ -242,10 +244,10 @@ def test_torsion_character_normalizes_exponents():
     chi = TorsionCharacter([a + b, a - b, -a, 3 * a, Fraction(7, 3)])
     assert chi.exponents == (Fraction(1, 4),) * 4 + (Fraction(1, 3),)
     assert all(type(e) is Fraction for e in chi.exponents)
-    assert TorsionCharacter([a]).order == 4
+    assert TorsionCharacter([a]).exponents[0].denominator == 4
     assert TorsionCharacter([0, 1, -2, Fraction(5, 1)]).is_trivial()
     assert not TorsionCharacter([0, a]).is_trivial()
-    assert TorsionCharacter([]).order == 1
+    assert TorsionCharacter([]).exponents == ()
 
 
 def test_torsion_character_value_strings():

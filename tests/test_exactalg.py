@@ -117,7 +117,7 @@ def test_kernel_properties_random():
         A = random_matrix(rng, m, n)
         K = integer_kernel_basis(A)
         if K.ncols:
-            assert A.mul(K).is_zero()
+            assert all(e == 0 for row in A.mul(K).rows for e in row)
         assert K.ncols == n - sympy.Matrix(A.to_lists()).rank()
         # canonical: recomputing from a shuffled spanning set gives the same basis
         cols = K.columns()
@@ -173,7 +173,7 @@ def direct_sum(moduli):
 
 
 def test_fin_abelian_group_basics():
-    assert FinAbelianGroup.trivial().is_trivial()
+    assert FinAbelianGroup.trivial().invariant_factors == ()
     assert str(FinAbelianGroup.trivial()) == "trivial"
     g = direct_sum([2, 3])
     assert g.invariant_factors == (6,)

@@ -4,7 +4,14 @@ no float enters the arithmetic, no true division can make one, and no random sou
 from __future__ import annotations
 
 import ast
+import contextlib
+import functools
+import importlib
+import inspect
+import io
 import re
+import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -211,6 +218,85 @@ def test_unreferenced_public_function_is_caught():
         "a.py: exported_only (line 2)",
         "a.py: perimeter (line 8)",
     ]
+
+
+# public functions that no golden report and no fast fixture catalog enters,
+# each with the reason it stays; a path that only the slow fixtures (a3, b3,
+# exfin3) reach would go here too, naming the fixture
+UNREACHED = {
+    "exactalg.saturate_lattice": "test oracle of `ExponentSubtorus.saturated_key` and `coset`",
+    "exactalg.lattice_key": "test oracle of the subtorus keys, beside `saturate_lattice`",
+    "exactalg.IntMatrix.to_lists": "read by `IntMatrix.__repr__`, which no report prints",
+}
+
+
+def _functions(member) -> list:
+    """The plain functions behind a class member or module attribute."""
+    if isinstance(member, property):
+        return [f for f in (member.fget, member.fset, member.fdel) if f is not None]
+    if isinstance(member, functools.cached_property):
+        return [member.func]
+    if isinstance(member, (classmethod, staticmethod)):
+        return [member.__func__]
+    return [member] if inspect.isfunction(member) else []
+
+
+def _public_code() -> dict[types.CodeType, str]:
+    """The code of every public function and method of `src/`, by dotted name.
+
+    Public means defined in the module and not named with a leading
+    underscore, so private helpers and dunders are left out; properties count
+    by their getters.  Private helpers are covered by
+    `test_no_unreferenced_private_helpers`.
+    """
+    out = {}
+    for path in SOURCES:
+        if path.stem.startswith("__"):
+            continue  # no functions; importing `__main__` runs the command line
+        module = importlib.import_module(f"curvepencils.{path.stem}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).items() if isinstance(obj, type) else [(None, obj)]
+            for attr, member in members:
+                if attr is None or not attr.startswith("_"):
+                    dotted = ".".join(filter(None, (path.stem, name, attr)))
+                    out.update((f.__code__, dotted) for f in _functions(member))
+    return out
+
+
+def test_every_public_function_is_reached():
+    # the reach audit: a public function that neither the golden reports
+    # nor the fast fixture catalogs enter serves only tests, so it belongs
+    # in `tests/` or on UNREACHED with its reason
+    from arrfixtures import a2, ceva2, ceva3, deleted_b3, ex2, triangle
+    from curvepencils.catalog import build_catalog
+    from curvepencils.cli import main
+    from test_cli import FIXTURES, GOLDEN_CASES
+
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for _, argv in GOLDEN_CASES:
+            argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0, argv
+        for make in (deleted_b3, a2, ceva2, ceva3, ex2, triangle):
+            build_catalog(make()).to_json()  # records derive values as they render
+    finally:
+        sys.setprofile(previous)
+    public = _public_code()
+    assert set(UNREACHED) <= set(public.values()), "UNREACHED names a function src/ lacks"
+    reached = sorted({public[code] for code in entered if code in public} & set(UNREACHED))
+    assert not reached, f"reached, so drop from UNREACHED: {reached}"
+    missed = sorted({name for code, name in public.items() if code not in entered} - set(UNREACHED))
+    assert not missed, f"public functions that only tests reach: {missed}"
 
 
 def _float_uses(tree: ast.Module) -> list[str]:

@@ -25,9 +25,9 @@ from curvepencils.polyform import (
     span_rows,
 )
 
-X = TernaryForm.variable("x")
-Y = TernaryForm.variable("y")
-Z = TernaryForm.variable("z")
+X = TernaryForm.parse("x")
+Y = TernaryForm.parse("y")
+Z = TernaryForm.parse("z")
 
 
 def sym(form: TernaryForm):
