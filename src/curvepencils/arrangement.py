@@ -266,9 +266,6 @@ class TorsionCharacter:
             for e in self.exponents
         )
 
-    def sort_key(self) -> tuple[Fraction, ...]:
-        return self.exponents
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, TorsionCharacter) and self.exponents == other.exponents
 

@@ -502,16 +502,16 @@ def _point_subtorus(size: int, mp: MultiplePoint) -> ExponentSubtorus:
 
 
 def _translated_certification(cl: PencilClassification, maximal: Optional[bool]) -> str:
+    # maximal is None exactly when `cup_structure` is: curves, or no infinity line
     if cl.conditional:
         return "candidate (special fiber list is conditional)"
     if cl.k >= 3:
         return "certified"
-    arr = cl.arrangement
-    if not (arr.is_line_arrangement() and arr.infinity_index is not None):
+    if maximal is None:
         return "candidate (no cup-product structure on this arrangement)"
     if any(sp.m_prime != 1 for sp in cl.special_points):
         return "candidate (a special fiber has m'(c) != 1)"
-    if maximal is not True:
+    if not maximal:
         return "candidate (pullback rays are not maximal isotropic)"
     # the m'(c) hypothesis is checked over C(f), the detected special fibers
     return "certified (m'(c) = 1 for all c in C(f))"
@@ -712,7 +712,7 @@ def build_catalog(
             known_keys.add(rec.subtorus.saturated_key())
             globals_.append(ComponentRecord(rec.source, rec.subtorus, trivial))
 
-    locals_.sort(key=lambda r: (r.source.point.sort_key(), r.source.degree))
-    translated.sort(key=lambda r: (r.subtorus.saturated_key(), r.torsion.sort_key()))
+    locals_.sort(key=lambda r: r.source.point)
+    translated.sort(key=lambda r: (r.subtorus.saturated_key(), r.torsion.exponents))
     records = tuple(locals_ + globals_ + translated)
     return Catalog(arrangement=base_arr, records=records, warnings=tuple(warnings))

@@ -1,8 +1,13 @@
 """Exact arithmetic kernels shared by every other module.
 
-Integer lattices (Hermite and Smith forms with transform matrices), finite
-abelian groups presented by invariant factors, rational linear algebra, and
-dense univariate polynomials over Q.  No floating point enters any code path.
+Integer lattices, finite abelian groups presented by invariant factors,
+rational linear algebra, and dense univariate polynomials over Q.  No
+floating point enters any code path.
+
+A lattice has one normal form, the column Hermite form, and every integer
+kernel is one `hermite_column_form` pass.  The Smith form, with its
+transform matrices, serves only the torsion group T(f), whose invariant
+factors it gives.
 
 A univariate polynomial is a plain coefficient sequence, lowest degree
 first, and there is no other representation.  `coeffs_mul`,
@@ -242,17 +247,17 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
 def integer_kernel_basis(A: IntMatrix) -> IntMatrix:
     """Basis of the integer kernel {x : A x = 0}, as matrix columns.
 
-    The basis is put in column Hermite form, so equal kernels produce equal
-    matrices regardless of reduction history.
+    One `hermite_column_form` pass over the columns of A stacked on the
+    identity (Cohen, *A Course in Computational Algebraic Number Theory*,
+    2.4.3).  Column operations are unimodular, so the columns with a zero
+    A-part, whose pivots lie in the identity rows, span the kernel; as the
+    tail of a Hermite form their identity parts are already its canonical
+    basis, so equal kernels produce equal matrices.
     """
-    snf = smith_normal_form(A)
-    cols = []
-    for j in range(A.ncols):
-        d = snf.D.entry(j, j) if j < min(A.nrows, A.ncols) else 0
-        if d == 0:
-            cols.append(snf.V.column(j))
-    reduced = hermite_column_form(cols, A.ncols)
-    return IntMatrix.from_columns(reduced, A.ncols)
+    m, n = A.nrows, A.ncols
+    unit = IntMatrix.identity(n).rows
+    form = hermite_column_form([col + e for col, e in zip(A.columns(), unit)], m + n)
+    return IntMatrix.from_columns([c[m:] for c in form if not any(c[:m])], n)
 
 
 def hermite_column_form(columns: Sequence[Sequence[int]], nrows: int) -> list[tuple[int, ...]]:
@@ -373,14 +378,13 @@ def product_relation_lattice(moduli: Sequence[int], generators: Sequence[Sequenc
     c = len(moduli)
     if s == 0:
         return IntMatrix([[]])
-    rows = []
-    for i in range(c):
-        row = [int(g[i]) for g in generators] + [moduli[k] if k == i else 0 for k in range(c)]
-        rows.append(row)
-    kernel = integer_kernel_basis(IntMatrix(rows))
-    proj = [kernel.column(j)[:s] for j in range(kernel.ncols)]
-    basis = hermite_column_form(proj, s)
-    return IntMatrix.from_columns(basis, s)
+    # as in `integer_kernel_basis`: the columns of [G | diag(m)] stacked on
+    # [I_s | 0], whose zero top parts leave the relations in the bottom rows
+    unit = IntMatrix.identity(c + s).rows
+    stacked = [tuple(int(e) for e in g) + unit[t][:s] for t, g in enumerate(generators)]
+    stacked += [tuple(m * e for e in unit[k]) for k, m in enumerate(moduli)]
+    form = hermite_column_form(stacked, c + s)
+    return IntMatrix.from_columns([col[c:] for col in form if not any(col[:c])], s)
 
 
 # ---------------------------------------------------------------------------

@@ -318,7 +318,8 @@ def _finish_classification(
     for j, b, e in hits:
         by_point.setdefault(b, []).append((j, e))
     fibers: dict[P1Point, FiberData] = {}
-    for b, members in sorted(by_point.items(), key=lambda kv: kv[0].sort_key()):
+    for b in sorted(by_point):
+        members = by_point[b]
         members.sort()
         if b in constant_cofactor_points:
             cofactor = TernaryForm.constant(1)
@@ -343,10 +344,8 @@ def _finish_classification(
         raise PencilError(
             f"{arr.size - len(done)} components neither voted nor were fiber members"
         )
-    B = tuple(sorted((b for b, d in fibers.items() if d.is_full), key=lambda p: p.sort_key()))
-    type2 = tuple(
-        sorted((b for b, d in fibers.items() if not d.is_full), key=lambda p: p.sort_key())
-    )
+    B = tuple(sorted(b for b, d in fibers.items() if d.is_full))
+    type2 = tuple(sorted(b for b, d in fibers.items() if not d.is_full))
     D = pencil.degree
     for b in B:
         total = sum(arr.components[j].degree * m for j, m in fibers[b].members)
@@ -475,7 +474,7 @@ def detect_special_fibers(classification: PencilClassification) -> PencilClassif
             candidates.add(endpoint)
 
     specials: list[SpecialPoint] = []
-    for pt in sorted(candidates, key=lambda p: p.sort_key()):
+    for pt in sorted(candidates):
         if pt in classification.base_points:
             continue
         members = classification.fiber_members(pt)
@@ -827,7 +826,6 @@ class _Block:
     mask: int
     indices: tuple[int, ...]
     mults: tuple[int, ...]
-    degree: int
     content: int  # gcd of the multiplicities
 
 
@@ -999,7 +997,7 @@ def _enumerate_blocks(arr: Arrangement, max_multiplicity: int) -> dict[int, dict
         members = tuple(j for j in range(arr.size) if mask >> j & 1)
         for mults in itertools.product(range(1, max_multiplicity + 1), repeat=len(members)):
             degree = sum(degrees[j] * m for j, m in zip(members, mults))
-            block = _Block(mask, members, mults, degree, gcd(*mults))
+            block = _Block(mask, members, mults, gcd(*mults))
             blocks.setdefault(degree, {}).setdefault(mask, []).append(block)
     return blocks
 

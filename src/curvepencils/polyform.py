@@ -55,17 +55,13 @@ class PolyParseError(ValueError):
     """Raised when polynomial text violates the input grammar."""
 
 
-def _monomial_key(exps: tuple[int, int, int]) -> tuple[int, int, int]:
-    # descending lex with x > y > z
-    return (-exps[0], -exps[1], -exps[2])
-
-
 class TernaryForm:
     """A homogeneous polynomial in x, y, z with int or Fraction coefficients.
 
     An integral coefficient is stored as an ``int``, whatever type it came
     in as, so a ``Fraction`` always has denominator > 1; zero coefficients
-    are dropped.
+    are dropped.  The one monomial order is lex with x > y > z, the order
+    in which exponent tuples compare, so the leading term is the largest.
     """
 
     __slots__ = ("terms", "degree")
@@ -165,7 +161,7 @@ class TernaryForm:
         return self.degree <= 0
 
     def sorted_terms(self) -> list[tuple[tuple[int, int, int], Fraction | int]]:
-        return sorted(self.terms.items(), key=lambda kv: _monomial_key(kv[0]))
+        return sorted(self.terms.items(), reverse=True)
 
     def coefficient(self, exps: tuple[int, int, int]) -> Fraction | int:
         return self.terms.get(exps, 0)
@@ -173,7 +169,7 @@ class TernaryForm:
     def leading_term(self) -> tuple[tuple[int, int, int], Fraction | int]:
         if not self.terms:
             raise ValueError("zero form has no leading term")
-        key = min(self.terms, key=_monomial_key)
+        key = max(self.terms)
         return key, self.terms[key]
 
     # -- arithmetic ---------------------------------------------------------
@@ -224,7 +220,7 @@ class TernaryForm:
         """Canonical scalar multiple: integer, content 1, leading sign positive."""
         if self.is_zero():
             return self
-        keys = sorted(self.terms, key=_monomial_key)
+        keys = sorted(self.terms, reverse=True)
         return TernaryForm(dict(zip(keys, primitive_vector([self.terms[k] for k in keys]))))
 
     def proportional_to(self, other: "TernaryForm") -> bool:
@@ -240,12 +236,7 @@ class TernaryForm:
 
     @staticmethod
     def monomials_of_degree(d: int) -> list[tuple[int, int, int]]:
-        out = [
-            (a, b, d - a - b)
-            for a in range(d, -1, -1)
-            for b in range(d - a, -1, -1)
-        ]
-        return sorted(out, key=_monomial_key)
+        return [(a, b, d - a - b) for a in range(d, -1, -1) for b in range(d - a, -1, -1)]
 
     def coefficient_vector(self, degree: int | None = None) -> tuple[Fraction | int, ...]:
         d = self.degree if degree is None else degree
@@ -346,9 +337,6 @@ class _Coords:
     """Primitive integer coordinates, compared, ordered and hashed as a tuple."""
 
     __slots__ = ("coords",)
-
-    def sort_key(self) -> tuple[int, ...]:
-        return self.coords
 
     def __eq__(self, other: object) -> bool:
         return type(other) is type(self) and self.coords == other.coords

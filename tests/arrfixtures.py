@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from hypothesis import assume
+from hypothesis import strategies as st
+
 from curvepencils.arrangement import Arrangement, CurveComponent
 from curvepencils.pencil import Pencil
 from curvepencils.polyform import TernaryForm
@@ -21,6 +24,21 @@ def deleted_b3() -> Arrangement:
         "x", "x - z", "y", "y - z", "x - y - z", "x - y", "x - y + z", "z",
         infinity=7,
     )
+
+
+def deleted_b3_plus(form: TernaryForm) -> Arrangement:
+    """Deleted B3 and one more line, named L9."""
+    base = deleted_b3()
+    return Arrangement([*base.components, CurveComponent("L9", form)], base.infinity_index)
+
+
+@st.composite
+def deleted_b3_plus_a_line(draw, bound: int) -> Arrangement:
+    """`deleted_b3_plus` a line with coefficients in [-bound, bound] that is not one of its lines."""
+    a, b, c = draw(st.tuples(*[st.integers(-bound, bound)] * 3).filter(any))
+    form = TernaryForm({(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c})
+    assume(not any(form.proportional_to(cp.form) for cp in deleted_b3().components))
+    return deleted_b3_plus(form)
 
 
 def fw_pencil() -> Pencil:

@@ -21,7 +21,19 @@ import sympy
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from arrfixtures import F, a3, b3, ceva2, ceva3, deleted_b3, ex2, exfin3, fw_pencil, triangle
+from arrfixtures import (
+    F,
+    a3,
+    b3,
+    ceva2,
+    ceva3,
+    deleted_b3,
+    deleted_b3_plus_a_line,
+    ex2,
+    exfin3,
+    fw_pencil,
+    triangle,
+)
 from curvepencils import arrangement as arrangement_module
 from curvepencils import catalog as catalog_module
 from curvepencils import exactalg as exactalg_module
@@ -481,9 +493,10 @@ def test_one_table_per_catalog(monkeypatch):
 
 
 def test_smith_calls_per_catalog(monkeypatch):
-    # the span key of a subtorus is `echelon_rows` and its coset key pairs
-    # with the perp basis, so the Smith decompositions left on deleted B3
-    # are those of the kernels, the T(f) groups and the perp lattices
+    # every kernel (`kernel_fstar`, the perp basis of a coset, the relation
+    # lattice of T(f)) is one Hermite pass, so the Smith decompositions
+    # left on deleted B3 are the two of its one pencil with m'' >= 2: the
+    # invariant factors of T(f), and `TfGroup.kernel_smith` for the lifts
     calls = []
     original = exactalg_module.smith_normal_form
 
@@ -495,10 +508,7 @@ def test_smith_calls_per_catalog(monkeypatch):
         if vars(module).get("smith_normal_form") is original:
             monkeypatch.setattr(module, "smith_normal_form", counting)
     build_catalog(deleted_b3())
-    # the swept pencils that the base-point screen drops have a trivial
-    # T(f) and never reach `compute_Tf`, and the coset of each lifted
-    # character is taken once, for both the translation test and the key
-    assert len(calls) == 16
+    assert len(calls) == 2
 
 
 def test_sweep_tables_die_with_their_catalog(monkeypatch):
@@ -525,7 +535,7 @@ def test_sweep_tables_die_with_their_catalog(monkeypatch):
 def test_second_probe_sees_a_repeated_root_at_infinity():
     # (3 + t^2) - (1 + t^2) = 2 falls two degrees short: a double root at t = infinity
     products = _block_products([(3, 0, 1), (1, 0, 1)])
-    a, b = _Block(1, (0,), (1,), 2, 1), _Block(2, (1,), (1,), 2, 1)
+    a, b = _Block(1, (0,), (1,), 1), _Block(2, (1,), (1,), 1)
     assert _repeated_root_at(products, a, b, (1, 1))
     # (3 + t^2) - 2*(1 + t^2) = 1 - t^2 has simple roots only
     assert not _repeated_root_at(products, a, b, (2, 1))
@@ -544,16 +554,16 @@ def _block_pair(draw):
     """Random restrictions of degree 1-3 and two disjoint blocks of equal degree."""
     degrees = draw(st.lists(st.integers(1, 3), min_size=2, max_size=5))
     restrictions = [draw(_restriction(d)) for d in degrees]
-    blocks = []
+    blocks = []  # (degree, block)
     for mask in range(1, 1 << len(degrees)):
         members = tuple(j for j in range(len(degrees)) if mask >> j & 1)
         for mults in itertools.product((1, 2), repeat=len(members)):
             degree = sum(degrees[j] * m for j, m in zip(members, mults))
-            blocks.append(_Block(mask, members, mults, degree, gcd(*mults)))
+            blocks.append((degree, _Block(mask, members, mults, gcd(*mults))))
     pairs = [
         (a, b)
-        for a, b in itertools.combinations(blocks, 2)
-        if not a.mask & b.mask and a.degree == b.degree
+        for (da, a), (db, b) in itertools.combinations(blocks, 2)
+        if not a.mask & b.mask and da == db
     ]
     assume(pairs)
     return restrictions, draw(st.sampled_from(pairs))
@@ -588,7 +598,7 @@ def test_identically_vanishing_wronskian_is_a_broken_invariant():
     # equal restrictions break the coprimality that `_probe_lines` certifies:
     # W = R_0'*R_1 - R_0*R_1' = 0
     sweep = _SweepTables([(1, 1), (1, 1)])
-    a, b = _Block(1, (0,), (1,), 1, 1), _Block(2, (1,), (1,), 1, 1)
+    a, b = _Block(1, (0,), (1,), 1), _Block(2, (1,), (1,), 1)
     with pytest.raises(CatalogError, match="vanishes identically"):
         _candidate_parameters(sweep, a, b)
 
@@ -683,8 +693,7 @@ def test_sweep_entries_at_multiplicities_zero_mod_a_screen_prime(m):
     for mask in range(1, 1 << len(restrictions)):
         members = tuple(j for j in range(len(restrictions)) if mask >> j & 1)
         for mults in itertools.product((1, m), repeat=len(members)):
-            degree = sum((len(restrictions[j]) - 1) * k for j, k in zip(members, mults))
-            block = _Block(mask, members, mults, degree, gcd(*mults))
+            block = _Block(mask, members, mults, gcd(*mults))
             _check_sweep_entry(sweep, restrictions, block)
 
 
@@ -731,8 +740,8 @@ def test_base_point_screen_keeps_the_translated_pencil():
     # with all their lines in the support are L1.L4.L7 and L2.L3.L5, each
     # with n_X(a) = n_X(b) = 2, so h_X = 2 at both and the gcd is 2
     tables = _SearchTables(deleted_b3(), 2)
-    a = _Block(0b0011001, (0, 3, 4), (1, 1, 2), 4, 1)
-    b = _Block(0b1000110, (1, 2, 6), (1, 1, 2), 4, 1)
+    a = _Block(0b0011001, (0, 3, 4), (1, 1, 2), 1)
+    b = _Block(0b1000110, (1, 2, 6), (1, 1, 2), 1)
     assert tables.block_form(a) == fw_pencil().P and tables.block_form(b) == fw_pencil().Q
     assert _base_point_gcd(tables, a, b) == 2
 
@@ -809,21 +818,10 @@ def _product_bound(tables, a, b):
     return g
 
 
-@st.composite
-def _deleted_b3_plus_a_line(draw):
-    """Deleted B3 and one more line with small coefficients."""
-    base = deleted_b3()
-    a, b, c = draw(st.tuples(*[st.integers(-2, 2)] * 3).filter(any))
-    form = TernaryForm({(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c})
-    assume(not any(form.proportional_to(cp.form) for cp in base.components))
-    components = [*base.components, CurveComponent("L9", form)]
-    return Arrangement(components, base.infinity_index)
-
-
 # an example takes about 3 s, so shrinking a failure would rerun it for
 # minutes; the assertion names the failing pair instead
 @settings(max_examples=2, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
-@given(_deleted_b3_plus_a_line(), st.data())
+@given(deleted_b3_plus_a_line(2), st.data())
 def test_base_point_screen_rejects_only_trivial_tf_on_deleted_b3_plus_a_line(arr, data):
     # random small lines almost never span a pencil with m'' >= 2, while
     # these arrangements keep the translated pencil of deleted B3, whose

@@ -1,5 +1,6 @@
 """Source hygiene: every module-level import, private helper and public function is used,
-no float enters the arithmetic, no true division can make one, and no random source feeds it."""
+no float enters the arithmetic, no true division can make one, no random source feeds it,
+and the Smith form serves only the torsion group."""
 
 from __future__ import annotations
 
@@ -478,6 +479,71 @@ def test_fraction_use_is_caught():
         "Fraction (line 5)",
         "from fractions (line 2)",
         "import fractions (line 1)",
+    ]
+
+
+# the torsion group T(f) and its invariant factors are the one use of a
+# Smith form; every other lattice is a kernel, whose normal form is the
+# Hermite form of `exactalg.integer_kernel_basis`
+SMITH = "smith_normal_form"
+SMITH_USERS = ["torsion.py: TfGroup.kernel_smith", "torsion.py: _general_tf"]
+
+
+def _smith_uses(tree: ast.Module) -> list[tuple[str, int]]:
+    """(function, line) of each read of ``smith_normal_form`` and each import
+    that renames it; the function is a dotted name, ``<module>`` outside one."""
+    out = []
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Name):
+                named = child.id == SMITH
+            elif isinstance(child, ast.Attribute):
+                named = child.attr == SMITH
+            elif isinstance(child, ast.alias):
+                named = child.name == SMITH and child.asname not in (None, SMITH)
+            else:
+                named = False
+            if named:
+                out.append((".".join(scope) or "<module>", child.lineno))
+            visit(child, scope)
+
+    visit(tree, ())
+    return sorted(out)
+
+
+def test_smith_form_serves_only_the_torsion_group():
+    uses = [
+        f"{path.name}: {function}"
+        for path in SOURCES
+        for function, _ in _smith_uses(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert uses == SMITH_USERS, f"Smith form used outside T(f): {uses}"
+
+
+def test_smith_use_is_caught():
+    tree = ast.parse(
+        "from .exactalg import smith_normal_form\n"
+        "from . import exactalg\n"
+        "from .exactalg import smith_normal_form as snf\n"
+        "s = 'smith_normal_form(A)'\n"
+        "class Group:\n"
+        "    def factors(self, A):\n"
+        "        return smith_normal_form(A)\n"
+        "def kernel(A):\n"
+        "    def inner():\n"
+        "        return exactalg.smith_normal_form(A).V\n"
+        "    return inner\n"
+        "decompose = smith_normal_form\n"
+    )
+    assert _smith_uses(tree) == [
+        ("<module>", 3),
+        ("<module>", 12),
+        ("Group.factors", 7),
+        ("kernel.inner", 10),
     ]
 
 
