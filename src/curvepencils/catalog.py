@@ -308,33 +308,6 @@ def _integer_restrictions(
 _SCREEN_PRIMES = (7, 11, 13)
 
 
-# Base-point screen.  The sweep keeps a pencil only for its translated
-# records, and T(f) is trivial unless some special fiber has new-part
-# multiplicity m'' >= 2 (`compute_Tf`).  Such a fiber F = A*G^m'', A its
-# arrangement members and G its new part, is neither P nor Q.  Let X be a
-# multiple point that meets both blocks and whose lines all lie in a u b.
-# A shares no component with P or Q, so it misses X, and the tangent-cone
-# lemma (`pencil`, the comment above `_SearchTables`) gives m'' | h_X.  So
-# m'' divides the gcd of h_X over any subset of these points: a gcd of 1
-# makes every m'' 1, T(f) trivial and the pair recordless, which is why the
-# screen stops at the first partial gcd of 1.  A pair with no such point
-# (gcd 0) passes.
-
-
-def _base_point_gcd(tables: _SearchTables, a: _Block, b: _Block) -> int:
-    """The gcd of h_X over the multiple points X of the comment above, up to
-    its first partial value of 1; 0 when there is no such X."""
-    union = a.mask | b.mask
-    (counts_a, gcds_a), (counts_b, gcds_b) = tables.point_counts(a), tables.point_counts(b)
-    g = 0
-    for mask, na, nb, ga, gb in zip(tables.point_masks, counts_a, counts_b, gcds_a, gcds_b):
-        if na and nb and mask | union == union:
-            g = gcd(g, na if na == nb else ga if na < nb else gb)
-            if g == 1:
-                break
-    return g
-
-
 class _SweepTables:
     """The residue screen's table, and S and L, for every block of the sweep.
 
@@ -535,25 +508,23 @@ def build_catalog(
 
     One `_SearchTables`, built here and dropped on return, serves the call:
     its multiple points give the local records, the sweep's concurrency
-    masks and the one `cup_structure`; both walks draw their pairs from its
-    blocks, enumerated once, and its block forms span every pencil.  The
-    global stage is `pencil_search`, whose walk on line arrangements skips
-    the pairs with a double point between the blocks, and whose block pairs
-    pass, in order, one screen (the multinet screen on line arrangements,
-    the vote screen on the others), span dedup and exact classification.
-    The sweep walks every block pair through these stages, in order: content
-    (both blocks primitive, so the two fibers span a saturated lattice),
-    concurrency (a support of lines through one multiple point only gives
-    pencils composed with that point's pencil; two single lines always meet
-    at one; one lookup in the set of the submasks of those points), the
-    base-point screen (line arrangements only: the gcd of h_X over the
-    multiple points X whose lines all lie in the support, h_X being the gcd
-    of the lower block's multiplicities at X, or n_X when both blocks count
-    n_X there, read from the table's ``point_counts``; when it is 1 every
-    special fiber has m'' = 1 and T(f) is trivial, as the comment above
-    `_base_point_gcd` proves), the residue screen, the Wronskian prefilter
-    on two probe lines that miss every meeting point, span dedup against
-    the searched and already swept pencils, and exact classification.  The
+    masks and the one `cup_structure`; both walks draw their pairs from
+    `iter_block_pairs` over its pairable blocks, enumerated once, and its
+    block forms span every pencil.  The global stage is `pencil_search`,
+    whose walk on line arrangements skips the pairs with a double point
+    between the blocks, and whose block pairs pass, in order, one screen
+    (the multinet screen on line arrangements, the vote screen on the
+    others), span dedup and exact classification.  The sweep's first three
+    stages depend mostly on the two supports, so they run inside the walk
+    (``sweep=True``), once per support pair: content (both blocks
+    primitive), concurrency (a support of lines through one multiple
+    point), and on line arrangements the base-point screen, whose
+    qualifying points are those of the support pair and whose gcd of h_X
+    is taken per block pair; when it is 1 every special fiber has m'' = 1
+    and T(f) is trivial (the comment above `pencil._SearchTables`).  The
+    pairs drawn then pass the residue screen, the Wronskian prefilter on
+    two probe lines that miss every meeting point, span dedup against the
+    searched and already swept pencils, and exact classification.  The
     residue screen and the prefilter work per block on the first probe
     (`_SweepTables`): the screen reads each block's direct residue table,
     (S(t), L(t)) mod 7, 11 and 13 at every t, and the top coefficients of
@@ -649,25 +620,8 @@ def build_catalog(
         first, second = (r for _, _, _, r in _probe_lines(work))
         sweep = _SweepTables(first)
         products = _block_products(second)
-        # any two lines meet at a multiple point, so a support is concurrent
-        # exactly when it lies among the lines through one of them
-        concurrent: set[int] = set()
-        for mp in tables.points:
-            sub = mp.mask if mp.degree == 1 else 0
-            while sub:  # the nonempty submasks, descending
-                concurrent.add(sub)
-                sub = (sub - 1) & mp.mask
-        lines = tables.point_masks is not None
         survivor_spans: set[tuple] = set()
-        for blk_a, blk_b in iter_block_pairs(tables):
-            # the two fibers span the homology cokernel, the lattice
-            # Z*a + Z*b on disjoint supports, iff both blocks are primitive
-            if blk_a.content != 1 or blk_b.content != 1:
-                continue
-            if (blk_a.mask | blk_b.mask) in concurrent:
-                continue  # composed with the point pencil: not connected
-            if lines and _base_point_gcd(tables, blk_a, blk_b) == 1:
-                continue  # every m'' is 1: T(f) is trivial
+        for blk_a, blk_b in iter_block_pairs(tables, sweep=True):
             if not sweep.screen(blk_a, blk_b):
                 continue  # no rational root of W on the first probe
             params = _candidate_parameters(sweep, blk_a, blk_b)

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .arrangement import Arrangement, CurveComponent, local_pencil_points, meeting_points
 from .exactalg import (
@@ -821,8 +821,7 @@ def self_intersection(
 # pencil search
 
 
-@dataclass(frozen=True)
-class _Block:
+class _Block(NamedTuple):
     mask: int
     indices: tuple[int, ...]
     mults: tuple[int, ...]
@@ -881,9 +880,24 @@ class _BlockTable:
 #     differ, that is a constant times the lower block's cone, so m''
 #     divides each multiplicity of its lines through X; when they are equal,
 #     m'' divides the degree n.  So m'' divides h_X: the gcd of the lower
-#     block's multiplicities at X, or n (`catalog._base_point_gcd`).
+#     block's multiplicities at X, or n (the base-point screen below).
 # Curves can be tangent at X, which breaks the factorization into lines, so
 # only line arrangements are screened.
+#
+# Base-point screen.  The sweep keeps a pencil only for its translated
+# records, and T(f) is trivial unless some special fiber has new-part
+# multiplicity m'' >= 2 (`compute_Tf`).  Such a fiber F = A*G^m'', A its
+# arrangement members and G its new part, is neither P nor Q.  Let X be a
+# multiple point that meets both blocks and whose lines all lie in a u b.
+# A shares no component with P or Q, so it misses X, and the lemma gives
+# m'' | h_X.  So m'' divides the gcd of h_X over any subset of these
+# points: a gcd of 1 makes every m'' 1, T(f) trivial and the pair
+# recordless, which is why the screen stops at the first partial gcd of 1.
+# A pair with no such point (gcd 0) passes.  Which points qualify depends
+# on the two supports only, so `iter_block_pairs` finds them once per
+# (block, partner mask), as meet[a.mask] & meet[s] & ~meet[~(a.mask | s)]
+# over `_SearchTables.meet`: a point lies inside a support exactly when it
+# meets no line outside it.
 
 
 class _SearchTables:
@@ -891,18 +905,22 @@ class _SearchTables:
 
     The local records, the search walk, the sweep walk and the cup
     structure all read it.  ``points`` holds the `local_pencil_points` (of
-    any arrangement), ``blocks`` every block up to ``max_multiplicity``,
-    enumerated once (`_enumerate_blocks`).  Three `_BlockTable`s:
-    ``block_form`` is the block product; ``block_values`` holds, per voter
-    i, the block product at the vote points of component i;
-    ``point_counts`` (line arrangements only) holds two tuples over the
-    multiple points X: n_X(block), the sum of the multiplicities of the
-    block's lines through X, and the gcd of those multiplicities (0 when no
-    line passes), from which h_X comes.  With ``point_masks`` they feed the
-    search's multinet screen and the sweep's base-point screen
-    (`catalog._base_point_gcd`), the two uses of the tangent-cone lemma
+    any arrangement), ``blocks`` the pairable blocks up to
+    ``max_multiplicity``, those whose degree a block on the complement can
+    reach, enumerated once (`_enumerate_blocks`) and read by
+    `iter_block_pairs` alone.  Three `_BlockTable`s: ``block_form`` is the
+    block product; ``block_values`` holds, per voter i, the block product
+    at the vote points of component i; ``point_counts`` (line arrangements
+    only) holds two tuples over the multiple points X: n_X(block), the sum
+    of the multiplicities of the block's lines through X, and the gcd of
+    those multiplicities (0 when no line passes), from which h_X comes.
+    With ``point_masks`` they feed the search's multinet screen and the
+    sweep's base-point screen, the two uses of the tangent-cone lemma
     above.  On line arrangements ``avoid[j]`` masks the lines that meet
-    line j at a double point, for the search walk.
+    line j at a double point, for the search walk, and ``meet[mask]`` is
+    the bitmask of the multiple points that a support meets, for the
+    sweep walk.  ``concurrent`` holds the supports of lines through one
+    multiple point, which the sweep walk skips.
     """
 
     def __init__(self, arr: Arrangement, max_multiplicity: int):
@@ -925,16 +943,30 @@ class _SearchTables:
                 tuple(v * w**m for v, w in zip(vs, ws)) for vs, ws in zip(prev, at[j])
             ),
         )
+        # any two lines meet at a multiple point, so a support is concurrent
+        # exactly when it lies among the lines through one of them
+        self.concurrent: set[int] = set()
+        for mp in self.points:
+            sub = mp.mask if mp.degree == 1 else 0
+            while sub:  # the nonempty submasks, descending
+                self.concurrent.add(sub)
+                sub = (sub - 1) & mp.mask
         # incidence masks of the multiple points, for the multinet and
         # base-point screens
         self.point_masks: list[int] | None = None
         self.avoid: list[int] | None = None
+        self.meet: list[int] | None = None
         if arr.is_line_arrangement():
             # the step closes over a local, not self, so the table holds no cycle
             masks = self.point_masks = [mp.mask for mp in self.points]
             # a sum of distinct bits: two lines share one point only
             doubles = [mp.mask for mp in self.points if mp.count == 2]
             self.avoid = [sum(m ^ 1 << j for m in doubles if m >> j & 1) for j in range(arr.size)]
+            on = [sum(1 << i for i, x in enumerate(masks) if x >> j & 1) for j in range(arr.size)]
+            meet = self.meet = [0] * (1 << arr.size)
+            for mask in range(1, 1 << arr.size):
+                j = mask.bit_length() - 1
+                meet[mask] = meet[mask ^ 1 << j] | on[j]
             self.point_counts = _BlockTable(
                 ((0,) * len(masks),) * 2,
                 lambda prev, j, m: (
@@ -990,24 +1022,40 @@ class _SearchTables:
 
 
 def _enumerate_blocks(arr: Arrangement, max_multiplicity: int) -> dict[int, dict[int, list[_Block]]]:
-    """All multiplicity-weighted blocks by total degree, then by mask, in enumeration order."""
+    """The pairable weighted blocks by total degree, then by mask, in enumeration order.
+
+    A partner of a block lies on the complement of its mask, with
+    multiplicities up to the cap, so a block of degree d pairs only if
+    d <= max_multiplicity * deg(complement); the others are left out.
+    Adding a component raises the degree and shrinks the complement, so
+    the prefix of a kept block (the block without its last component, from
+    which every `_BlockTable` builds the block's value) is kept too: the
+    tables build values of pairable blocks only.
+    """
     degrees = arr.degrees
+    total = sum(degrees)
     blocks: dict[int, dict[int, list[_Block]]] = {}
     for mask in range(1, 1 << arr.size):
         members = tuple(j for j in range(arr.size) if mask >> j & 1)
+        support = sum(degrees[j] for j in members)
+        bound = max_multiplicity * (total - support)
+        if support > bound:
+            continue
         for mults in itertools.product(range(1, max_multiplicity + 1), repeat=len(members)):
             degree = sum(degrees[j] * m for j, m in zip(members, mults))
-            block = _Block(mask, members, mults, gcd(*mults))
-            blocks.setdefault(degree, {}).setdefault(mask, []).append(block)
+            if degree <= bound:
+                block = _Block(mask, members, mults, gcd(*mults))
+                blocks.setdefault(degree, {}).setdefault(mask, []).append(block)
     return blocks
 
 
 def iter_block_pairs(
-    tables: _SearchTables, avoid: Sequence[int] | None = None
+    tables: _SearchTables, avoid: Sequence[int] | None = None, *, sweep: bool = False
 ) -> Iterator[tuple[_Block, _Block]]:
-    """Unordered pairs of disjoint equal-degree blocks with coprime content.
+    """Unordered pairs of disjoint equal-degree blocks, for the search or the sweep.
 
-    Both catalog walks draw from the one index ``tables.blocks``.  Blocks
+    Both catalog walks draw from the one index ``tables.blocks``.  For the
+    search (``sweep`` false), the pairs have coprime contents: blocks
     whose combined multiplicity vector has content > 1 generate
     non-primitive maps (powers of a smaller pencil) and are dropped.  This
     is the k = 2 case of the saturation rule of `_partition_saturated`.
@@ -1020,20 +1068,44 @@ def iter_block_pairs(
     left-out masks removed.  `pencil_search` passes `_SearchTables.avoid`,
     whose left-out pairs the multinet screen would reject.
 
+    For the sweep (``sweep`` true, no ``avoid``), the walk runs the sweep's
+    first three stages, each as soon as its inputs are known:
+
+    - content: both blocks primitive, so the two fibers span the homology
+      cokernel, the lattice Z*a + Z*b on disjoint supports; a block a of
+      content > 1 is passed over before its partners are visited;
+    - concurrency, once per (block a, partner mask s): the support
+      a.mask | s must not lie among the lines through one multiple point
+      (``tables.concurrent``), whose pencils are composed with that
+      point's pencil;
+    - on line arrangements, the base-point screen (the comment above
+      `_SearchTables`): the qualifying points of (a.mask, s), found once
+      as a bitmask from ``tables.meet``, then per partner b the gcd of h_X
+      over those points, from the ``point_counts`` of a and b, which must
+      not be 1.
+
     Yield order: by degree, ascending; within a degree, exactly the order of
     ``itertools.combinations`` over the blocks in enumeration order (by
-    mask, then multiplicities), minus the pairs that fail the two tests.
+    mask, then multiplicities), minus the pairs that fail the tests.
     Only the disjoint pairs are visited: for each block a, the masks s of
     its partner are the submasks of its complement with s > a.mask, in
     ascending order (two disjoint masks differ in their highest bit, so
     these are the submasks with a bit above a's highest one), and each
-    mask's blocks come in enumeration order.  Catalog `source` strings
+    mask's blocks come in enumeration order.  The sweep's stages only drop
+    pairs, so its pairs come in this order too.  Catalog `source` strings
     name the first pair to reach a span, so the order is part of the output.
     """
     full = (1 << tables.arr.size) - 1
+    meet = tables.meet
+    bits: dict[int, list[int]] = {0: []}  # a bitmask of points, as their indices
     for _, by_mask in sorted(tables.blocks.items()):
         for bucket in by_mask.values():
             for a in bucket:
+                if sweep:
+                    if a.content != 1:
+                        continue
+                    if meet is not None:
+                        counts_a, gcds_a = tables.point_counts(a)
                 rest = full ^ a.mask
                 if avoid is not None:
                     for j in a.indices:
@@ -1041,9 +1113,32 @@ def iter_block_pairs(
                 s = rest & -(1 << a.mask.bit_length())  # complement bits above a's
                 s &= -s  # the least submask of rest above a.mask
                 while s:
-                    for b in by_mask.get(s, ()):
-                        if gcd(a.content, b.content) == 1:
-                            yield a, b
+                    partners = by_mask.get(s, ())
+                    if not sweep:
+                        for b in partners:
+                            if gcd(a.content, b.content) == 1:
+                                yield a, b
+                    elif partners and a.mask | s not in tables.concurrent:
+                        # the qualifying points: they meet a and s, and no
+                        # line outside a.mask | s passes through them
+                        q = meet[a.mask] & meet[s] & ~meet[full ^ a.mask ^ s] if meet else 0
+                        points = bits.get(q)
+                        if points is None:
+                            points = bits[q] = [i for i in range(q.bit_length()) if q >> i & 1]
+                        for b in partners:
+                            if b.content != 1:
+                                continue
+                            g = 0
+                            if points:
+                                counts_b, gcds_b = tables.point_counts(b)
+                                for i in points:
+                                    na, nb = counts_a[i], counts_b[i]
+                                    h = na if na == nb else gcds_a[i] if na < nb else gcds_b[i]
+                                    g = gcd(g, h)
+                                    if g == 1:
+                                        break
+                            if g != 1:
+                                yield a, b
                     s = (s - rest) & rest  # next submask of rest, ascending
 
 

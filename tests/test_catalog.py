@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from arrfixtures import (
     F,
+    a2,
     a3,
     b3,
     ceva2,
@@ -51,7 +52,6 @@ from curvepencils.catalog import (
     _SCREEN_PRIMES,
     CatalogError,
     ComponentRecord,
-    _base_point_gcd,
     _block_products,
     _candidate_parameters,
     _integer_restrictions,
@@ -467,7 +467,9 @@ def test_ceva3_sweep_classifies_two_spans(monkeypatch):
 def test_one_table_per_catalog(monkeypatch):
     # the local records, both walks and the cup structure read one
     # `_SearchTables`: the multiple points are found once, the blocks are
-    # enumerated once, and the sweep still draws every block pair
+    # enumerated once, and the sweep draws 674 of the plain walk's 18,529
+    # pairs: those that pass its content, concurrency and base-point
+    # stages, which run inside the walk
     calls = {"local_pencil_points": 0, "_enumerate_blocks": 0}
     for name in calls:
         original = getattr(pencil_module, name)
@@ -481,15 +483,15 @@ def test_one_table_per_catalog(monkeypatch):
                 monkeypatch.setattr(module, name, counting)
     walk, swept = catalog_module.iter_block_pairs, []
 
-    def drawing(*args):
-        for pair in walk(*args):
+    def drawing(*args, **kwargs):
+        for pair in walk(*args, **kwargs):
             swept.append(pair)
             yield pair
 
     monkeypatch.setattr(catalog_module, "iter_block_pairs", drawing)
     build_catalog(deleted_b3())
     assert calls == {"local_pencil_points": 1, "_enumerate_blocks": 1}
-    assert len(swept) == 18529
+    assert len(swept) == 674
 
 
 def test_smith_calls_per_catalog(monkeypatch):
@@ -712,6 +714,63 @@ def test_screen_cuts_the_sweep_rational_root_calls(monkeypatch):
     assert len(calls) < 1218
 
 
+def _base_point_gcd(tables, a, b):
+    """The gcd of h_X over the multiple points X that meet both blocks and
+    whose lines all lie in a u b, up to its first partial value of 1; 0 when
+    there is no such X: the sweep's base-point screen, one pair at a time."""
+    union = a.mask | b.mask
+    (counts_a, gcds_a), (counts_b, gcds_b) = tables.point_counts(a), tables.point_counts(b)
+    g = 0
+    for mask, na, nb, ga, gb in zip(tables.point_masks, counts_a, counts_b, gcds_a, gcds_b):
+        if na and nb and mask | union == union:
+            g = gcd(g, na if na == nb else ga if na < nb else gb)
+            if g == 1:
+                break
+    return g
+
+
+def _pairwise_sweep_draw(tables):
+    """The pairs of the plain walk that pass the sweep's content, concurrency
+    and base-point stages, each tested pair by pair."""
+    lines = tables.point_masks is not None
+    out = []
+    for a, b in iter_block_pairs(tables):
+        union = a.mask | b.mask
+        if a.content != 1 or b.content != 1:
+            continue
+        if any(mp.degree == 1 and union | mp.mask == mp.mask for mp in tables.points):
+            continue
+        if lines and _base_point_gcd(tables, a, b) == 1:
+            continue
+        out.append((a, b))
+    return out
+
+
+@pytest.mark.parametrize("make", [deleted_b3, a2, b3, ceva2, ceva3, ex2])
+def test_sweep_walk_draws_the_pairwise_stage_chain_in_order(make):
+    # the stages that run once per support pair inside the walk make the
+    # decisions that testing each pair of the plain walk makes, in its order
+    tables = _SearchTables(make(), 2)
+    reference = _pairwise_sweep_draw(tables)
+    assert reference
+    assert list(iter_block_pairs(tables, sweep=True)) == reference
+
+
+def test_base_point_screen_reads_the_lower_block_at_unequal_counts():
+    # deleted B3, a = L1 + 2*L2.  With b = L4 + 2*L6 the one qualifying
+    # point is L2.L4.L6, where n_X(a) = 2 < n_X(b) = 3 and h_X is a's gcd,
+    # 2 (b's is 1); with b = L4 + 2*L5 it is the double point L1.L5, where
+    # n_X(a) = 1 < n_X(b) = 2 and h_X is a's gcd, 1 (b's is 2).  A screen
+    # that read the higher block there would swap the two decisions
+    tables = _SearchTables(deleted_b3(), 2)
+    a = _Block(0b11, (0, 1), (1, 2), 1)
+    keep = _Block(0b101000, (3, 5), (1, 2), 1)
+    drop = _Block(0b11000, (3, 4), (1, 2), 1)
+    assert (_base_point_gcd(tables, a, keep), _base_point_gcd(tables, a, drop)) == (2, 1)
+    drawn = set(iter_block_pairs(tables, sweep=True))
+    assert (a, keep) in drawn and (a, drop) not in drawn
+
+
 def test_base_point_screen_counts_on_deleted_b3(monkeypatch):
     # the base-point screen runs before the residue screen: of the pairs
     # past the content and concurrency tests, 674 reach the residue screen
@@ -773,6 +832,13 @@ def _lines_with_infinity(draw):
     ]
     assume(not any(f.proportional_to(g) for f, g in itertools.combinations(forms, 2)))
     return Arrangement([CurveComponent(f"L{i}", f) for i, f in enumerate(forms)], 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_lines_with_infinity())
+def test_sweep_walk_draws_the_pairwise_stage_chain_on_random_lines(arr):
+    tables = _SearchTables(arr, 2)
+    assert list(iter_block_pairs(tables, sweep=True)) == _pairwise_sweep_draw(tables)
 
 
 def _base_point_rejections(tables):

@@ -1,6 +1,6 @@
 """Source hygiene: every module-level import, private helper and public function is used,
 no float enters the arithmetic, no true division can make one, no random source feeds it,
-and the Smith form serves only the torsion group."""
+the Smith form serves only the torsion group, and one walk reads the block index."""
 
 from __future__ import annotations
 
@@ -489,9 +489,9 @@ SMITH = "smith_normal_form"
 SMITH_USERS = ["torsion.py: TfGroup.kernel_smith", "torsion.py: _general_tf"]
 
 
-def _smith_uses(tree: ast.Module) -> list[tuple[str, int]]:
-    """(function, line) of each read of ``smith_normal_form`` and each import
-    that renames it; the function is a dotted name, ``<module>`` outside one."""
+def _scoped_uses(tree: ast.Module, picked) -> list[tuple[str, int]]:
+    """(function, line) of each node that ``picked`` accepts; the function is
+    a dotted name, ``<module>`` outside one."""
     out = []
 
     def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
@@ -499,20 +499,28 @@ def _smith_uses(tree: ast.Module) -> list[tuple[str, int]]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + (child.name,))
                 continue
-            if isinstance(child, ast.Name):
-                named = child.id == SMITH
-            elif isinstance(child, ast.Attribute):
-                named = child.attr == SMITH
-            elif isinstance(child, ast.alias):
-                named = child.name == SMITH and child.asname not in (None, SMITH)
-            else:
-                named = False
-            if named:
+            if picked(child):
                 out.append((".".join(scope) or "<module>", child.lineno))
             visit(child, scope)
 
     visit(tree, ())
     return sorted(out)
+
+
+def _names_smith(node: ast.AST) -> bool:
+    """A read of ``smith_normal_form``, or an import that renames it."""
+    if isinstance(node, ast.Name):
+        return node.id == SMITH
+    if isinstance(node, ast.Attribute):
+        return node.attr == SMITH
+    if isinstance(node, ast.alias):
+        return node.name == SMITH and node.asname not in (None, SMITH)
+    return False
+
+
+def _smith_uses(tree: ast.Module) -> list[tuple[str, int]]:
+    """(function, line) of each read of ``smith_normal_form`` and each import that renames it."""
+    return _scoped_uses(tree, _names_smith)
 
 
 def test_smith_form_serves_only_the_torsion_group():
@@ -544,6 +552,58 @@ def test_smith_use_is_caught():
         ("<module>", 12),
         ("Group.factors", 7),
         ("kernel.inner", 10),
+    ]
+
+
+# one walk: the block index is built by the one call of `_enumerate_blocks`,
+# in `_SearchTables.__init__`, and read by `iter_block_pairs` alone, so the
+# search and the sweep draw their pairs from one generator and no second
+# pair generator can walk the blocks
+ENUMERATE = "_enumerate_blocks"
+BLOCK_INDEX_USERS = ["pencil.py: _SearchTables.__init__", "pencil.py: iter_block_pairs"]
+
+
+def _reaches_block_index(node: ast.AST) -> bool:
+    """A read of an attribute ``blocks``, or any reference to `_enumerate_blocks`."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == ENUMERATE or node.attr == "blocks" and isinstance(node.ctx, ast.Load)
+    if isinstance(node, ast.Name):
+        return node.id == ENUMERATE
+    if isinstance(node, ast.alias):
+        return node.name == ENUMERATE
+    return False
+
+
+def test_one_walk_reads_the_block_index():
+    uses = [
+        f"{path.name}: {function}"
+        for path in SOURCES
+        for function, _ in _scoped_uses(
+            ast.parse(path.read_text(), filename=str(path)), _reaches_block_index
+        )
+    ]
+    assert uses == BLOCK_INDEX_USERS, f"block index read outside the one walk: {uses}"
+
+
+def test_block_index_read_is_caught():
+    tree = ast.parse(
+        "from .pencil import _enumerate_blocks\n"
+        "class Tables:\n"
+        "    def __init__(self, arr):\n"
+        "        self.blocks = _enumerate_blocks(arr, 2)\n"
+        "def second_walk(tables):\n"
+        "    for by_mask in tables.blocks.values():\n"
+        "        yield by_mask\n"
+        "def count(tables):\n"
+        "    blocks = tables.blocks\n"
+        "    return len(blocks) + len(pencil._enumerate_blocks(tables.arr, 2))\n"
+    )
+    assert _scoped_uses(tree, _reaches_block_index) == [
+        ("<module>", 1),
+        ("Tables.__init__", 4),
+        ("count", 9),
+        ("count", 10),
+        ("second_walk", 6),
     ]
 
 

@@ -50,6 +50,7 @@ from curvepencils.pencil import (
     PencilError,
     ProbeDegeneracyError,
     ProbeSequence,
+    _Block,
     _SearchTables,
     _certified_profile,
     _classify_pair,
@@ -861,17 +862,43 @@ def test_search_rejects_composed():
 )
 def test_block_pair_walk_keeps_the_combinations_order(make, cap):
     # catalog sources name the first pair to reach a span, so the submask
-    # walk must yield what the plain walk over all combinations yields, in order
+    # walk must yield what the plain walk over all combinations yields, in
+    # order.  The reference takes every mask and multiplicity vector, not
+    # `_enumerate_blocks`, so a pairability bound that dropped a block with
+    # a partner would lose its pairs here
     arr = make()
-    blocks = _enumerate_blocks(arr, cap)
+    blocks: dict[int, list[_Block]] = {}
+    for mask in range(1, 1 << arr.size):
+        members = tuple(j for j in range(arr.size) if mask >> j & 1)
+        for mults in itertools.product(range(1, cap + 1), repeat=len(members)):
+            degree = sum(arr.degrees[j] * m for j, m in zip(members, mults))
+            blocks.setdefault(degree, []).append(_Block(mask, members, mults, gcd(*mults)))
     reference = [
         (a, b)
         for degree in sorted(blocks)
-        for a, b in itertools.combinations(itertools.chain(*blocks[degree].values()), 2)
+        for a, b in itertools.combinations(blocks[degree], 2)
         if not a.mask & b.mask and gcd(a.content, b.content) == 1
     ]
     assert reference
     assert list(iter_block_pairs(_SearchTables(arr, cap))) == reference
+
+
+def _all_blocks(blocks):
+    return [block for by_mask in blocks.values() for bucket in by_mask.values() for block in bucket]
+
+
+def test_block_enumeration_keeps_only_pairable_blocks():
+    # a block of degree d pairs only if d <= max_multiplicity * deg(complement):
+    # of the 3^n - 1 blocks (each line absent or of multiplicity 1 or 2),
+    # deleted B3 keeps 2,032 of 6,560 and b3 6,210 of 19,682, and on b3
+    # these are exactly the blocks that its walk pairs
+    for make, kept, every in ((deleted_b3, 2032, 6560), (b3, 6210, 19682)):
+        arr = make()
+        assert len(_all_blocks(_enumerate_blocks(arr, 2))) == kept
+        assert 3**arr.size - 1 == every
+    tables = _SearchTables(b3(), 2)
+    walked = {block for pair in iter_block_pairs(tables) for block in pair}
+    assert walked == set(_all_blocks(tables.blocks))
 
 
 # -- the multinet screen ----------------------------------------------------------
