@@ -206,18 +206,24 @@ def _probe_candidates() -> Iterator[tuple[int, int, int]]:
                         yield a, b, c
 
 
-def _probe_lines(arr: Arrangement) -> list[_Probe]:
-    """Two probe lines q(s) = s*q0 + q1 with their `_integer_restrictions`.
+def _probe_lines(tables: _SearchTables) -> list[_Probe]:
+    """Two probe lines q(s) = s*q0 + q1 with their `_integer_restrictions`
+    on the components of ``tables.arr``.
 
     q0 and q1 avoid all components, so the restrictions keep full degree,
     and pairwise nonzero resultants prove that the probe misses every point
     where two components meet, rational or not: every base point of a swept
     pencil.  The same test against the first probe's restriction puts the
-    meeting point of the two probes off the arrangement.  Everything is
-    integer arithmetic: the components are primitive integer forms and the
-    candidate points integer points, and two linear restrictions f, g have
-    resultant f0*g1 - f1*g0.
+    meeting point of the two probes off the arrangement.  A candidate
+    through one of the table's multiple points is skipped before any
+    restriction is built: two restrictions share the root there, so the
+    resultant test would reject it, and skipping it leaves the chosen
+    probes as they are.  Everything is integer arithmetic: the components
+    are primitive integer forms and the candidate points integer points,
+    and two linear restrictions f, g have resultant f0*g1 - f1*g0.
     """
+    arr = tables.arr
+    points = [mp.point.coords for mp in tables.points]
 
     def coprime(f: tuple[int, ...], g: tuple[int, ...]) -> bool:
         if len(f) == 2 and len(g) == 2:
@@ -226,6 +232,8 @@ def _probe_lines(arr: Arrangement) -> list[_Probe]:
 
     chosen: list[_Probe] = []
     for a, b, c in _probe_candidates():
+        if any(a * x + b * y + c * z == 0 for x, y, z in points):
+            continue
         line = ProjLine.from_coefficients(a, b, c)
         if any(cp.form.proportional_to(line.form) for cp in arr.components):
             continue
@@ -508,25 +516,25 @@ def build_catalog(
 
     One `_SearchTables`, built here and dropped on return, serves the call:
     its multiple points give the local records, the sweep's concurrency
-    masks and the one `cup_structure`; both walks draw their pairs from
-    `iter_block_pairs` over its pairable blocks, enumerated once, and its
-    block forms span every pencil.  The global stage is `pencil_search`,
-    whose walk on line arrangements skips the pairs with a double point
-    between the blocks, and whose block pairs pass, in order, one screen
-    (the multinet screen on line arrangements, the vote screen on the
-    others), span dedup and exact classification.  The sweep's first three
-    stages depend mostly on the two supports, so they run inside the walk
-    (``sweep=True``), once per support pair: content (both blocks
-    primitive), concurrency (a support of lines through one multiple
-    point), and on line arrangements the base-point screen, whose
-    qualifying points are those of the support pair and whose gcd of h_X
-    is taken per block pair; when it is 1 every special fiber has m'' = 1
-    and T(f) is trivial (the comment above `pencil._SearchTables`).  The
-    pairs drawn then pass the residue screen, the Wronskian prefilter on
-    two probe lines that miss every meeting point, span dedup against the
-    searched and already swept pencils, and exact classification.  The
-    residue screen and the prefilter work per block on the first probe
-    (`_SweepTables`): the screen reads each block's direct residue table,
+    masks, the probe lines' prefilter and the one `cup_structure`; both
+    stages draw their pairs from `iter_block_pairs`, a depth-first draw
+    that applies the closure rules of the tangent-cone lemma as each
+    multiple point closes (the comment above `pencil._SearchTables`), and
+    its block forms span every pencil.  The global stage is
+    `pencil_search`, whose draw on line arrangements keeps the pairs that
+    pass the multinet rule, and whose pairs pass, in order, the vote screen
+    on the other arrangements, span dedup and exact classification.  The
+    sweep's first three stages run inside its draw (``sweep=True``):
+    content (both blocks primitive) and concurrency (a support of lines
+    through one multiple point) at each leaf, and on line arrangements the
+    base-point rule, a running gcd of h_X over the closed points with no
+    line outside the pair, which cuts the draw at 1; then every special
+    fiber has m'' = 1 and T(f) is trivial.  The pairs drawn then pass the
+    residue screen, the Wronskian prefilter on two probe lines that miss
+    every meeting point, span dedup against the searched and already swept
+    pencils, and exact classification.  The residue screen and the
+    prefilter work per block on the first probe (`_SweepTables`): the
+    screen reads each block's direct residue table,
     (S(t), L(t)) mod 7, 11 and 13 at every t, and the top coefficients of
     S = prod R_j and L = sum m_j R_j' prod_{i != j} R_i; S and L themselves
     are built only for the pairs that pass it, whose Wronskian is
@@ -553,7 +561,7 @@ def build_catalog(
     global ones keep the order found, and translated ones sort by span key
     and character.  The catalog's warnings are its
     own and those of every searched pencil and every swept pencil that
-    reaches classification.  A pair that the base-point screen rejects adds
+    reaches classification.  A pair that the base-point rule rejects adds
     none: the one warning a pencil carries flags possible special fibers
     over irrational points, and every such fiber of a rejected pair has
     m'' = 1, so it carries no record.  Caps that would leave the global
@@ -617,7 +625,7 @@ def build_catalog(
     if work is not None:
         candidates = [detect_special_fibers(cl) for cl in results]
 
-        first, second = (r for _, _, _, r in _probe_lines(work))
+        first, second = (r for _, _, _, r in _probe_lines(tables))
         sweep = _SweepTables(first)
         products = _block_products(second)
         survivor_spans: set[tuple] = set()

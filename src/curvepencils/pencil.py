@@ -869,65 +869,54 @@ class _BlockTable:
 #                         both would divide beta*TC_Q).
 # Tangent cones multiply (Fulton, Algebraic Curves, 3.1), and a binary form
 # factors uniquely into lines.  Two fibers share no component, so F has no
-# line of a or b.  Two screens follow:
-#   - a third full fiber F, made of arrangement lines, has as tangent cone
-#     the product of its own lines through X, which would share a line with
-#     TC_P or TC_Q in the first two cases: so n_X(a) = n_X(b), and since X
-#     lies on F, some line outside a and b passes through X
-#     (`_SearchTables.multinet_screen`);
-#   - a fiber F = A*G^m'' whose arrangement part A misses X (every line
-#     through X lies in a or b) has TC_F = A(X)*TC_G^m''.  When the counts
-#     differ, that is a constant times the lower block's cone, so m''
-#     divides each multiplicity of its lines through X; when they are equal,
-#     m'' divides the degree n.  So m'' divides h_X: the gcd of the lower
-#     block's multiplicities at X, or n (the base-point screen below).
+# line of a or b.  Two closure rules follow, which `iter_block_pairs`
+# applies at each point X as its last line is assigned:
+#   - the multinet rule, for the search: a third full fiber F, made of
+#     arrangement lines, has as tangent cone the product of its own lines
+#     through X, which would share a line with TC_P or TC_Q in the first two
+#     cases; so n_X(a) = n_X(b), and since X lies on F, some line outside a
+#     and b passes through X.  At a double point of a line of a and a line
+#     of b no other line passes, so the rule rejects the pair;
+#   - the base-point rule, for the sweep: a fiber F = A*G^m'' whose
+#     arrangement part A misses X (every line through X lies in a or b) has
+#     TC_F = A(X)*TC_G^m''.  When the counts differ, that is a constant
+#     times the lower block's cone, so m'' divides each multiplicity of its
+#     lines through X; when they are equal, m'' divides the degree n.  So
+#     m'' divides h_X: the gcd of the lower block's multiplicities at X, or
+#     n.
 # Curves can be tangent at X, which breaks the factorization into lines, so
-# only line arrangements are screened.
+# only line arrangements apply the rules.
 #
-# Base-point screen.  The sweep keeps a pencil only for its translated
-# records, and T(f) is trivial unless some special fiber has new-part
-# multiplicity m'' >= 2 (`compute_Tf`).  Such a fiber F = A*G^m'', A its
-# arrangement members and G its new part, is neither P nor Q.  Let X be a
-# multiple point that meets both blocks and whose lines all lie in a u b.
-# A shares no component with P or Q, so it misses X, and the lemma gives
-# m'' | h_X.  So m'' divides the gcd of h_X over any subset of these
-# points: a gcd of 1 makes every m'' 1, T(f) trivial and the pair
-# recordless, which is why the screen stops at the first partial gcd of 1.
-# A pair with no such point (gcd 0) passes.  Which points qualify depends
-# on the two supports only, so `iter_block_pairs` finds them once per
-# (block, partner mask), as meet[a.mask] & meet[s] & ~meet[~(a.mask | s)]
-# over `_SearchTables.meet`: a point lies inside a support exactly when it
-# meets no line outside it.
+# Why the base-point rule screens the sweep.  The sweep keeps a pencil only
+# for its translated records, and T(f) is trivial unless some special fiber
+# has new-part multiplicity m'' >= 2 (`compute_Tf`).  Such a fiber
+# F = A*G^m'', A its arrangement members and G its new part, is neither P
+# nor Q.  At a multiple point X that meets both blocks and whose lines all
+# lie in a u b, A shares no component with P or Q, so it misses X, and the
+# lemma gives m'' | h_X.  So m'' divides the gcd of h_X over any subset of
+# these points: a gcd of 1 makes every m'' 1, T(f) trivial and the pair
+# recordless, which is why the draw cuts the running gcd at its first value
+# of 1.  A pair with no such point (gcd 0) passes.
 
 
 class _SearchTables:
     """The one per-arrangement table of a catalog, built once per `build_catalog` call.
 
-    The local records, the search walk, the sweep walk and the cup
-    structure all read it.  ``points`` holds the `local_pencil_points` (of
-    any arrangement), ``blocks`` the pairable blocks up to
-    ``max_multiplicity``, those whose degree a block on the complement can
-    reach, enumerated once (`_enumerate_blocks`) and read by
-    `iter_block_pairs` alone.  Three `_BlockTable`s: ``block_form`` is the
-    block product; ``block_values`` holds, per voter i, the block product
-    at the vote points of component i; ``point_counts`` (line arrangements
-    only) holds two tuples over the multiple points X: n_X(block), the sum
-    of the multiplicities of the block's lines through X, and the gcd of
-    those multiplicities (0 when no line passes), from which h_X comes.
-    With ``point_masks`` they feed the search's multinet screen and the
-    sweep's base-point screen, the two uses of the tangent-cone lemma
-    above.  On line arrangements ``avoid[j]`` masks the lines that meet
-    line j at a double point, for the search walk, and ``meet[mask]`` is
-    the bitmask of the multiple points that a support meets, for the
-    sweep walk.  ``concurrent`` holds the supports of lines through one
-    multiple point, which the sweep walk skips.
+    The local records, both draws of `iter_block_pairs` and the cup
+    structure read it.  ``points`` holds the `local_pencil_points` (of any
+    arrangement); on line arrangements ``point_masks`` holds their
+    incidence masks, at which the draw applies the closure rules of the
+    tangent-cone lemma above, and is None on the others.  Two
+    `_BlockTable`s: ``block_form`` is the block product, and
+    ``block_values`` holds, per voter i, the block product at the vote
+    points of component i.  ``concurrent`` holds the supports of lines
+    through one multiple point, which the sweep's draw leaves out.
     """
 
     def __init__(self, arr: Arrangement, max_multiplicity: int):
         self.arr = arr
         self.max_multiplicity = max_multiplicity
         self.points = local_pencil_points(arr)
-        self.blocks = _enumerate_blocks(arr, max_multiplicity)
         # at[j][i] = values of component j at the vote points of component i
         at = [
             [[c.form.evaluate(p) for p in ci.vote_points] for ci in arr.components]
@@ -951,61 +940,16 @@ class _SearchTables:
             while sub:  # the nonempty submasks, descending
                 self.concurrent.add(sub)
                 sub = (sub - 1) & mp.mask
-        # incidence masks of the multiple points, for the multinet and
-        # base-point screens
-        self.point_masks: list[int] | None = None
-        self.avoid: list[int] | None = None
-        self.meet: list[int] | None = None
-        if arr.is_line_arrangement():
-            # the step closes over a local, not self, so the table holds no cycle
-            masks = self.point_masks = [mp.mask for mp in self.points]
-            # a sum of distinct bits: two lines share one point only
-            doubles = [mp.mask for mp in self.points if mp.count == 2]
-            self.avoid = [sum(m ^ 1 << j for m in doubles if m >> j & 1) for j in range(arr.size)]
-            on = [sum(1 << i for i, x in enumerate(masks) if x >> j & 1) for j in range(arr.size)]
-            meet = self.meet = [0] * (1 << arr.size)
-            for mask in range(1, 1 << arr.size):
-                j = mask.bit_length() - 1
-                meet[mask] = meet[mask ^ 1 << j] | on[j]
-            self.point_counts = _BlockTable(
-                ((0,) * len(masks),) * 2,
-                lambda prev, j, m: (
-                    tuple(n + m if x >> j & 1 else n for n, x in zip(prev[0], masks)),
-                    tuple(gcd(g, m) if x >> j & 1 else g for g, x in zip(prev[1], masks)),
-                ),
-            )
+        self.point_masks = [mp.mask for mp in self.points] if arr.is_line_arrangement() else None
 
-    def vote(self, a: _Block, b: _Block, j: int) -> Vote:
-        """`_vote` of component j against the pencil of two blocks."""
-        return _vote(zip(self.block_values(a)[j], self.block_values(b)[j]))
-
-    def multinet_screen(self, a: _Block, b: _Block) -> bool:
-        """Whether two blocks of lines can be fibers of a pencil with k >= 3.
-
-        Falk and Yuzvinsky ("Multinets, resonance varieties, and pencils of
-        plane curves", Compositio Math. 2007) show that the k >= 3
-        completely reducible fibers of a pencil of a line arrangement form a
-        multinet on their lines.  The screen checks two of its conditions at
-        each multiple point X where a line of a meets a line of b:
-
-        - n_X(a) = n_X(b), and
-        - some line outside a and b passes through X.
-
-        The tangent-cone lemma (the comment above `_SearchTables`) shows
-        both necessary for a third full fiber, so a rejected pair spans a
-        pencil with k = 2.
-
-        At a double point X of a line of a and a line of b both counts are
-        nonzero and no other line passes through X, so the second condition
-        rejects the pair; `iter_block_pairs` with ``avoid`` never yields
-        such a pair.
-        """
+    def votes(self, a: _Block, b: _Block) -> Iterator[tuple[int, Vote]]:
+        """(j, `_vote` of component j against the pencil of two blocks) for
+        each component j outside both blocks, in index order."""
         union = a.mask | b.mask
-        counts_a, counts_b = self.point_counts(a)[0], self.point_counts(b)[0]
-        for mask, na, nb in zip(self.point_masks, counts_a, counts_b):
-            if na and nb and (na != nb or mask | union == union):
-                return False
-        return True
+        values_a, values_b = self.block_values(a), self.block_values(b)
+        for j in range(self.arr.size):
+            if not union >> j & 1:
+                yield j, _vote(zip(values_a[j], values_b[j]))
 
     def vote_screen(self, a: _Block, b: _Block) -> bool:
         """Whether some component outside both blocks could divide a third fiber.
@@ -1013,133 +957,211 @@ class _SearchTables:
         A component whose votes disagree is horizontal, so when every other
         component votes horizontal the pencil has k = 2.
         """
-        union = a.mask | b.mask
-        return any(
-            self.vote(a, b, j) != "horizontal"
-            for j in range(self.arr.size)
-            if not union >> j & 1
-        )
+        return any(vote != "horizontal" for _, vote in self.votes(a, b))
 
 
-def _enumerate_blocks(arr: Arrangement, max_multiplicity: int) -> dict[int, dict[int, list[_Block]]]:
-    """The pairable weighted blocks by total degree, then by mask, in enumeration order.
+def _draw_order(tables: _SearchTables) -> tuple[list[int], list[list[tuple[int, tuple[int, ...]]]]]:
+    """The components in the order the draw assigns them, and per step the
+    incidence mask and lines of each multiple point whose last line that
+    step assigns.
 
-    A partner of a block lies on the complement of its mask, with
-    multiplicities up to the cap, so a block of degree d pairs only if
-    d <= max_multiplicity * deg(complement); the others are left out.
-    Adding a component raises the degree and shrinks the complement, so
-    the prefix of a kept block (the block without its last component, from
-    which every `_BlockTable` builds the block's value) is kept too: the
-    tables build values of pairable blocks only.
+    On line arrangements the order is greedy, to close points early: next
+    the line that closes the most points, then the one through the most
+    points already met, then the lowest index.  On the others it is by
+    descending degree, ties by index, so the degree bound cuts early, and
+    no point closes.
     """
-    degrees = arr.degrees
-    total = sum(degrees)
-    blocks: dict[int, dict[int, list[_Block]]] = {}
-    for mask in range(1, 1 << arr.size):
-        members = tuple(j for j in range(arr.size) if mask >> j & 1)
-        support = sum(degrees[j] for j in members)
-        bound = max_multiplicity * (total - support)
-        if support > bound:
-            continue
-        for mults in itertools.product(range(1, max_multiplicity + 1), repeat=len(members)):
-            degree = sum(degrees[j] * m for j, m in zip(members, mults))
-            if degree <= bound:
-                block = _Block(mask, members, mults, gcd(*mults))
-                blocks.setdefault(degree, {}).setdefault(mask, []).append(block)
-    return blocks
+    arr, masks = tables.arr, tables.point_masks
+    if masks is None:
+        return sorted(range(arr.size), key=lambda j: -arr.degrees[j]), [[] for _ in arr.components]
+    order: list[int] = []
+    closing: list[list[tuple[int, tuple[int, ...]]]] = []
+    done = 0
+    while len(order) < arr.size:
+
+        def score(j: int) -> tuple[int, int, int]:
+            now = done | 1 << j
+            on = [m for m in masks if m >> j & 1]
+            return sum(m & now == m for m in on), sum(bool(m & done) for m in on), -j
+
+        j = max((j for j in range(arr.size) if not done >> j & 1), key=score)
+        done |= 1 << j
+        order.append(j)
+        closing.append(
+            [(mp.mask, mp.incident) for mp in tables.points if mp.mask >> j & 1 and mp.mask & done == mp.mask]
+        )
+    return order, closing
 
 
-def iter_block_pairs(
-    tables: _SearchTables, avoid: Sequence[int] | None = None, *, sweep: bool = False
-) -> Iterator[tuple[_Block, _Block]]:
+def iter_block_pairs(tables: _SearchTables, *, sweep: bool = False) -> Iterator[tuple[_Block, _Block]]:
     """Unordered pairs of disjoint equal-degree blocks, for the search or the sweep.
 
-    Both catalog walks draw from the one index ``tables.blocks``.  For the
-    search (``sweep`` false), the pairs have coprime contents: blocks
-    whose combined multiplicity vector has content > 1 generate
-    non-primitive maps (powers of a smaller pencil) and are dropped.  This
-    is the k = 2 case of the saturation rule of `_partition_saturated`.
+    A depth-first draw assigns each component, in the order of
+    `_draw_order`, to block a, to block b or to neither, with a
+    multiplicity up to ``tables.max_multiplicity``.  The first component
+    assigned to a block puts it in a, which fixes the symmetry of the pair;
+    a partial draw is cut when the degrees of its blocks differ by more
+    than the cap times the degree left, and the last component takes the
+    value that makes the degrees equal, if one does.  On line
+    arrangements, at each multiple point X that meets both blocks and has
+    all its lines assigned, the draw applies the closure rule of the
+    tangent-cone lemma (the comment above `_SearchTables`):
 
-    ``avoid[j]``, when given, masks the components that may not be paired
-    with component j: a pair (a, b) is left out when b meets ``avoid[j]``
-    for some j in a, by taking a's partners from its complement minus those
-    masks.  The pairs kept come in the order below, since the ascending
-    submasks of the smaller complement are those of the full one with the
-    left-out masks removed.  `pencil_search` passes `_SearchTables.avoid`,
-    whose left-out pairs the multinet screen would reject.
+    - for the search (``sweep`` false), the multinet rule: n_X(a) = n_X(b)
+      and some line of X in neither block;
+    - for the sweep, the base-point rule: when every line of X lies in a or
+      b, h_X enters a running gcd, and a gcd of 1 cuts the draw.
 
-    For the sweep (``sweep`` true, no ``avoid``), the walk runs the sweep's
-    first three stages, each as soon as its inputs are known:
+    Then each drawn pair is tested at its leaf.  For the search the
+    contents are coprime: blocks whose combined multiplicity vector has
+    content > 1 generate non-primitive maps (powers of a smaller pencil),
+    the k = 2 case of the saturation rule of `_partition_saturated`.  For
+    the sweep both blocks are primitive, so the two fibers span the
+    homology cokernel, the lattice Z*a + Z*b on disjoint supports, and the
+    support a.mask | b.mask does not lie among the lines through one
+    multiple point (``tables.concurrent``), whose pencils are composed
+    with that point's pencil.
 
-    - content: both blocks primitive, so the two fibers span the homology
-      cokernel, the lattice Z*a + Z*b on disjoint supports; a block a of
-      content > 1 is passed over before its partners are visited;
-    - concurrency, once per (block a, partner mask s): the support
-      a.mask | s must not lie among the lines through one multiple point
-      (``tables.concurrent``), whose pencils are composed with that
-      point's pencil;
-    - on line arrangements, the base-point screen (the comment above
-      `_SearchTables`): the qualifying points of (a.mask, s), found once
-      as a bitmask from ``tables.meet``, then per partner b the gcd of h_X
-      over those points, from the ``point_counts`` of a and b, which must
-      not be 1.
-
-    Yield order: by degree, ascending; within a degree, exactly the order of
-    ``itertools.combinations`` over the blocks in enumeration order (by
-    mask, then multiplicities), minus the pairs that fail the tests.
-    Only the disjoint pairs are visited: for each block a, the masks s of
-    its partner are the submasks of its complement with s > a.mask, in
-    ascending order (two disjoint masks differ in their highest bit, so
-    these are the submasks with a bit above a's highest one), and each
-    mask's blocks come in enumeration order.  The sweep's stages only drop
-    pairs, so its pairs come in this order too.  Catalog `source` strings
-    name the first pair to reach a span, so the order is part of the output.
+    On curve arrangements no point closes, so the ways to finish a draw
+    over its last five steps are found once per degree difference and
+    reused.  A drawn pair is kept as its degree and the two blocks'
+    (mask, code) until the draw is sorted; a block is then built once per
+    draw, by its code, which is a function of (mask, mults), the key of
+    every `_BlockTable`.
+    Yield order: by degree, then (a.mask, a.mults, b.mask, b.mults), with
+    a.mask < b.mask, which is the order of ``itertools.combinations`` over
+    the blocks of each degree taken by mask, then multiplicities, minus
+    the pairs that fail the tests.  Catalog `source` strings name the
+    first pair to reach a span, so the order is part of the output.
     """
-    full = (1 << tables.arr.size) - 1
-    meet = tables.meet
-    bits: dict[int, list[int]] = {0: []}  # a bitmask of points, as their indices
-    for _, by_mask in sorted(tables.blocks.items()):
-        for bucket in by_mask.values():
-            for a in bucket:
-                if sweep:
-                    if a.content != 1:
-                        continue
-                    if meet is not None:
-                        counts_a, gcds_a = tables.point_counts(a)
-                rest = full ^ a.mask
-                if avoid is not None:
-                    for j in a.indices:
-                        rest &= ~avoid[j]
-                s = rest & -(1 << a.mask.bit_length())  # complement bits above a's
-                s &= -s  # the least submask of rest above a.mask
-                while s:
-                    partners = by_mask.get(s, ())
-                    if not sweep:
-                        for b in partners:
-                            if gcd(a.content, b.content) == 1:
-                                yield a, b
-                    elif partners and a.mask | s not in tables.concurrent:
-                        # the qualifying points: they meet a and s, and no
-                        # line outside a.mask | s passes through them
-                        q = meet[a.mask] & meet[s] & ~meet[full ^ a.mask ^ s] if meet else 0
-                        points = bits.get(q)
-                        if points is None:
-                            points = bits[q] = [i for i in range(q.bit_length()) if q >> i & 1]
-                        for b in partners:
-                            if b.content != 1:
-                                continue
-                            g = 0
-                            if points:
-                                counts_b, gcds_b = tables.point_counts(b)
-                                for i in points:
-                                    na, nb = counts_a[i], counts_b[i]
-                                    h = na if na == nb else gcds_a[i] if na < nb else gcds_b[i]
-                                    g = gcd(g, h)
-                                    if g == 1:
-                                        break
-                            if g != 1:
-                                yield a, b
-                    s = (s - rest) & rest  # next submask of rest, ascending
+    arr, cap = tables.arr, tables.max_multiplicity
+    order, closing = _draw_order(tables)
+    last = len(order) - 1
+    degrees = [arr.degrees[j] for j in order]
+    slack = [cap * sum(degrees[i + 1 :]) for i in range(len(order))]  # after step i
+    # a block's code, sum m_j*(cap + 1)^(n - 1 - j), keys its (mask, mults)
+    # and on one mask orders the mults lexicographically
+    weight = [(cap + 1) ** (arr.size - 1 - j) for j in range(arr.size)]
+    side, mult = [0] * arr.size, [0] * arr.size  # side 1 is block a, 2 block b
+    first = [(0, 0)] + [(1, m) for m in range(1, cap + 1)]
+    both = first + [(2, m) for m in range(1, cap + 1)]
+    # from `tail` on no step closes a point (on line arrangements the last
+    # step always does, on the others none does), so the ways to finish a
+    # draw there depend only on the step, the degree difference and whether
+    # block a has a component: `finishes` finds them once each, over at most
+    # the last five steps, which keeps its lists short
+    tail = max(last - 4, 1 + max((i for i, rules in enumerate(closing) if rules), default=-1))
+    ends: dict[tuple[int, int, bool], list] = {}
+    drawn: list[tuple[int, int, int, int, int]] = []
+
+    def closed(i: int, mask_a: int, mask_b: int, g: int) -> int:
+        """The running gcd after the rules at the points step i closes, given
+        the masks of the two blocks; 1 cuts."""
+        for mask, incident in closing[i]:
+            if not (mask & mask_a and mask & mask_b):
+                continue
+            free = mask & ~(mask_a | mask_b)
+            if sweep and free:
+                continue
+            if not sweep and not free:
+                return 1  # the multinet rule: no line of X in neither block
+            n_a = n_b = g_a = g_b = 0
+            for j in incident:
+                s, m = side[j], mult[j]
+                if s == 1:
+                    n_a, g_a = n_a + m, gcd(g_a, m)
+                elif s == 2:
+                    n_b, g_b = n_b + m, gcd(g_b, m)
+            if not sweep:
+                if n_a != n_b:
+                    return 1  # the multinet rule: unequal counts
+            else:  # the base-point rule
+                g = gcd(g, n_a if n_a == n_b else g_a if n_a < n_b else g_b)
+                if g == 1:
+                    return 1
+        return g
+
+    def leaf(degree: int, mask_a: int, code_a: int, g_a: int, mask_b: int, code_b: int, g_b: int) -> None:
+        """Keep a drawn pair of equal degrees that passes the content tests."""
+        if not degree or not (g_a == g_b == 1 if sweep else gcd(g_a, g_b) == 1):
+            return
+        if sweep and mask_a | mask_b in tables.concurrent:
+            return
+        if mask_a < mask_b:
+            drawn.append((degree, mask_a, code_a, mask_b, code_b))
+        else:
+            drawn.append((degree, mask_b, code_b, mask_a, code_a))
+
+    def finishes(i: int, diff: int, started: bool) -> list:
+        """The assignments of steps i..last that leave equal degrees, each as
+        the (degree, mask, code, content) it adds to block a and to block b."""
+        found = ends.get((i, diff, started))
+        if found is None:
+            found = ends[i, diff, started] = []
+            j, d = order[i], degrees[i]
+            for s, m in both if started else first:
+                rest = diff + (d * m if s == 1 else -d * m if s == 2 else 0)
+                if i < last and -slack[i] <= rest <= slack[i]:
+                    rests = finishes(i + 1, rest, started or s == 1)
+                else:
+                    rests = [((0, 0, 0, 0), (0, 0, 0, 0))] if i == last and not rest else []
+                for add in rests:
+                    if s:
+                        x, mask, code, content = add[s - 1]
+                        grown = x + d * m, mask | 1 << j, code + weight[j] * m, gcd(content, m)
+                        add = (grown, add[1]) if s == 1 else (add[0], grown)
+                    found.append(add)
+        return found
+
+    def visit(i, deg_a, deg_b, mask_a, mask_b, code_a, code_b, g_a, g_b, g) -> None:
+        """Assign step i onward, given each block's degree, mask, code and
+        content so far, and the running gcd of the base-point rule."""
+        if i == tail:
+            for (xa, ma, ca, ga), (_, mb, cb, gb) in finishes(i, deg_a - deg_b, bool(mask_a)):
+                leaf(deg_a + xa, mask_a | ma, code_a + ca, gcd(g_a, ga), mask_b | mb, code_b + cb, gcd(g_b, gb))
+            return
+        j, d = order[i], degrees[i]
+        if i == last:  # the value that makes the degrees equal
+            m, rem = divmod(abs(deg_a - deg_b), d)
+            if rem:
+                return
+            choices = [(0 if m == 0 else 1 if deg_a < deg_b else 2, m)]
+        else:
+            choices = both if mask_a else first
+        w, bit, room = weight[j], 1 << j, slack[i]
+        for s, m in choices:
+            da, db, ma, mb, ca, cb, ga, gb = deg_a, deg_b, mask_a, mask_b, code_a, code_b, g_a, g_b
+            if s == 1:
+                da, ma, ca, ga = da + d * m, ma | bit, ca + w * m, gcd(ga, m)
+            elif s == 2:
+                db, mb, cb, gb = db + d * m, mb | bit, cb + w * m, gcd(gb, m)
+            if not -room <= da - db <= room:
+                continue
+            side[j], mult[j] = s, m
+            h = closed(i, ma, mb, g) if closing[i] else g
+            if h == 1:
+                continue
+            if i < last:
+                visit(i + 1, da, db, ma, mb, ca, cb, ga, gb, h)
+            else:
+                leaf(da, ma, ca, ga, mb, cb, gb)
+        side[j] = mult[j] = 0
+
+    if last >= 1:
+        visit(0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+    drawn.sort()
+    blocks: dict[int, _Block] = {}
+
+    def block(mask: int, code: int) -> _Block:
+        found = blocks.get(code)
+        if found is None:
+            indices = tuple(j for j in range(arr.size) if mask >> j & 1)
+            mults = tuple(code // weight[j] % (cap + 1) for j in indices)
+            found = blocks[code] = _Block(mask, indices, mults, gcd(*mults))
+        return found
+
+    for _, mask_a, code_a, mask_b, code_b in drawn:
+        yield blocks.get(code_a) or block(mask_a, code_a), blocks.get(code_b) or block(mask_b, code_b)
 
 
 def _partition_saturated(partition: Sequence[Sequence[tuple[int, int]]]) -> bool:
@@ -1172,12 +1194,10 @@ def _classify_pair(
     """
     hits = [(j, P1Point(0, 1), m) for j, m in zip(a.indices, a.mults)]
     hits += [(j, P1Point(1, 0), m) for j, m in zip(b.indices, b.mults)]
-    union = a.mask | b.mask
-    votes = {j: tables.vote(a, b, j) for j in range(tables.arr.size) if not union >> j & 1}
     return _finish_classification(
         tables.arr,
         pencil,
-        votes,
+        dict(tables.votes(a, b)),
         hits,
         constant_cofactor_points=frozenset((P1Point(0, 1), P1Point(1, 0))),
     )
@@ -1191,35 +1211,33 @@ def pencil_search(tables: _SearchTables, max_blocks: int) -> list[PencilClassifi
     stages, in order:
 
     - `iter_block_pairs`: disjoint, equal degree, coprime contents, and on
-      line arrangements no line of one block meeting a line of the other
-      at a double point (`_SearchTables.avoid`), a pair that the multinet
-      screen would reject;
-    - one screen, by arrangement kind: the multinet screen
-      (`_SearchTables.multinet_screen`, integer counts at the multiple
-      points) on line arrangements, the vote screen
-      (`_SearchTables.vote_screen`, which needs no forms) on the others;
+      line arrangements the multinet rule, applied as each multiple point
+      closes in the depth-first draw (integer counts at the point, and a
+      line of it in neither block);
+    - on the other arrangements the vote screen
+      (`_SearchTables.vote_screen`, which needs no forms);
     - span dedup: the first pair to reach a span classifies it;
     - exact classification, kept when the count k of fully-arrangement
       fibers lies in [3, max_blocks], every fiber multiplicity is within the
       cap, and the partition is saturated (`_partition_saturated`).
 
     Every per-block value the stages read is a `_BlockTable` of
-    ``tables``, whose blocks the catalog's translated sweep walks too.
+    ``tables``, which the catalog's translated sweep reads too.
 
-    Both screens only reject pairs of a pencil with k = 2, and any two full
-    fibers of a result pass them, so the first pair to reach a result's
-    span does not depend on the screens.  On line arrangements the vote
-    screen would add nothing: it rejects no multinet survivor of the line
-    fixtures.  Every emitted pencil classifies back to the partition that
-    produced it.  Pencils with k = 2 are not searched for here: the
-    catalog's translated sweep covers them.
+    The multinet rule and the vote screen only reject pairs of a pencil
+    with k = 2, and any two full fibers of a result pass them, so the first
+    pair to reach a result's span does not depend on them.  On line
+    arrangements the vote screen would add nothing: it rejects no multinet
+    survivor of the line fixtures.  Every emitted pencil classifies back to
+    the partition that produced it.  Pencils with k = 2 are not searched
+    for here: the catalog's translated sweep covers them.
     """
     max_multiplicity = tables.max_multiplicity
     lines = tables.point_masks is not None
     seen: set[tuple] = set()
     results: list[PencilClassification] = []
-    for a, b in iter_block_pairs(tables, tables.avoid):
-        if not (tables.multinet_screen(a, b) if lines else tables.vote_screen(a, b)):
+    for a, b in iter_block_pairs(tables):
+        if not lines and not tables.vote_screen(a, b):
             continue
         # disjoint supports of irreducibles are never proportional
         pencil = Pencil(tables.block_form(a), tables.block_form(b))

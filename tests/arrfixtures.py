@@ -55,6 +55,13 @@ def b3() -> Arrangement:
     return lines("x", "y", "z", "x - y", "x + y", "x - z", "x + z", "y - z", "y + z")
 
 
+def b3_plus_one() -> Arrangement:
+    """b3 and the line x + y - z, named L10; no infinity line."""
+    return lines(
+        "x", "y", "z", "x - y", "x + y", "x - z", "x + z", "y - z", "y + z", "x + y - z"
+    )
+
+
 def b3_pencil() -> Pencil:
     return Pencil(F("x^2*z^2 - y^2*z^2"), F("x^2*y^2 - x^2*z^2"))
 

@@ -26,6 +26,7 @@ from arrfixtures import (
     a2,
     a3,
     b3,
+    b3_plus_one,
     ceva2,
     ceva3,
     deleted_b3,
@@ -35,6 +36,7 @@ from arrfixtures import (
     fw_pencil,
     triangle,
 )
+from drawref import Reference, blocks_by_degree
 from curvepencils import arrangement as arrangement_module
 from curvepencils import catalog as catalog_module
 from curvepencils import exactalg as exactalg_module
@@ -365,7 +367,7 @@ def test_three_conic_catalog():
 
 def test_probe_restrictions_agree_with_evaluation():
     for arr in (deleted_b3(), exfin3()):
-        for _, q0, q1, restrictions in _probe_lines(arr):
+        for _, q0, q1, restrictions in _probe_lines(_SearchTables(arr, 2)):
             assert restrictions == _integer_restrictions(arr, q0, q1)
             for cp, coeffs in zip(arr.components, restrictions):
                 assert len(coeffs) == cp.degree + 1
@@ -403,7 +405,7 @@ def test_probe_lines_miss_every_line_intersection():
             p for a, b in itertools.combinations(arr.components, 2) for p in meeting_points(a, b)
         }
         assert meets
-        for form, _, _, restrictions in _probe_lines(arr):
+        for form, _, _, restrictions in _probe_lines(_SearchTables(arr, 2)):
             polys = [sum(c * s**k for k, c in enumerate(r)) for r in restrictions]
             for f, g in itertools.combinations(polys, 2):
                 assert sympy.resultant(f, g, s) != 0
@@ -430,7 +432,7 @@ PARENT_PROBES = {
 def test_probe_lines_are_pinned(name):
     # the integer search picks the probes the Fraction search picked
     arr = Arrangement.from_json(json.loads((FIXTURES / f"{name}.json").read_text()))
-    chosen = [(str(form), q0, q1) for form, q0, q1, _ in _probe_lines(arr)]
+    chosen = [(str(form), q0, q1) for form, q0, q1, _ in _probe_lines(_SearchTables(arr, 2))]
     assert chosen == PARENT_PROBES[name]
 
 
@@ -466,11 +468,10 @@ def test_ceva3_sweep_classifies_two_spans(monkeypatch):
 
 def test_one_table_per_catalog(monkeypatch):
     # the local records, both walks and the cup structure read one
-    # `_SearchTables`: the multiple points are found once, the blocks are
-    # enumerated once, and the sweep draws 674 of the plain walk's 18,529
-    # pairs: those that pass its content, concurrency and base-point
-    # stages, which run inside the walk
-    calls = {"local_pencil_points": 0, "_enumerate_blocks": 0}
+    # `_SearchTables`: the multiple points are found once, and the sweep
+    # draws 674 of the 18,529 disjoint coprime pairs: those that pass its
+    # content, concurrency and base-point rules, which run inside the draw
+    calls = {"local_pencil_points": 0}
     for name in calls:
         original = getattr(pencil_module, name)
 
@@ -490,7 +491,7 @@ def test_one_table_per_catalog(monkeypatch):
 
     monkeypatch.setattr(catalog_module, "iter_block_pairs", drawing)
     build_catalog(deleted_b3())
-    assert calls == {"local_pencil_points": 1, "_enumerate_blocks": 1}
+    assert calls == {"local_pencil_points": 1}
     assert len(swept) == 674
 
 
@@ -630,24 +631,18 @@ def _check_sweep_entry(sweep, restrictions, block):
 
 
 def _check_block_tables(arr):
-    """Every value of the five block tables equals its definition, from scratch."""
+    """Every value of the four block tables equals its definition, from scratch."""
     tables = _SearchTables(arr, 2)
-    first, second = (r for _, _, _, r in _probe_lines(arr))
+    first, second = (r for _, _, _, r in _probe_lines(tables))
     sweep, products = _SweepTables(first), _block_products(second)
-    for by_mask in tables.blocks.values():
-        for block in itertools.chain(*by_mask.values()):
+    for blocks in blocks_by_degree(arr, 2).values():
+        for block in blocks:
             pairs = list(zip(block.indices, block.mults))
             form = arr.block_form(pairs)
             assert tables.block_form(block) == form
             assert tables.block_values(block) == tuple(
                 tuple(form.evaluate(p) for p in c.vote_points) for c in arr.components
             )
-            if tables.point_masks is not None:
-                through = [[m for j, m in pairs if mask >> j & 1] for mask in tables.point_masks]
-                assert tables.point_counts(block) == (
-                    tuple(sum(ms) for ms in through),
-                    tuple(gcd(*ms) if ms else 0 for ms in through),
-                )
             _check_sweep_entry(sweep, first, block)
             V = (1,)
             for j, m in pairs:
@@ -714,42 +709,17 @@ def test_screen_cuts_the_sweep_rational_root_calls(monkeypatch):
     assert len(calls) < 1218
 
 
-def _base_point_gcd(tables, a, b):
-    """The gcd of h_X over the multiple points X that meet both blocks and
-    whose lines all lie in a u b, up to its first partial value of 1; 0 when
-    there is no such X: the sweep's base-point screen, one pair at a time."""
-    union = a.mask | b.mask
-    (counts_a, gcds_a), (counts_b, gcds_b) = tables.point_counts(a), tables.point_counts(b)
-    g = 0
-    for mask, na, nb, ga, gb in zip(tables.point_masks, counts_a, counts_b, gcds_a, gcds_b):
-        if na and nb and mask | union == union:
-            g = gcd(g, na if na == nb else ga if na < nb else gb)
-            if g == 1:
-                break
-    return g
-
-
 def _pairwise_sweep_draw(tables):
-    """The pairs of the plain walk that pass the sweep's content, concurrency
-    and base-point stages, each tested pair by pair."""
-    lines = tables.point_masks is not None
-    out = []
-    for a, b in iter_block_pairs(tables):
-        union = a.mask | b.mask
-        if a.content != 1 or b.content != 1:
-            continue
-        if any(mp.degree == 1 and union | mp.mask == mp.mask for mp in tables.points):
-            continue
-        if lines and _base_point_gcd(tables, a, b) == 1:
-            continue
-        out.append((a, b))
-    return out
+    """The disjoint pairs, in combinations order, that pass the sweep's
+    content, concurrency and base-point rules, each tested pair by pair."""
+    reference = Reference(tables)
+    return [(a, b) for a, b in reference.pairs() if reference.swept(a, b)]
 
 
 @pytest.mark.parametrize("make", [deleted_b3, a2, b3, ceva2, ceva3, ex2])
 def test_sweep_walk_draws_the_pairwise_stage_chain_in_order(make):
-    # the stages that run once per support pair inside the walk make the
-    # decisions that testing each pair of the plain walk makes, in its order
+    # the rules the draw applies as each point closes make the decisions
+    # that testing each disjoint pair makes, in combinations order
     tables = _SearchTables(make(), 2)
     reference = _pairwise_sweep_draw(tables)
     assert reference
@@ -766,7 +736,8 @@ def test_base_point_screen_reads_the_lower_block_at_unequal_counts():
     a = _Block(0b11, (0, 1), (1, 2), 1)
     keep = _Block(0b101000, (3, 5), (1, 2), 1)
     drop = _Block(0b11000, (3, 4), (1, 2), 1)
-    assert (_base_point_gcd(tables, a, keep), _base_point_gcd(tables, a, drop)) == (2, 1)
+    reference = Reference(tables)
+    assert (reference.base_point_gcd(a, keep), reference.base_point_gcd(a, drop)) == (2, 1)
     drawn = set(iter_block_pairs(tables, sweep=True))
     assert (a, keep) in drawn and (a, drop) not in drawn
 
@@ -802,7 +773,7 @@ def test_base_point_screen_keeps_the_translated_pencil():
     a = _Block(0b0011001, (0, 3, 4), (1, 1, 2), 1)
     b = _Block(0b1000110, (1, 2, 6), (1, 1, 2), 1)
     assert tables.block_form(a) == fw_pencil().P and tables.block_form(b) == fw_pencil().Q
-    assert _base_point_gcd(tables, a, b) == 2
+    assert Reference(tables).base_point_gcd(a, b) == 2
 
 
 def test_base_point_screen_rejects_no_multiple_fiber_on_deleted_b3():
@@ -811,10 +782,11 @@ def test_base_point_screen_rejects_no_multiple_fiber_on_deleted_b3():
     # pencils whose special fibers have m'' = 1
     arr = deleted_b3()
     tables = _SearchTables(arr, 2)
-    sweep = _SweepTables(_probe_lines(arr)[0][3])
+    sweep = _SweepTables(_probe_lines(tables)[0][3])
+    reference = Reference(tables)
     checked = 0
-    for a, b in iter_block_pairs(tables):
-        if a.content == b.content == 1 and _base_point_gcd(tables, a, b) == 1:
+    for a, b in reference.pairs():
+        if a.content == b.content == 1 and reference.base_point_gcd(a, b) == 1:
             if sweep.screen(a, b):
                 cl = classify(arr, Pencil(tables.block_form(a), tables.block_form(b)))
                 assert all(sp.m_dprime == 1 for sp in detect_special_fibers(cl).special_points)
@@ -841,12 +813,12 @@ def test_sweep_walk_draws_the_pairwise_stage_chain_on_random_lines(arr):
     assert list(iter_block_pairs(tables, sweep=True)) == _pairwise_sweep_draw(tables)
 
 
-def _base_point_rejections(tables):
-    """The content-1 pairs whose base-point gcd is 1."""
+def _base_point_rejections(reference):
+    """The disjoint content-1 pairs whose base-point gcd is 1."""
     return [
         (a, b)
-        for a, b in iter_block_pairs(tables)
-        if a.content == b.content == 1 and _base_point_gcd(tables, a, b) == 1
+        for a, b in reference.pairs()
+        if a.content == b.content == 1 and reference.base_point_gcd(a, b) == 1
     ]
 
 
@@ -866,22 +838,10 @@ def test_base_point_screen_rejects_only_trivial_tf(arr, data):
     # a 7-line arrangement has thousands of rejected pairs at about 2 ms
     # each, so each example checks up to 15 of them, drawn by hypothesis
     tables = _SearchTables(arr, 2)
-    rejected = _base_point_rejections(tables)
+    rejected = _base_point_rejections(Reference(tables))
     assume(rejected)
     drawn = data.draw(st.lists(st.sampled_from(rejected), max_size=15, unique=True))
     _assert_trivial_tf(tables, drawn)
-
-
-def _product_bound(tables, a, b):
-    """The gcd of n_X(a)*n_X(b) over the points that `_base_point_gcd` reads,
-    a bound on m'' that h_X divides."""
-    union = a.mask | b.mask
-    counts_a, counts_b = tables.point_counts(a)[0], tables.point_counts(b)[0]
-    g = 0
-    for mask, na, nb in zip(tables.point_masks, counts_a, counts_b):
-        if na and nb and mask | union == union:
-            g = gcd(g, na * nb)
-    return g
 
 
 # an example takes about 3 s, so shrinking a failure would rerun it for
@@ -898,10 +858,11 @@ def test_base_point_screen_rejects_only_trivial_tf_on_deleted_b3_plus_a_line(arr
     # each: those are the pairs where h_X decides and W keeps a zero mod
     # 7, 11 and 13.  Hypothesis draws 15 more from the rest
     tables = _SearchTables(arr, 2)
-    sweep = _SweepTables(_probe_lines(arr)[0][3])
+    sweep = _SweepTables(_probe_lines(tables)[0][3])
+    reference = Reference(tables)
     sharp, rest = [], []
-    for a, b in _base_point_rejections(tables):
-        kept = _product_bound(tables, a, b) != 1 and sweep.screen(a, b)
+    for a, b in _base_point_rejections(reference):
+        kept = reference.product_bound(a, b) != 1 and sweep.screen(a, b)
         (sharp if kept else rest).append((a, b))
     assert sharp
     drawn = data.draw(st.lists(st.sampled_from(rest), max_size=15, unique=True))
@@ -923,11 +884,12 @@ def test_caps_that_empty_the_global_stage_are_rejected():
     [
         (a3, "c977710f18fe65bb5fb9852257f710a44bb2e0bf449627660eade1b9f4ab52e8"),
         (b3, "2ef1c2ec0f3f47ac72e6607708abb8caf8e5aee58e293299216de012f1ff99fb"),
+        (b3_plus_one, "c82da56c6a2dc69b4e33ba1c577f23bb7a28beeb6b4818bfccf39240bf3313ce"),
         (ceva2, "91ea15f195d876c07530aa029de8245cc5cc3c8c28ee5bae677a16c928847e83"),
         (ceva3, "757c4f3fee821dfea7881de82c193531396b31a01637e6c214755b2afaff2058"),
         (triangle, "6d17d38907c1529cb93adb4662f26867f41f0bccec7c7fa5130663a55d5087ca"),
     ],
-    ids=["a3", "b3", "ceva2", "ceva3", "triangle"],
+    ids=["a3", "b3", "b3plus1", "ceva2", "ceva3", "triangle"],
 )
 def test_catalog_json_digest(make, digest):
     text = json.dumps(build_catalog(make()).to_json(), indent=2, sort_keys=True)

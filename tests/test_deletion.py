@@ -15,7 +15,17 @@ from __future__ import annotations
 import pytest
 from hypothesis import Phase, example, given, settings
 
-from arrfixtures import F, a2, b3, ceva2, deleted_b3, deleted_b3_plus, deleted_b3_plus_a_line, ex2
+from arrfixtures import (
+    F,
+    a2,
+    b3,
+    b3_plus_one,
+    ceva2,
+    deleted_b3,
+    deleted_b3_plus,
+    deleted_b3_plus_a_line,
+    ex2,
+)
 from curvepencils.arrangement import Arrangement, ExponentSubtorus, TorsionCharacter
 from curvepencils.catalog import Catalog, ComponentRecord, build_catalog
 from curvepencils.exactalg import echelon_rows
@@ -104,6 +114,9 @@ CASES = {
     # deleting L1, L2 or L3 leaves a deleted B3, whose translated torus
     # lies in a 2-dimensional global record of b3
     "b3": (b3, None, 87, 3),
+    # b3 and x + y - z: ten lines, no infinity line; its deletions carry
+    # the translated tori of the 9-line arrangements inside it
+    "b3plus1": (b3_plus_one, None, 157, 9),
     # deleting C1 leaves the candidate translated torus of the pencil
     # C2 + C3 | C4, which lies in the global record 2*C1 | C2 + C3 | C4
     "ex2": (ex2, "ex2_catalog", 1, 1),

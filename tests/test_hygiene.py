@@ -1,6 +1,6 @@
 """Source hygiene: every module-level import, private helper and public function is used,
 no float enters the arithmetic, no true division can make one, no random source feeds it,
-the Smith form serves only the torsion group, and one walk reads the block index."""
+the Smith form serves only the torsion group, and one draw builds the blocks."""
 
 from __future__ import annotations
 
@@ -555,55 +555,47 @@ def test_smith_use_is_caught():
     ]
 
 
-# one walk: the block index is built by the one call of `_enumerate_blocks`,
-# in `_SearchTables.__init__`, and read by `iter_block_pairs` alone, so the
-# search and the sweep draw their pairs from one generator and no second
-# pair generator can walk the blocks
-ENUMERATE = "_enumerate_blocks"
-BLOCK_INDEX_USERS = ["pencil.py: _SearchTables.__init__", "pencil.py: iter_block_pairs"]
+# one draw: a `_Block` is built only inside `iter_block_pairs`, where the
+# depth-first draw interns it at a leaf, so the search and the sweep take
+# their blocks from one generator and no second pair generator builds any
+BLOCK = "_Block"
+BLOCK_BUILDERS = ["pencil.py: iter_block_pairs.block"]
 
 
-def _reaches_block_index(node: ast.AST) -> bool:
-    """A read of an attribute ``blocks``, or any reference to `_enumerate_blocks`."""
-    if isinstance(node, ast.Attribute):
-        return node.attr == ENUMERATE or node.attr == "blocks" and isinstance(node.ctx, ast.Load)
-    if isinstance(node, ast.Name):
-        return node.id == ENUMERATE
-    if isinstance(node, ast.alias):
-        return node.name == ENUMERATE
-    return False
+def _builds_a_block(node: ast.AST) -> bool:
+    """A call of ``_Block``, by name or as a module attribute."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Name):
+        return func.id == BLOCK
+    return isinstance(func, ast.Attribute) and func.attr == BLOCK
 
 
-def test_one_walk_reads_the_block_index():
+def test_one_draw_builds_the_blocks():
     uses = [
         f"{path.name}: {function}"
         for path in SOURCES
         for function, _ in _scoped_uses(
-            ast.parse(path.read_text(), filename=str(path)), _reaches_block_index
+            ast.parse(path.read_text(), filename=str(path)), _builds_a_block
         )
     ]
-    assert uses == BLOCK_INDEX_USERS, f"block index read outside the one walk: {uses}"
+    assert uses == BLOCK_BUILDERS, f"blocks built outside the one draw: {uses}"
 
 
-def test_block_index_read_is_caught():
+def test_block_construction_is_caught():
     tree = ast.parse(
-        "from .pencil import _enumerate_blocks\n"
+        "from .pencil import _Block\n"
+        "def second_draw(arr):\n"
+        "    yield _Block(1, (0,), (1,), 1), pencil._Block(2, (1,), (1,), 1)\n"
         "class Tables:\n"
-        "    def __init__(self, arr):\n"
-        "        self.blocks = _enumerate_blocks(arr, 2)\n"
-        "def second_walk(tables):\n"
-        "    for by_mask in tables.blocks.values():\n"
-        "        yield by_mask\n"
-        "def count(tables):\n"
-        "    blocks = tables.blocks\n"
-        "    return len(blocks) + len(pencil._enumerate_blocks(tables.arr, 2))\n"
+        "    def block(self, a: _Block) -> _Block:\n"
+        "        return _Block(3, (0, 1), (1, 1), 1)\n"
     )
-    assert _scoped_uses(tree, _reaches_block_index) == [
-        ("<module>", 1),
-        ("Tables.__init__", 4),
-        ("count", 9),
-        ("count", 10),
-        ("second_walk", 6),
+    assert _scoped_uses(tree, _builds_a_block) == [
+        ("Tables.block", 6),
+        ("second_draw", 3),
+        ("second_draw", 3),
     ]
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from arrfixtures import (
@@ -28,6 +28,7 @@ from arrfixtures import (
     ceva3,
     ceva3_pencil,
     deleted_b3,
+    deleted_b3_plus_a_line,
     ex2,
     ex2_pencil,
     exfin3,
@@ -36,10 +37,10 @@ from arrfixtures import (
     fw_pencil,
     triangle,
 )
+from drawref import Reference, combination_pairs, disjoint_pairs
 from curvepencils.arrangement import (
     Arrangement,
     CurveComponent,
-    local_pencil_points,
     pullback_subtorus,
 )
 from curvepencils.exactalg import lattice_key, projective_profile, saturate_lattice
@@ -54,7 +55,6 @@ from curvepencils.pencil import (
     _SearchTables,
     _certified_profile,
     _classify_pair,
-    _enumerate_blocks,
     _finish_classification,
     _formal_discriminant,
     _partition_saturated,
@@ -842,10 +842,13 @@ def test_search_four_generic_lines_empty():
 
 
 def test_search_rejects_composed():
-    # blocks {T1^2} | {T2^2} span the squares of the pencil (x : y); no pair
-    # with a common multiplicity factor is ever enumerated
-    pairs = list(iter_block_pairs(_SearchTables(triangle(), 2)))
-    assert pairs
+    # blocks {C1^2} | {C2^2} of ex2 span the squares of the pencil (x : y);
+    # no pair with a common multiplicity factor is ever drawn.  ex2 has a
+    # conic, so no closure rule applies and only the contents decide
+    square_x, square_y = _Block(1, (0,), (2,), 2), _Block(2, (1,), (2,), 2)
+    assert (square_x, square_y) in disjoint_pairs(ex2(), 2)
+    pairs = list(iter_block_pairs(_SearchTables(ex2(), 2)))
+    assert pairs and (square_x, square_y) not in pairs
     for a, b in pairs:
         assert gcd(*a.mults, *b.mults) == 1
     # x^2 | y^2 | (x - y)(x + y) is the same composed map, now with a reduced
@@ -856,61 +859,70 @@ def test_search_rejects_composed():
     assert _partition_saturated(braid)
 
 
+# -- the block-pair draw and its brute-force reference (`drawref`) -----------------
+
+
 @pytest.mark.parametrize(
     "make, cap",
     [(make, cap) for make in (triangle, ex2, ceva2, ceva3) for cap in (2, 3)] + [(deleted_b3, 2)],
 )
+def test_reference_pairs_follow_itertools_combinations(make, cap):
+    # the reference skips the overlapping pairs by mask, which keeps the
+    # order of the literal combinations of each degree's blocks
+    assert list(disjoint_pairs(make(), cap)) == combination_pairs(make(), cap)
+
+
+_FIXTURES = (triangle, four_generic_lines, ex2, ceva2, ceva3, deleted_b3, a2, b3, exfin3, a3)
+
+
+# b3 at cap 3 is left out: its 1,318,131 disjoint pairs take the reference
+# about 11 s; the draws matched it there when checked by hand
+@pytest.mark.parametrize(
+    "make, cap",
+    [(make, cap) for make in _FIXTURES for cap in (2, 3) if (make, cap) != (b3, 3)],
+)
 def test_block_pair_walk_keeps_the_combinations_order(make, cap):
-    # catalog sources name the first pair to reach a span, so the submask
-    # walk must yield what the plain walk over all combinations yields, in
-    # order.  The reference takes every mask and multiplicity vector, not
-    # `_enumerate_blocks`, so a pairability bound that dropped a block with
-    # a partner would lose its pairs here
-    arr = make()
-    blocks: dict[int, list[_Block]] = {}
-    for mask in range(1, 1 << arr.size):
-        members = tuple(j for j in range(arr.size) if mask >> j & 1)
-        for mults in itertools.product(range(1, cap + 1), repeat=len(members)):
-            degree = sum(arr.degrees[j] * m for j, m in zip(members, mults))
-            blocks.setdefault(degree, []).append(_Block(mask, members, mults, gcd(*mults)))
-    reference = [
-        (a, b)
-        for degree in sorted(blocks)
-        for a, b in itertools.combinations(blocks[degree], 2)
-        if not a.mask & b.mask and gcd(a.content, b.content) == 1
-    ]
-    assert reference
-    assert list(iter_block_pairs(_SearchTables(arr, cap))) == reference
+    # catalog sources name the first pair to reach a span, so the depth-first
+    # draw must yield what the pairwise rules keep of every disjoint pair in
+    # combinations order, in that order: the multinet screen for the search,
+    # content, concurrency and the base-point gcd for the sweep
+    tables = _SearchTables(make(), cap)
+    search, sweep = Reference(tables).draws()
+    assert list(iter_block_pairs(tables)) == search
+    assert list(iter_block_pairs(tables, sweep=True)) == sweep
 
 
-def _all_blocks(blocks):
-    return [block for by_mask in blocks.values() for bucket in by_mask.values() for block in bucket]
+def test_block_pair_draw_interns_its_blocks(monkeypatch):
+    # a draw builds the blocks of the pairs it yields, once per (mask,
+    # mults), where the submask walk it replaced indexed the 2,032 pairable
+    # blocks of deleted B3: the search's 57 pairs hold 36 blocks and the
+    # sweep's 674 pairs 255, and a block in several pairs is one object
+    tables = _SearchTables(deleted_b3(), 2)
+    original = pencil_module._Block
+    for sweep, pairs, blocks in ((False, 57, 36), (True, 674, 255)):
+        built = []
+
+        def counting(*args):
+            built.append(original(*args))
+            return built[-1]
+
+        monkeypatch.setattr(pencil_module, "_Block", counting)
+        drawn = list(iter_block_pairs(tables, sweep=sweep))
+        assert (len(drawn), len(built), len(set(built))) == (pairs, blocks, blocks)
+        assert {id(b) for pair in drawn for b in pair} == {id(b) for b in built}
 
 
-def test_block_enumeration_keeps_only_pairable_blocks():
-    # a block of degree d pairs only if d <= max_multiplicity * deg(complement):
-    # of the 3^n - 1 blocks (each line absent or of multiplicity 1 or 2),
-    # deleted B3 keeps 2,032 of 6,560 and b3 6,210 of 19,682, and on b3
-    # these are exactly the blocks that its walk pairs
-    for make, kept, every in ((deleted_b3, 2032, 6560), (b3, 6210, 19682)):
-        arr = make()
-        assert len(_all_blocks(_enumerate_blocks(arr, 2))) == kept
-        assert 3**arr.size - 1 == every
-    tables = _SearchTables(b3(), 2)
-    walked = {block for pair in iter_block_pairs(tables) for block in pair}
-    assert walked == set(_all_blocks(tables.blocks))
-
-
-# -- the multinet screen ----------------------------------------------------------
+# -- the multinet rule -------------------------------------------------------------
 
 
 @pytest.mark.parametrize(
     "make, pairs, spans", [(deleted_b3, 57, 28), (a2, 57, 28), (ceva2, 15, 5)]
 )
 def test_multinet_screen_survivor_counts(make, pairs, spans):
+    # on line arrangements the search draws only the multinet survivors
     arr = make()
     tables = _SearchTables(arr, 2)
-    kept = [(a, b) for a, b in iter_block_pairs(tables) if tables.multinet_screen(a, b)]
+    kept = list(iter_block_pairs(tables))
     assert len(kept) == pairs
     keys = {Pencil(tables.block_form(a), tables.block_form(b)).span_key() for a, b in kept}
     assert len(keys) == spans
@@ -918,53 +930,65 @@ def test_multinet_screen_survivor_counts(make, pairs, spans):
 
 @pytest.mark.parametrize("make", [deleted_b3, a2, ceva2])
 def test_vote_screen_passes_every_multinet_survivor(make):
-    # why `pencil_search` runs only the multinet screen on line arrangements
+    # why `pencil_search` runs the vote screen only on curve arrangements
     arr = make()
     tables = _SearchTables(arr, 2)
-    kept = [(a, b) for a, b in iter_block_pairs(tables) if tables.multinet_screen(a, b)]
+    kept = list(iter_block_pairs(tables))
     assert kept and all(tables.vote_screen(a, b) for a, b in kept)
 
 
 def test_multinet_screen_keeps_every_pair_of_full_fibers():
-    # exact classification is the oracle: a pair it gives k >= 3 must pass
+    # exact classification is the oracle: a pair it gives k >= 3 is drawn
     for make in (deleted_b3, a2, ceva2):
         arr = make()
         tables = _SearchTables(arr, 2)
+        drawn = set(iter_block_pairs(tables))
         full = 0
-        for a, b in iter_block_pairs(tables):
-            if not tables.vote_screen(a, b):
+        for a, b in disjoint_pairs(arr, 2):
+            if gcd(a.content, b.content) != 1 or not tables.vote_screen(a, b):
                 continue
             pencil = Pencil(tables.block_form(a), tables.block_form(b))
             if _classify_pair(tables, pencil, a, b).k >= 3:
                 full += 1
-                assert tables.multinet_screen(a, b), (make.__name__, a, b)
+                assert (a, b) in drawn, (make.__name__, a, b)
         assert full > 0
 
 
 def test_multinet_screen_skips_curve_arrangements():
+    # no point closes on a curve arrangement: the search draws every
+    # disjoint pair of equal degree with coprime contents
     tables = _SearchTables(exfin3(), 2)
-    assert tables.point_masks is None and tables.avoid is None
+    assert tables.point_masks is None
+    drawn = list(iter_block_pairs(tables))
+    assert drawn == [(a, b) for a, b in disjoint_pairs(exfin3(), 2) if gcd(a.content, b.content) == 1]
 
 
-def _pruned_and_full_walks(arr, cap):
-    """The walk with and without the double-point masks, each with its multinet survivors."""
-    tables = _SearchTables(arr, cap)
-    out = []
-    for avoid in (tables.avoid, None):
-        walked = list(iter_block_pairs(tables, avoid))
-        out.append((walked, [(a, b) for a, b in walked if tables.multinet_screen(a, b)]))
-    return out
+def _double_point_survivors(tables):
+    """The coprime pairs with no double point between a line of a and a line
+    of b, which the search's submask walk drew before the depth-first draw,
+    and their multinet survivors."""
+    doubles = [mp.mask for mp in tables.points if mp.count == 2]
+    reference = Reference(tables)
+    walked = [
+        (a, b)
+        for a, b in reference.pairs()
+        if gcd(a.content, b.content) == 1
+        and not any(mask & a.mask and mask & b.mask for mask in doubles)
+    ]
+    return walked, [(a, b) for a, b in walked if reference.multinet_screen(a, b)]
 
 
 @pytest.mark.parametrize(
     "make, walked", [(deleted_b3, 3466), (a2, 3466), (b3, 7450), (ceva2, 186)]
 )
 def test_double_point_masks_keep_every_multinet_survivor_in_order(make, walked):
-    # a line of each block through a double point fails the multinet screen,
-    # so the pruned walk loses no survivor and keeps the walk's order
-    (pruned, kept), (full, reference) = _pruned_and_full_walks(make(), 2)
-    assert kept == reference and kept
-    assert len(pruned) == walked < len(full)
+    # a line of each block through a double point fails the multinet rule,
+    # so leaving those pairs out loses no survivor and keeps the order: the
+    # draw is the multinet survivors of the pruned submask walk
+    tables = _SearchTables(make(), 2)
+    pruned, kept = _double_point_survivors(tables)
+    assert len(pruned) == walked
+    assert kept and list(iter_block_pairs(tables)) == kept
 
 
 @st.composite
@@ -980,19 +1004,28 @@ def _line_arrangement(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(_line_arrangement(), st.integers(1, 2))
+@given(_line_arrangement(), st.integers(1, 3))
 def test_double_point_masks_keep_every_multinet_survivor_on_random_lines(arr, cap):
+    # both draws equal the reference's, and the search's equals the
+    # multinet survivors of the pairs with no double point between the blocks
     tables = _SearchTables(arr, cap)
-    wide = [mp.mask for mp in local_pencil_points(arr) if mp.count > 2]
-    for j, mask in enumerate(tables.avoid):
-        # two lines meet at one point, a double point unless a third line passes
-        assert mask == sum(
-            1 << i
-            for i in range(arr.size)
-            if i != j and not any(w >> i & w >> j & 1 for w in wide)
-        )
-    (_, kept), (_, reference) = _pruned_and_full_walks(arr, cap)
-    assert kept == reference
+    search, sweep = Reference(tables).draws()
+    assert list(iter_block_pairs(tables)) == search == _double_point_survivors(tables)[1]
+    assert list(iter_block_pairs(tables, sweep=True)) == sweep
+
+
+# an example takes about 1 s, so shrinking a failure would rerun it for
+# minutes; the assertion compares whole draws instead
+@settings(max_examples=2, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(deleted_b3_plus_a_line(2))
+def test_block_pair_draws_match_the_reference_on_deleted_b3_plus_a_line(arr):
+    # these arrangements keep the translated pencil of deleted B3, whose
+    # special fiber has m'' = 2, so the base-point rule keeps pairs whose
+    # running gcd is 2 as well as pairs with no qualifying point
+    tables = _SearchTables(arr, 2)
+    search, sweep = Reference(tables).draws()
+    assert list(iter_block_pairs(tables)) == search
+    assert list(iter_block_pairs(tables, sweep=True)) == sweep
 
 
 def test_unplaced_component_raises():
