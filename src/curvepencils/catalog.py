@@ -527,9 +527,10 @@ def build_catalog(
     sweep's first three stages run inside its draw (``sweep=True``):
     content (both blocks primitive) and concurrency (a support of lines
     through one multiple point) at each leaf, and on line arrangements the
-    base-point rule, a running gcd of h_X over the closed points with no
-    line outside the pair, which cuts the draw at 1; then every special
-    fiber has m'' = 1 and T(f) is trivial.  The pairs drawn then pass the
+    base-point rule, a running gcd of h_X over the closed points that meet
+    both blocks with unequal counts, or with equal counts and no line
+    outside the pair, which cuts the draw at 1; then every special fiber
+    has m'' = 1 and T(f) is trivial.  The pairs drawn then pass the
     residue screen, the Wronskian prefilter on two probe lines that miss
     every meeting point, span dedup against the searched and already swept
     pencils, and exact classification.  The residue screen and the
@@ -564,10 +565,12 @@ def build_catalog(
     reaches classification.  A pair that the base-point rule rejects adds
     none: the one warning a pencil carries flags possible special fibers
     over irrational points, and every such fiber of a rejected pair has
-    m'' = 1, so it carries no record.  Caps that would leave the global
-    stage empty raise `CatalogError`, and so does a component that the
-    irreducibility probe of `Arrangement.irreducibility_warnings` shows to
-    be reducible.
+    m'' = 1, so it carries no record.  On b3 plus the line x + y - z the
+    rule leaves 3 swept pencils to classify, and 4 when it reads only the
+    points with no line outside the pair, with the same catalog.  Caps
+    that would leave the global stage empty raise `CatalogError`, and so
+    does a component that the irreducibility probe of
+    `Arrangement.irreducibility_warnings` shows to be reducible.
     """
     if max_multiplicity < 1:
         raise CatalogError(f"max_multiplicity (--max-mult) must be >= 1, got {max_multiplicity}")

@@ -38,8 +38,6 @@ __all__ = [
     "smith_normal_form",
     "integer_kernel_basis",
     "hermite_column_form",
-    "lattice_key",
-    "saturate_lattice",
     "FinAbelianGroup",
     "product_relation_lattice",
     "coeffs_mul",
@@ -297,24 +295,6 @@ def hermite_column_form(columns: Sequence[Sequence[int]], nrows: int) -> list[tu
             if q:
                 placed[j] = [a - q * b for a, b in zip(placed[j], placed[l])]
     return [tuple(c) for c in placed]
-
-
-def lattice_key(columns: Sequence[Sequence[int]], nrows: int) -> tuple:
-    """Hashable canonical key for the lattice spanned by the columns."""
-    return tuple(hermite_column_form(columns, nrows))
-
-
-def saturate_lattice(columns: Sequence[Sequence[int]], nrows: int) -> list[tuple[int, ...]]:
-    """Saturation: all integer vectors some multiple of which lies in the span."""
-    cols = [c for c in columns if any(e != 0 for e in c)]
-    if not cols:
-        return []
-    C = IntMatrix.from_columns(cols, nrows)
-    relations = integer_kernel_basis(C.transpose())
-    if relations.ncols == 0:
-        return [tuple(c) for c in IntMatrix.identity(nrows).columns()]
-    sat = integer_kernel_basis(relations.transpose())
-    return sat.columns()
 
 
 # ---------------------------------------------------------------------------

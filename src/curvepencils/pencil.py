@@ -877,26 +877,35 @@ class _BlockTable:
 #     cases; so n_X(a) = n_X(b), and since X lies on F, some line outside a
 #     and b passes through X.  At a double point of a line of a and a line
 #     of b no other line passes, so the rule rejects the pair;
-#   - the base-point rule, for the sweep: a fiber F = A*G^m'' whose
-#     arrangement part A misses X (every line through X lies in a or b) has
-#     TC_F = A(X)*TC_G^m''.  When the counts differ, that is a constant
-#     times the lower block's cone, so m'' divides each multiplicity of its
-#     lines through X; when they are equal, m'' divides the degree n.  So
-#     m'' divides h_X: the gcd of the lower block's multiplicities at X, or
-#     n.
+#   - the base-point rule, for the sweep: a fiber F = A*G^m'', A its
+#     arrangement part and G its new part, has m'' | h_X at X, where h_X is
+#     the gcd of the lower block's multiplicities at X when the counts
+#     differ, whatever other lines pass through X, and the degree n when
+#     they are equal and every line through X lies in a or b.  Say
+#     n_X(a) < n_X(b).  Then TC_F = alpha*TC_P, a product of lines of a.
+#     F shares no component with P, so A has no line of a, and a line of A
+#     through X would divide TC_F; so A misses X, TC_F = A(X)*TC_G^m'', and
+#     TC_G^m'' is a constant times TC_P.  Unique factorization makes m''
+#     divide each multiplicity of a's lines through X, so m'' | h_X.  At
+#     equal counts TC_F has degree n.  When every line through X lies in a
+#     or b, A, which has none of them, misses X, so TC_F = A(X)*TC_G^m''
+#     and m'' | n.  A third line through X may lie in A, and then no such
+#     bound holds.
 # Curves can be tangent at X, which breaks the factorization into lines, so
 # only line arrangements apply the rules.
 #
 # Why the base-point rule screens the sweep.  The sweep keeps a pencil only
 # for its translated records, and T(f) is trivial unless some special fiber
 # has new-part multiplicity m'' >= 2 (`compute_Tf`).  Such a fiber
-# F = A*G^m'', A its arrangement members and G its new part, is neither P
-# nor Q.  At a multiple point X that meets both blocks and whose lines all
-# lie in a u b, A shares no component with P or Q, so it misses X, and the
-# lemma gives m'' | h_X.  So m'' divides the gcd of h_X over any subset of
-# these points: a gcd of 1 makes every m'' 1, T(f) trivial and the pair
-# recordless, which is why the draw cuts the running gcd at its first value
-# of 1.  A pair with no such point (gcd 0) passes.
+# F = A*G^m'' is neither P nor Q, so the lemma gives m'' | h_X at every
+# multiple point X that meets both blocks with unequal counts, and at the
+# equal-count ones whose lines all lie in a u b.  So m'' divides the gcd of
+# h_X over any subset of these points: a gcd of 1 makes every m'' 1, T(f)
+# trivial and the pair recordless, which is why the draw cuts the running
+# gcd at its first value of 1.  A pair with no such point (gcd 0) passes.
+# The unequal-count points carry most of the cut: on deleted B3 the sweep
+# draws 50 pairs, and 674 when the rule reads only the points with no line
+# outside a u b.
 
 
 class _SearchTables:
@@ -906,7 +915,8 @@ class _SearchTables:
     structure read it.  ``points`` holds the `local_pencil_points` (of any
     arrangement); on line arrangements ``point_masks`` holds their
     incidence masks, at which the draw applies the closure rules of the
-    tangent-cone lemma above, and is None on the others.  Two
+    tangent-cone lemma above (the multinet rule for the search, the
+    base-point rule for the sweep), and is None on the others.  Two
     `_BlockTable`s: ``block_form`` is the block product, and
     ``block_values`` holds, per voter i, the block product at the vote
     points of component i.  ``concurrent`` holds the supports of lines
@@ -1009,8 +1019,11 @@ def iter_block_pairs(tables: _SearchTables, *, sweep: bool = False) -> Iterator[
 
     - for the search (``sweep`` false), the multinet rule: n_X(a) = n_X(b)
       and some line of X in neither block;
-    - for the sweep, the base-point rule: when every line of X lies in a or
-      b, h_X enters a running gcd, and a gcd of 1 cuts the draw.
+    - for the sweep, the base-point rule: when n_X(a) != n_X(b), or when
+      the counts are equal and every line of X lies in a or b, h_X enters a
+      running gcd, and a gcd of 1 cuts the draw.  The counts decide which
+      points apply, so the sweep counts the lines of every closed point
+      that meets both blocks.
 
     Then each drawn pair is tested at its leaf.  For the search the
     contents are coprime: blocks whose combined multiplicity vector has
@@ -1061,8 +1074,6 @@ def iter_block_pairs(tables: _SearchTables, *, sweep: bool = False) -> Iterator[
             if not (mask & mask_a and mask & mask_b):
                 continue
             free = mask & ~(mask_a | mask_b)
-            if sweep and free:
-                continue
             if not sweep and not free:
                 return 1  # the multinet rule: no line of X in neither block
             n_a = n_b = g_a = g_b = 0
@@ -1075,7 +1086,7 @@ def iter_block_pairs(tables: _SearchTables, *, sweep: bool = False) -> Iterator[
             if not sweep:
                 if n_a != n_b:
                     return 1  # the multinet rule: unequal counts
-            else:  # the base-point rule
+            elif n_a != n_b or not free:  # the base-point rule
                 g = gcd(g, n_a if n_a == n_b else g_a if n_a < n_b else g_b)
                 if g == 1:
                     return 1

@@ -62,6 +62,14 @@ def b3_plus_one() -> Arrangement:
     )
 
 
+def b3_plus_two() -> Arrangement:
+    """`b3_plus_one` and the line x - y + 2z, named L11; no infinity line."""
+    return lines(
+        "x", "y", "z", "x - y", "x + y", "x - z", "x + z", "y - z", "y + z", "x + y - z",
+        "x - y + 2*z",
+    )
+
+
 def b3_pencil() -> Pencil:
     return Pencil(F("x^2*z^2 - y^2*z^2"), F("x^2*y^2 - x^2*z^2"))
 

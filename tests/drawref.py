@@ -2,16 +2,18 @@
 
 Every block is enumerated with itertools, each mask with each multiplicity
 vector, and the blocks of one degree are paired in `itertools.combinations`
-order.  The rules are applied pair by pair, as the walk before the
-depth-first draw applied them: coprime contents and the multinet screen for
-the search; primitive blocks, concurrency and the base-point gcd for the
-sweep.  Both point rules read only line arrangements.
+order.  The rules are applied pair by pair: coprime contents and the
+multinet screen for the search; primitive blocks, concurrency and the
+base-point gcd for the sweep.  That gcd reads h_X at every point X that
+meets both blocks with n_X(a) != n_X(b), and at the equal-count points whose
+lines all lie in a u b.  Both point rules read only line arrangements.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import gcd
+from typing import Iterator
 
 from curvepencils.arrangement import Arrangement
 from curvepencils.pencil import _Block, _SearchTables
@@ -107,23 +109,34 @@ class Reference:
         counts_a, counts_b = self.counts(a), self.counts(b)
         return all(free and counts_a[i][0] == counts_b[i][0] for i, free in self.meeting(a, b))
 
-    def base_point_gcd(self, a: _Block, b: _Block) -> int:
-        """The gcd of h_X over the points X that meet both blocks and whose
-        lines all lie in a u b, up to its first partial value of 1; 0 when
-        there is no such X."""
+    def heights(self, a: _Block, b: _Block) -> Iterator[tuple[int, bool, bool]]:
+        """(h_X, free, equal) for the points X that meet both blocks: equal
+        when n_X(a) = n_X(b), and h_X is then that count, else the gcd of the
+        lower block's multiplicities at X."""
         counts_a, counts_b = self.counts(a), self.counts(b)
-        g = 0
         for i, free in self.meeting(a, b):
-            if not free:
-                (na, ga), (nb, gb) = counts_a[i], counts_b[i]
-                g = gcd(g, na if na == nb else ga if na < nb else gb)
+            (na, ga), (nb, gb) = counts_a[i], counts_b[i]
+            yield na if na == nb else ga if na < nb else gb, free, na == nb
+
+    def base_point_gcd(self, a: _Block, b: _Block) -> int:
+        """The gcd of h_X over the points X that meet both blocks where the
+        counts differ or every line of X lies in a u b, up to its first
+        partial value of 1; 0 when there is no such X."""
+        g = 0
+        for h, free, equal in self.heights(a, b):
+            if not (equal and free):
+                g = gcd(g, h)
                 if g == 1:
                     break
         return g
 
     def product_bound(self, a: _Block, b: _Block) -> int:
-        """The gcd of n_X(a)*n_X(b) over the points `base_point_gcd` reads,
-        a bound on m'' that h_X divides."""
+        """The gcd of n_X(a)*n_X(b) over the points that meet both blocks
+        and whose lines all lie in a u b, a bound on m'' that h_X divides.
+
+        It reads no point with a line outside a u b, so a pair that it keeps
+        and `base_point_gcd` rejects is decided by h_X, or by an
+        unequal-count point with such a line."""
         counts_a, counts_b = self.counts(a), self.counts(b)
         g = 0
         for i, free in self.meeting(a, b):

@@ -14,6 +14,7 @@ import pytest
 import sympy
 
 from arrfixtures import F, a3, deleted_b3, ex2, lines, triangle
+from latticeref import lattice_key, saturate_lattice
 from curvepencils.arrangement import (
     Arrangement,
     ArrangementError,
@@ -24,7 +25,6 @@ from curvepencils.arrangement import (
     local_pencil_points,
     meeting_points,
 )
-from curvepencils.exactalg import lattice_key, saturate_lattice
 from curvepencils.polyform import ProjPoint, TernaryForm
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import Phase, assume, given, settings
+from hypothesis import HealthCheck, Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from arrfixtures import (
@@ -27,6 +27,7 @@ from arrfixtures import (
     a3,
     b3,
     b3_plus_one,
+    b3_plus_two,
     ceva2,
     ceva3,
     deleted_b3,
@@ -37,6 +38,7 @@ from arrfixtures import (
     triangle,
 )
 from drawref import Reference, blocks_by_degree
+from latticeref import lattice_key, saturate_lattice
 from curvepencils import arrangement as arrangement_module
 from curvepencils import catalog as catalog_module
 from curvepencils import exactalg as exactalg_module
@@ -67,8 +69,6 @@ from curvepencils.exactalg import (
     coeffs_derivative,
     coeffs_evaluate,
     coeffs_mul,
-    lattice_key,
-    saturate_lattice,
 )
 from curvepencils.pencil import (
     Pencil,
@@ -469,7 +469,7 @@ def test_ceva3_sweep_classifies_two_spans(monkeypatch):
 def test_one_table_per_catalog(monkeypatch):
     # the local records, both walks and the cup structure read one
     # `_SearchTables`: the multiple points are found once, and the sweep
-    # draws 674 of the 18,529 disjoint coprime pairs: those that pass its
+    # draws 50 of the 18,529 disjoint coprime pairs: those that pass its
     # content, concurrency and base-point rules, which run inside the draw
     calls = {"local_pencil_points": 0}
     for name in calls:
@@ -492,7 +492,7 @@ def test_one_table_per_catalog(monkeypatch):
     monkeypatch.setattr(catalog_module, "iter_block_pairs", drawing)
     build_catalog(deleted_b3())
     assert calls == {"local_pencil_points": 1}
-    assert len(swept) == 674
+    assert len(swept) == 50
 
 
 def test_smith_calls_per_catalog(monkeypatch):
@@ -727,15 +727,17 @@ def test_sweep_walk_draws_the_pairwise_stage_chain_in_order(make):
 
 
 def test_base_point_screen_reads_the_lower_block_at_unequal_counts():
-    # deleted B3, a = L1 + 2*L2.  With b = L4 + 2*L6 the one qualifying
-    # point is L2.L4.L6, where n_X(a) = 2 < n_X(b) = 3 and h_X is a's gcd,
-    # 2 (b's is 1); with b = L4 + 2*L5 it is the double point L1.L5, where
-    # n_X(a) = 1 < n_X(b) = 2 and h_X is a's gcd, 1 (b's is 2).  A screen
-    # that read the higher block there would swap the two decisions
+    # deleted B3, a = L1 + 2*L5.  With b = L6 + L7 + L8 the rule reads one
+    # point, L5.L6.L7.L8, where n_X(a) = 2 < n_X(b) = 3 and h_X is a's gcd,
+    # 2 (b's is 1); the other points of a and b have equal counts and a
+    # third line.  With b = L2 + 2*L6 it reads L1.L3.L6, where n_X(a) = 1 <
+    # n_X(b) = 2 and h_X is a's gcd, 1 (b's is 2), and L2.L3.L5, the other
+    # way round; both pass L3, a line of neither block.  A screen that read
+    # the higher block would swap the two decisions
     tables = _SearchTables(deleted_b3(), 2)
-    a = _Block(0b11, (0, 1), (1, 2), 1)
-    keep = _Block(0b101000, (3, 5), (1, 2), 1)
-    drop = _Block(0b11000, (3, 4), (1, 2), 1)
+    a = _Block(0b10001, (0, 4), (1, 2), 1)
+    keep = _Block(0b11100000, (5, 6, 7), (1, 1, 1), 1)
+    drop = _Block(0b100010, (1, 5), (1, 2), 1)
     reference = Reference(tables)
     assert (reference.base_point_gcd(a, keep), reference.base_point_gcd(a, drop)) == (2, 1)
     drawn = set(iter_block_pairs(tables, sweep=True))
@@ -744,10 +746,12 @@ def test_base_point_screen_reads_the_lower_block_at_unequal_counts():
 
 def test_base_point_screen_counts_on_deleted_b3(monkeypatch):
     # the base-point screen runs before the residue screen: of the pairs
-    # past the content and concurrency tests, 674 reach the residue screen
-    # (3,138 with the bound n_X(a)*n_X(b) in place of h_X, 14,258 without
-    # the screen), 62 Wronskians reach `rational_roots` (208, 646) and 1
-    # swept pencil, the translated one, reaches `classify` (3, 4)
+    # past the content and concurrency tests, 50 reach the residue screen
+    # (674 when the rule reads only points whose lines all lie in a u b,
+    # 3,138 with the bound n_X(a)*n_X(b) in place of h_X there, 14,258
+    # without the screen), 6 Wronskians reach `rational_roots` (62, 208,
+    # 646) and 1 swept pencil, the translated one, reaches `classify` (1,
+    # 3, 4)
     calls = {"screen": 0, "rational_roots": 0, "classify": 0}
 
     def counted(name, original):
@@ -761,7 +765,7 @@ def test_base_point_screen_counts_on_deleted_b3(monkeypatch):
     for name in ("rational_roots", "classify"):
         monkeypatch.setattr(catalog_module, name, counted(name, getattr(catalog_module, name)))
     build_catalog(deleted_b3())
-    assert calls == {"screen": 674, "rational_roots": 62, "classify": 1}
+    assert calls == {"screen": 50, "rational_roots": 6, "classify": 1}
 
 
 def test_base_point_screen_keeps_the_translated_pencil():
@@ -778,7 +782,7 @@ def test_base_point_screen_keeps_the_translated_pencil():
 
 def test_base_point_screen_rejects_no_multiple_fiber_on_deleted_b3():
     # the pairs the base-point screen takes from the residue screen on
-    # deleted B3 (646 - 62 = 584 Wronskians no longer built) all span
+    # deleted B3 (646 - 6 = 640 Wronskians no longer built) all span
     # pencils whose special fibers have m'' = 1
     arr = deleted_b3()
     tables = _SearchTables(arr, 2)
@@ -791,7 +795,7 @@ def test_base_point_screen_rejects_no_multiple_fiber_on_deleted_b3():
                 cl = classify(arr, Pencil(tables.block_form(a), tables.block_form(b)))
                 assert all(sp.m_dprime == 1 for sp in detect_special_fibers(cl).special_points)
                 checked += 1
-    assert checked == 584
+    assert checked == 640
 
 
 @st.composite
@@ -855,8 +859,9 @@ def test_base_point_screen_rejects_only_trivial_tf_on_deleted_b3_plus_a_line(arr
     # and often gain others.  Of the about 70,000
     # rejected pairs, every one that the product bound n_X(a)*n_X(b) keeps
     # and that passes the residue screen is checked, about 1,000 at 2-3 ms
-    # each: those are the pairs where h_X decides and W keeps a zero mod
-    # 7, 11 and 13.  Hypothesis draws 15 more from the rest
+    # each: those are the pairs where h_X, or an unequal-count point with a
+    # line outside a u b, decides and W keeps a zero mod 7, 11 and 13.
+    # Hypothesis draws 15 more from the rest
     tables = _SearchTables(arr, 2)
     sweep = _SweepTables(_probe_lines(tables)[0][3])
     reference = Reference(tables)
@@ -864,6 +869,50 @@ def test_base_point_screen_rejects_only_trivial_tf_on_deleted_b3_plus_a_line(arr
     for a, b in _base_point_rejections(reference):
         kept = reference.product_bound(a, b) != 1 and sweep.screen(a, b)
         (sharp if kept else rest).append((a, b))
+    assert sharp
+    drawn = data.draw(st.lists(st.sampled_from(rest), max_size=15, unique=True))
+    _assert_trivial_tf(tables, sharp + drawn)
+
+
+def _free_line_rejections(reference):
+    """The rejected pairs that only the unequal-count points with a line
+    outside a u b reject: the gcd of h_X over the points whose lines all
+    lie in a u b is not 1."""
+    return [
+        (a, b)
+        for a, b in _base_point_rejections(reference)
+        if gcd(*(h for h, free, _ in reference.heights(a, b) if not free)) != 1
+    ]
+
+
+# about one random arrangement in ten has such a pair: it needs a point of
+# three or more lines
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(_lines_with_infinity(), st.data())
+def test_base_point_screen_free_line_cuts_reject_only_trivial_tf(arr, data):
+    # the tangent-cone lemma at an unequal-count point needs no condition on
+    # the other lines through it; these pairs are a small share of all
+    # rejections, so they are drawn on their own
+    tables = _SearchTables(arr, 2)
+    rejected = _free_line_rejections(Reference(tables))
+    assume(rejected)
+    drawn = data.draw(st.lists(st.sampled_from(rejected), max_size=10, unique=True))
+    _assert_trivial_tf(tables, drawn)
+
+
+@settings(max_examples=2, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(deleted_b3_plus_a_line(2), st.data())
+def test_base_point_screen_free_line_cuts_reject_only_trivial_tf_on_deleted_b3_plus_a_line(
+    arr, data
+):
+    # of the 1,000-2,000 pairs that only these cuts reject, every one that
+    # passes the residue screen is checked, about 100-150, and 15 more are
+    # drawn from the rest
+    tables = _SearchTables(arr, 2)
+    sweep = _SweepTables(_probe_lines(tables)[0][3])
+    sharp, rest = [], []
+    for a, b in _free_line_rejections(Reference(tables)):
+        (sharp if sweep.screen(a, b) else rest).append((a, b))
     assert sharp
     drawn = data.draw(st.lists(st.sampled_from(rest), max_size=15, unique=True))
     _assert_trivial_tf(tables, sharp + drawn)
@@ -885,11 +934,12 @@ def test_caps_that_empty_the_global_stage_are_rejected():
         (a3, "c977710f18fe65bb5fb9852257f710a44bb2e0bf449627660eade1b9f4ab52e8"),
         (b3, "2ef1c2ec0f3f47ac72e6607708abb8caf8e5aee58e293299216de012f1ff99fb"),
         (b3_plus_one, "c82da56c6a2dc69b4e33ba1c577f23bb7a28beeb6b4818bfccf39240bf3313ce"),
+        (b3_plus_two, "b5c30eff3ccb14a09e26ee6607721dbc920b1246cb69574441ac98e534377de4"),
         (ceva2, "91ea15f195d876c07530aa029de8245cc5cc3c8c28ee5bae677a16c928847e83"),
         (ceva3, "757c4f3fee821dfea7881de82c193531396b31a01637e6c214755b2afaff2058"),
         (triangle, "6d17d38907c1529cb93adb4662f26867f41f0bccec7c7fa5130663a55d5087ca"),
     ],
-    ids=["a3", "b3", "b3plus1", "ceva2", "ceva3", "triangle"],
+    ids=["a3", "b3", "b3plus1", "b3plus2", "ceva2", "ceva3", "triangle"],
 )
 def test_catalog_json_digest(make, digest):
     text = json.dumps(build_catalog(make()).to_json(), indent=2, sort_keys=True)

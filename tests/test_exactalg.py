@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+from latticeref import lattice_key, saturate_lattice
 from curvepencils.exactalg import (
     FinAbelianGroup,
     IntMatrix,
@@ -24,13 +25,11 @@ from curvepencils.exactalg import (
     hermite_column_form,
     integer_kernel_basis,
     interpolate_integers,
-    lattice_key,
     primitive_vector,
     product_relation_lattice,
     projective_profile,
     rational_roots,
     roots_mod_p,
-    saturate_lattice,
     smith_normal_form,
     yun_squarefree,
 )

@@ -225,8 +225,6 @@ def test_unreferenced_public_function_is_caught():
 # each with the reason it stays; a path that only the slow fixtures (a3, b3,
 # exfin3) reach would go here too, naming the fixture
 UNREACHED = {
-    "exactalg.saturate_lattice": "test oracle of `ExponentSubtorus.saturated_key` and `coset`",
-    "exactalg.lattice_key": "test oracle of the subtorus keys, beside `saturate_lattice`",
     "exactalg.IntMatrix.to_lists": "read by `IntMatrix.__repr__`, which no report prints",
 }
 

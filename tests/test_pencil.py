@@ -38,12 +38,13 @@ from arrfixtures import (
     triangle,
 )
 from drawref import Reference, combination_pairs, disjoint_pairs
+from latticeref import lattice_key, saturate_lattice
 from curvepencils.arrangement import (
     Arrangement,
     CurveComponent,
     pullback_subtorus,
 )
-from curvepencils.exactalg import lattice_key, projective_profile, saturate_lattice
+from curvepencils.exactalg import projective_profile
 from curvepencils import pencil as pencil_module
 from curvepencils.pencil import (
     BlowupCluster,
@@ -896,10 +897,10 @@ def test_block_pair_draw_interns_its_blocks(monkeypatch):
     # a draw builds the blocks of the pairs it yields, once per (mask,
     # mults), where the submask walk it replaced indexed the 2,032 pairable
     # blocks of deleted B3: the search's 57 pairs hold 36 blocks and the
-    # sweep's 674 pairs 255, and a block in several pairs is one object
+    # sweep's 50 pairs 73, and a block in several pairs is one object
     tables = _SearchTables(deleted_b3(), 2)
     original = pencil_module._Block
-    for sweep, pairs, blocks in ((False, 57, 36), (True, 674, 255)):
+    for sweep, pairs, blocks in ((False, 57, 36), (True, 50, 73)):
         built = []
 
         def counting(*args):
