@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .arrangement import Arrangement, CurveComponent, local_pencil_points, meeting_points
@@ -84,6 +84,10 @@ class Pencil:
             raise PencilError(
                 f"generators have degrees {self.P.degree} and {self.Q.degree}"
             )
+        den = lcm(*(v.denominator for F in (self.P, self.Q) for v in F.terms.values()))
+        if den > 1:  # one integer clears both, so each fiber keeps its (b0 : b1)
+            object.__setattr__(self, "P", self.P.scale(den))
+            object.__setattr__(self, "Q", self.Q.scale(den))
         span = span_rows(self.P, self.Q)
         if span is None:
             raise PencilError("degenerate pencil: proportional generators")
@@ -273,9 +277,9 @@ def _place(pencil: Pencil, comp: CurveComponent, vote: Vote) -> tuple[P1Point, i
 
     The ladder: disagreeing votes certify horizontal; agreeing votes leave
     one `divisibility_multiplicity` at the voted point.  Without a vote,
-    `member_of_pencil_dividing` decides by the remainders of the two
-    generators on division by the component.  A component dividing both
-    generators never votes (all its points are base points) and leaves
+    `member_of_pencil_dividing` decides by the integer pseudo-remainders of
+    the two generators on division by the component.  A component dividing
+    both generators never votes (all its points are base points) and leaves
     both remainders zero, which that rung reports as a `ValueError`.
     """
     if vote == "horizontal":
@@ -498,13 +502,12 @@ def detect_special_fibers(classification: PencilClassification) -> PencilClassif
 def _family_discriminant(pencil: Pencil, line: ProjLine) -> tuple[int, ...] | None:
     """Discriminant in c of the restriction g_c of c*P - Q to a line, up to a constant.
 
-    The restrictions p and q of P and Q are scaled by one rational constant
-    k to coprime integer coefficients, so each sample at an integer c is
-    the integer `_formal_discriminant` of k*g_c: k^(2D - 1) times that of
-    g_c, a constant factor that no caller reads.  Samples at c = 0..2D-1
-    are interpolated in integers; vanishing identifies every fiber with a
-    repeated or degree-dropping restriction, a superset of the special
-    parameters.
+    The restrictions p and q of the integral P and Q are divided by their
+    content, up to sign, so each sample at an integer c is the integer
+    `_formal_discriminant` of g_c over a constant that no caller reads.
+    Samples at c = 0..2D-1 are interpolated in integers; vanishing
+    identifies every fiber with a repeated or degree-dropping restriction,
+    a superset of the special parameters.
 
     None when the line is invalid: its point at t = infinity is a base
     point, so every fiber drops formal degree, or the discriminant vanishes

@@ -5,9 +5,9 @@ text grammar is signed sums of terms ``c*x^a*y^b*z^c`` with rational
 coefficients.  Every form the program builds is integral (components are
 primitive integer forms, and Gauss's lemma keeps their cofactors integral),
 so an integral coefficient is a plain ``int`` and only parsed input can
-carry a ``Fraction``.  All division goes through `_division`, one
-lex-order loop: `exact_divide` decides divisibility, and `divide`, whose
-remainder decides pencil membership, serves `member_of_pencil_dividing`.
+carry a ``Fraction``.  All division goes through `_division`, one integer
+lex-order loop: `exact_divide` decides divisibility, and its remainder
+decides pencil membership in `member_of_pencil_dividing`.
 
 Every restriction of a form to a line goes through
 `TernaryForm.restrict_span`, which returns g(t) = F(p + t*q) as a plain
@@ -41,7 +41,6 @@ __all__ = [
     "cross",
     "line_through",
     "projected_resultant",
-    "divide",
     "exact_divide",
     "divisibility_multiplicity",
     "member_of_pencil_dividing",
@@ -60,8 +59,9 @@ class TernaryForm:
 
     An integral coefficient is stored as an ``int``, whatever type it came
     in as, so a ``Fraction`` always has denominator > 1; zero coefficients
-    are dropped.  The one monomial order is lex with x > y > z, the order
-    in which exponent tuples compare, so the leading term is the largest.
+    are dropped.  Only `parse` makes a ``Fraction``, and `Arrangement` and
+    `Pencil` clear it.  The one monomial order is lex with x > y > z, the
+    order in which exponent tuples compare, so the leading term is the largest.
     """
 
     __slots__ = ("terms", "degree")
@@ -460,32 +460,28 @@ def projected_resultant(
 # exact division
 
 
-def divide(f: TernaryForm, g: TernaryForm) -> tuple[TernaryForm, TernaryForm]:
-    """Quotient and remainder of f on division by g, in lex order x > y > z.
+def _division(f: TernaryForm, g: TernaryForm, exact: bool) -> dict | tuple[dict, int] | None:
+    """The one division loop: an integral f by a primitive integral g, in lex order x > y > z.
 
-    A leading term that g's leading monomial does not divide moves to the
-    remainder.  One form is a Groebner basis of its ideal, so the remainder
-    is the normal form of f: linear in f, and zero exactly when g divides f.
-    """
-    quotient, remainder = _division(f, g, exact=False)
-    return TernaryForm(quotient), TernaryForm(remainder)
-
-
-def _division(f: TernaryForm, g: TernaryForm, exact: bool) -> tuple[dict, dict] | None:
-    """The one division loop: quotient and remainder terms of f by g.
-
-    A quotient step is ``coef // g_coef`` when that division is exact and
-    a `Fraction` otherwise.  With ``exact`` the loop returns None as soon
-    as it proves that g does not divide f (see `exact_divide`).
+    With ``exact`` it returns the quotient terms, or None as soon as it
+    proves that g does not divide f (see `exact_divide`).  Otherwise it
+    pseudo-divides (Knuth, TAOCP vol. 2, 4.6.1) and returns the remainder
+    terms r and the integer s > 0 with s*f = q*g + r.  No term of r is
+    divisible by g's leading monomial, and one form is a Groebner basis of
+    its ideal, so r is s times the normal form of f: zero exactly when g
+    divides f.
     """
     if g.is_zero():
         raise ZeroDivisionError("division by the zero form")
+    integral = all(type(v) is int for F in (f, g) for v in F.terms.values())
+    if not (integral and gcd(*g.terms.values()) == 1):
+        raise ValueError("division needs an integral dividend and a primitive integral divisor")
     (ga, gb, gc), g_coef = g.leading_term()
     g_tail = [(k, v) for k, v in g.terms.items() if k != (ga, gb, gc)]
-    gauss = exact and _integral(f) and _integral(g) and gcd(*g.terms.values()) == 1
     work = dict(f.terms)
-    quotient: dict[tuple[int, int, int], Fraction | int] = {}
-    remainder: dict[tuple[int, int, int], Fraction | int] = {}
+    quotient: dict[tuple[int, int, int], int] = {}
+    remainder: dict[tuple[int, int, int], int] = {}
+    s = 1
     while work:
         lead = max(work)  # exponent tuples compare in lex order x > y > z
         coef = work.pop(lead)
@@ -495,13 +491,17 @@ def _division(f: TernaryForm, g: TernaryForm, exact: bool) -> tuple[dict, dict] 
                 return None
             remainder[lead] = coef
             continue
-        if type(coef) is int and type(g_coef) is int and not coef % g_coef:
-            q = coef // g_coef
-        elif gauss:
-            return None
-        else:
-            q = Fraction(coef, g_coef)
-        quotient[(a, b, c)] = q
+        if coef % g_coef:
+            if exact:
+                return None
+            # the least m > 0 with lc(g) | m*coef scales the work so far
+            m = abs(g_coef) // gcd(coef, g_coef)
+            s, coef = s * m, coef * m
+            work = {k: v * m for k, v in work.items()}
+            remainder = {k: v * m for k, v in remainder.items()}
+        q = coef // g_coef
+        if exact:
+            quotient[(a, b, c)] = q
         for (ka, kb, kc), v in g_tail:
             k = (ka + a, kb + b, kc + c)
             left = work.get(k, 0) - q * v
@@ -509,18 +509,14 @@ def _division(f: TernaryForm, g: TernaryForm, exact: bool) -> tuple[dict, dict] 
                 work[k] = left
             else:
                 del work[k]
-    return quotient, remainder
-
-
-def _integral(f: TernaryForm) -> bool:
-    return all(type(v) is int for v in f.terms.values())
+    return quotient if exact else (remainder, s)
 
 
 def exact_divide(f: TernaryForm, g: TernaryForm) -> TernaryForm | None:
     """The cofactor h with f = g * h, or None when g does not divide f.
 
     The division stops at the first remainder term: later terms are lower
-    in lex order, so a remainder term, once set, is final.  When f is
+    in lex order, so a remainder term, once set, is final.  As f is
     integral and g primitive integral, it also stops at the first quotient
     coefficient that is not an integer.  That is sound by Gauss's lemma.
     Suppose f = g*h and write h = c*h0, with c rational and h0 primitive
@@ -532,7 +528,7 @@ def exact_divide(f: TernaryForm, g: TernaryForm) -> TernaryForm | None:
     therefore proves that g does not divide f.
     """
     out = _division(f, g, exact=True)
-    return None if out is None else TernaryForm(out[0])
+    return None if out is None else TernaryForm(out)
 
 
 def divisibility_multiplicity(f: TernaryForm, g: TernaryForm) -> int:
@@ -556,11 +552,12 @@ def member_of_pencil_dividing(
     """The fiber of span(P, Q) divisible by fj, with the multiplicity.
 
     The fiber over (b0 : b1) is b1*P - b0*Q.  Returns None when no member is
-    divisible.  P and Q must be independent forms of equal degree.
+    divisible.  P and Q must be independent integral forms of equal degree.
 
     The last rung of the placement ladder in `pencil`, for components with
-    no vote: the remainders rP, rQ of P and Q on division by fj are linear
-    in the dividend, so fj divides the fiber exactly when b1*rP = b0*rQ.
+    no vote: the remainders of sP*P and sQ*Q (`_division`), brought to the
+    one scale sP*sQ as rP and rQ, are linear in the dividend, so fj divides
+    the fiber exactly when b1*rP = b0*rQ; the common scale leaves the ratio.
     Both remainders vanish exactly when fj divides both P and Q; then fj
     divides every fiber, and `ValueError` reports the common factor.
     """
@@ -570,8 +567,8 @@ def member_of_pencil_dividing(
         raise ValueError("degenerate pencil: proportional generators")
     if fj.is_constant():
         raise ValueError("members are nonconstant forms")
-    _, rP = divide(P, fj)
-    _, rQ = divide(Q, fj)
+    (rP, sP), (rQ, sQ) = (_division(F, fj, exact=False) for F in (P, Q))
+    rP, rQ = TernaryForm(rP).scale(sQ), TernaryForm(rQ).scale(sP)
     if rP.is_zero() and rQ.is_zero():
         raise ValueError("degenerate pencil: the member divides both generators")
     if rP.is_zero():

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
+from math import gcd
+
 from hypothesis import assume
 from hypothesis import strategies as st
 
 from curvepencils.arrangement import Arrangement, CurveComponent
 from curvepencils.pencil import Pencil
-from curvepencils.polyform import TernaryForm
+from curvepencils.polyform import TernaryForm, cross
 
 
 def F(text: str) -> TernaryForm:
@@ -219,16 +222,43 @@ def random_line_pencil(rng) -> tuple[Arrangement, Pencil]:
         return arr, pencil
 
 
-def signed_permutation(form: TernaryForm, perm, signs) -> TernaryForm:
-    """The form after the substitution x_i -> signs[i] * x_perm[i]."""
-    terms = {}
+# nonzero integer vectors with entries in [-2, 2], the smallest first, for shrinking
+SMALL_VECTORS = sorted(
+    (v for v in itertools.product(range(-2, 3), repeat=3) if any(v)),
+    key=lambda v: (sum(map(abs, v)), v),
+)
+# the pairs of rows whose cross product is primitive; each has a third row
+# in [-2, 2] that completes it to determinant +-1
+_PRIMITIVE_PAIRS = [
+    (r1, r2) for r1 in SMALL_VECTORS for r2 in SMALL_VECTORS if gcd(*cross(r1, r2)) == 1
+]
+
+
+@st.composite
+def unimodular_matrices(draw) -> tuple[tuple[int, ...], ...]:
+    """A 3x3 integer matrix of determinant +-1 with entries in [-2, 2]."""
+    r1, r2 = draw(st.sampled_from(_PRIMITIVE_PAIRS))
+    normal = cross(r1, r2)
+    thirds = [r for r in SMALL_VECTORS if abs(sum(a * b for a, b in zip(r, normal))) == 1]
+    return r1, r2, draw(st.sampled_from(thirds))
+
+
+def move(form: TernaryForm, matrix) -> TernaryForm:
+    """The form after the change of coordinates x_i -> sum_j matrix[i][j] * x_j."""
+    linear = [TernaryForm({(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c}) for a, b, c in matrix]
+    out = TernaryForm.zero()
     for exps, coef in form.terms.items():
-        image = [0, 0, 0]
-        for i, e in enumerate(exps):
-            image[perm[i]] += e
-            coef *= signs[i] ** e
-        terms[tuple(image)] = coef
-    return TernaryForm(terms)
+        term = TernaryForm.constant(coef)
+        for lin, e in zip(linear, exps):
+            term = term * lin.power(e)
+        out = out + term
+    return out
+
+
+def moved(arr: Arrangement, matrix) -> Arrangement:
+    """`move` applied to every component; labels and the infinity line stay."""
+    comps = [CurveComponent(c.label, move(c.form, matrix)) for c in arr.components]
+    return Arrangement(comps, arr.infinity_index)
 
 
 def random_special_pencil(rng, arr: Arrangement, pencil: Pencil) -> tuple[Arrangement, Pencil]:
@@ -239,8 +269,6 @@ def random_special_pencil(rng, arr: Arrangement, pencil: Pencil) -> tuple[Arrang
     """
     perm = rng.sample(range(3), 3)
     signs = [rng.choice((1, -1)) for _ in range(3)]
-    comps = [
-        CurveComponent(c.label, signed_permutation(c.form, perm, signs)) for c in arr.components
-    ]
-    moved = Pencil(*(signed_permutation(f, perm, signs) for f in (pencil.P, pencil.Q)))
-    return Arrangement(comps, arr.infinity_index), moved
+    # x_i -> signs[i] * x_perm[i]
+    matrix = [[signs[i] * (j == perm[i]) for j in range(3)] for i in range(3)]
+    return moved(arr, matrix), Pencil(move(pencil.P, matrix), move(pencil.Q, matrix))

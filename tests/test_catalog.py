@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import gc
 import hashlib
 import itertools
@@ -18,10 +19,11 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import HealthCheck, Phase, assume, given, settings
+from hypothesis import HealthCheck, Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from arrfixtures import (
+    SMALL_VECTORS,
     F,
     a2,
     a3,
@@ -35,7 +37,9 @@ from arrfixtures import (
     ex2,
     exfin3,
     fw_pencil,
+    moved,
     triangle,
+    unimodular_matrices,
 )
 from drawref import Reference, blocks_by_degree
 from latticeref import lattice_key, saturate_lattice
@@ -69,6 +73,7 @@ from curvepencils.exactalg import (
     coeffs_derivative,
     coeffs_evaluate,
     coeffs_mul,
+    primitive_vector,
 )
 from curvepencils.pencil import (
     Pencil,
@@ -801,12 +806,14 @@ def test_base_point_screen_rejects_no_multiple_fiber_on_deleted_b3():
 @st.composite
 def _lines_with_infinity(draw):
     """Four to seven distinct random lines with small coefficients, the first at infinity."""
-    line = st.tuples(*[st.integers(-2, 2)] * 3).filter(any)
-    coefficients = draw(st.lists(line, min_size=4, max_size=7))
+    coefficients = draw(
+        st.lists(
+            st.sampled_from(SMALL_VECTORS), min_size=4, max_size=7, unique_by=primitive_vector
+        )
+    )
     forms = [
         TernaryForm({(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c}) for a, b, c in coefficients
     ]
-    assume(not any(f.proportional_to(g) for f, g in itertools.combinations(forms, 2)))
     return Arrangement([CurveComponent(f"L{i}", f) for i, f in enumerate(forms)], 0)
 
 
@@ -923,6 +930,44 @@ def test_caps_that_empty_the_global_stage_are_rejected():
         build_catalog(ex2(), max_multiplicity=0)
     with pytest.raises(CatalogError, match="max_blocks"):
         build_catalog(ex2(), max_blocks=2)
+
+
+# -- coordinate changes ----------------------------------------------------------
+
+
+_RECORD_KEYS = ("kind", "dimension", "torsion", "flags", "expected_generic_h1")
+_MOVED_FIXTURES = (deleted_b3, a2, ceva2, ex2, ceva3, triangle)
+
+
+@functools.cache
+def _coordinate_free_records(make, matrix=None) -> list:
+    """The catalog's records without their points and printed forms, sorted.
+
+    A subtorus enters by the span of its exponent lattice: the order of a
+    pencil's fibers, which the coordinates decide, picks its printed basis.
+    """
+    arr = make() if matrix is None else moved(make(), matrix)
+    catalog = build_catalog(arr)
+    return sorted(
+        json.dumps([rec.subtorus.saturated_key(), *(doc[k] for k in _RECORD_KEYS)])
+        for rec, doc in zip(catalog.records, catalog.to_json()["records"])
+    )
+
+
+# a change of coordinates is a homeomorphism of the plane that keeps the
+# components and their order, so it keeps the characteristic variety and
+# with it every record; the two matrices give leading coefficients other
+# than +-1 to most components, where the membership test pseudo-divides.
+# An example takes about 0.2 s
+@settings(max_examples=30, deadline=None)
+@example(((0, -1, 1), (2, -1, 2), (-1, -2, 1)))
+@example(((0, 1, 0), (2, -1, 1), (1, 0, 1)))
+@given(unimodular_matrices())
+def test_catalog_does_not_depend_on_coordinates(matrix):
+    for make in _MOVED_FIXTURES:
+        assert _coordinate_free_records(make, matrix) == _coordinate_free_records(make), (
+            make.__name__
+        )
 
 
 # -- catalogs without a golden file -------------------------------------------------

@@ -227,6 +227,25 @@ def test_degenerate_pencil_generators(capsys, tmp_path):
         assert fragment in err
 
 
+def test_classify_reads_a_rational_pencil_file(capsys, tmp_path):
+    # a P/Q file may carry Fractions; one common integer clears them, so the
+    # report is that of the cleared multiple, parameters and all
+    outs = []
+    for doc in [
+        {"P": "1/2*x^2*y^2 - 1/2*x^2*z^2", "Q": "1/3*x^2*y^2 - 1/3*y^2*z^2"},
+        {"P": "3*x^2*y^2 - 3*x^2*z^2", "Q": "2*x^2*y^2 - 2*y^2*z^2"},
+    ]:
+        path = tmp_path / "pencil.json"
+        path.write_text(json.dumps(doc))
+        for flags in ([], ["--json"]):
+            code, out, err = run(
+                capsys, "classify", FIXTURES / "exfin3.json", "--pencil", path, *flags
+            )
+            assert code == 0 and err == ""
+            outs.append(out)
+    assert outs[:2] == outs[2:]
+
+
 @pytest.mark.parametrize("doc", [5, None, "P and Q"], ids=["number", "null", "string"])
 def test_pencil_file_not_an_object(capsys, tmp_path, doc):
     path = tmp_path / "pencil.json"

@@ -1,6 +1,7 @@
 """Source hygiene: every module-level import, private helper and public function is used,
 no float enters the arithmetic, no true division can make one, no random source feeds it,
-the Smith form serves only the torsion group, and one draw builds the blocks."""
+form division is integral, the Smith form serves only the torsion group, and one draw
+builds the blocks."""
 
 from __future__ import annotations
 
@@ -462,6 +463,16 @@ def test_module_is_fraction_free(name):
     path = ROOT / "src" / "curvepencils" / name
     uses = _fraction_uses(ast.parse(path.read_text(), filename=str(path)))
     assert not uses, f"{name}: Fraction uses: {', '.join(uses)}"
+
+
+def test_division_loop_is_fraction_free():
+    # the one division loop pseudo-divides in integers (Knuth, TAOCP 4.6.1)
+    tree = ast.parse((ROOT / "src" / "curvepencils" / "polyform.py").read_text())
+    (loop,) = [
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_division"
+    ]
+    uses = _fraction_uses(loop)
+    assert not uses, f"polyform._division: Fraction uses: {', '.join(uses)}"
 
 
 def test_fraction_use_is_caught():

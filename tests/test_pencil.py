@@ -182,6 +182,33 @@ def test_pencil_layer_forms_are_integer(name):
         assert len(comp.vote_points) == (4 if comp.degree == 1 else 0)
 
 
+@pytest.mark.parametrize("name", ["exfin3", "ex2", "a2"])
+def test_rational_pencil_classifies_as_its_cleared_multiple(name):
+    # one common integer clears the generators' denominators, so (P/2, Q/3)
+    # classifies as (3P, 2Q); its fiber over (b0 : b1) is that of (P, Q)
+    # over (2*b0 : 3*b1)
+    arr = Arrangement.from_json(json.loads((FIXTURES / f"{name}.json").read_text()))
+    doc = json.loads((FIXTURES / f"{name}pencil.json").read_text())
+    P, Q = TernaryForm.parse(doc["P"]), TernaryForm.parse(doc["Q"])
+    rational = Pencil(P.scale(Fraction(1, 2)), Q.scale(Fraction(1, 3)))
+    assert all(type(c) is int for F in (rational.P, rational.Q) for c in F.terms.values())
+
+    def summary(pencil, move=lambda b: b):
+        cl = detect_special_fibers(classify(arr, pencil))
+        return (
+            [(p.kind, p.point and move(p.point), p.multiplicity) for p in cl.placements],
+            sorted(move(b) for b in cl.base_points),
+            sorted((move(sp.point), sp.members, sp.m_prime, sp.m_dprime) for sp in cl.special_points),
+        )
+
+    got = summary(rational)
+    assert got == summary(Pencil(P.scale(3), Q.scale(2)))
+    assert summary(rational, lambda b: P1(2 * b.coords[0], 3 * b.coords[1])) == summary(
+        Pencil(P, Q)
+    )
+    assert any(point for _, point, _ in got[0])
+
+
 def test_classify_fw():
     arr = deleted_b3()
     c = classify(arr, fw_pencil())

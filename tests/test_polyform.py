@@ -17,7 +17,7 @@ from curvepencils.polyform import (
     ProjLine,
     ProjPoint,
     TernaryForm,
-    divide,
+    _division,
     divisibility_multiplicity,
     exact_divide,
     line_through,
@@ -259,7 +259,7 @@ def test_exact_divide_basic():
 def test_exact_divide_random():
     rng = random.Random(606)
     for trial in range(40):
-        g = random_form(rng, rng.randint(1, 2))
+        g = random_form(rng, rng.randint(1, 2)).primitive()
         h = random_form(rng, rng.randint(1, 2))
         f = g * h
         got = exact_divide(f, g)
@@ -268,16 +268,33 @@ def test_exact_divide_random():
         assert mult >= 2
 
 
-def test_divide_matches_sympy_reduced():
+def _primitive_divisor(rng, degree, unit_lead):
+    """A random primitive form whose leading coefficient is +-1 or not, as asked."""
+    while True:
+        g = random_form(rng, degree, density=0.5).primitive()
+        if (abs(g.leading_term()[1]) == 1) == unit_lead:
+            return g
+
+
+def test_pseudo_remainder_matches_sympy_reduced():
+    # s*f = q*g + r with r = s * (the normal form of f) and an integer s > 0,
+    # which is 1 whenever the leading coefficient of g is +-1
     x, y, z = sympy.symbols("x y z")
     rng = random.Random(4242)
+    scaled = 0
     for trial in range(60):
         f = random_form(rng, rng.randint(1, 5))
-        g = random_form(rng, rng.randint(1, 3), density=0.5)
-        q, r = divide(f, g)
-        (sq,), sr = sympy.reduced(sym(f), [sym(g)], x, y, z, order="lex")
-        assert sym(q) == sympy.expand(sq), (f, g)
-        assert sym(r) == sympy.expand(sr), (f, g)
+        g = _primitive_divisor(rng, rng.randint(1, 3), unit_lead=trial % 3 == 0)
+        terms, s = _division(f, g, exact=False)
+        r = TernaryForm(terms)
+        _, sr = sympy.reduced(sym(f), [sym(g)], x, y, z, order="lex")
+        assert type(s) is int and s > 0 and _integral(r), (f, g)
+        assert sym(r) == sympy.expand(s * sr), (f, g)
+        assert exact_divide(f.scale(s) - r, g) is not None
+        if abs(g.leading_term()[1]) == 1:
+            assert s == 1
+        scaled += s > 1
+    assert scaled >= 20
 
 
 def _integral(form: TernaryForm) -> bool:
@@ -294,35 +311,38 @@ def test_integer_division_matches_sympy():
         g = random_form(rng, rng.randint(1, 3)).primitive()
         h = random_form(rng, rng.randint(0, 3))
         f = g * h
-        q, r = divide(f, g)
         assert sympy.div(sym(f), sym(g), x, y, z, domain="QQ") == (sym(h), 0)
-        assert q == h and r.is_zero() and exact_divide(f, g) == h
-        assert _integral(f) and _integral(q)
+        assert exact_divide(f, g) == h and _division(f, g, exact=False) == ({}, 1)
+        assert _integral(f) and _integral(h)
         m = rng.choice(TernaryForm.monomials_of_degree(f.degree))
         f = f + TernaryForm({m: rng.choice((-1, 1))})
         if sympy.div(sym(f), sym(g), x, y, z, domain="QQ")[1] == 0:
             continue  # g is a monomial dividing m
         failed += 1
         assert exact_divide(f, g) is None
-        assert not divide(f, g)[1].is_zero()
+        assert _division(f, g, exact=False)[0]
     assert failed >= 30
 
 
-def test_exact_divide_quotient_off_the_integers():
-    # no integrality exit unless the dividend is integral and the divisor
-    # primitive: then an exact quotient may have Fraction coefficients
+def test_division_rejects_non_integral_or_non_primitive_input():
+    # the Gauss exit and the pseudo-remainder hold for an integral dividend
+    # and a primitive integral divisor only, so anything else is refused
     rng = random.Random(2323)
     for trial in range(20):
         g0 = random_form(rng, rng.randint(1, 2)).primitive()
         h0 = random_form(rng, rng.randint(1, 2)).primitive()
         c = rng.randint(2, 5)
-        g, h = g0.scale(c), h0.scale(Fraction(1, c))
-        f = g * h
-        assert _integral(f) and not _integral(h)
-        assert exact_divide(f, g) == h
-        assert divide(f, g) == (h, TernaryForm.zero())
-        assert exact_divide(f.scale(Fraction(1, c)), g0) == h
-        assert exact_divide(f.scale(Fraction(1, c)), g) == h0.scale(Fraction(1, c * c))
+        f = g0 * h0
+        assert exact_divide(f, g0) == h0
+        for dividend, divisor in ((f.scale(Fraction(1, c)), g0), (f, g0.scale(c))):
+            for exact in (True, False):
+                with pytest.raises(ValueError, match="primitive integral divisor"):
+                    _division(dividend, divisor, exact)
+        other = Y.power(f.degree)  # f has an x^d term, so the two are independent
+        with pytest.raises(ValueError, match="primitive integral divisor"):
+            member_of_pencil_dividing(g0, f.scale(Fraction(1, c)), other)
+        with pytest.raises(ValueError, match="primitive integral divisor"):
+            member_of_pencil_dividing(g0.scale(c), f, other)
 
 
 def test_divisibility_multiplicity():
@@ -421,7 +441,8 @@ def test_member_of_pencil_matches_sympy_division():
             fiber = fj * fj * random_form(rng, d - 2)
             if b.coords[0] == 0:
                 continue
-            Q = (P.scale(b.coords[1]) - fiber).scale(Fraction(1, b.coords[0]))
+            # P and b0*Q = b1*P - fiber, both times b0, keep the fiber over b
+            P, Q = P.scale(b.coords[0]), P.scale(b.coords[1]) - fiber
         else:
             Q = random_form(rng, d)
             fiber = P.scale(b.coords[1]) - Q.scale(b.coords[0])
@@ -430,7 +451,8 @@ def test_member_of_pencil_matches_sympy_division():
             fj = TernaryForm.parse(text)
         if P.proportional_to(Q):
             continue
-        horizontal = random_form(rng, rng.randint(1, d))
+        fj = fj.primitive()
+        horizontal = random_form(rng, rng.randint(1, d)).primitive()
         for form in (fj, horizontal):
             assert member_of_pencil_dividing(form, P, Q) == _oracle_fiber(form, P, Q)
         point, e = member_of_pencil_dividing(fj, P, Q)
